@@ -192,8 +192,10 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
         s = float(s)
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
-            resid = max(frenet.frenet_ode_residual(spec, amap, s,
-                                                   ODE_RESIDUAL_H))
+            resid = max(frenet._ode_residual(
+                frenet.frenet_apparatus(spec, amap, s - ODE_RESIDUAL_H), f,
+                frenet.frenet_apparatus(spec, amap, s + ODE_RESIDUAL_H),
+                ODE_RESIDUAL_H))
         except DegenerateFrame:
             degenerate += 1
             continue

@@ -223,4 +223,14 @@ def speed_jet(spec: CurveSpec, t: float) -> Jet:
 
 
 def speed(spec: CurveSpec, t: float) -> float:
-    return speed_jet(spec, t).value
+    """||alpha'(t)||; requires a spacelike velocity.
+
+    Bit for bit ``speed_jet(spec, t).value``: the same products and sums,
+    on the velocity components alone.
+    """
+    d0, d1, d2, d3 = (j.coeffs[1] for j in eval_curve(spec, t).jets)
+    g = (0.0 + -d0 * d0) + (0.0 + d1 * d1) + (0.0 + d2 * d2) + (0.0 + d3 * d3)
+    if g <= 0.0:
+        raise NonSpacelikeVelocity(
+            f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")
+    return math.sqrt(g)

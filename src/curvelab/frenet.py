@@ -342,9 +342,16 @@ def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, s: float, h: float,
 
     Converges at order 2 in h on smooth samples.
     """
-    fm = frenet_apparatus(spec, amap, s - h)
-    f0 = frenet_apparatus(spec, amap, s)
-    fp = frenet_apparatus(spec, amap, s + h)
+    return _ode_residual(frenet_apparatus(spec, amap, s - h),
+                         frenet_apparatus(spec, amap, s),
+                         frenet_apparatus(spec, amap, s + h), h,
+                         flip_b1_normal_sign)
+
+
+def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
+                  flip_b1_normal_sign: bool = False
+                  ) -> tuple[float, float, float, float]:
+    """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
     rhs = frenet_rhs(*f0.frame_arrays(), f0.kappa1, f0.kappa2, f0.kappa3,
                      f0.eps, flip_b1_normal_sign=flip_b1_normal_sign)
     lo = fm.frame_arrays()

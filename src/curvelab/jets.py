@@ -7,11 +7,20 @@ discretization error, only roundoff.
 
 Order 4 is the smallest order that feeds the full Frenet apparatus in a
 4-space (four derivatives of the position).
+
+Every operation is written out as straight-line arithmetic on the
+coefficient tuple.  Its floating-point operations, and their order, are
+fixed: each Cauchy sum runs left to right and starts from ``0.0 +``, which
+is what builtin ``sum()`` does on Python 3.11 and older (the ``0.0 +``
+turns a leading -0.0 into 0.0).  Every printed frame, curvature and report
+figure derives from these bits, so they must not depend on the Python
+version; ``sum()`` itself does, since Python 3.12 compensates its rounding.
+``tests/test_jets.py`` holds the loop formulas as the reference and checks
+every operation against them bit for bit, sign of zero included.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DivisionNearZero, SqrtNonPositive
 
@@ -22,15 +31,53 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 DIV_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Order-4 truncated Taylor series; immutable."""
+def _cauchy(a, b):
+    """Truncated product of two coefficient tuples."""
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    return (0.0 + a0 * b0,
+            0.0 + a0 * b1 + a1 * b0,
+            0.0 + a0 * b2 + a1 * b1 + a2 * b0,
+            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0)
 
-    coeffs: tuple[float, float, float, float, float]
+
+class Jet:
+    """Order-4 truncated Taylor series; immutable.
+
+    Equality and hashing go by ``coeffs``.  Every construction runs
+    ``__post_init__``, which rejects a wrong coefficient count.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[float, float, float, float, float]):
+        _set_coeffs(self, coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coeffs) != _N:
             raise ValueError(f"Jet needs exactly {_N} coefficients")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Jet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Jet")
+
+    def __reduce__(self):
+        return (Jet, (self.coeffs,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"Jet(coeffs={self.coeffs!r})"
 
     @property
     def value(self) -> float:
@@ -52,33 +99,34 @@ class Jet:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
+        a0, a1, a2, a3, a4 = self.coeffs
         if isinstance(other, Jet):
-            a, b = self.coeffs, other.coeffs
-            return Jet(tuple(a[i] + b[i] for i in range(_N)))
-        c = self.coeffs
-        return Jet((c[0] + other, c[1], c[2], c[3], c[4]))
+            b0, b1, b2, b3, b4 = other.coeffs
+            return Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4))
+        return Jet((a0 + other, a1, a2, a3, a4))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
+        a0, a1, a2, a3, a4 = self.coeffs
+        return Jet((-a0, -a1, -a2, -a3, -a4))
 
     def __sub__(self, other):
+        a0, a1, a2, a3, a4 = self.coeffs
         if isinstance(other, Jet):
-            a, b = self.coeffs, other.coeffs
-            return Jet(tuple(a[i] - b[i] for i in range(_N)))
-        c = self.coeffs
-        return Jet((c[0] - other, c[1], c[2], c[3], c[4]))
+            b0, b1, b2, b3, b4 = other.coeffs
+            return Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4))
+        return Jet((a0 - other, a1, a2, a3, a4))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = self.coeffs, other.coeffs
-            return Jet(tuple(
-                sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(_N)))
-        return Jet(tuple(c * other for c in self.coeffs))
+            return Jet(_cauchy(self.coeffs, other.coeffs))
+        a0, a1, a2, a3, a4 = self.coeffs
+        return Jet((a0 * other, a1 * other, a2 * other, a3 * other,
+                    a4 * other))
 
     __rmul__ = __mul__
 
@@ -91,6 +139,10 @@ class Jet:
         return constant(other) / self
 
 
+# The slot's own setter: ``Jet.__setattr__`` refuses every assignment.
+_set_coeffs = Jet.coeffs.__set__
+
+
 def variable(t: float) -> Jet:
     """Jet of the identity function at ``t``."""
     return Jet((float(t), 1.0, 0.0, 0.0, 0.0))
@@ -101,52 +153,60 @@ def constant(c: float) -> Jet:
 
 
 def _divide(num: Jet, den: Jet) -> Jet:
-    a, b = num.coeffs, den.coeffs
-    if abs(b[0]) <= DIV_FLOOR:
+    a0, a1, a2, a3, a4 = num.coeffs
+    b0, b1, b2, b3, b4 = den.coeffs
+    if abs(b0) <= DIV_FLOOR:
         raise DivisionNearZero("jet division by a series with ~zero constant term")
-    q = [0.0] * _N
-    for k in range(_N):
-        acc = a[k]
-        for j in range(k):
-            acc -= q[j] * b[k - j]
-        q[k] = acc / b[0]
-    return Jet(tuple(q))
+    q0 = a0 / b0
+    q1 = (a1 - q0 * b1) / b0
+    q2 = (a2 - q0 * b2 - q1 * b1) / b0
+    q3 = (a3 - q0 * b3 - q1 * b2 - q2 * b1) / b0
+    q4 = (a4 - q0 * b4 - q1 * b3 - q2 * b2 - q3 * b1) / b0
+    return Jet((q0, q1, q2, q3, q4))
 
 
 def sqrt(j: Jet) -> Jet:
-    a = j.coeffs
-    if a[0] <= 0.0:
-        raise SqrtNonPositive(f"jet sqrt of non-positive value {a[0]!r}")
-    r = [0.0] * _N
-    r[0] = math.sqrt(a[0])
-    for k in range(1, _N):
-        acc = a[k]
-        for i in range(1, k):
-            acc -= r[i] * r[k - i]
-        r[k] = acc / (2.0 * r[0])
-    return Jet(tuple(r))
+    a0, a1, a2, a3, a4 = j.coeffs
+    if a0 <= 0.0:
+        raise SqrtNonPositive(f"jet sqrt of non-positive value {a0!r}")
+    r0 = math.sqrt(a0)
+    two_r0 = 2.0 * r0
+    r1 = a1 / two_r0
+    r2 = (a2 - r1 * r1) / two_r0
+    r3 = (a3 - r1 * r2 - r2 * r1) / two_r0
+    r4 = (a4 - r1 * r3 - r2 * r2 - r3 * r1) / two_r0
+    return Jet((r0, r1, r2, r3, r4))
 
+
+# exp, sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k;
+# a1..a4 below stand for i * a_i, and the division by k = 1 is exact.
 
 def exp(j: Jet) -> Jet:
-    a = j.coeffs
-    b = [0.0] * _N
-    b[0] = math.exp(a[0])
-    for k in range(1, _N):
-        b[k] = sum(i * a[i] * b[k - i] for i in range(1, k + 1)) / k
-    return Jet(tuple(b))
+    a0, a1, a2, a3, a4 = j.coeffs
+    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
+    b0 = math.exp(a0)
+    b1 = 0.0 + a1 * b0
+    b2 = (0.0 + a1 * b1 + a2 * b0) / 2.0
+    b3 = (0.0 + a1 * b2 + a2 * b1 + a3 * b0) / 3.0
+    b4 = (0.0 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0) / 4.0
+    return Jet((b0, b1, b2, b3, b4))
 
 
 def sincos(j: Jet) -> tuple[Jet, Jet]:
     """sin and cos of a jet, computed jointly via their coupled recurrence."""
-    a = j.coeffs
-    s = [0.0] * _N
-    c = [0.0] * _N
-    s[0] = math.sin(a[0])
-    c[0] = math.cos(a[0])
-    for k in range(1, _N):
-        s[k] = sum(i * a[i] * c[k - i] for i in range(1, k + 1)) / k
-        c[k] = -sum(i * a[i] * s[k - i] for i in range(1, k + 1)) / k
-    return Jet(tuple(s)), Jet(tuple(c))
+    a0, a1, a2, a3, a4 = j.coeffs
+    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
+    s0 = math.sin(a0)
+    c0 = math.cos(a0)
+    s1 = 0.0 + a1 * c0
+    c1 = -(0.0 + a1 * s0)
+    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
+    c2 = -(0.0 + a1 * s1 + a2 * s0) / 2.0
+    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
+    c3 = -(0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
+    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
+    c4 = -(0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
+    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
 
 
 def sin(j: Jet) -> Jet:
@@ -158,15 +218,19 @@ def cos(j: Jet) -> Jet:
 
 
 def sinhcosh(j: Jet) -> tuple[Jet, Jet]:
-    a = j.coeffs
-    s = [0.0] * _N
-    c = [0.0] * _N
-    s[0] = math.sinh(a[0])
-    c[0] = math.cosh(a[0])
-    for k in range(1, _N):
-        s[k] = sum(i * a[i] * c[k - i] for i in range(1, k + 1)) / k
-        c[k] = sum(i * a[i] * s[k - i] for i in range(1, k + 1)) / k
-    return Jet(tuple(s)), Jet(tuple(c))
+    a0, a1, a2, a3, a4 = j.coeffs
+    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
+    s0 = math.sinh(a0)
+    c0 = math.cosh(a0)
+    s1 = 0.0 + a1 * c0
+    c1 = 0.0 + a1 * s0
+    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
+    c2 = (0.0 + a1 * s1 + a2 * s0) / 2.0
+    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
+    c3 = (0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
+    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
+    c4 = (0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
+    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
 
 
 def sinh(j: Jet) -> Jet:
@@ -191,41 +255,19 @@ def powi(j: Jet, n: int) -> Jet:
     return out
 
 
-_ELEMENTARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "exp": exp,
-    "sqrt": sqrt,
-    "powi": powi,
-}
-
-
-def jet_elementary(kind: str, *args):
-    """Dispatch an elementary jet operation by name."""
-    try:
-        fn = _ELEMENTARY[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementary jet operation {kind!r}") from None
-    return fn(*args)
-
-
 def compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of f(g(s)) where ``outer`` expands f at the point ``inner.value``.
 
     Horner evaluation in the nilpotent part of ``inner``; exact to order 4.
     """
     a = outer.coeffs
-    delta = inner - inner.value
-    out = constant(a[ORDER])
+    i0, i1, i2, i3, i4 = inner.coeffs
+    delta = (i0 - i0, i1, i2, i3, i4)
+    out = (float(a[ORDER]), 0.0, 0.0, 0.0, 0.0)
     for k in range(ORDER - 1, -1, -1):
-        out = out * delta + a[k]
-    return out
+        p0, p1, p2, p3, p4 = _cauchy(out, delta)
+        out = (p0 + a[k], p1, p2, p3, p4)
+    return Jet(out)
 
 
 def reverse(j: Jet, at: float) -> Jet:

@@ -134,3 +134,38 @@ def test_jet_derivatives_match_finite_differences():
         d1 = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
         assert math.isclose(cj.derivative(1).components[comp], d1,
                             rel_tol=1e-7, abs_tol=1e-9)
+
+
+def _outcome(fn, spec, t):
+    """repr of ``fn(spec, t)``, or its NonSpacelikeVelocity message."""
+    try:
+        return repr(fn(spec, t))
+    except NonSpacelikeVelocity as exc:
+        return str(exc)
+
+
+def test_speed_is_the_speed_jet_value_bit_for_bit():
+    from curvelab import rectifying
+
+    specs = [curves.make_spec(cid) for cid in
+             ("paper_example", "hyperbolic_geodesic", "hyperbolic_clelia",
+              "lorentz_helix")]
+    specs.append(rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=2.0, t0=0.4, domain=(0.35, 1.2))))
+    jet_value = lambda spec, t: curves.speed_jet(spec, t).value
+    for spec in specs:
+        for t in np.linspace(*spec.domain, 23):
+            assert (_outcome(curves.speed, spec, float(t))
+                    == _outcome(jet_value, spec, float(t))), spec.catalog_id
+
+
+def test_speed_and_speed_jet_reject_a_timelike_helix():
+    # Bq < Ap makes the helix velocity timelike
+    spec = curves.make_spec("lorentz_helix",
+                            params={"A": 1.0, "p": 1.5, "B": 1.0, "q": 1.0})
+    for t in (0.0, 1.3):
+        with pytest.raises(NonSpacelikeVelocity):
+            curves.speed(spec, t)
+        with pytest.raises(NonSpacelikeVelocity):
+            curves.speed_jet(spec, t)

@@ -1,0 +1,76 @@
+"""Golden CLI outputs: a fixed set of fast invocations, compared byte for byte.
+
+The invocations run through ``cli.main`` in one fresh interpreter, so the
+id a ``construct`` registers does not depend on which tests ran before.
+The synthesis CSV is written and read back under a relative path, so the
+``"curve"`` field of the round-trip report names the same file on every
+run.  To regenerate the fixtures after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py tests/golden
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+SRC = HERE.parent / "src"
+
+SYNTH_CSV = "synthesize.csv"
+
+# name -> (argv, expected exit code)
+CASES = {
+    "helix_frenet": (["frenet", "--curve", "lorentz_helix",
+                      "--samples", "50"], 0),
+    "helix_rectify_check": (["rectify-check", "--curve", "lorentz_helix"], 1),
+    "construct": (["construct", "--curve", "hyperbolic_clelia", "--a", "2",
+                   "--t0", "0.4", "--construct-domain", "0.35", "1.2",
+                   "--samples", "20"], 0),
+    "classify": (["classify", "--curve", "hyperbolic_clelia",
+                  "--at", "0.3", "--at", "1.7"], 0),
+    "synthesize": (["synthesize", "--profile", "cosh_over_s", "--ds", "2e-3",
+                    "--samples", "21", "-o", SYNTH_CSV], 0),
+    "synthesis_rectify_check": (["rectify-check", "--from-synthesis",
+                                 SYNTH_CSV, "--c", "0", "--samples", "21"], 0),
+}
+
+OUTPUTS = [f"{name}.out" for name in CASES] + [SYNTH_CSV]
+
+
+def produce(outdir: Path) -> dict[str, int]:
+    """Run every case in order inside ``outdir``; return the exit codes."""
+    from curvelab import cli
+
+    os.chdir(outdir)
+    codes = {}
+    for name, (argv, _) in CASES.items():
+        out = io.StringIO()
+        codes[name] = cli.main(argv, out=out)
+        (outdir / f"{name}.out").write_text(out.getvalue())
+    return codes
+
+
+def test_golden_cli_outputs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = dict(line.split("=") for line in proc.stdout.split())
+    assert codes == {name: str(code) for name, (_, code) in CASES.items()}
+    for fname in OUTPUTS:
+        got = (tmp_path / fname).read_bytes()
+        want = (GOLDEN / fname).read_bytes()
+        assert got == want, f"{fname} differs from tests/golden/{fname}"
+
+
+if __name__ == "__main__":
+    target = Path(sys.argv[1]).resolve()
+    target.mkdir(parents=True, exist_ok=True)
+    for name, code in produce(target).items():
+        print(f"{name}={code}")
