@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -122,19 +123,41 @@ def spec_from_config(cfg: dict) -> curves.CurveSpec:
 # -- frame sources from CSV (synthesis round trips) ---------------------------
 
 class CsvFrameSource:
-    """Frame source backed by a cmd_synthesize CSV (grid samples only)."""
+    """Frame source backed by a cmd_synthesize CSV (grid samples only).
+
+    Rejects, as a UsageError naming the line, a row without one finite
+    value per header field, an eps other than 1 or -1, and an s that does
+    not strictly increase.
+    """
 
     def __init__(self, path: str):
         rows = []
+        n_fields = SYNTH_HEADER.count(",") + 1
         with open(path) as fh:
             header = fh.readline().strip()
             if header != SYNTH_HEADER:
                 raise UsageError(f"{path} is not a synthesis CSV")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                rows.append([float(v) for v in line.split(",")])
+                where = f"{path} line {lineno}"
+                cells = line.split(",")
+                if len(cells) != n_fields:
+                    raise UsageError(f"{where}: {len(cells)} fields, "
+                                     f"expected {n_fields}")
+                try:
+                    row = [float(v) for v in cells]
+                except ValueError as exc:
+                    raise UsageError(f"{where}: {exc}") from None
+                if not all(math.isfinite(v) for v in row):
+                    raise UsageError(f"{where}: non-finite value")
+                if row[24] not in (1.0, -1.0):
+                    raise UsageError(f"{where}: eps must be 1 or -1, "
+                                     f"got {cells[24]}")
+                if rows and not row[0] > rows[-1][0]:
+                    raise UsageError(f"{where}: s does not increase")
+                rows.append(row)
         if len(rows) < 2:
             raise UsageError(f"{path} holds fewer than 2 samples")
         data = np.array(rows)
@@ -240,15 +263,9 @@ def cmd_rectify_check(args, out) -> int:
     if args.samples < 8:
         raise UsageError("--samples must be at least 8 for the fit battery")
     src, name, samples = _source_for_check(args)
-    overrides = {}
-    if args.tol is not None:
-        if args.tol <= 0.0:
-            raise UsageError("--tol must be positive")
-        overrides = {f: args.tol for f in ("distance_lead", "tangential_slope",
-                                           "normal_constancy",
-                                           "binormal_residual",
-                                           "thm31_rms", "drift")}
-    tols = rectifying.ReportTolerances.default(**overrides)
+    if args.tol is not None and args.tol <= 0.0:
+        raise UsageError("--tol must be positive")
+    tols = rectifying.ReportTolerances.default(every=args.tol)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
                                          curve_name=name, c=args.c)
     text = json.dumps(report.to_json_dict(), indent=2)

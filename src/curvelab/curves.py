@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Mapping
 
 from . import jets
@@ -24,12 +23,12 @@ from .jets import Jet
 from .lorentz import Vec4
 
 __all__ = [
-    "Parameterization",
     "CurveSpec",
     "CurveJet",
     "eval_curve",
     "speed",
     "speed_jet",
+    "arclength_jets",
     "register_curve",
     "catalog_ids",
     "make_spec",
@@ -39,11 +38,6 @@ DOMAIN_SLACK = 1e-9
 POLE_GUARD = 1e-6
 
 
-class Parameterization(Enum):
-    ARBITRARY = "arbitrary"
-    ARCLENGTH = "arclength"
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """A named curve with parameter values and a closed domain interval."""
@@ -51,7 +45,6 @@ class CurveSpec:
     catalog_id: str
     params: Mapping[str, float]
     domain: tuple[float, float]
-    parameterization: Parameterization = Parameterization.ARBITRARY
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -213,13 +206,31 @@ def speed_jet(spec: CurveSpec, t: float) -> Jet:
 
     Valid to order 3 (one differentiation of the coordinate jets).
     """
-    cj = eval_curve(spec, t)
+    return _speed_jet(spec, eval_curve(spec, t))
+
+
+def _speed_jet(spec: CurveSpec, cj: CurveJet) -> Jet:
     d = [j.d() for j in cj.jets]
     g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
     if g.value <= 0.0:
         raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g.value} at t={t} on {spec.catalog_id}")
+            f"g(alpha', alpha') = {g.value} at t={cj.t} on {spec.catalog_id}")
     return jets.sqrt(g)
+
+
+def arclength_jets(spec: CurveSpec, t: float, s: float
+                   ) -> tuple[Jet, Jet, Jet, Jet]:
+    """Order-4 coordinate jets of the curve as functions of arclength.
+
+    ``t`` is the parameter at which the arclength is ``s``.  Chain rule
+    through t(s): the jet of s(t) comes from the speed jet, is reverted at
+    ``t``, and composed into the coordinate jets.
+    """
+    cj = eval_curve(spec, t)
+    vc = _speed_jet(spec, cj).coeffs
+    s_jet = Jet((s, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
+    t_jet = jets.reverse(s_jet, at=t)
+    return tuple(jets.compose(j, t_jet) for j in cj.jets)
 
 
 def speed(spec: CurveSpec, t: float) -> float:

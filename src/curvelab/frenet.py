@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .curves import CurveSpec, eval_curve, speed, speed_jet
+from .curves import CurveSpec, arclength_jets, speed
 from .errors import (DegenerateFrame, FrameDriftExceeded,
                      NonSpacelikePrincipalNormal, OutOfDomain)
 from .jets import Jet
@@ -29,7 +29,6 @@ __all__ = [
     "ArclengthMap",
     "arclength_map",
     "adaptive_simpson",
-    "derivatives_by_arclength",
     "FrenetData",
     "frenet_apparatus",
     "frenet_rhs",
@@ -50,18 +49,17 @@ FRAME_TOL = 1e-8
 CURVATURE_FLOOR = 1e-10
 REPARAM_TOL = 1e-10
 SYNTH_TOL = 1e-6
+SIMPSON_MAX_DEPTH = 40
+ARCLENGTH_GRID = 129
+RANK_REL_TOL = 1e-8
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
-
-
-def _mdot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
 
 
 # -- quadrature ---------------------------------------------------------------
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = REPARAM_TOL, max_depth: int = 40) -> float:
+                     tol: float = REPARAM_TOL) -> float:
     """Adaptive Simpson quadrature with Richardson correction."""
     if a == b:
         return 0.0
@@ -84,7 +82,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, max_depth)
+    return recurse(a, fa, b, fb, fm, whole, tol, SIMPSON_MAX_DEPTH)
 
 
 # -- arclength map ------------------------------------------------------------
@@ -96,7 +94,6 @@ class ArclengthMap:
     spec: CurveSpec
     grid_t: np.ndarray
     grid_s: np.ndarray
-    tol: float
 
     @property
     def total(self) -> float:
@@ -108,7 +105,7 @@ class ArclengthMap:
         i = min(bisect.bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
         return float(self.grid_s[i] + adaptive_simpson(
-            lambda u: speed(self.spec, u), float(self.grid_t[i]), t, self.tol))
+            lambda u: speed(self.spec, u), float(self.grid_t[i]), t))
 
     def t_of_s(self, s: float) -> float:
         span = self.total
@@ -125,7 +122,7 @@ class ArclengthMap:
         scale = max(1.0, span)
         for _ in range(80):
             st = lo_s + adaptive_simpson(
-                lambda u: speed(self.spec, u), lo_t, t, self.tol * 1e-2)
+                lambda u: speed(self.spec, u), lo_t, t, REPARAM_TOL * 1e-2)
             err = st - s
             if abs(err) < 1e-13 * scale:
                 return t
@@ -141,42 +138,16 @@ class ArclengthMap:
         return t
 
 
-def arclength_map(spec: CurveSpec, tol: float = REPARAM_TOL,
-                  grid: int = 129) -> ArclengthMap:
+def arclength_map(spec: CurveSpec) -> ArclengthMap:
     """s(t) = integral of the speed from the low end of the domain."""
     lo, hi = spec.domain
-    ts = np.linspace(lo, hi, grid)
+    ts = np.linspace(lo, hi, ARCLENGTH_GRID)
     ss = np.empty_like(ts)
     ss[0] = 0.0
-    for i in range(1, grid):
+    for i in range(1, ARCLENGTH_GRID):
         ss[i] = ss[i - 1] + adaptive_simpson(
-            lambda u: speed(spec, u), float(ts[i - 1]), float(ts[i]), tol)
-    return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss, tol=tol)
-
-
-# -- arclength jets and derivatives -------------------------------------------
-
-def _arclength_jets(spec: CurveSpec, amap: ArclengthMap, s: float
-                    ) -> tuple[float, tuple[Jet, Jet, Jet, Jet]]:
-    """Order-4 coordinate jets of alpha as a function of arclength at s.
-
-    Chain rule through t(s): the jet of s(t) comes from the speed jet, is
-    reverted, and composed into the coordinate jets.
-    """
-    tau = amap.t_of_s(s)
-    cj = eval_curve(spec, tau)
-    v = speed_jet(spec, tau)
-    vc = v.coeffs
-    s_jet = Jet((s, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
-    t_jet = jets.reverse(s_jet, at=tau)
-    return tau, tuple(jets.compose(j, t_jet) for j in cj.jets)
-
-
-def derivatives_by_arclength(spec: CurveSpec, amap: ArclengthMap, s: float
-                             ) -> tuple[Vec4, Vec4, Vec4, Vec4]:
-    """d alpha/ds through d^4 alpha/ds^4 at arclength s."""
-    _, aj = _arclength_jets(spec, amap, s)
-    return tuple(Vec4(*(j.derivative(k) for j in aj)) for k in (1, 2, 3, 4))
+            lambda u: speed(spec, u), float(ts[i - 1]), float(ts[i]))
+    return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss)
 
 
 # -- Frenet apparatus ---------------------------------------------------------
@@ -233,36 +204,35 @@ def _euclid_sq(v) -> float:
     return sum(j.value * j.value for j in v)
 
 
-def _derivative_rank(aj, rel_tol: float = 1e-8) -> int:
+def _derivative_rank(aj) -> int:
     """Euclidean rank of the derivative vectors alpha' .. alpha''''."""
     rows = np.array([[j.derivative(k) for j in aj] for k in (1, 2, 3, 4)])
     sv = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
-def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float,
-                     curvature_floor: float = CURVATURE_FLOOR) -> FrenetData:
+def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
+                     ) -> FrenetData:
     """Frame {T, N, B1, B2}, curvatures and sign at arclength s.
 
     Raises DegenerateFrame(level) when a Gram-Schmidt residual vanishes or
-    goes null relative to ``curvature_floor`` (planar and 3-flat curves),
+    goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
     and NonSpacelikePrincipalNormal when g(T', T') < 0.
     """
-    _, aj = _arclength_jets(spec, amap, s)
-    return _frame_from_position_jets(aj, s, curvature_floor)
+    aj = arclength_jets(spec, amap.t_of_s(s), s)
+    return _frame_from_position_jets(aj, s)
 
 
-def _frame_from_position_jets(aj, s: float, curvature_floor: float = CURVATURE_FLOOR
-                              ) -> FrenetData:
+def _frame_from_position_jets(aj, s: float) -> FrenetData:
     T = _jvec_d(aj)
     Tp = _jvec_d(T)
 
     g1 = _jvec_dot(Tp, Tp)
     e1 = _euclid_sq(Tp)
     scale1 = max(e1, 1e-300)
-    if e1 < curvature_floor ** 2 * max(1.0, _euclid_sq(T)):
+    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _euclid_sq(T)):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
-    if g1.value < curvature_floor * scale1:
+    if g1.value < CURVATURE_FLOOR * scale1:
         # Planar (or 3-flat) curves never reach the kappa2 / kappa3 residual
         # checks when T' is timelike, so classify by derivative rank first:
         # a curve confined to a Lorentzian 2-plane has an in-plane, timelike
@@ -270,7 +240,7 @@ def _frame_from_position_jets(aj, s: float, curvature_floor: float = CURVATURE_F
         rank = _derivative_rank(aj)
         if rank <= 2:
             raise DegenerateFrame(2, f"curve is planar near s={s}")
-        if g1.value < -curvature_floor * scale1:
+        if g1.value < -CURVATURE_FLOOR * scale1:
             raise NonSpacelikePrincipalNormal(
                 f"g(T',T') = {g1.value} at s={s}")
         raise DegenerateFrame(1, f"T' numerically null at s={s}")
@@ -281,9 +251,9 @@ def _frame_from_position_jets(aj, s: float, curvature_floor: float = CURVATURE_F
     R1 = _jvec_add(_jvec_d(N), _jvec_scale(k1, T))
     g2 = _jvec_dot(R1, R1)
     e2 = _euclid_sq(R1)
-    if e2 < curvature_floor ** 2 * max(1.0, e1):
+    if e2 < CURVATURE_FLOOR ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
-    if abs(g2.value) < curvature_floor * e2:
+    if abs(g2.value) < CURVATURE_FLOOR * e2:
         raise DegenerateFrame(2, f"second Frenet residual null at s={s}")
     eps = 1 if g2.value > 0.0 else -1
 
@@ -293,9 +263,9 @@ def _frame_from_position_jets(aj, s: float, curvature_floor: float = CURVATURE_F
     R2 = _jvec_add(_jvec_d(B1), _jvec_scale(float(eps) * k2, N))
     g3 = _jvec_dot(R2, R2)
     e3 = _euclid_sq(R2)
-    if e3 < curvature_floor ** 2 * max(1.0, e2):
+    if e3 < CURVATURE_FLOOR ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
-    if abs(g3.value) < curvature_floor * e3:
+    if abs(g3.value) < CURVATURE_FLOOR * e3:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
 
     k3 = math.sqrt(abs(g3.value))
@@ -319,41 +289,33 @@ def _frame_from_position_jets(aj, s: float, curvature_floor: float = CURVATURE_F
 
 
 def frenet_rhs(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
-               k1: float, k2: float, k3: float, eps: int,
-               flip_b1_normal_sign: bool = False
+               k1: float, k2: float, k3: float, eps: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand side of the moving-frame system.
-
-    ``flip_b1_normal_sign`` is a test hook that negates the (B1)' coupling
-    to N; it exists so mutation tests can prove the suites are sensitive to
-    that sign.  Never set it in production code.
-    """
-    b1_coeff = eps * k2 if flip_b1_normal_sign else -eps * k2
+    """Right-hand side of the moving-frame system."""
     return (k1 * N,
             -k1 * T + k2 * B1,
-            b1_coeff * N + k3 * B2,
+            -eps * k2 * N + k3 * B2,
             k3 * B1)
 
 
 def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, s: float, h: float,
-                        flip_b1_normal_sign: bool = False
+                        frame_rhs: Callable = frenet_rhs
                         ) -> tuple[float, float, float, float]:
-    """Pseudo-norms of central-difference frame derivatives minus the system RHS.
+    """Pseudo-norms of central-difference frame derivatives minus ``frame_rhs``.
 
     Converges at order 2 in h on smooth samples.
     """
     return _ode_residual(frenet_apparatus(spec, amap, s - h),
                          frenet_apparatus(spec, amap, s),
-                         frenet_apparatus(spec, amap, s + h), h,
-                         flip_b1_normal_sign)
+                         frenet_apparatus(spec, amap, s + h), h, frame_rhs)
 
 
 def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
-                  flip_b1_normal_sign: bool = False
+                  frame_rhs: Callable = frenet_rhs
                   ) -> tuple[float, float, float, float]:
     """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
-    rhs = frenet_rhs(*f0.frame_arrays(), f0.kappa1, f0.kappa2, f0.kappa3,
-                     f0.eps, flip_b1_normal_sign=flip_b1_normal_sign)
+    rhs = frame_rhs(*f0.frame_arrays(), f0.kappa1, f0.kappa2, f0.kappa3,
+                    f0.eps)
     lo = fm.frame_arrays()
     hi = fp.frame_arrays()
     out = []
@@ -457,7 +419,6 @@ class SynthesizedCurve:
     B1: np.ndarray
     B2: np.ndarray
     max_drift: float
-    _t_int: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def s_range(self) -> tuple[float, float]:
@@ -500,11 +461,10 @@ class SynthesizedCurve:
 
 def synthesize_curve(profile: CurvatureProfile,
                      init_frame: FrenetData | None = None,
-                     init_pos: Vec4 = Vec4(0.0, 0.0, 0.0, 0.0),
                      ds: float = 1e-3,
                      synth_tol: float = SYNTH_TOL,
-                     flip_b1_normal_sign: bool = False) -> SynthesizedCurve:
-    """Integrate the moving-frame system plus alpha' = T by classical RK4.
+                     frame_rhs: Callable = frenet_rhs) -> SynthesizedCurve:
+    """Integrate ``frame_rhs`` plus alpha' = T by classical RK4 from the origin.
 
     No re-orthonormalization is applied; the max Gram drift is monitored
     every step and FrameDriftExceeded (carrying the partial trajectory) is
@@ -517,8 +477,7 @@ def synthesize_curve(profile: CurvatureProfile,
         raise ValueError("init_frame violates the Gram conditions")
 
     s_lo, s_hi = profile.s_range
-    state = np.concatenate([np.array(init_pos.components),
-                            *frame.frame_arrays()])
+    state = np.concatenate([np.zeros(4), *frame.frame_arrays()])
     if s_hi <= s_lo:
         return _pack_synthesis(profile, [s_lo], [state], 0.0)
 
@@ -529,9 +488,7 @@ def synthesize_curve(profile: CurvatureProfile,
     def rhs(s, y):
         T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
         k1, k2, k3 = kvals(s)
-        dT, dN, dB1, dB2 = frenet_rhs(
-            T, N, B1, B2, k1, k2, k3, profile.eps,
-            flip_b1_normal_sign=flip_b1_normal_sign)
+        dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, k1, k2, k3, profile.eps)
         return np.concatenate([T, dT, dN, dB1, dB2])
 
     ss = [s_lo]
@@ -571,11 +528,9 @@ def _pack_synthesis(profile, ss, states, drift) -> SynthesizedCurve:
 class JetFrameSource:
     """Frame provider backed by jet-exact extraction from a curve spec."""
 
-    def __init__(self, spec: CurveSpec, amap: ArclengthMap | None = None,
-                 curvature_floor: float = CURVATURE_FLOOR):
+    def __init__(self, spec: CurveSpec):
         self.spec = spec
-        self.map = amap if amap is not None else arclength_map(spec)
-        self.curvature_floor = curvature_floor
+        self.map = arclength_map(spec)
         self._frames: dict[float, FrenetData] = {}
         self._k3_anchors: list[tuple[float, float]] = [(0.0, 0.0)]
 
@@ -586,7 +541,7 @@ class JetFrameSource:
     def frame(self, s: float) -> FrenetData:
         f = self._frames.get(s)
         if f is None:
-            f = frenet_apparatus(self.spec, self.map, s, self.curvature_floor)
+            f = frenet_apparatus(self.spec, self.map, s)
             self._frames[s] = f
         return f
 

@@ -46,11 +46,6 @@ class Vec4:
     def components(self) -> tuple[float, float, float, float]:
         return (self.x0, self.x1, self.x2, self.x3)
 
-    @classmethod
-    def from_iterable(cls, it) -> "Vec4":
-        a, b, c, d = (float(x) for x in it)
-        return cls(a, b, c, d)
-
     def __add__(self, other: "Vec4") -> "Vec4":
         return Vec4(self.x0 + other.x0, self.x1 + other.x1,
                     self.x2 + other.x2, self.x3 + other.x3)

@@ -22,6 +22,7 @@ both conventions stay auditable.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,19 +31,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .curves import (CatalogEntry, CurveSpec, eval_curve, make_spec,
-                     register_curve, speed_jet)
+from .curves import (CatalogEntry, CurveSpec, arclength_jets, eval_curve,
+                     register_curve)
 from .errors import IllConditionedFit, NotOnHyperbolicSphere, OutOfDomain
-from .frenet import (ArclengthMap, FrenetData, JetFrameSource, arclength_map)
+from .frenet import _MSIGN, FrenetData, arclength_map
 from .jets import Jet
-from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere, pseudo_norm
+from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
 __all__ = [
     "rectifying_residual",
     "ComponentTriple",
     "component_functions",
     "components_from_curvatures",
-    "integrate_kappa3",
     "Theorem31Fit",
     "fit_theorem31",
     "thm31_rms_over_c_grid",
@@ -63,8 +63,6 @@ __all__ = [
 
 FIT_CONDITION_LIMIT = 1e8
 SPHERE_TOL = 1e-10
-
-_MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 def _arr(v: Vec4) -> np.ndarray:
@@ -119,11 +117,6 @@ def reconstruction_error(source, s: float) -> float:
     resid = (comp.lambda_ * _arr(f.T) + comp.mu * _arr(f.B1)
              + comp.nu * _arr(f.B2) - _arr(f.position))
     return float(np.linalg.norm(resid))
-
-
-def integrate_kappa3(source, s: float) -> float:
-    """t(s): adaptive-quadrature integral of kappa3 from the range's low end."""
-    return source.kappa3_integral(s)
 
 
 # -- Theorem 3.1 fit ----------------------------------------------------------
@@ -254,11 +247,7 @@ def _env_tol() -> float | None:
 
 @dataclass(frozen=True)
 class ReportTolerances:
-    """Per-check tolerances of the report battery; all configurable.
-
-    ``CURVELAB_TOL`` overrides the default residual tolerance globally when
-    set (every field takes that value unless given explicitly).
-    """
+    """Per-check tolerances of the report battery; all configurable."""
 
     distance_lead: float = 1e-6
     tangential_slope: float = 1e-8
@@ -268,25 +257,16 @@ class ReportTolerances:
     drift: float = 1e-6
 
     @classmethod
-    def default(cls, **overrides) -> "ReportTolerances":
-        env = _env_tol()
-        if env is not None:
-            base = {f: env for f in ("distance_lead", "tangential_slope",
-                                     "normal_constancy", "binormal_residual",
-                                     "thm31_rms", "drift")}
-            base.update(overrides)
-            return cls(**base)
-        return cls(**overrides)
+    def default(cls, every: float | None = None) -> "ReportTolerances":
+        """Field defaults, or one value for every field.
 
-    def as_dict(self) -> dict:
-        return {
-            "distance_lead": self.distance_lead,
-            "tangential_slope": self.tangential_slope,
-            "normal_constancy": self.normal_constancy,
-            "binormal_residual": self.binormal_residual,
-            "thm31_rms": self.thm31_rms,
-            "drift": self.drift,
-        }
+        That value is ``every`` when given, else ``CURVELAB_TOL`` when set.
+        """
+        env = _env_tol()        # read first: a malformed value always raises
+        every = every if every is not None else env
+        if every is None:
+            return cls()
+        return cls(**{f.name: every for f in dataclasses.fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -324,7 +304,7 @@ class RectifyingReport:
             },
             "constant_vector_drift": self.constant_vector_drift,
             "verdict": self.verdict,
-            "tolerances": self.tolerances.as_dict(),
+            "tolerances": dataclasses.asdict(self.tolerances),
             "warnings": list(self.warnings),
         }
 
@@ -458,13 +438,9 @@ def construct_rectifying(sphere_spec: CurveSpec,
 
     def build(tj: Jet, _params) -> tuple[Jet, Jet, Jet, Jet]:
         u = tj.value
-        tau = ymap.t_of_s(u)
-        cj = eval_curve(sphere_spec, tau)
-        vc = speed_jet(sphere_spec, tau).coeffs
-        s_jet = Jet((u, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
-        t_jet = jets.reverse(s_jet, at=tau)
+        yj = arclength_jets(sphere_spec, ymap.t_of_s(u), u)
         rho = a / jets.cosh(tj + t0)
-        return tuple(rho * jets.compose(j, t_jet) for j in cj.jets)
+        return tuple(rho * j for j in yj)
 
     pad = 0.02 * total
     domain = params.domain if params.domain is not None else (pad, total - pad)

@@ -83,12 +83,13 @@ class Workspace:
             return frenet.JetFrameSource(spec)
         return self._get(("constructed", a), build)
 
-    def synthesized(self, flip: bool = False) -> frenet.SynthesizedCurve:
+    def synthesized(self, frame_rhs=frenet.frenet_rhs
+                    ) -> frenet.SynthesizedCurve:
         def build():
             profile = frenet.rectifying_profile()
             return frenet.synthesize_curve(profile, ds=1e-3,
-                                           flip_b1_normal_sign=flip)
-        return self._get(("synth", flip), build)
+                                           frame_rhs=frame_rhs)
+        return self._get(("synth", frame_rhs), build)
 
     def samples(self, source, count: int) -> np.ndarray:
         lo, hi = source.s_range
@@ -113,14 +114,12 @@ def criterion_1(ws: Workspace) -> CriterionResult:
                            f"eps sign exact: {eps_ok}")
 
 
-def _ode_numbers(spec, amap, s, flip=False):
-    r0 = max(frenet.frenet_ode_residual(spec, amap, s, ODE_H,
-                                        flip_b1_normal_sign=flip))
+def _ode_numbers(spec, amap, s):
+    r0 = max(frenet.frenet_ode_residual(spec, amap, s, ODE_H))
     ratios = []
     prev = None
     for h in (2e-2, 1e-2, 5e-3):
-        r = max(frenet.frenet_ode_residual(spec, amap, s, h,
-                                           flip_b1_normal_sign=flip))
+        r = max(frenet.frenet_ode_residual(spec, amap, s, h))
         if prev is not None:
             ratios.append(prev / r)
         prev = r
@@ -260,16 +259,27 @@ def criterion_8(ws: Workspace) -> CriterionResult:
                            f"max relative FD error {worst:.3e} (< {FD_TOL:.0e})")
 
 
+def flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
+    """``frenet.frenet_rhs`` with the sign of the (B1)' coupling to N flipped.
+
+    The mutant that criterion 9 feeds to suites 2 and 5.
+    """
+    return (k1 * N,
+            -k1 * T + k2 * B1,
+            eps * k2 * N + k3 * B2,
+            k3 * B1)
+
+
 def criterion_9(ws: Workspace) -> CriterionResult:
     """Mutation sensitivity: a flipped coupling sign must break suites 2 and 5."""
     src = ws.source("lorentz_helix")
     lo, hi = src.s_range
     s = 0.5 * (lo + hi)
     mutated = max(frenet.frenet_ode_residual(src.spec, src.map, s, ODE_H,
-                                             flip_b1_normal_sign=True))
+                                             frame_rhs=flipped_b1_rhs))
     suite2_fails = mutated > ODE_TOL
     try:
-        synth = ws.synthesized(flip=True)
+        synth = ws.synthesized(flipped_b1_rhs)
         suite5_fails = synth.max_drift > 1e-6
         note = f"mutated drift {synth.max_drift:.2e}"
     except FrameDriftExceeded as exc:

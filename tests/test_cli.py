@@ -201,6 +201,70 @@ def test_synthesize_drift_abort_writes_partial(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == cli.SYNTH_HEADER
     assert len(lines) > 1
+    # the partial file, comment line included, reads back as a frame source
+    assert len(cli.CsvFrameSource(str(path)).s) == len(lines) - 2
+
+
+@pytest.fixture(scope="module")
+def synthesis_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("synth") / "syn.csv"
+    code, _ = run(["synthesize", "--ds", "2e-3", "--samples", "21",
+                   "-o", str(path)])
+    assert code == 0
+    return path.read_text().splitlines()
+
+
+def _set_cell(col, value):
+    def edit(lines):
+        cells = lines[3].split(",")
+        cells[col] = value
+        lines[3] = ",".join(cells)
+    return edit
+
+
+def _drop_last_cell(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _repeat_s(lines):
+    lines[3] = lines[2].split(",")[0] + "," + lines[3].split(",", 1)[1]
+
+
+def _add_comments(lines):
+    lines[1:1] = ["# a comment", ""]
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_drop_last_cell, 64, "line 4: 25 fields"),
+    (_set_cell(5, "abc"), 64, "line 4: could not convert"),
+    (_set_cell(5, "nan"), 64, "line 4: non-finite"),
+    (_set_cell(24, "3"), 64, "line 4: eps must be 1 or -1"),
+    (_repeat_s, 64, "line 4: s does not increase"),
+    (_add_comments, 0, ""),
+], ids=["short_row", "non_numeric", "nan", "eps_3", "s_repeated",
+        "comments_accepted"])
+def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
+                                               synthesis_lines, edit, code,
+                                               message):
+    lines = list(synthesis_lines)
+    edit(lines)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got, _ = run(["rectify-check", "--from-synthesis", str(path),
+                  "--c", "0", "--samples", "21"])
+    assert got == code
+    if message:
+        assert f"{path} {message}" in capsys.readouterr().err
+
+
+def test_tol_flag_takes_precedence_over_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("CURVELAB_TOL", "1e-4")
+    path = tmp_path / "rep.json"
+    run(["rectify-check", "--curve", "lorentz_helix", "--samples", "8",
+         "--tol", "1e-3", "-o", str(path)])
+    tols = json.loads(path.read_text())["tolerances"]
+    assert len(tols) == 6
+    assert set(tols.values()) == {1e-3}
 
 
 def test_verify_unknown_suite_exits_64():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvelab import frenet
+from curvelab import frenet, verify
 from curvelab.errors import FrameDriftExceeded
 from curvelab.lorentz import Vec4
 
@@ -50,10 +50,11 @@ def test_bad_init_frame_rejected():
 
 
 def test_drift_abort_carries_partial_trajectory():
-    # the sign-flip hook destroys the Gram structure almost immediately
+    # the sign-flipped mutant destroys the Gram structure almost immediately
     profile = frenet.rectifying_profile()
     with pytest.raises(FrameDriftExceeded) as exc:
-        frenet.synthesize_curve(profile, ds=1e-3, flip_b1_normal_sign=True)
+        frenet.synthesize_curve(profile, ds=1e-3,
+                                frame_rhs=verify.flipped_b1_rhs)
     partial = exc.value.partial
     assert partial is not None
     assert partial.s[-1] < profile.s_range[1]
