@@ -262,10 +262,13 @@ def _source_for_check(args):
 def cmd_rectify_check(args, out) -> int:
     if args.samples < 8:
         raise UsageError("--samples must be at least 8 for the fit battery")
-    src, name, samples = _source_for_check(args)
-    if args.tol is not None and args.tol <= 0.0:
+    if args.tol is not None and not args.tol > 0.0:
         raise UsageError("--tol must be positive")
-    tols = rectifying.ReportTolerances.default(every=args.tol)
+    try:
+        tols = rectifying.ReportTolerances.default(every=args.tol)
+    except ValueError as exc:               # malformed CURVELAB_TOL
+        raise UsageError(str(exc))
+    src, name, samples = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
                                          curve_name=name, c=args.c)
     text = json.dumps(report.to_json_dict(), indent=2)
@@ -295,6 +298,8 @@ def cmd_construct(args, out) -> int:
 def cmd_synthesize(args, out) -> int:
     if args.ds <= 0.0:
         raise UsageError("--ds must be positive")
+    if not args.drift_tol > 0.0:
+        raise UsageError("--drift-tol must be positive")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     if args.eps not in (1, -1):

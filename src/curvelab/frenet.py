@@ -7,7 +7,10 @@ curvature derivatives at a point, with no finite differencing anywhere.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
-re-orthonormalizing, so sign errors in the system cannot be masked.
+re-orthonormalizing, so sign errors in the system cannot be masked.  The
+monitor sums each Gram entry left to right in plain floats, as numpy's
+reduction of a 4-element array does, so it matches the ``np.sum`` form bit
+for bit; a non-finite deviation aborts the synthesis.
 """
 from __future__ import annotations
 
@@ -327,15 +330,34 @@ def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
 
 def gram_errors(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
                 eps: int) -> float:
-    """Max deviation of the ten Gram conditions from their target values."""
-    vecs = (T, N, B1, B2)
-    target = np.diag([1.0, 1.0, float(eps), -float(eps)])
-    worst = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            g = float(np.sum(_MSIGN * vecs[i] * vecs[j]))
-            worst = max(worst, abs(g - target[i, j]))
-    return worst
+    """Max deviation of the ten Gram conditions from their target values.
+
+    Each entry g(a, b) is summed left to right in plain floats,
+    ``(((-a0)*b0 + a1*b1) + a2*b2) + a3*b3``, the order numpy's reduction
+    of a 4-element array takes, so the result equals the
+    ``np.sum(_MSIGN * a * b)`` form bit for bit.  A non-finite deviation
+    makes the result non-finite (``max`` alone would drop a NaN), which
+    aborts ``synthesize_curve``.
+    """
+    t0, t1, t2, t3 = T.tolist()
+    n0, n1, n2, n3 = N.tolist()
+    p0, p1, p2, p3 = B1.tolist()
+    q0, q1, q2, q3 = B2.tolist()
+    e = float(eps)
+    devs = (
+        abs((((-t0) * t0 + t1 * t1) + t2 * t2) + t3 * t3 - 1.0),
+        abs((((-t0) * n0 + t1 * n1) + t2 * n2) + t3 * n3),
+        abs((((-t0) * p0 + t1 * p1) + t2 * p2) + t3 * p3),
+        abs((((-t0) * q0 + t1 * q1) + t2 * q2) + t3 * q3),
+        abs((((-n0) * n0 + n1 * n1) + n2 * n2) + n3 * n3 - 1.0),
+        abs((((-n0) * p0 + n1 * p1) + n2 * p2) + n3 * p3),
+        abs((((-n0) * q0 + n1 * q1) + n2 * q2) + n3 * q3),
+        abs((((-p0) * p0 + p1 * p1) + p2 * p2) + p3 * p3 - e),
+        abs((((-p0) * q0 + p1 * q1) + p2 * q2) + p3 * q3),
+        abs((((-q0) * q0 + q1 * q1) + q2 * q2) + q3 * q3 + e),
+    )
+    # every deviation is >= 0 or NaN, so the sum is NaN exactly when one is
+    return math.nan if math.isnan(sum(devs)) else max(devs)
 
 
 # -- curvature profiles -------------------------------------------------------
@@ -358,8 +380,8 @@ class CurvatureProfile:
 
 def constant_profile(k1: float, k2: float, k3: float, eps: int,
                      s_range: tuple[float, float]) -> CurvatureProfile:
-    if min(k1, k2, k3) <= 0.0:
-        raise ValueError("curvatures must be positive")
+    if not all(0.0 < k < math.inf for k in (k1, k2, k3)):
+        raise ValueError("curvatures must be positive and finite")
     return CurvatureProfile(
         kappa1=lambda sj: jets.constant(k1),
         kappa2=lambda sj: jets.constant(k2),
@@ -467,13 +489,14 @@ def synthesize_curve(profile: CurvatureProfile,
     """Integrate ``frame_rhs`` plus alpha' = T by classical RK4 from the origin.
 
     No re-orthonormalization is applied; the max Gram drift is monitored
-    every step and FrameDriftExceeded (carrying the partial trajectory) is
-    raised when it crosses ``synth_tol``.
+    every step and FrameDriftExceeded is raised when it crosses
+    ``synth_tol`` or is NaN.  It carries the partial trajectory without
+    its non-finite states.
     """
     if ds <= 0.0:
         raise ValueError("ds must be positive")
     frame = init_frame or standard_init_frame(profile.eps)
-    if gram_errors(*frame.frame_arrays(), profile.eps) > 1e-12:
+    if not gram_errors(*frame.frame_arrays(), profile.eps) <= 1e-12:
         raise ValueError("init_frame violates the Gram conditions")
 
     s_lo, s_hi = profile.s_range
@@ -485,29 +508,37 @@ def synthesize_curve(profile: CurvatureProfile,
     ds = (s_hi - s_lo) / n
     kvals = profile.values
 
-    def rhs(s, y):
+    def rhs(kv, y):
         T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
-        k1, k2, k3 = kvals(s)
-        dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, k1, k2, k3, profile.eps)
+        dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, *kv, profile.eps)
         return np.concatenate([T, dT, dN, dB1, dB2])
 
     ss = [s_lo]
     states = [state]
     drift = 0.0
     s = s_lo
+    # s + ds here and the next step's s come from the same addition, so the
+    # curvatures at the end of one step are those at the start of the next
+    k_lo = kvals(s)
     for _ in range(n):
-        k1 = rhs(s, state)
-        k2 = rhs(s + 0.5 * ds, state + 0.5 * ds * k1)
-        k3 = rhs(s + 0.5 * ds, state + 0.5 * ds * k2)
-        k4 = rhs(s + ds, state + ds * k3)
+        k_mid = kvals(s + 0.5 * ds)
+        k_hi = kvals(s + ds)
+        k1 = rhs(k_lo, state)
+        k2 = rhs(k_mid, state + 0.5 * ds * k1)
+        k3 = rhs(k_mid, state + 0.5 * ds * k2)
+        k4 = rhs(k_hi, state + ds * k3)
         state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += ds
+        k_lo = k_hi
         ss.append(s)
         states.append(state)
-        drift = max(drift, gram_errors(state[4:8], state[8:12],
-                                       state[12:16], state[16:20],
-                                       profile.eps))
-        if drift > synth_tol:
+        g = gram_errors(state[4:8], state[8:12], state[12:16], state[16:20],
+                        profile.eps)
+        if not g <= drift:           # max() that keeps a NaN
+            drift = g
+        if not drift <= synth_tol:
+            while not np.isfinite(states[-1]).all():
+                del ss[-1], states[-1]
             partial = _pack_synthesis(profile, ss, states, drift)
             raise FrameDriftExceeded(
                 f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",

@@ -240,7 +240,7 @@ def _env_tol() -> float | None:
         val = float(raw)
     except ValueError:
         raise ValueError(f"CURVELAB_TOL must be a float, got {raw!r}") from None
-    if val <= 0.0:
+    if not val > 0.0:
         raise ValueError("CURVELAB_TOL must be positive")
     return val
 

@@ -164,6 +164,12 @@ def test_synthesize_negative_ds_exits_64():
     assert code == 64
 
 
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_synthesize_bad_drift_tol_exits_64(tol):
+    code, _ = run(["synthesize", "--drift-tol", tol])
+    assert code == 64
+
+
 def test_synthesize_and_check_round_trip(tmp_path):
     path = tmp_path / "syn.csv"
     code, text = run(["synthesize", "--profile", "cosh_over_s",
@@ -203,6 +209,26 @@ def test_synthesize_drift_abort_writes_partial(tmp_path):
     assert len(lines) > 1
     # the partial file, comment line included, reads back as a frame source
     assert len(cli.CsvFrameSource(str(path)).s) == len(lines) - 2
+
+
+def test_synthesize_non_finite_curvature_exits_64(capsys):
+    code, _ = run(["synthesize", "--profile", "constant", "--param", "k1=nan"])
+    assert code == 64
+    assert "finite" in capsys.readouterr().err
+
+
+def test_synthesize_overflow_writes_finite_partial(tmp_path):
+    # the first step overflows; the partial file keeps only finite states
+    path = tmp_path / "partial.csv"
+    code, text = run(["synthesize", "--profile", "constant",
+                      "--param", "k1=1e200", "--ds", "0.5", "--samples", "3",
+                      "-o", str(path)])
+    assert code == 1
+    assert "error: Gram drift" in text
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]
+            if not line.startswith("#")]
+    assert rows
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +291,24 @@ def test_tol_flag_takes_precedence_over_env(tmp_path, monkeypatch):
     tols = json.loads(path.read_text())["tolerances"]
     assert len(tols) == 6
     assert set(tols.values()) == {1e-3}
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan"])
+def test_malformed_env_tol_exits_64(monkeypatch, capsys, raw):
+    monkeypatch.setenv("CURVELAB_TOL", raw)
+    code, _ = run(["rectify-check", "--curve", "lorentz_helix",
+                   "--samples", "8"])
+    assert code == 64
+    assert "CURVELAB_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_bad_tol_rejected_before_set_up(tmp_path, capsys, tol):
+    # the CSV does not exist: reading it first would exit 2, not 64
+    code, _ = run(["rectify-check", "--from-synthesis",
+                   str(tmp_path / "missing.csv"), "--tol", tol])
+    assert code == 64
+    assert "--tol must be positive" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_exits_64():

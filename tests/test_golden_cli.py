@@ -37,6 +37,13 @@ CASES = {
                                  SYNTH_CSV, "--c", "0", "--samples", "21"], 0),
     "verify_frenet": (["verify", "frenet"], 0),
     "verify_lorentz": (["verify", "lorentz"], 0),
+    "synthesize_constant_eps_minus": (["synthesize", "--profile", "constant",
+                                       "--param", "k1=2", "--param", "k2=0.5",
+                                       "--param", "k3=1.5", "--eps", "-1",
+                                       "--ds", "0.01", "--samples", "4"], 0),
+    "synthesize_drift_abort": (["synthesize", "--profile", "cosh_over_s",
+                                "--ds", "0.05", "--drift-tol", "1e-9",
+                                "--samples", "6"], 1),
 }
 
 OUTPUTS = [f"{name}.out" for name in CASES] + [SYNTH_CSV]

@@ -4,10 +4,74 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from curvelab import frenet, verify
+from curvelab import frenet, jets, verify
 from curvelab.errors import FrameDriftExceeded
 from curvelab.lorentz import Vec4
+
+_MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+# -- reference implementations ------------------------------------------------
+# A numpy Gram monitor and an RK4 loop that evaluates the profile four times
+# per step; gram_errors and synthesize_curve must match them bit for bit on
+# finite input.
+
+def reference_gram_errors(T, N, B1, B2, eps):
+    vecs = (T, N, B1, B2)
+    target = np.diag([1.0, 1.0, float(eps), -float(eps)])
+    worst = 0.0
+    for i in range(4):
+        for j in range(i, 4):
+            g = float(np.sum(_MSIGN * vecs[i] * vecs[j]))
+            worst = max(worst, abs(g - target[i, j]))
+    return worst
+
+
+def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
+                        frame_rhs=frenet.frenet_rhs):
+    """(s list, state list, max drift, aborted) from the standard frame."""
+    frame = frenet.standard_init_frame(profile.eps)
+    s_lo, s_hi = profile.s_range
+    state = np.concatenate([np.zeros(4), *frame.frame_arrays()])
+    n = max(1, int(round((s_hi - s_lo) / ds)))
+    ds = (s_hi - s_lo) / n
+
+    def rhs(s, y):
+        T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
+        k1, k2, k3 = profile.values(s)
+        dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, k1, k2, k3, profile.eps)
+        return np.concatenate([T, dT, dN, dB1, dB2])
+
+    ss, states, drift, s = [s_lo], [state], 0.0, s_lo
+    for _ in range(n):
+        k1 = rhs(s, state)
+        k2 = rhs(s + 0.5 * ds, state + 0.5 * ds * k1)
+        k3 = rhs(s + 0.5 * ds, state + 0.5 * ds * k2)
+        k4 = rhs(s + ds, state + ds * k3)
+        state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s += ds
+        ss.append(s)
+        states.append(state)
+        drift = max(drift, reference_gram_errors(
+            state[4:8], state[8:12], state[12:16], state[16:20],
+            profile.eps))
+        if drift > synth_tol:
+            return ss, states, drift, True
+    return ss, states, drift, False
+
+
+def assert_same_trajectory(curve, ref):
+    ss, states, drift, _ = ref
+    arr = np.asarray(states)
+    assert curve.s.tobytes() == np.asarray(ss, dtype=float).tobytes()
+    for got, lo in ((curve.pos, 0), (curve.T, 4), (curve.N, 8),
+                    (curve.B1, 12), (curve.B2, 16)):
+        assert got.shape == (len(ss), 4)
+        want = np.ascontiguousarray(arr[:, lo:lo + 4])
+        assert got.tobytes() == want.tobytes()
+    assert repr(float(curve.max_drift)) == repr(float(drift))
 
 
 def drift_at(ds):
@@ -97,3 +161,106 @@ def test_translated_source_shifts_positions_only():
     assert f1.position.components == (f0.position + shift).components
     assert f1.T.components == f0.T.components
     assert moved.kappa3_integral(0.5) == curve.kappa3_integral(0.5)
+
+
+# -- bit-exact agreement with the reference loop ------------------------------
+
+# Full 53-bit mantissas make the rounding of each Gram sum depend on its
+# order; |component| <= 1e150 keeps every product and sum finite.
+components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.integers(-2 ** 53, 2 ** 53).map(lambda k: k / 2.0 ** 52),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
+vectors = st.lists(components, min_size=4, max_size=4).map(np.array)
+
+
+@given(vectors, vectors, vectors, vectors, st.sampled_from([1, -1]))
+def test_gram_errors_matches_numpy_reference(T, N, B1, B2, eps):
+    got = frenet.gram_errors(T, N, B1, B2, eps)
+    want = reference_gram_errors(T, N, B1, B2, eps)
+    assert repr(float(got)) == repr(float(want))
+
+
+# Each Gram entry in turn is made the largest deviation, so a change to the
+# summation order of any one of the ten sums shows in the result: a lone
+# non-null vector for a diagonal entry, two null vectors for an off-diagonal
+# one (their own deviations are then ~1, the zero slots' exactly 1).
+# 1 <= |x| < 2 with a full mantissa
+mantissas = st.tuples(st.integers(2 ** 52, 2 ** 53 - 1),
+                      st.sampled_from([1, -1]))
+unit_floats = mantissas.map(lambda km: km[1] * km[0] / 2.0 ** 52)
+directions = st.lists(unit_floats, min_size=3, max_size=3)
+
+
+def _null(scale, direction):
+    n = np.array(direction) / math.sqrt(sum(x * x for x in direction))
+    return np.array([scale, *(scale * n)])
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4)
+                                  for j in range(i, 4)])
+@given(st.lists(unit_floats, min_size=4, max_size=4),
+       st.floats(min_value=10.0, max_value=1e3), directions,
+       st.floats(min_value=10.0, max_value=1e3), directions,
+       st.sampled_from([1, -1]))
+def test_each_gram_entry_matches_numpy_reference(i, j, v, x, n, y, m, eps):
+    slots = [np.zeros(4) for _ in range(4)]
+    if i == j:
+        slots[i] = 1e3 * np.array(v)
+    else:
+        slots[i], slots[j] = _null(x, n), _null(y, m)
+    got = frenet.gram_errors(*slots, eps)
+    want = reference_gram_errors(*slots, eps)
+    assert repr(float(got)) == repr(float(want))
+
+
+@pytest.mark.parametrize("profile, ds", [
+    (frenet.rectifying_profile(eps=1), 2e-3),
+    (frenet.rectifying_profile(eps=-1), 2e-3),
+    (frenet.constant_profile(2.0, 0.5, 1.5, -1, (0.5, 2.5)), 1e-2),
+], ids=["cosh_over_s_eps+1", "cosh_over_s_eps-1", "constant_eps-1"])
+def test_synthesis_matches_reference_loop(profile, ds):
+    ref = reference_synthesis(profile, ds)
+    assert not ref[3]
+    assert_same_trajectory(frenet.synthesize_curve(profile, ds=ds), ref)
+
+
+@pytest.mark.parametrize("ds, synth_tol, frame_rhs", [
+    (1e-3, frenet.SYNTH_TOL, verify.flipped_b1_rhs),
+    (0.05, 1e-9, frenet.frenet_rhs),
+], ids=["flipped_b1_rhs", "coarse_step"])
+def test_drift_abort_matches_reference_loop(ds, synth_tol, frame_rhs):
+    profile = frenet.rectifying_profile()
+    ref = reference_synthesis(profile, ds, synth_tol, frame_rhs)
+    assert ref[3]
+    with pytest.raises(FrameDriftExceeded) as exc:
+        frenet.synthesize_curve(profile, ds=ds, synth_tol=synth_tol,
+                                frame_rhs=frame_rhs)
+    assert_same_trajectory(exc.value.partial, ref)
+
+
+# -- non-finite input ---------------------------------------------------------
+
+def test_gram_errors_propagates_nan():
+    T, N, B1, _ = frenet.standard_init_frame(1).frame_arrays()
+    B2 = np.array([math.nan, 0.0, 0.0, 0.0])
+    assert math.isnan(frenet.gram_errors(T, N, B1, B2, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_constant_profile_rejects_bad_curvature(bad):
+    with pytest.raises(ValueError):
+        frenet.constant_profile(1.0, bad, 1.0, 1, (0.0, 1.0))
+
+
+def test_nan_curvature_aborts_with_finite_partial():
+    nan = lambda sj: jets.constant(math.nan)
+    one = lambda sj: jets.constant(1.0)
+    profile = frenet.CurvatureProfile(kappa1=nan, kappa2=one, kappa3=one,
+                                      eps=1, s_range=(0.5, 1.5))
+    with pytest.raises(FrameDriftExceeded) as exc:
+        frenet.synthesize_curve(profile, ds=0.1)
+    partial = exc.value.partial
+    assert math.isnan(partial.max_drift)
+    assert len(partial.s) == 1
+    assert np.isfinite(partial.T).all() and np.isfinite(partial.pos).all()
