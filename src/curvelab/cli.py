@@ -51,6 +51,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _frame_row(f: frenet.FrenetData, last: float) -> str:
+    """One frame CSV data row; ``last`` is ode_residual_max or t_int."""
+    vals = [f.s, *f.position.components,
+            *f.T.components, *f.N.components,
+            *f.B1.components, *f.B2.components,
+            f.kappa1, f.kappa2, f.kappa3, f.eps, last]
+    return ",".join(_fmt(v) for v in vals)
+
+
+def _report_tolerances(every: float | None) -> rectifying.ReportTolerances:
+    try:
+        return rectifying.ReportTolerances.default(every=every)
+    except ValueError as exc:               # malformed CURVELAB_TOL
+        raise UsageError(str(exc))
+
+
 def _write_lines(path: str | None, lines: list[str], out) -> None:
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -122,12 +138,13 @@ def spec_from_config(cfg: dict) -> curves.CurveSpec:
 
 # -- frame sources from CSV (synthesis round trips) ---------------------------
 
-class CsvFrameSource:
-    """Frame source backed by a cmd_synthesize CSV (grid samples only).
+class CsvFrameSource(frenet.SynthesizedCurve):
+    """The synthesis table read back from a cmd_synthesize CSV.
 
-    Rejects, as a UsageError naming the line, a row without one finite
-    value per header field, an eps other than 1 or -1, and an s that does
-    not strictly increase.
+    Frames carry the stored curvatures and no curvature derivatives; the
+    torsion integral is the stored t_int column.  Rejects, as a UsageError
+    naming the line, a row without one finite value per header field, an
+    eps other than 1 or -1, and an s that does not strictly increase.
     """
 
     def __init__(self, path: str):
@@ -161,38 +178,18 @@ class CsvFrameSource:
         if len(rows) < 2:
             raise UsageError(f"{path} holds fewer than 2 samples")
         data = np.array(rows)
-        self.s = data[:, 0]
+        super().__init__(profile=None, s=data[:, 0], pos=data[:, 1:5],
+                         T=data[:, 5:9], N=data[:, 9:13], B1=data[:, 13:17],
+                         B2=data[:, 17:21], max_drift=math.nan)
         self._data = data
 
-    @property
-    def s_range(self):
-        return (float(self.s[0]), float(self.s[-1]))
-
-    def _row(self, s: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.s - s)))
-        if abs(float(self.s[i]) - s) > 1e-9 * max(1.0, abs(s)):
-            raise UsageError(f"s={s} is not a sample of the synthesis CSV")
-        return self._data[i]
-
     def frame(self, s: float) -> frenet.FrenetData:
-        r = self._row(s)
-        from .lorentz import Vec4
-        return frenet.FrenetData(
-            s=float(r[0]), position=Vec4(*r[1:5]),
-            T=Vec4(*r[5:9]), N=Vec4(*r[9:13]),
-            B1=Vec4(*r[13:17]), B2=Vec4(*r[17:21]),
-            kappa1=float(r[21]), kappa2=float(r[22]), kappa3=float(r[23]),
-            eps=int(r[24]))
-
-    def position_at(self, s: float):
-        return self.frame(s).position
+        i = self._index(s)
+        k1, k2, k3, eps = self._data[i, 21:25]
+        return self._row_frame(i, float(k1), float(k2), float(k3), int(eps))
 
     def kappa3_integral(self, s: float) -> float:
-        return float(self._row(s)[25])
-
-    def grid_samples(self, count: int) -> np.ndarray:
-        idx = np.linspace(0, len(self.s) - 1, count).round().astype(int)
-        return self.s[np.unique(idx)]
+        return float(self._data[self._index(s), 25])
 
 
 # -- command bodies -----------------------------------------------------------
@@ -222,11 +219,7 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
         except DegenerateFrame:
             degenerate += 1
             continue
-        vals = [f.s, *f.position.components,
-                *f.T.components, *f.N.components,
-                *f.B1.components, *f.B2.components,
-                f.kappa1, f.kappa2, f.kappa3, f.eps, resid]
-        rows.append(",".join(_fmt(v) for v in vals))
+        rows.append(_frame_row(f, resid))
     return rows, degenerate
 
 
@@ -264,10 +257,7 @@ def cmd_rectify_check(args, out) -> int:
         raise UsageError("--samples must be at least 8 for the fit battery")
     if args.tol is not None and not args.tol > 0.0:
         raise UsageError("--tol must be positive")
-    try:
-        tols = rectifying.ReportTolerances.default(every=args.tol)
-    except ValueError as exc:               # malformed CURVELAB_TOL
-        raise UsageError(str(exc))
+    tols = _report_tolerances(args.tol)
     src, name, samples = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
                                          curve_name=name, c=args.c)
@@ -318,13 +308,8 @@ def cmd_synthesize(args, out) -> int:
     def emit(curve: frenet.SynthesizedCurve) -> None:
         lines = [SYNTH_HEADER]
         for s in curve.grid_samples(args.samples):
-            f = curve.frame(float(s))
-            t_int = curve.kappa3_integral(float(s))
-            vals = [f.s, *f.position.components,
-                    *f.T.components, *f.N.components,
-                    *f.B1.components, *f.B2.components,
-                    f.kappa1, f.kappa2, f.kappa3, f.eps, t_int]
-            lines.append(",".join(_fmt(v) for v in vals))
+            s = float(s)
+            lines.append(_frame_row(curve.frame(s), curve.kappa3_integral(s)))
         lines.append(f"# max_gram_drift={_fmt(curve.max_drift)}")
         _write_lines(args.output, lines, out)
         out.write(f"max_gram_drift={_fmt(curve.max_drift)}\n")
@@ -345,6 +330,7 @@ def cmd_verify(args, out) -> int:
     if args.suite not in verify.SUITES:
         raise UsageError(f"unknown suite {args.suite!r} "
                          f"(choose from {', '.join(verify.SUITES)})")
+    _report_tolerances(None)       # a malformed CURVELAB_TOL fails up front
     results = verify.run_suite(args.suite)
     for res in results:
         out.write(res.line() + "\n")

@@ -6,8 +6,8 @@ elementary jet operations, so every derivative up to order 4 is exact up to
 roundoff.
 
 Constructed curves (Theorem-style products of a radius function with a
-spherical curve, and sampled syntheses) are registered at runtime under
-generated ids and addressed exactly like static catalog entries.
+spherical curve) are registered at runtime under generated ids and
+addressed exactly like static catalog entries.
 """
 from __future__ import annotations
 

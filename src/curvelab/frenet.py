@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "TranslatedSource",
 ]
 
-FRAME_TOL = 1e-8
 CURVATURE_FLOOR = 1e-10
 REPARAM_TOL = 1e-10
 SYNTH_TOL = 1e-6
@@ -431,9 +430,11 @@ def standard_init_frame(eps: int = 1) -> FrenetData:
 
 @dataclass
 class SynthesizedCurve:
-    """Dense RK4 output of a frame synthesis; also acts as a frame source."""
+    """Sampled-frame table: the dense RK4 output of a frame synthesis and a
+    frame source on its grid points.  ``cli.CsvFrameSource`` is the same
+    table read back from a synthesis CSV, with no profile."""
 
-    profile: CurvatureProfile
+    profile: CurvatureProfile | None
     s: np.ndarray
     pos: np.ndarray          # (n, 4)
     T: np.ndarray
@@ -456,22 +457,25 @@ class SynthesizedCurve:
         idx = np.linspace(0, len(self.s) - 1, count).round().astype(int)
         return self.s[np.unique(idx)]
 
+    def _row_frame(self, i: int, kappa1: float, kappa2: float,
+                   kappa3: float, eps: int, **derivatives) -> FrenetData:
+        """Row ``i`` of the table with the given curvatures."""
+        return FrenetData(
+            s=float(self.s[i]), position=Vec4(*self.pos[i]),
+            T=Vec4(*self.T[i]), N=Vec4(*self.N[i]),
+            B1=Vec4(*self.B1[i]), B2=Vec4(*self.B2[i]),
+            kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, eps=eps,
+            **derivatives)
+
     def frame(self, s: float) -> FrenetData:
         i = self._index(s)
         sj = jets.variable(float(self.s[i]))
         k1j = self.profile.kappa1(sj)
         k2j = self.profile.kappa2(sj)
-        k3j = self.profile.kappa3(sj)
-        return FrenetData(
-            s=float(self.s[i]),
-            position=Vec4(*self.pos[i]),
-            T=Vec4(*self.T[i]), N=Vec4(*self.N[i]),
-            B1=Vec4(*self.B1[i]), B2=Vec4(*self.B2[i]),
-            kappa1=k1j.value, kappa2=k2j.value, kappa3=k3j.value,
-            eps=self.profile.eps,
-            dkappa1=k1j.derivative(1), d2kappa1=k1j.derivative(2),
-            dkappa2=k2j.derivative(1),
-        )
+        return self._row_frame(
+            i, k1j.value, k2j.value, self.profile.kappa3(sj).value,
+            self.profile.eps, dkappa1=k1j.derivative(1),
+            d2kappa1=k1j.derivative(2), dkappa2=k2j.derivative(1))
 
     def position_at(self, s: float) -> Vec4:
         return Vec4(*self.pos[self._index(s)])
@@ -520,29 +524,31 @@ def synthesize_curve(profile: CurvatureProfile,
     # s + ds here and the next step's s come from the same addition, so the
     # curvatures at the end of one step are those at the start of the next
     k_lo = kvals(s)
-    for _ in range(n):
-        k_mid = kvals(s + 0.5 * ds)
-        k_hi = kvals(s + ds)
-        k1 = rhs(k_lo, state)
-        k2 = rhs(k_mid, state + 0.5 * ds * k1)
-        k3 = rhs(k_mid, state + 0.5 * ds * k2)
-        k4 = rhs(k_hi, state + ds * k3)
-        state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += ds
-        k_lo = k_hi
-        ss.append(s)
-        states.append(state)
-        g = gram_errors(state[4:8], state[8:12], state[12:16], state[16:20],
-                        profile.eps)
-        if not g <= drift:           # max() that keeps a NaN
-            drift = g
-        if not drift <= synth_tol:
-            while not np.isfinite(states[-1]).all():
-                del ss[-1], states[-1]
-            partial = _pack_synthesis(profile, ss, states, drift)
-            raise FrameDriftExceeded(
-                f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
-                partial=partial)
+    # an overflowing state goes non-finite quietly; the drift check aborts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            k_mid = kvals(s + 0.5 * ds)
+            k_hi = kvals(s + ds)
+            k1 = rhs(k_lo, state)
+            k2 = rhs(k_mid, state + 0.5 * ds * k1)
+            k3 = rhs(k_mid, state + 0.5 * ds * k2)
+            k4 = rhs(k_hi, state + ds * k3)
+            state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s += ds
+            k_lo = k_hi
+            ss.append(s)
+            states.append(state)
+            g = gram_errors(state[4:8], state[8:12], state[12:16],
+                            state[16:20], profile.eps)
+            if not g <= drift:           # max() that keeps a NaN
+                drift = g
+            if not drift <= synth_tol:
+                while not np.isfinite(states[-1]).all():
+                    del ss[-1], states[-1]
+                partial = _pack_synthesis(profile, ss, states, drift)
+                raise FrameDriftExceeded(
+                    f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
+                    partial=partial)
     return _pack_synthesis(profile, ss, states, drift)
 
 
@@ -576,9 +582,6 @@ class JetFrameSource:
             self._frames[s] = f
         return f
 
-    def position_at(self, s: float) -> Vec4:
-        return self.frame(s).position
-
     def kappa3_integral(self, s: float) -> float:
         """Adaptive-quadrature integral of kappa3 from the low arclength end.
 
@@ -607,14 +610,7 @@ class TranslatedSource:
 
     def frame(self, s: float) -> FrenetData:
         f = self.base.frame(s)
-        return FrenetData(
-            s=f.s, position=f.position + self.shift, T=f.T, N=f.N,
-            B1=f.B1, B2=f.B2, kappa1=f.kappa1, kappa2=f.kappa2,
-            kappa3=f.kappa3, eps=f.eps, dkappa1=f.dkappa1,
-            d2kappa1=f.d2kappa1, dkappa2=f.dkappa2)
-
-    def position_at(self, s: float) -> Vec4:
-        return self.base.position_at(s) + self.shift
+        return replace(f, position=f.position + self.shift)
 
     def kappa3_integral(self, s: float) -> float:
         return self.base.kappa3_integral(s)

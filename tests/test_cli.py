@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from curvelab import cli
+from curvelab import cli, frenet
+from curvelab.errors import OutOfDomain
 
 
 def run(argv):
@@ -231,6 +232,33 @@ def test_synthesize_overflow_writes_finite_partial(tmp_path):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+def test_synthesis_csv_reads_back_as_the_same_table(tmp_path):
+    path = tmp_path / "syn.csv"
+    code, _ = run(["synthesize", "--profile", "cosh_over_s",
+                   "--domain", "0.5", "1.0", "--ds", "1e-2",
+                   "--samples", "11", "-o", str(path)])
+    assert code == 0
+    curve = frenet.synthesize_curve(frenet.rectifying_profile((0.5, 1.0)),
+                                    ds=1e-2)
+    src = cli.CsvFrameSource(str(path))
+    assert isinstance(src, frenet.SynthesizedCurve)
+    for name in ("s_range", "_index", "grid_samples", "position_at"):
+        assert name not in vars(cli.CsvFrameSource)
+    written = [float(s) for s in curve.grid_samples(11)]
+    assert list(src.s) == written
+    assert src.s_range == (written[0], written[-1])
+    assert list(src.grid_samples(11)) == written
+    for s in written:
+        a, b = curve.frame(s), src.frame(s)
+        for v in ("position", "T", "N", "B1", "B2"):
+            assert getattr(a, v).components == getattr(b, v).components
+        assert ((a.s, a.kappa1, a.kappa2, a.kappa3, a.eps)
+                == (b.s, b.kappa1, b.kappa2, b.kappa3, b.eps))
+        assert curve.kappa3_integral(s) == src.kappa3_integral(s)
+    with pytest.raises(OutOfDomain):
+        src.frame(0.5 * (written[0] + written[1]))
+
+
 @pytest.fixture(scope="module")
 def synthesis_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("synth") / "syn.csv"
@@ -293,11 +321,19 @@ def test_tol_flag_takes_precedence_over_env(tmp_path, monkeypatch):
     assert set(tols.values()) == {1e-3}
 
 
-@pytest.mark.parametrize("raw", ["abc", "nan"])
-def test_malformed_env_tol_exits_64(monkeypatch, capsys, raw):
+_RECTIFY_HELIX = ["rectify-check", "--curve", "lorentz_helix",
+                  "--samples", "8"]
+
+
+@pytest.mark.parametrize("raw, argv", [
+    ("abc", _RECTIFY_HELIX),
+    ("nan", _RECTIFY_HELIX),
+    ("abc", ["verify", "rectifying"]),
+    ("nan", ["verify", "rectifying"]),
+], ids=["abc", "nan", "abc-verify", "nan-verify"])
+def test_malformed_env_tol_exits_64(monkeypatch, capsys, raw, argv):
     monkeypatch.setenv("CURVELAB_TOL", raw)
-    code, _ = run(["rectify-check", "--curve", "lorentz_helix",
-                   "--samples", "8"])
+    code, _ = run(argv)
     assert code == 64
     assert "CURVELAB_TOL" in capsys.readouterr().err
 

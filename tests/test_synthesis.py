@@ -1,6 +1,7 @@
 """RK4 frame synthesis: drift, covariance and failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,4 +264,15 @@ def test_nan_curvature_aborts_with_finite_partial():
     partial = exc.value.partial
     assert math.isnan(partial.max_drift)
     assert len(partial.s) == 1
+    assert np.isfinite(partial.T).all() and np.isfinite(partial.pos).all()
+
+
+def test_overflow_aborts_without_numpy_warnings():
+    profile = frenet.constant_profile(1e200, 1.0, 1.0, 1, (0.5, 2.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FrameDriftExceeded) as exc:
+            frenet.synthesize_curve(profile, ds=0.5)
+    partial = exc.value.partial
+    assert len(partial.s) >= 1
     assert np.isfinite(partial.T).all() and np.isfinite(partial.pos).all()
