@@ -7,6 +7,7 @@ component laws, spherical construction, curvature-profile synthesis).
 """
 
 from .errors import (
+    ConvergenceFailure,
     CurveLabError,
     DegenerateFrame,
     DivisionNearZero,
@@ -58,6 +59,7 @@ __all__ = [
     "ArclengthMap",
     "CausalCharacter",
     "ConstructionParams",
+    "ConvergenceFailure",
     "CurveLabError",
     "CurveSpec",
     "DegenerateFrame",

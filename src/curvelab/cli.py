@@ -45,6 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(raw: str) -> float:
+    """argparse type for float flags: a finite float."""
+    try:
+        val = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {raw!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not finite")
+    return val
+
+
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -255,8 +267,8 @@ def _source_for_check(args):
 def cmd_rectify_check(args, out) -> int:
     if args.samples < 8:
         raise UsageError("--samples must be at least 8 for the fit battery")
-    if args.tol is not None and not args.tol > 0.0:
-        raise UsageError("--tol must be positive")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
     tols = _report_tolerances(args.tol)
     src, name, samples = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
@@ -346,7 +358,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve", help="catalog curve id (overrides config)")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="curve parameter override (repeatable)")
-    p.add_argument("--domain", nargs=2, type=float, metavar=("LO", "HI"),
+    p.add_argument("--domain", nargs=2, type=_finite, metavar=("LO", "HI"),
                    help="parameter domain override")
 
 
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[], help="causal character of "
                        "the velocity at given parameter values")
     _add_config_flags(p)
-    p.add_argument("--at", action="append", type=float, required=True,
+    p.add_argument("--at", action="append", type=_finite, required=True,
                    metavar="T", help="parameter value (repeatable)")
     p.set_defaults(run=cmd_classify)
 
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read the curve from a synthesize CSV instead of "
                         "the catalog")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=_finite, default=None,
                    help="known arclength offset (skips estimating it)")
     p.add_argument("--tol", type=float, default=None,
                    help="override every report tolerance")
@@ -387,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a rectifying curve over a "
                        "hyperbolic-sphere curve")
     _add_config_flags(p)
-    p.add_argument("--a", type=float, required=True, help="radius scale")
-    p.add_argument("--t0", type=float, default=0.0, help="radius-law phase")
-    p.add_argument("--construct-domain", nargs=2, type=float,
+    p.add_argument("--a", type=_finite, required=True, help="radius scale")
+    p.add_argument("--t0", type=_finite, default=0.0, help="radius-law phase")
+    p.add_argument("--construct-domain", nargs=2, type=_finite,
                    metavar=("LO", "HI"),
                    help="arclength window on the sphere curve")
     p.add_argument("--samples", type=int, default=50)
@@ -402,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="cosh_over_s",
                    help="profile name: constant or cosh_over_s")
     p.add_argument("--eps", type=int, default=1)
-    p.add_argument("--ds", type=float, default=1e-3)
-    p.add_argument("--drift-tol", type=float, default=frenet.SYNTH_TOL,
+    p.add_argument("--ds", type=_finite, default=1e-3)
+    p.add_argument("--drift-tol", type=_finite, default=frenet.SYNTH_TOL,
                    help="abort threshold for the Gram drift monitor")
     p.add_argument("--samples", type=int, default=101,
                    help="rows written (grid subsample)")

@@ -53,6 +53,10 @@ class CurveSpec:
         entry = _lookup(self.catalog_id)
         merged = dict(entry.default_params)
         merged.update(self.params)
+        for name, value in merged.items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"parameter {name} must be a finite number, "
+                                 f"got {value!r}")
         object.__setattr__(self, "params", merged)
         entry.validate(merged, self.domain)
 
@@ -212,7 +216,7 @@ def speed_jet(spec: CurveSpec, t: float) -> Jet:
 def _speed_jet(spec: CurveSpec, cj: CurveJet) -> Jet:
     d = [j.d() for j in cj.jets]
     g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
-    if g.value <= 0.0:
+    if not g.value > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g.value} at t={cj.t} on {spec.catalog_id}")
     return jets.sqrt(g)
@@ -241,7 +245,7 @@ def speed(spec: CurveSpec, t: float) -> float:
     """
     d0, d1, d2, d3 = (j.coeffs[1] for j in eval_curve(spec, t).jets)
     g = (0.0 + -d0 * d0) + (0.0 + d1 * d1) + (0.0 + d2 * d2) + (0.0 + d3 * d3)
-    if g <= 0.0:
+    if not g > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")
     return math.sqrt(g)

@@ -55,6 +55,10 @@ class NotOnHyperbolicSphere(CurveLabError):
     """Construction input does not lie on the hyperbolic unit sphere."""
 
 
+class ConvergenceFailure(CurveLabError):
+    """An iteration or a quadrature stopped at its limit without converging."""
+
+
 class IllConditionedFit(CurveLabError):
     """Too few samples or a near-singular design matrix for a requested fit."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .curves import CurveSpec, arclength_jets, speed
-from .errors import (DegenerateFrame, FrameDriftExceeded,
+from .errors import (ConvergenceFailure, DegenerateFrame, FrameDriftExceeded,
                      NonSpacelikePrincipalNormal, OutOfDomain)
 from .jets import Jet
 from .lorentz import Vec4
@@ -62,7 +62,11 @@ _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = REPARAM_TOL) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
+    """Adaptive Simpson quadrature with Richardson correction.
+
+    Raises ConvergenceFailure when a subinterval reaches the depth limit
+    unconverged or its error estimate is not finite.
+    """
     if a == b:
         return 0.0
 
@@ -76,8 +80,12 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         left = simpson(lo, flo, mid, fmid, fl)
         right = simpson(mid, fmid, hi, fhi, fr)
         delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
+        if abs(delta) <= 15.0 * eps:
             return left + right + delta / 15.0
+        if depth <= 0 or not math.isfinite(delta):
+            raise ConvergenceFailure(
+                f"adaptive Simpson stopped on [{lo}, {hi}] with error "
+                f"estimate {delta}")
         return (recurse(lo, flo, mid, fmid, fl, left, 0.5 * eps, depth - 1)
                 + recurse(mid, fmid, hi, fhi, fr, right, 0.5 * eps, depth - 1))
 
@@ -137,7 +145,9 @@ class ArclengthMap:
             if not (lo_t < nxt < hi_t):
                 nxt = 0.5 * (lo_t + hi_t)
             t = nxt
-        return t
+        raise ConvergenceFailure(
+            f"t(s) for s={s} did not converge in 80 Newton steps on "
+            f"{self.spec.catalog_id}")
 
 
 def arclength_map(spec: CurveSpec) -> ArclengthMap:

@@ -7,6 +7,10 @@ produces residuals a reviewer can grep: curvature-ratio fits against the
 hyperbolic model, the constant-witness vector, the component battery, the
 spherical construction and the hyperbolic-spherical center test.
 
+The non-rectifying witnesses, ``thm31_min_rms_over_c`` and
+``least_squares_origin``, are exact least-squares minima: lower bounds over
+every c and every origin, not samples of a grid.
+
 Radius law of the spherical construction: for alpha(t) = rho(t) * y(t) with
 y unit speed on the hyperbolic unit sphere, projecting alpha onto the
 principal normal direction gives
@@ -45,11 +49,10 @@ __all__ = [
     "components_from_curvatures",
     "Theorem31Fit",
     "fit_theorem31",
-    "thm31_rms_over_c_grid",
+    "thm31_min_rms_over_c",
     "constant_vector_X",
     "constant_vector_drift",
     "least_squares_origin",
-    "origin_grid_min_residual",
     "ReportTolerances",
     "RectifyingReport",
     "theorem33_report",
@@ -63,10 +66,19 @@ __all__ = [
 
 FIT_CONDITION_LIMIT = 1e8
 SPHERE_TOL = 1e-10
+CENTER_TOL = 1e-5
 
 
 def _arr(v: Vec4) -> np.ndarray:
     return np.array(v.components)
+
+
+def _lstsq(design: np.ndarray, target: np.ndarray
+           ) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients and the rms of the residual."""
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    rms = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
+    return coef, rms
 
 
 def rectifying_residual(source, s: float) -> float:
@@ -163,29 +175,26 @@ def fit_theorem31(source, samples: Sequence[float],
     if np.linalg.cond(design) > FIT_CONDITION_LIMIT:
         raise IllConditionedFit("cosh/sinh design matrix is near singular "
                                 "(t-range too small)")
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    rms = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
+    coef, rms = _lstsq(design, target)
     return Theorem31Fit(c=c, A=float(coef[0]), B=float(coef[1]), eps=eps,
                         rms_residual=rms, s_samples=ss, t_samples=ts)
 
 
-def thm31_rms_over_c_grid(source, samples: Sequence[float],
-                          c_grid: np.ndarray) -> np.ndarray:
-    """Best-fit rms of the Theorem 3.1 model for every c on a grid.
+def thm31_min_rms_over_c(source, samples: Sequence[float]
+                         ) -> tuple[float, float]:
+    """(c, rms): the c whose Theorem 3.1 fit has the least rms, and that rms.
 
-    The model is linear in (A, B) once c is fixed and the target is affine
-    in c, so the whole grid costs one orthogonal projection.
+    With r = eps*k1/k2 the model r*(s+c) = A cosh t + B sinh t is linear in
+    (A, B, c): r*s = A cosh t + B sinh t - c*r, one least-squares solve.
+    The rms is the minimum over every real c even where the coefficients
+    are ill-determined.
     """
     frames, ts = _gather(source, samples)
-    base = np.array([f.eps * f.kappa1 * f.s / f.kappa2 for f in frames])
-    slope = np.array([f.eps * f.kappa1 / f.kappa2 for f in frames])
-    design = np.column_stack([np.cosh(ts), np.sinh(ts)])
-    q, _ = np.linalg.qr(design)
-    perp = lambda y: y - q @ (q.T @ y)
-    r0, r1 = perp(base), perp(slope)
-    grid = np.asarray(c_grid, dtype=float)
-    resid = r0[None, :] + grid[:, None] * r1[None, :]
-    return np.sqrt(np.mean(resid ** 2, axis=1))
+    ss = np.array([f.s for f in frames])
+    ratio = np.array([f.eps * f.kappa1 / f.kappa2 for f in frames])
+    design = np.column_stack([np.cosh(ts), np.sinh(ts), -ratio])
+    coef, rms = _lstsq(design, ratio * ss)
+    return float(coef[2]), rms
 
 
 def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
@@ -205,29 +214,19 @@ def constant_vector_drift(source, samples: Sequence[float],
     return max(float(np.linalg.norm(_arr(x) - x0)) for x in xs)
 
 
-def least_squares_origin(source, samples: Sequence[float]) -> Vec4:
-    """Origin shift d minimizing sum of g(alpha - d, N)^2 over samples."""
+def least_squares_origin(source, samples: Sequence[float]
+                         ) -> tuple[Vec4, float]:
+    """The origin d with the least rms of g(alpha - d, N), and that rms.
+
+    For every origin d, max_s |g(alpha - d, N)| is at least the returned
+    rms, so an rms above zero shows no translation makes the curve
+    rectifying on the samples.
+    """
     frames = [source.frame(float(s)) for s in samples]
     design = np.array([_MSIGN * _arr(f.N) for f in frames])
     target = np.array([minkowski_dot(f.position, f.N) for f in frames])
-    d, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return Vec4(*d)
-
-
-def origin_grid_min_residual(source, samples: Sequence[float],
-                             radius: float = 5.0, step: float = 0.5) -> float:
-    """min over a 4D origin grid of max_s |g(alpha - d, N)|.
-
-    Brute-force witness that no origin makes the curve rectifying.
-    """
-    frames = [source.frame(float(s)) for s in samples]
-    gn = np.array([_MSIGN * _arr(f.N) for f in frames])           # (m, 4)
-    r = np.array([minkowski_dot(f.position, f.N) for f in frames])
-    axis = np.arange(-radius, radius + 0.5 * step, step)
-    grid = np.stack(np.meshgrid(axis, axis, axis, axis,
-                                indexing="ij"), axis=-1).reshape(-1, 4)
-    shifted = np.abs(r[None, :] - grid @ gn.T)                     # (g, m)
-    return float(shifted.max(axis=1).min())
+    d, rms = _lstsq(design, target)
+    return Vec4(*d), rms
 
 
 # -- Theorem 3.3 battery ------------------------------------------------------
@@ -326,9 +325,8 @@ def theorem33_report(source, samples: Sequence[float],
 
     # (i) distance function rho^2 = g(alpha, alpha) against s^2 + c1 s + c2
     rho_sq = np.array([minkowski_dot(f.position, f.position) for f in frames])
-    design_q = np.column_stack([ss ** 2, ss, np.ones_like(ss)])
-    coef_q, *_ = np.linalg.lstsq(design_q, rho_sq, rcond=None)
-    resid_q = float(np.sqrt(np.mean((rho_sq - design_q @ coef_q) ** 2)))
+    coef_q, resid_q = _lstsq(np.column_stack([ss ** 2, ss, np.ones_like(ss)]),
+                             rho_sq)
     distance = {
         "lead": float(coef_q[0]),
         "c1": float(coef_q[1]),
@@ -338,9 +336,7 @@ def theorem33_report(source, samples: Sequence[float],
 
     # (ii) tangential component g(alpha, T) against s + c
     tang = np.array([minkowski_dot(f.position, f.T) for f in frames])
-    design_l = np.column_stack([ss, np.ones_like(ss)])
-    coef_l, *_ = np.linalg.lstsq(design_l, tang, rcond=None)
-    resid_l = float(np.sqrt(np.mean((tang - design_l @ coef_l) ** 2)))
+    coef_l, resid_l = _lstsq(np.column_stack([ss, np.ones_like(ss)]), tang)
     tangential = {
         "slope": float(coef_l[0]),
         "c": float(coef_l[1]),
@@ -413,6 +409,9 @@ class ConstructionParams:
     def __post_init__(self):
         if self.a == 0.0:
             raise ValueError("construction requires a != 0")
+        if not all(math.isfinite(v) for v in (self.a, self.t0,
+                                              *(self.domain or ()))):
+            raise ValueError("construction a, t0 and domain must be finite")
 
 
 def construct_rectifying(sphere_spec: CurveSpec,
@@ -501,12 +500,11 @@ def _center_at(f: FrenetData) -> Vec4:
             - (bracket / k3) * f.B2)
 
 
-def spherical_center(source, samples: Sequence[float],
-                     center_tol: float = 1e-5) -> SphericalCenter:
+def spherical_center(source, samples: Sequence[float]) -> SphericalCenter:
     """Detect hyperbolic-spherical (normal) curves via the center formula.
 
     The curve is reported spherical when the pointwise centers agree within
-    ``center_tol`` and the pseudo-distance to the mean center is constant.
+    ``CENTER_TOL`` and the pseudo-distance to the mean center is constant.
     """
     frames = [source.frame(float(s)) for s in samples]
     centers = np.array([_arr(_center_at(f)) for f in frames])
@@ -520,7 +518,7 @@ def spherical_center(source, samples: Sequence[float],
     scale = max(1.0, float(np.max(np.abs(radii))))
     # a constant center alone also matches de Sitter spherical curves
     # (position minus center spacelike); hyperbolic needs a timelike one
-    ok = (drift <= center_tol and radius_dev <= 10.0 * center_tol * scale
+    ok = (drift <= CENTER_TOL and radius_dev <= 10.0 * CENTER_TOL * scale
           and radius < 0.0)
     return SphericalCenter(m=m, max_drift=drift, radius=radius,
                            radius_deviation=radius_dev, is_spherical=ok)

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,39 @@ def test_synthesize_negative_ds_exits_64():
 def test_synthesize_bad_drift_tol_exits_64(tol):
     code, _ = run(["synthesize", "--drift-tol", tol])
     assert code == 64
+
+
+_NAN_CONFIG = "<nan config>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--curve", "hyperbolic_clelia", "--a", "nan"],
+    ["construct", "--curve", "hyperbolic_clelia", "--a", "1", "--t0", "nan"],
+    ["rectify-check", "--curve", "lorentz_helix", "--c", "nan"],
+    ["synthesize", "--ds", "nan"],
+    ["synthesize", "--domain", "0.5", "nan"],
+    ["classify", "--curve", "hyperbolic_clelia", "--at", "nan"],
+    ["classify", "--config", _NAN_CONFIG, "--at", "0.5"],
+], ids=["a", "t0", "c", "ds", "domain", "at", "config_construct_a"])
+def test_non_finite_number_exits_64(tmp_path, argv):
+    # Python's json reads NaN, so a config file can carry one too
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"id": "hyperbolic_clelia", "construct": {"a": NaN}}')
+    code, _ = run([str(cfg) if a == _NAN_CONFIG else a for a in argv])
+    assert code == 64
+
+
+def test_nan_curve_parameter_exits_64_without_hanging():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelab.cli", "frenet", "--curve",
+         "lorentz_helix", "--param", "p=nan", "--samples", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 64
+    assert "finite" in proc.stderr
 
 
 def test_synthesize_and_check_round_trip(tmp_path):

@@ -108,6 +108,33 @@ def test_speed_requires_spacelike_velocity():
         curves.speed(spec, 0.5)
 
 
+def test_non_finite_parameter_rejected():
+    for value in (math.nan, math.inf, "1"):
+        with pytest.raises(ValueError, match="finite"):
+            curves.make_spec("lorentz_helix", params={"p": value})
+
+
+def test_nan_velocity_is_not_spacelike():
+    # a runtime curve whose velocity is NaN: speed, speed_jet and the
+    # arclength map raise instead of integrating NaN
+    from curvelab import frenet, jets
+    from curvelab.curves import CatalogEntry
+
+    def build(tj, _params):
+        return (math.nan * tj, tj, jets.constant(0.0), jets.constant(0.0))
+
+    cid = curves.register_curve(CatalogEntry(build=build,
+                                             default_domain=(0.0, 1.0)),
+                                prefix="nan_line")
+    spec = curves.make_spec(cid)
+    with pytest.raises(NonSpacelikeVelocity):
+        curves.speed(spec, 0.5)
+    with pytest.raises(NonSpacelikeVelocity):
+        curves.speed_jet(spec, 0.5)
+    with pytest.raises(NonSpacelikeVelocity):
+        frenet.arclength_map(spec)
+
+
 def test_registered_ids_are_sequential_and_usable():
     from curvelab import jets
     from curvelab.curves import CatalogEntry

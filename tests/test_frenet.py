@@ -7,7 +7,8 @@ import pytest
 
 from curvelab import curves, frenet, jets
 from curvelab.curves import CatalogEntry
-from curvelab.errors import DegenerateFrame, NonSpacelikePrincipalNormal
+from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
+                             NonSpacelikePrincipalNormal)
 
 SQ3 = math.sqrt(3.0)
 
@@ -29,6 +30,30 @@ def test_adaptive_simpson_exact_on_cubic():
     assert math.isclose(val, 0.0, abs_tol=1e-12)
     val = frenet.adaptive_simpson(math.exp, 0.0, 1.0, 1e-12)
     assert math.isclose(val, math.e - 1.0, rel_tol=1e-11)
+
+
+def test_adaptive_simpson_raises_on_a_nan_estimate():
+    # NaN at the left end only: the first error estimate is already NaN
+    nan_at_zero = lambda x: math.nan if x == 0.0 else 1.0
+    with pytest.raises(ConvergenceFailure):
+        frenet.adaptive_simpson(nan_at_zero, 0.0, 1.0)
+
+
+def test_adaptive_simpson_raises_at_the_depth_limit():
+    # the jump at 1/3 is never a node, so its subinterval never converges
+    step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
+    with pytest.raises(ConvergenceFailure):
+        frenet.adaptive_simpson(step, 0.0, 1.0, 1e-12)
+
+
+def test_t_of_s_raises_when_newton_does_not_converge(helix, monkeypatch):
+    spec, amap = helix
+    # a speed far below the one the grid was built with: the integral never
+    # reaches s inside the bracket
+    monkeypatch.setattr(frenet, "speed", lambda spec, t: 1e-3)
+    s = 0.5 * float(amap.grid_s[3] + amap.grid_s[4])
+    with pytest.raises(ConvergenceFailure):
+        amap.t_of_s(s)
 
 
 def test_unit_speed_curve_has_identity_arclength(helix):

@@ -37,6 +37,7 @@ CASES = {
                                  SYNTH_CSV, "--c", "0", "--samples", "21"], 0),
     "verify_frenet": (["verify", "frenet"], 0),
     "verify_lorentz": (["verify", "lorentz"], 0),
+    "verify_rectifying": (["verify", "rectifying"], 0),
     "synthesize_constant_eps_minus": (["synthesize", "--profile", "constant",
                                        "--param", "k1=2", "--param", "k2=0.5",
                                        "--param", "k3=1.5", "--eps", "-1",

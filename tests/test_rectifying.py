@@ -170,12 +170,49 @@ def test_report_rejects_helix(helix):
 
 def test_helix_defeats_c_grid_and_origin_shift(helix):
     ss = samples_of(helix, 40)
-    grid = np.arange(-10.0, 10.0 + 1e-9, 0.1)
-    assert float(np.min(rectifying.thm31_rms_over_c_grid(helix, ss, grid))) \
-        > 1e-2
-    origin = rectifying.least_squares_origin(helix, ss)
+    _, c_rms = rectifying.thm31_min_rms_over_c(helix, ss)
+    assert c_rms > 1e-2
+    origin, origin_rms = rectifying.least_squares_origin(helix, ss)
+    assert origin_rms > 1e-3
     shifted = frenet.TranslatedSource(helix, -origin)
-    assert max(rectifying.rectifying_residual(shifted, s) for s in ss) > 1e-3
+    resid = np.array([rectifying.rectifying_residual(shifted, s) for s in ss])
+    assert np.max(np.abs(resid)) > 1e-3
+    # the reported rms is that of g(alpha - d, N) itself
+    assert math.isclose(float(np.sqrt(np.mean(resid ** 2))), origin_rms,
+                        rel_tol=1e-9)
+
+
+def test_least_squares_origin_recovers_an_off_grid_shift(constructed):
+    # b = 0.25 lies between the nodes of a step-0.5 origin grid, where a
+    # grid search scores this rectifying curve as non-rectifying
+    b = Vec4(0.25, 0.25, 0.25, 0.25)
+    moved = frenet.TranslatedSource(constructed, b)
+    origin, rms = rectifying.least_squares_origin(
+        moved, samples_of(constructed, 50))
+    assert max(abs(x - 0.25) for x in origin.components) < 1e-12
+    assert rms < 1e-12
+
+
+@pytest.mark.parametrize("curve", ["helix", "constructed"])
+def test_exact_c_minimum_against_a_brute_force_c_grid(curve, request):
+    source = request.getfixturevalue(curve)
+    ss = samples_of(source, 50)
+    best_c, best_rms = rectifying.thm31_min_rms_over_c(source, ss)
+    frames = [source.frame(s) for s in ss]
+    ts = np.array([source.kappa3_integral(s) for s in ss])
+    design = np.column_stack([np.cosh(ts), np.sinh(ts)])
+    step = 0.01
+    grid = np.arange(-10.0, 10.0 + 1e-9, step)
+    rms = []
+    for c in grid:
+        target = np.array([f.eps * f.kappa1 * (f.s + c) / f.kappa2
+                           for f in frames])
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        rms.append(np.sqrt(np.mean((target - design @ coef) ** 2)))
+    i = int(np.argmin(rms))
+    assert 0 < i < len(grid) - 1            # the minimum is inside the grid
+    assert best_rms <= rms[i] * (1.0 + 1e-12)
+    assert abs(best_c - grid[i]) <= 0.5 * step + 1e-9
 
 
 def test_env_tolerance_override(monkeypatch):
