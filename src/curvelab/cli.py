@@ -101,6 +101,7 @@ def load_config(args) -> dict:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
+        _check_config_fields(loaded, args.config)
         cfg.update(loaded)
     if getattr(args, "curve", None):
         cfg["id"] = args.curve
@@ -118,6 +119,27 @@ def load_config(args) -> dict:
     if getattr(args, "domain", None):
         cfg["domain"] = list(args.domain)
     return cfg
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _check_config_fields(cfg: dict, path: str) -> None:
+    """Reject a config file's id, params or domain of the wrong shape."""
+    if "id" in cfg and not isinstance(cfg["id"], str):
+        raise UsageError(f'{path}: "id" must be a string')
+    params = cfg.get("params", {})
+    if not (isinstance(params, dict) and all(map(_is_number,
+                                                  params.values()))):
+        raise UsageError(f'{path}: "params" must map names to finite '
+                         f'numbers, got {params!r}')
+    if "domain" in cfg:
+        dom = cfg["domain"]
+        if not (isinstance(dom, list) and len(dom) == 2
+                and all(map(_is_number, dom))):
+            raise UsageError(f'{path}: "domain" must be two finite numbers, '
+                             f'got {dom!r}')
 
 
 def spec_from_config(cfg: dict) -> curves.CurveSpec:

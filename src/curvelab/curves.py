@@ -81,14 +81,30 @@ class CurveJet:
         return Vec4(*(j.derivative(k) for j in self.jets))
 
 
+# (s_between(lo, t), t_from(lo, s)), the exact arclength of a catalog entry
+ArclengthPair = tuple[Callable[[float, float], float],
+                      Callable[[float, float], float]]
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """How to build a curve's coordinate jets, with its defaults.
+
+    ``arclength``, when given, is the exact arclength as a pair of
+    functions ``(s_between, t_from)``: ``s_between(lo, t)`` is the
+    arclength from ``lo`` to ``t`` and ``t_from(lo, s)`` its inverse in
+    ``t``.  They take the domain's low end because an entry does not depend
+    on the domain.  ``frenet.arclength_map`` uses the pair in place of
+    quadrature and Newton inversion; ``None`` selects those.
+    """
+
     build: Callable[[Jet, Mapping[str, float]], tuple[Jet, Jet, Jet, Jet]]
     default_params: Mapping[str, float] = field(default_factory=dict)
     default_domain: tuple[float, float] = (0.0, 1.0)
     # raises on invalid parameter values / domains (poles inside the range)
     validate: Callable[[Mapping[str, float], tuple[float, float]], None] = \
         lambda params, domain: None
+    arclength: ArclengthPair | None = None
 
 
 # -- static catalog -----------------------------------------------------------

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .curves import CurveSpec, arclength_jets, speed
+from .curves import (ArclengthPair, CurveSpec, _lookup, arclength_jets,
+                     speed)
 from .errors import (ConvergenceFailure, DegenerateFrame, FrameDriftExceeded,
                      NonSpacelikePrincipalNormal, OutOfDomain)
 from .jets import Jet
@@ -99,11 +100,20 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 @dataclass(frozen=True)
 class ArclengthMap:
-    """Monotone map s(t) with its Newton-inverted t(s)."""
+    """Monotone map s(t) from the low end of the domain, and its inverse t(s).
+
+    ``arclength`` is the curve's ``CatalogEntry.arclength`` pair: when it
+    is given, ``s_of_t`` and ``t_of_s`` evaluate it in closed form and
+    ``grid_s`` holds its values.  Otherwise ``grid_s`` holds adaptive
+    Simpson integrals of the speed, ``s_of_t`` integrates from the nearest
+    grid node below and ``t_of_s`` runs safeguarded Newton over that
+    integral.
+    """
 
     spec: CurveSpec
     grid_t: np.ndarray
     grid_s: np.ndarray
+    arclength: ArclengthPair | None = None
 
     @property
     def total(self) -> float:
@@ -112,6 +122,8 @@ class ArclengthMap:
     def s_of_t(self, t: float) -> float:
         if not self.spec.contains(t):
             raise OutOfDomain(f"t={t} outside {self.spec.domain}")
+        if self.arclength is not None:
+            return self.arclength[0](self.spec.domain[0], t)
         i = min(bisect.bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
         return float(self.grid_s[i] + adaptive_simpson(
@@ -122,6 +134,8 @@ class ArclengthMap:
         if s < -1e-9 * max(1.0, span) or s > span * (1.0 + 1e-9) + 1e-12:
             raise OutOfDomain(f"s={s} outside covered arclength [0, {span}]")
         s = min(max(s, 0.0), span)
+        if self.arclength is not None:
+            return self.arclength[1](self.spec.domain[0], s)
         i = int(np.searchsorted(self.grid_s, s))
         i = min(max(i, 1), len(self.grid_s) - 1)
         lo_t, hi_t = float(self.grid_t[i - 1]), float(self.grid_t[i])
@@ -151,9 +165,14 @@ class ArclengthMap:
 
 
 def arclength_map(spec: CurveSpec) -> ArclengthMap:
-    """s(t) = integral of the speed from the low end of the domain."""
+    """s(t) from the low end of the domain: exact when the curve's catalog
+    entry gives its arclength, else by quadrature of the speed."""
     lo, hi = spec.domain
     ts = np.linspace(lo, hi, ARCLENGTH_GRID)
+    exact = _lookup(spec.catalog_id).arclength
+    if exact is not None:
+        ss = np.array([exact[0](lo, float(t)) for t in ts])
+        return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss, arclength=exact)
     ss = np.empty_like(ts)
     ss[0] = 0.0
     for i in range(1, ARCLENGTH_GRID):

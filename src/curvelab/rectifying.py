@@ -35,9 +35,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .curves import (CatalogEntry, CurveSpec, arclength_jets, eval_curve,
-                     register_curve)
-from .errors import IllConditionedFit, NotOnHyperbolicSphere, OutOfDomain
+from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
+                     eval_curve, register_curve)
+from .errors import (IllConditionedFit, NonSpacelikeVelocity,
+                     NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import _MSIGN, FrenetData, arclength_map
 from .jets import Jet
 from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
@@ -422,6 +423,10 @@ def construct_rectifying(sphere_spec: CurveSpec,
     y unit speed, so the input is reparameterized internally); rho is the
     derived radius law a / cosh(u + t0).  The returned spec is a catalog
     composable jet curve.
+
+    Its speed is |a| / cosh^2(u + t0), so its entry carries the exact
+    arclength |a| * (tanh(u + t0) - tanh(lo + t0)) and its inverse, in
+    forms without that cancelling difference (``_radius_law_arclength``).
     """
     ymap = arclength_map(sphere_spec)
     total = ymap.total
@@ -446,8 +451,40 @@ def construct_rectifying(sphere_spec: CurveSpec,
     if not (0.0 <= domain[0] < domain[1] <= total + 1e-12):
         raise OutOfDomain(
             f"construction domain {domain} outside arclength range [0, {total}]")
-    cid = register_curve(CatalogEntry(build=build, default_domain=domain))
+    cid = register_curve(CatalogEntry(
+        build=build, default_domain=domain,
+        arclength=_radius_law_arclength(a, t0)))
     return CurveSpec(cid, {}, tuple(domain))
+
+
+def _radius_law_arclength(a: float, t0: float) -> ArclengthPair:
+    """(s_between, t_from) for the speed |a| / cosh^2(u + t0).
+
+    s = |a| * sinh(u - lo) / (cosh(u + t0) * cosh(lo + t0)) is the tanh
+    difference rewritten without cancellation; with d = s / |a| and
+    b = lo + t0 the inverse is u = lo + atanh(d / (sech^2 b - d tanh b)).
+    Where floating point cannot resolve the speed (cosh^2(b) overflows, or
+    s lies where tanh rounds to 1), the atanh argument leaves (-1, 1) and
+    the inverse raises NonSpacelikeVelocity.
+    """
+    scale = abs(a)
+
+    def s_between(lo: float, u: float) -> float:
+        return scale * math.sinh(u - lo) / (math.cosh(u + t0)
+                                            * math.cosh(lo + t0))
+
+    def t_from(lo: float, s: float) -> float:
+        d = s / scale
+        ch = math.cosh(lo + t0)
+        den = 1.0 / (ch * ch) - d * math.tanh(lo + t0)
+        x = d / den if den > 0.0 else math.nan
+        if not -1.0 < x < 1.0:
+            raise NonSpacelikeVelocity(
+                f"arclength {s} from u={lo} is out of reach of the speed "
+                f"|a|/cosh^2(u + {t0}) in floating point")
+        return lo + math.atanh(x)
+
+    return s_between, t_from
 
 
 def rho_ode_residual(rho: Callable[[Jet], Jet], v: Callable[[Jet], Jet],

@@ -127,6 +127,24 @@ def test_rectify_check_malformed_config_exits_64(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("command, text", [
+    ("frenet", '{"id": "lorentz_helix", "domain": 5}'),
+    ("frenet", '{"id": "lorentz_helix", "domain": ["a", 1]}'),
+    ("frenet", '{"id": "lorentz_helix", "params": [1]}'),
+    ("frenet", '{"id": "lorentz_helix", "domain": [0, NaN]}'),
+    ("frenet", '{"id": ["lorentz_helix"]}'),
+    ("synthesize", '{"domain": 5}'),
+    ("synthesize", '{"params": {"k1": "x"}}'),
+], ids=["domain_int", "domain_str", "params_list", "domain_nan", "id_list",
+        "synthesize_domain_int", "synthesize_params_str"])
+def test_malformed_config_field_exits_64(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _ = run([command, "--config", str(cfg), "--samples", "3"])
+    assert code == 64
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_construct_reproduces_example_coordinates(tmp_path):
     # phase -pi/2 puts the radius-law maximum at arclength pi/2, where the
     # constructed point coincides with the sphere point itself

@@ -4,11 +4,14 @@ The invocations run through ``cli.main`` in one fresh interpreter, so the
 id a ``construct`` registers does not depend on which tests ran before.
 The synthesis CSV is written and read back under a relative path, so the
 ``"curve"`` field of the round-trip report names the same file on every
-run.  To regenerate the fixtures after a deliberate output change:
+run.  Every fixture is compared, and each one that differs is reported
+with a short unified diff.  To regenerate the fixtures after a deliberate
+output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py tests/golden
 """
 
+import difflib
 import io
 import os
 import subprocess
@@ -73,10 +76,37 @@ def test_golden_cli_outputs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = dict(line.split("=") for line in proc.stdout.split())
     assert codes == {name: str(code) for name, (_, code) in CASES.items()}
-    for fname in OUTPUTS:
-        got = (tmp_path / fname).read_bytes()
-        want = (GOLDEN / fname).read_bytes()
-        assert got == want, f"{fname} differs from tests/golden/{fname}"
+    reports = [_difference(fname, (GOLDEN / fname).read_bytes(),
+                           (tmp_path / fname).read_bytes())
+               for fname in OUTPUTS]
+    reports = [r for r in reports if r]
+    assert not reports, "\n\n".join(reports)
+
+
+def _difference(fname: str, want: bytes, got: bytes,
+                max_lines: int = 20) -> str:
+    """'' when the bytes are equal, else a report with a short unified diff."""
+    if got == want:
+        return ""
+    diff = list(difflib.unified_diff(
+        want.decode(errors="replace").splitlines(),
+        got.decode(errors="replace").splitlines(),
+        f"tests/golden/{fname}", f"produced/{fname}", lineterm=""))
+    if len(diff) > max_lines:
+        diff = diff[:max_lines] + [f"... {len(diff) - max_lines} more lines"]
+    if not diff:              # same lines: line endings or a final newline
+        diff = [f"same lines, different bytes ({len(want)} vs {len(got)})"]
+    return f"{fname} differs from tests/golden/{fname}:\n" + "\n".join(diff)
+
+
+def test_difference_report_is_byte_strict():
+    assert _difference("x.out", b"a\nb\n", b"a\nb\n") == ""
+    for got in (b"a\nc\n", b"a\nb", b"a\r\nb\n", b"a\nb\n\n"):
+        assert _difference("x.out", b"a\nb\n", got).startswith(
+            "x.out differs from tests/golden/x.out:")
+    long = _difference("x.out", b"", "".join(f"{i}\n" for i in range(50))
+                       .encode())
+    assert long.endswith("more lines") and len(long.splitlines()) == 22
 
 
 if __name__ == "__main__":

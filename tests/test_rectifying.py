@@ -1,13 +1,15 @@
 """Rectifying-curve characterizations: construction, fits, controls."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from curvelab import curves, frenet, jets, rectifying
-from curvelab.errors import IllConditionedFit, NotOnHyperbolicSphere
+from curvelab import curves, frenet, jets, rectifying, verify
+from curvelab.errors import (CurveLabError, IllConditionedFit,
+                             NotOnHyperbolicSphere, OutOfDomain)
 from curvelab.lorentz import Vec4, minkowski_dot
 
 A_PARAM = 1.0
@@ -85,6 +87,108 @@ def test_rho_ode_residual_constant_case():
     rho = lambda tj: jets.constant(3.0)
     v = lambda tj: jets.constant(1.0)
     assert math.isclose(rectifying.rho_ode_residual(rho, v, 1.0), -3.0)
+
+
+# -- exact arclength of the construction --------------------------------------
+
+# (a, t0) of the constructed curves checked against their quadrature maps
+CONSTRUCTIONS = [(1.0, 0.3), (3.0, 0.3), (-2.0, 0.4), (2.5, 0.47)]
+
+
+def construct(a, t0):
+    return rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=a, t0=t0, domain=WINDOW))
+
+
+@pytest.fixture(scope="module", params=CONSTRUCTIONS,
+                ids=[f"a={a},t0={t0}" for a, t0 in CONSTRUCTIONS])
+def constructed_maps(request):
+    """(spec, closed-form map, quadrature map) of one constructed curve.
+
+    The quadrature map comes from the same build registered without its
+    arclength pair, so only the map differs.
+    """
+    spec = construct(*request.param)
+    entry = curves._lookup(spec.catalog_id)
+    quad_id = curves.register_curve(dataclasses.replace(entry, arclength=None))
+    quad = frenet.arclength_map(curves.CurveSpec(quad_id, {}, spec.domain))
+    return spec, frenet.arclength_map(spec), quad
+
+
+def test_closed_form_map_matches_quadrature(constructed_maps):
+    spec, exact, quad = constructed_maps
+    assert exact.arclength is not None and quad.arclength is None
+    assert math.isclose(exact.total, quad.total, abs_tol=1e-13)
+    for t in np.linspace(*spec.domain, 13):
+        assert math.isclose(exact.s_of_t(float(t)), quad.s_of_t(float(t)),
+                            abs_tol=1e-13)
+    for s in np.linspace(0.0, exact.total, 13):
+        assert math.isclose(exact.t_of_s(float(s)), quad.t_of_s(float(s)),
+                            abs_tol=1e-13)
+
+
+def test_closed_form_map_differentiates_to_the_speed(constructed_maps):
+    spec, exact, _ = constructed_maps
+    h = 1e-5
+    for t in np.linspace(*spec.domain, 15)[1:-1]:
+        t = float(t)
+        slope = (exact.s_of_t(t + h) - exact.s_of_t(t - h)) / (2.0 * h)
+        assert math.isclose(slope, curves.speed(spec, t), rel_tol=1e-8)
+
+
+def test_closed_form_map_against_high_precision_reference():
+    # at t0 = 5 the plain tanh difference loses about 12 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    a, t0 = 2.0, 5.0
+    spec = construct(a, t0)
+    amap = frenet.arclength_map(spec)
+    lo = mpmath.mpf(spec.domain[0])
+
+    def s_ref(t):
+        return abs(a) * (mpmath.tanh(mpmath.mpf(t) + t0) - mpmath.tanh(lo + t0))
+
+    def t_ref(s):
+        return mpmath.atanh(mpmath.tanh(lo + t0) + mpmath.mpf(s) / abs(a)) - t0
+
+    for t in np.linspace(*spec.domain, 13)[1:]:
+        want = s_ref(float(t))
+        assert abs(amap.s_of_t(float(t)) - want) <= 1e-14 * abs(want)
+    for s in np.linspace(0.0, amap.total, 13):
+        want = t_ref(float(s))
+        assert abs(amap.t_of_s(float(s)) - want) <= 1e-14 * abs(want)
+
+
+def test_closed_form_map_keeps_its_domain_guards(constructed_maps):
+    spec, exact, _ = constructed_maps
+    lo, hi = spec.domain
+    for s in (-1e-3, exact.total * 1.01, exact.total + 1e-3):
+        with pytest.raises(OutOfDomain):
+            exact.t_of_s(s)
+    for t in (lo - 1e-3, hi + 1e-3):
+        with pytest.raises(OutOfDomain):
+            exact.s_of_t(t)
+
+
+@pytest.mark.parametrize("t0", [20.0, 400.0])
+def test_speed_below_resolution_raises_a_typed_error(t0):
+    # from t0 = 20 on, tanh(u + t0) rounds to 1 and |a|/cosh^2 is far below
+    # the roundoff of the position jets; at 400, cosh^2 overflows
+    spec = construct(1.0, t0)
+    with pytest.raises(CurveLabError):
+        src = frenet.JetFrameSource(spec)
+        for s in samples_of(src, 5):
+            src.frame(s)
+
+
+@pytest.mark.parametrize("a, t0", CONSTRUCTIONS)
+def test_constructed_frames_satisfy_the_gram_conditions(a, t0):
+    src = frenet.JetFrameSource(construct(a, t0))
+    for s in samples_of(src, 50):
+        f = src.frame(s)
+        assert frenet.gram_errors(*f.frame_arrays(), f.eps) < verify.GRAM_TOL
+        assert f.eps == int(math.copysign(1.0, minkowski_dot(f.B1, f.B1)))
 
 
 # -- component identities -----------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvelab import frenet, jets, verify
+from curvelab import curves, frenet, jets, verify
 from curvelab.errors import FrameDriftExceeded
 from curvelab.lorentz import Vec4
 
@@ -150,6 +150,41 @@ def test_kappa3_integral_linear_for_unit_torsion():
     curve = frenet.synthesize_curve(profile, ds=1e-3)
     s = float(curve.grid_samples(5)[2])
     assert math.isclose(curve.kappa3_integral(s), s - 0.5, rel_tol=1e-9)
+
+
+def round_trip_error(ds, frame_rhs=frenet.frenet_rhs):
+    """Max |difference| of position and T between the helix past s0 = 0.2
+    and a synthesis from its frame and curvatures there.
+
+    The drift monitor is off, so only the comparison can reject a wrong
+    frame system.
+    """
+    helix = frenet.JetFrameSource(curves.make_spec("lorentz_helix"))
+    s0 = 0.2
+    f0 = helix.frame(s0)
+    assert f0.eps == -1
+    profile = frenet.constant_profile(f0.kappa1, f0.kappa2, f0.kappa3,
+                                      f0.eps, (0.0, 1.5))
+    synth = frenet.synthesize_curve(profile, init_frame=f0, ds=ds,
+                                    synth_tol=math.inf, frame_rhs=frame_rhs)
+    worst = 0.0
+    for sigma in synth.grid_samples(16):
+        got = synth.frame(float(sigma))
+        want = helix.frame(s0 + float(sigma))
+        pairs = zip((want.position - f0.position).components
+                    + want.T.components,
+                    got.position.components + got.T.components)
+        worst = max(worst, *(abs(p - q) for p, q in pairs))
+    return worst
+
+
+def test_extraction_and_synthesis_round_trip():
+    # curvatures fix a curve up to congruence: synthesizing from an
+    # extracted frame reproduces the curve, with RK4's error ratio 16
+    coarse, fine = round_trip_error(4e-3), round_trip_error(2e-3)
+    assert coarse < 2e-11
+    assert 10.0 < coarse / fine < 22.0
+    assert round_trip_error(4e-3, verify.flipped_b1_rhs) > 1e-3
 
 
 def test_translated_source_shifts_positions_only():
