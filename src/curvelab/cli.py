@@ -274,16 +274,21 @@ def _source_for_check(args):
         samples = list(src.grid_samples(args.samples))
         # A synthesized curve is congruent to a rectifying one: subtract
         # the fitted constant vector before running the position battery.
-        fit = rectifying.fit_theorem31(src, samples, c=args.c)
+        # Its positions are taken about the synthesis origin, so an unknown
+        # c comes from the curvatures and the torsion angle alone.
+        c = args.c
+        if c is None:
+            c, _ = rectifying.thm31_min_rms_over_c(src, samples)
+        fit = rectifying.fit_theorem31(src, samples, c=c)
         shift = rectifying.constant_vector_X(src, samples[0], fit)
         shifted = frenet.TranslatedSource(src, -shift)
-        return shifted, args.from_synthesis, samples
+        return shifted, args.from_synthesis, samples, c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
     lo, hi = src.s_range
     pad = 0.01 * (hi - lo)
     samples = list(np.linspace(lo + pad, hi - pad, args.samples))
-    return src, spec.catalog_id, samples
+    return src, spec.catalog_id, samples, args.c
 
 
 def cmd_rectify_check(args, out) -> int:
@@ -292,9 +297,9 @@ def cmd_rectify_check(args, out) -> int:
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
     tols = _report_tolerances(args.tol)
-    src, name, samples = _source_for_check(args)
+    src, name, samples, c = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
-                                         curve_name=name, c=args.c)
+                                         curve_name=name, c=c)
     text = json.dumps(report.to_json_dict(), indent=2)
     _write_lines(args.output, [text], out)
     return EXIT_OK if report.verdict else EXIT_PROPERTY

@@ -68,6 +68,9 @@ __all__ = [
 FIT_CONDITION_LIMIT = 1e8
 SPHERE_TOL = 1e-10
 CENTER_TOL = 1e-5
+# rho^2 counts as varying when its span exceeds this share of max(1, |rho^2|);
+# a fixed floor, so loosening a tolerance can never fail a curve
+RHO_SPAN_FLOOR = 1e-4
 
 
 def _arr(v: Vec4) -> np.ndarray:
@@ -136,14 +139,17 @@ def reconstruction_error(source, s: float) -> float:
 
 @dataclass(frozen=True)
 class Theorem31Fit:
-    """Hyperbolic curvature-ratio fit eps*k1*(s+c)/k2 ~ A*cosh t + B*sinh t."""
+    """Hyperbolic curvature-ratio fit eps*k1*(s+c)/k2 ~ A*cosh t + B*sinh t.
+
+    ``frames`` and ``t_samples`` (t, the integral of k3) are what it read.
+    """
 
     c: float
     A: float
     B: float
     eps: int
     rms_residual: float
-    s_samples: np.ndarray = field(repr=False)
+    frames: list[FrenetData] = field(repr=False)
     t_samples: np.ndarray = field(repr=False)
 
 
@@ -159,13 +165,12 @@ def fit_theorem31(source, samples: Sequence[float],
 
     With ``c`` omitted it is estimated from the tangential identity
     g(alpha, T) = s + c, which presumes the curve is rectifying about the
-    current origin; pass the known ``c`` when checking a translated or
-    synthesized curve whose profile constants are given.
+    current origin; for a translated or synthesized curve pass the known
+    ``c``, or the one ``thm31_min_rms_over_c`` finds.
     """
     if len(samples) < 8:
         raise IllConditionedFit("fit_theorem31 needs at least 8 samples")
     frames, ts = _gather(source, samples)
-    ss = np.array([f.s for f in frames])
     eps = frames[0].eps
     if c is None:
         c = float(np.mean([minkowski_dot(f.position, f.T) - f.s
@@ -178,7 +183,7 @@ def fit_theorem31(source, samples: Sequence[float],
                                 "(t-range too small)")
     coef, rms = _lstsq(design, target)
     return Theorem31Fit(c=c, A=float(coef[0]), B=float(coef[1]), eps=eps,
-                        rms_residual=rms, s_samples=ss, t_samples=ts)
+                        rms_residual=rms, frames=frames, t_samples=ts)
 
 
 def thm31_min_rms_over_c(source, samples: Sequence[float]
@@ -198,21 +203,21 @@ def thm31_min_rms_over_c(source, samples: Sequence[float]
     return float(coef[2]), rms
 
 
-def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
-    """Witness vector that is constant exactly when the fit model holds."""
-    f = source.frame(s)
-    t = source.kappa3_integral(s)
+def _witness(f: FrenetData, t: float, fit: Theorem31Fit) -> Vec4:
     m = fit.A * math.cosh(t) + fit.B * math.sinh(t)
     n = fit.A * math.sinh(t) + fit.B * math.cosh(t)
     return f.position - (f.s + fit.c) * f.T - m * f.B1 + n * f.B2
 
 
-def constant_vector_drift(source, samples: Sequence[float],
-                          fit: Theorem31Fit) -> float:
-    """max over samples of the Euclidean norm of X(s) - X(s0)."""
-    xs = [constant_vector_X(source, float(s), fit) for s in samples]
-    x0 = _arr(xs[0])
-    return max(float(np.linalg.norm(_arr(x) - x0)) for x in xs)
+def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
+    """Witness vector that is constant exactly when the fit model holds."""
+    return _witness(source.frame(s), source.kappa3_integral(s), fit)
+
+
+def constant_vector_drift(fit: Theorem31Fit) -> float:
+    """max over the fit's own samples of the Euclidean norm of X(s) - X(s0)."""
+    xs = [_arr(_witness(f, t, fit)) for f, t in zip(fit.frames, fit.t_samples)]
+    return max(float(np.linalg.norm(x - xs[0])) for x in xs)
 
 
 def least_squares_origin(source, samples: Sequence[float]
@@ -318,7 +323,7 @@ def theorem33_report(source, samples: Sequence[float],
     if len(samples) < 8:
         raise IllConditionedFit("theorem33_report needs at least 8 samples")
     fit = fit_theorem31(source, samples, c=c)
-    frames = [source.frame(float(s)) for s in samples]
+    frames = fit.frames
     ss = np.array([f.s for f in frames])
     ts = fit.t_samples
     eps = fit.eps
@@ -349,7 +354,7 @@ def theorem33_report(source, samples: Sequence[float],
     a_const = float(np.mean(norm_sq))
     dev = float(np.max(np.abs(norm_sq - a_const)))
     rho_span = float(np.max(rho_sq) - np.min(rho_sq))
-    rho_nonconstant = rho_span > 1e3 * tol.normal_constancy * max(
+    rho_nonconstant = rho_span > RHO_SPAN_FLOOR * max(
         1.0, float(np.max(np.abs(rho_sq))))
     normal = {
         "a": a_const,
@@ -378,7 +383,7 @@ def theorem33_report(source, samples: Sequence[float],
             "eps*(A sinh t + B cosh t); the alternative closed form with the "
             "B term negated does not fit (known sign discrepancy)")
 
-    drift = constant_vector_drift(source, samples, fit)
+    drift = constant_vector_drift(fit)
 
     verdict = (abs(distance["lead"] - 1.0) <= tol.distance_lead
                and abs(tangential["slope"] - 1.0) <= tol.tangential_slope
@@ -451,6 +456,12 @@ def construct_rectifying(sphere_spec: CurveSpec,
     if not (0.0 <= domain[0] < domain[1] <= total + 1e-12):
         raise OutOfDomain(
             f"construction domain {domain} outside arclength range [0, {total}]")
+    try:                # cosh grows with |u + t0|: the window's ends decide
+        math.cosh(max(abs(domain[0] + t0), abs(domain[1] + t0)))
+    except OverflowError:
+        raise NonSpacelikeVelocity(
+            f"radius law a/cosh(u + t0) overflows floating point for "
+            f"t0 = {t0} on the construction domain {domain}") from None
     cid = register_curve(CatalogEntry(
         build=build, default_domain=domain,
         arclength=_radius_law_arclength(a, t0)))

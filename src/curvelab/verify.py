@@ -21,10 +21,11 @@ ODE_H = 1e-4
 ODE_TOL = 1e-7
 GRAM_TOL = 1e-8
 CONSTRUCT_TOL = 1e-8
-RMS_TOL = 1e-6
 HELIX_FIT_FLOOR = 1e-2
 ORIGIN_FLOOR = 1e-3
 FD_TOL = 1e-6
+# criteria 4 and 5 judge by the report defaults, whatever CURVELAB_TOL says
+REPORT_TOL = rectifying.ReportTolerances()
 
 # Order-4 central-difference stencils, one per derivative order; the step
 # sizes are tuned so truncation stays below FD_TOL on every catalog curve
@@ -155,16 +156,19 @@ def criterion_3(ws: Workspace) -> CriterionResult:
 def criterion_4(ws: Workspace) -> CriterionResult:
     """Component battery on the constructed curve."""
     src = ws.constructed(1.0)
-    rep = rectifying.theorem33_report(src, list(ws.samples(src, 50)),
+    tol = REPORT_TOL
+    rep = rectifying.theorem33_report(src, list(ws.samples(src, 50)), tol,
                                       curve_name=src.spec.catalog_id)
     lead = rep.distance_quadratic["lead"]
     slope = rep.tangential_linear["slope"]
     dev = rep.normal_constancy["max_deviation"]
     rb1 = rep.binormal_components["residual_b1"]
     rb2 = rep.binormal_components["residual_b2"]
-    ok = (abs(lead - 1.0) < 1e-6 and abs(slope - 1.0) < 1e-8
-          and dev < 1e-7 and rep.normal_constancy["rho_nonconstant"]
-          and rb1 < 1e-6 and rb2 < 1e-6)
+    ok = (abs(lead - 1.0) < tol.distance_lead
+          and abs(slope - 1.0) < tol.tangential_slope
+          and dev < tol.normal_constancy
+          and rep.normal_constancy["rho_nonconstant"]
+          and rb1 < tol.binormal_residual and rb2 < tol.binormal_residual)
     return CriterionResult(
         4, "component battery", ok,
         f"lead-1 {lead - 1.0:.2e}, slope-1 {slope - 1.0:.2e}, "
@@ -179,10 +183,11 @@ def criterion_5(ws: Workspace) -> CriterionResult:
     samples = list(synth.grid_samples(41))
     fit = rectifying.fit_theorem31(synth, samples, c=0.0)
     x0 = rectifying.constant_vector_X(synth, samples[0], fit)
-    drift = rectifying.constant_vector_drift(synth, samples, fit)
+    drift = rectifying.constant_vector_drift(fit)
     shifted = frenet.TranslatedSource(synth, -x0)
     resid = max(rectifying.rectifying_residual(shifted, s) for s in samples)
-    ok = (fwd.rms_residual < RMS_TOL and drift < 1e-6 and resid < 1e-6)
+    ok = (fwd.rms_residual < REPORT_TOL.thm31_rms and drift < REPORT_TOL.drift
+          and resid < 1e-6)
     return CriterionResult(
         5, "curvature-ratio law", ok,
         f"forward rms {fwd.rms_residual:.2e}; synthesis: X drift "

@@ -1,9 +1,13 @@
 """Every exported name resolves: no stale entries in any ``__all__``; the
-methods the benchmark tracer wraps are defined where it looks for them."""
+names the benchmark calls, and the methods its tracer wraps, are defined
+where it looks for them."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -21,8 +25,11 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def _tracing_module():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = BENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -39,3 +46,33 @@ def test_traced_methods_are_in_their_class_bodies():
                if meth not in vars(getattr(importlib.import_module(
                    f"curvelab.{layer}"), cls_name))]
     assert missing == []
+
+
+def test_names_the_benchmark_calls_resolve():
+    # bench/ reaches the library as m.<module>.<name> (or
+    # modules.<module>.<name>) on a freshly imported curvelab
+    refs = {match for path in sorted(BENCH.glob("*.py"))
+            for match in re.findall(
+                r"\b(?:m|modules)\.([a-z_]+)\.([A-Za-z_]\w*)",
+                path.read_text())}
+    assert refs
+    missing = [f"{mod}.{name}" for mod, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"curvelab.{mod}"),
+                              name)]
+    assert missing == []
+
+
+def test_tracer_hooks_name_public_functions():
+    tracing = _tracing_module()
+    hooks = set(re.findall(r'"(\w+)": self\._on_\w+',
+                           inspect.getsource(tracing.Tracer.install)))
+    assert hooks == {"synthesize_curve", "fit_theorem31"}
+    spanned = [importlib.import_module(f"curvelab.{layer}")
+               for layer in tracing.SPANNED]
+    for name in hooks:
+        assert any(inspect.isfunction(getattr(mod, name, None))
+                   and getattr(mod, name).__module__ == mod.__name__
+                   for mod in spanned), name
+    # the fit hook reads the torsion angles the fit carries
+    from curvelab.rectifying import Theorem31Fit
+    assert "t_samples" in {f.name for f in dataclasses.fields(Theorem31Fit)}

@@ -182,6 +182,14 @@ def test_construct_non_sphere_input_exits_2(capsys):
     assert "NotOnHyperbolicSphere" in capsys.readouterr().err
 
 
+def test_construct_overflowing_radius_law_exits_2(capsys):
+    code, _ = run(["construct", "--curve", "hyperbolic_clelia", "--a", "1",
+                   "--t0", "800", "--construct-domain", "0.35", "1.2",
+                   "--samples", "3"])
+    assert code == 2
+    assert "NonSpacelikeVelocity" in capsys.readouterr().err
+
+
 def test_synthesize_negative_ds_exits_64():
     code, _ = run(["synthesize", "--ds", "-0.1"])
     assert code == 64
@@ -240,6 +248,21 @@ def test_synthesize_and_check_round_trip(tmp_path):
                    "--c", "0", "--samples", "21", "-o", str(rep_path)])
     assert code == 0
     assert json.loads(rep_path.read_text())["verdict"] is True
+
+
+def test_synthesis_check_without_c_takes_c_from_the_curvatures(tmp_path):
+    # the positions are about the synthesis origin, so g(alpha, T) - s
+    # says nothing of c; the curvatures and the torsion angle do
+    path = tmp_path / "syn.csv"
+    run(["synthesize", "--profile", "cosh_over_s", "--samples", "21",
+         "-o", str(path)])
+    rep_path = tmp_path / "rep.json"
+    code, _ = run(["rectify-check", "--from-synthesis", str(path),
+                   "--samples", "21", "-o", str(rep_path)])
+    rep = json.loads(rep_path.read_text())
+    assert code == 0
+    assert rep["verdict"] is True
+    assert abs(rep["thm31"]["c"]) < 1e-12        # the profile's c is 0
 
 
 def test_synthesize_drift_ratio(tmp_path):

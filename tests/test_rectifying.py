@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from curvelab import curves, frenet, jets, rectifying, verify
 from curvelab.errors import (CurveLabError, IllConditionedFit,
-                             NotOnHyperbolicSphere, OutOfDomain)
+                             NonSpacelikeVelocity, NotOnHyperbolicSphere,
+                             OutOfDomain)
 from curvelab.lorentz import Vec4, minkowski_dot
 
 A_PARAM = 1.0
@@ -49,6 +51,16 @@ def test_construction_rejects_non_sphere_input():
         rectifying.construct_rectifying(
             curves.make_spec("lorentz_helix"),
             rectifying.ConstructionParams(a=1.0))
+
+
+@pytest.mark.parametrize("t0", [800.0, -711.0])
+def test_construction_rejects_a_radius_law_that_overflows(t0):
+    # cosh(u + t0) overflows past |u + t0| ~ 710.48: a typed error, not a
+    # bare OverflowError from the jet kernel
+    with pytest.raises(NonSpacelikeVelocity, match="overflows"):
+        rectifying.construct_rectifying(
+            curves.make_spec("hyperbolic_clelia"),
+            rectifying.ConstructionParams(a=1.0, t0=t0, domain=WINDOW))
 
 
 def test_construction_rejects_zero_scale():
@@ -246,7 +258,7 @@ def test_fit_needs_enough_samples(constructed):
 def test_constant_vector_is_constant(constructed):
     ss = samples_of(constructed, 30)
     fit = rectifying.fit_theorem31(constructed, ss)
-    assert rectifying.constant_vector_drift(constructed, ss, fit) < 1e-10
+    assert rectifying.constant_vector_drift(fit) < 1e-10
 
 
 def test_report_verdict_and_warning(constructed):
@@ -263,6 +275,54 @@ def test_report_verdict_and_warning(constructed):
     assert set(d["thm31"]) == {"c", "A", "B", "eps", "rms_residual"}
     assert set(d["thm33"]) == {"distance_quadratic", "tangential_linear",
                                "normal_constancy", "binormal_components"}
+
+
+class CountingSource:
+    """A frame source that counts the reads of each sample."""
+
+    def __init__(self, base):
+        self.base = base
+        self.reads = Counter()
+
+    @property
+    def s_range(self):
+        return self.base.s_range
+
+    def frame(self, s):
+        self.reads["frame", s] += 1
+        return self.base.frame(s)
+
+    def kappa3_integral(self, s):
+        self.reads["kappa3_integral", s] += 1
+        return self.base.kappa3_integral(s)
+
+
+def test_report_reads_each_sample_once(constructed):
+    source = CountingSource(constructed)
+    ss = samples_of(constructed, 12)
+    rep = rectifying.theorem33_report(source, ss,
+                                      rectifying.ReportTolerances())
+    assert source.reads == Counter({(name, s): 1 for s in ss
+                                    for name in ("frame", "kappa3_integral")})
+    # the drift is that of the witness on the samples the fit read
+    assert rep.thm31.frames == [constructed.frame(s) for s in ss]
+    xs = [np.array(rectifying.constant_vector_X(constructed, s,
+                                                rep.thm31).components)
+          for s in ss]
+    assert rep.constant_vector_drift == max(
+        float(np.linalg.norm(x - xs[0])) for x in xs)
+
+
+def test_report_verdict_is_monotone_in_the_tolerances():
+    # every residual of this construction is below 3e-14, so loosening the
+    # tolerances must keep the verdict true
+    src = frenet.JetFrameSource(construct(2.0, 0.48))
+    ss = samples_of(src, 50)
+    for tol in (1e-6, 1e-4, 1e-3, 1e-2):
+        rep = rectifying.theorem33_report(
+            src, ss, rectifying.ReportTolerances.default(every=tol))
+        assert rep.normal_constancy["rho_nonconstant"], tol
+        assert rep.verdict, tol
 
 
 def test_report_rejects_helix(helix):
