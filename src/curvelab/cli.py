@@ -35,8 +35,6 @@ FRENET_HEADER = ("s,x0,x1,x2,x3,T0,T1,T2,T3,N0,N1,N2,N3,"
 SYNTH_HEADER = FRENET_HEADER.replace(",ode_residual_max", ",t_int")
 POSITION_HEADER = "s,x0,x1,x2,x3"
 
-ODE_RESIDUAL_H = 1e-4
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as exit code 64."""
@@ -247,9 +245,9 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
             resid = max(frenet._ode_residual(
-                frenet.frenet_apparatus(spec, amap, s - ODE_RESIDUAL_H), f,
-                frenet.frenet_apparatus(spec, amap, s + ODE_RESIDUAL_H),
-                ODE_RESIDUAL_H))
+                frenet.frenet_apparatus(spec, amap, s - frenet.ODE_H), f,
+                frenet.frenet_apparatus(spec, amap, s + frenet.ODE_H),
+                frenet.ODE_H))
         except DegenerateFrame:
             degenerate += 1
             continue
@@ -285,10 +283,7 @@ def _source_for_check(args):
         return shifted, args.from_synthesis, samples, c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
-    lo, hi = src.s_range
-    pad = 0.01 * (hi - lo)
-    samples = list(np.linspace(lo + pad, hi - pad, args.samples))
-    return src, spec.catalog_id, samples, args.c
+    return src, spec.catalog_id, list(src.grid_samples(args.samples)), args.c
 
 
 def cmd_rectify_check(args, out) -> int:

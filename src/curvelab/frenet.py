@@ -52,6 +52,7 @@ __all__ = [
 CURVATURE_FLOOR = 1e-10
 REPARAM_TOL = 1e-10
 SYNTH_TOL = 1e-6
+ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
@@ -598,11 +599,15 @@ class JetFrameSource:
         self.spec = spec
         self.map = arclength_map(spec)
         self._frames: dict[float, FrenetData] = {}
-        self._k3_anchors: list[tuple[float, float]] = [(0.0, 0.0)]
+        self._k3: dict[float, float] = {0.0: 0.0}
 
     @property
     def s_range(self) -> tuple[float, float]:
         return (0.0, self.map.total)
+
+    def grid_samples(self, count: int) -> np.ndarray:
+        pad = 0.01 * self.map.total
+        return np.linspace(pad, self.map.total - pad, count)
 
     def frame(self, s: float) -> FrenetData:
         f = self._frames.get(s)
@@ -614,16 +619,14 @@ class JetFrameSource:
     def kappa3_integral(self, s: float) -> float:
         """Adaptive-quadrature integral of kappa3 from the low arclength end.
 
-        Anchored incrementally at previously computed points so batches of
-        monotone samples stay cheap.
+        Integrated from the nearest sample already integrated, so batches
+        of monotone samples stay cheap; a repeated sample is a lookup.
         """
-        anchors = self._k3_anchors
-        i = min(range(len(anchors)), key=lambda k: abs(anchors[k][0] - s))
-        s0, t0 = anchors[i]
-        val = t0 + adaptive_simpson(lambda u: self.frame(u).kappa3, s0, s,
-                                    REPARAM_TOL)
-        anchors.append((s, val))
-        return val
+        if s not in self._k3:
+            s0 = min(self._k3, key=lambda a: abs(a - s))
+            self._k3[s] = self._k3[s0] + adaptive_simpson(
+                lambda u: self.frame(u).kappa3, s0, s, REPARAM_TOL)
+        return self._k3[s]
 
 
 class TranslatedSource:

@@ -37,8 +37,8 @@ import numpy as np
 from . import jets
 from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
                      eval_curve, register_curve)
-from .errors import (IllConditionedFit, NonSpacelikeVelocity,
-                     NotOnHyperbolicSphere, OutOfDomain)
+from .errors import (DegenerateFrame, IllConditionedFit,
+                     NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import _MSIGN, FrenetData, arclength_map
 from .jets import Jet
 from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
@@ -154,7 +154,15 @@ class Theorem31Fit:
 
 
 def _gather(source, samples: Sequence[float]):
+    """The frames and torsion angles of at least 8 samples of one eps."""
+    if len(samples) < 8:
+        raise IllConditionedFit("a Theorem 3.1 fit needs at least 8 samples")
     frames = [source.frame(float(s)) for s in samples]
+    for f, g in zip(frames, frames[1:]):
+        if f.eps != g.eps:
+            # B1 turns null in between, where kappa3 blows up
+            raise DegenerateFrame(2, f"eps changes from {f.eps} at s={f.s} "
+                                     f"to {g.eps} at s={g.s}")
     ts = np.array([source.kappa3_integral(float(s)) for s in samples])
     return frames, ts
 
@@ -168,8 +176,6 @@ def fit_theorem31(source, samples: Sequence[float],
     current origin; for a translated or synthesized curve pass the known
     ``c``, or the one ``thm31_min_rms_over_c`` finds.
     """
-    if len(samples) < 8:
-        raise IllConditionedFit("fit_theorem31 needs at least 8 samples")
     frames, ts = _gather(source, samples)
     eps = frames[0].eps
     if c is None:
@@ -245,8 +251,8 @@ def _env_tol() -> float | None:
         val = float(raw)
     except ValueError:
         raise ValueError(f"CURVELAB_TOL must be a float, got {raw!r}") from None
-    if not val > 0.0:
-        raise ValueError("CURVELAB_TOL must be positive")
+    if not 0.0 < val < math.inf:
+        raise ValueError("CURVELAB_TOL must be positive and finite")
     return val
 
 
@@ -320,8 +326,6 @@ def theorem33_report(source, samples: Sequence[float],
                      c: float | None = None) -> RectifyingReport:
     """Run the full per-statement battery and aggregate a verdict."""
     tol = tolerances if tolerances is not None else ReportTolerances.default()
-    if len(samples) < 8:
-        raise IllConditionedFit("theorem33_report needs at least 8 samples")
     fit = fit_theorem31(source, samples, c=c)
     frames = fit.frames
     ss = np.array([f.s for f in frames])

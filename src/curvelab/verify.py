@@ -17,7 +17,6 @@ from . import curves, frenet, jets, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
 from .lorentz import minkowski_dot
 
-ODE_H = 1e-4
 ODE_TOL = 1e-7
 GRAM_TOL = 1e-8
 CONSTRUCT_TOL = 1e-8
@@ -92,11 +91,6 @@ class Workspace:
                                            frame_rhs=frame_rhs)
         return self._get(("synth", frame_rhs), build)
 
-    def samples(self, source, count: int) -> np.ndarray:
-        lo, hi = source.s_range
-        pad = 0.01 * (hi - lo)
-        return np.linspace(lo + pad, hi - pad, count)
-
 
 def criterion_1(ws: Workspace) -> CriterionResult:
     """Gram conditions and the eps sign on the non-degenerate catalog."""
@@ -104,7 +98,7 @@ def criterion_1(ws: Workspace) -> CriterionResult:
     eps_ok = True
     for cid in NONDEGENERATE_IDS:
         src = ws.source(cid)
-        for s in ws.samples(src, 100):
+        for s in src.grid_samples(100):
             f = src.frame(float(s))
             worst = max(worst, frenet.gram_errors(*f.frame_arrays(), f.eps))
             g_b1 = minkowski_dot(f.B1, f.B1)
@@ -116,7 +110,7 @@ def criterion_1(ws: Workspace) -> CriterionResult:
 
 
 def _ode_numbers(spec, amap, s):
-    r0 = max(frenet.frenet_ode_residual(spec, amap, s, ODE_H))
+    r0 = max(frenet.frenet_ode_residual(spec, amap, s, frenet.ODE_H))
     ratios = []
     prev = None
     for h in (2e-2, 1e-2, 5e-3):
@@ -138,7 +132,7 @@ def criterion_2(ws: Workspace) -> CriterionResult:
         r0, ratios = _ode_numbers(src.spec, src.map, s)
         order2 = all(3.0 < r < 5.0 for r in ratios)
         ok = ok and r0 < ODE_TOL and order2
-        details.append(f"{label}: residual {r0:.2e} at h={ODE_H:.0e}, "
+        details.append(f"{label}: residual {r0:.2e} at h={frenet.ODE_H:.0e}, "
                        f"halving ratios {[f'{r:.2f}' for r in ratios]}")
     return CriterionResult(2, "Frenet ODE suite", ok, "; ".join(details))
 
@@ -146,8 +140,8 @@ def criterion_2(ws: Workspace) -> CriterionResult:
 def criterion_3(ws: Workspace) -> CriterionResult:
     """Spherical construction yields g(alpha, N) = 0."""
     src = ws.constructed(1.0)
-    worst = max(rectifying.rectifying_residual(src, float(s))
-                for s in ws.samples(src, 50))
+    worst = max(abs(rectifying.rectifying_residual(src, float(s)))
+                for s in src.grid_samples(50))
     return CriterionResult(3, "spherical construction", worst < CONSTRUCT_TOL,
                            f"max |g(alpha,N)| {worst:.3e} "
                            f"(< {CONSTRUCT_TOL:.0e}) at 50 samples")
@@ -157,7 +151,7 @@ def criterion_4(ws: Workspace) -> CriterionResult:
     """Component battery on the constructed curve."""
     src = ws.constructed(1.0)
     tol = REPORT_TOL
-    rep = rectifying.theorem33_report(src, list(ws.samples(src, 50)), tol,
+    rep = rectifying.theorem33_report(src, list(src.grid_samples(50)), tol,
                                       curve_name=src.spec.catalog_id)
     lead = rep.distance_quadratic["lead"]
     slope = rep.tangential_linear["slope"]
@@ -178,14 +172,15 @@ def criterion_4(ws: Workspace) -> CriterionResult:
 def criterion_5(ws: Workspace) -> CriterionResult:
     """Curvature-ratio law in both directions."""
     src = ws.constructed(1.0)
-    fwd = rectifying.fit_theorem31(src, list(ws.samples(src, 50)))
+    fwd = rectifying.fit_theorem31(src, list(src.grid_samples(50)))
     synth = ws.synthesized()
     samples = list(synth.grid_samples(41))
     fit = rectifying.fit_theorem31(synth, samples, c=0.0)
     x0 = rectifying.constant_vector_X(synth, samples[0], fit)
     drift = rectifying.constant_vector_drift(fit)
     shifted = frenet.TranslatedSource(synth, -x0)
-    resid = max(rectifying.rectifying_residual(shifted, s) for s in samples)
+    resid = max(abs(rectifying.rectifying_residual(shifted, s))
+                for s in samples)
     ok = (fwd.rms_residual < REPORT_TOL.thm31_rms and drift < REPORT_TOL.drift
           and resid < 1e-6)
     return CriterionResult(
@@ -198,7 +193,7 @@ def criterion_5(ws: Workspace) -> CriterionResult:
 def criterion_6(ws: Workspace) -> CriterionResult:
     """Non-rectifying witness: no c and no origin fit the flat helix."""
     src = ws.source("lorentz_helix")
-    samples = list(ws.samples(src, 60))
+    samples = list(src.grid_samples(60))
     frames = [src.frame(float(s)) for s in samples]
     kappas = np.array([(f.kappa1, f.kappa2, f.kappa3) for f in frames])
     k_dev = float(np.max(np.abs(kappas - kappas[0])))
@@ -278,8 +273,8 @@ def criterion_9(ws: Workspace) -> CriterionResult:
     src = ws.source("lorentz_helix")
     lo, hi = src.s_range
     s = 0.5 * (lo + hi)
-    mutated = max(frenet.frenet_ode_residual(src.spec, src.map, s, ODE_H,
-                                             frame_rhs=flipped_b1_rhs))
+    mutated = max(frenet.frenet_ode_residual(
+        src.spec, src.map, s, frenet.ODE_H, frame_rhs=flipped_b1_rhs))
     suite2_fails = mutated > ODE_TOL
     try:
         synth = ws.synthesized(flipped_b1_rhs)

@@ -6,9 +6,13 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import pkgutil
 import re
+import sys
+from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,3 +80,39 @@ def test_tracer_hooks_name_public_functions():
     # the fit hook reads the torsion angles the fit carries
     from curvelab.rectifying import Theorem31Fit
     assert "t_samples" in {f.name for f in dataclasses.fields(Theorem31Fit)}
+
+
+def _workloads_module():
+    # registered before it runs: its dataclasses look their module up there
+    path = BENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_flows_match_the_cli(tmp_path):
+    # bench/workloads.py restates the cmd_* bodies; run its steps on the
+    # modules already imported and compare with cli.main byte for byte
+    wl = _workloads_module()
+    m = SimpleNamespace(**{name: importlib.import_module(f"curvelab.{name}")
+                           for name in wl.MODULES})
+    csv = str(tmp_path / "synth.csv")
+    steps = [
+        (["rectify-check", "--curve", "lorentz_helix", "--param", "p=0.9",
+          "--samples", "8"], wl.prepare_rectify, wl.work_rectify),
+        (["synthesize", "--profile", "cosh_over_s", "--ds", "2e-3",
+          "--samples", "21", "-o", csv],
+         wl.prepare_synthesize, wl.work_synthesize),
+        (["rectify-check", "--from-synthesis", csv, "--c", "0",
+          "--samples", "21"], wl._parse, wl.work_rectify_synthesis),
+    ]
+    for argv, prepare, work in steps:
+        driven, _ = work(m, prepare(m, argv), nullcontext)
+        driven_file = Path(csv).read_bytes() if "-o" in argv else None
+        out = io.StringIO()
+        code = m.cli.main(argv, out=out)
+        cli_file = Path(csv).read_bytes() if "-o" in argv else None
+        assert (driven.code, driven.stdout, driven_file) == (
+            code, out.getvalue(), cli_file), argv

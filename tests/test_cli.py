@@ -406,14 +406,26 @@ _RECTIFY_HELIX = ["rectify-check", "--curve", "lorentz_helix",
 @pytest.mark.parametrize("raw, argv", [
     ("abc", _RECTIFY_HELIX),
     ("nan", _RECTIFY_HELIX),
+    ("inf", _RECTIFY_HELIX),
+    ("1e999", _RECTIFY_HELIX),
     ("abc", ["verify", "rectifying"]),
     ("nan", ["verify", "rectifying"]),
-], ids=["abc", "nan", "abc-verify", "nan-verify"])
+    ("inf", ["verify", "rectifying"]),
+    ("1e999", ["verify", "rectifying"]),
+], ids=["abc", "nan", "inf", "1e999", "abc-verify", "nan-verify",
+        "inf-verify", "1e999-verify"])
 def test_malformed_env_tol_exits_64(monkeypatch, capsys, raw, argv):
     monkeypatch.setenv("CURVELAB_TOL", raw)
     code, _ = run(argv)
     assert code == 64
     assert "CURVELAB_TOL" in capsys.readouterr().err
+
+
+def test_eps_change_among_the_samples_exits_2(capsys):
+    code, _ = run(["rectify-check", "--curve", "hyperbolic_clelia",
+                   "--samples", "20"])
+    assert code == 2
+    assert "DegenerateFrame: eps changes from 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])

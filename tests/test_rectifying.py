@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from curvelab import curves, frenet, jets, rectifying, verify
-from curvelab.errors import (CurveLabError, IllConditionedFit,
-                             NonSpacelikeVelocity, NotOnHyperbolicSphere,
-                             OutOfDomain)
+from curvelab.errors import (CurveLabError, DegenerateFrame,
+                             IllConditionedFit, NonSpacelikeVelocity,
+                             NotOnHyperbolicSphere, OutOfDomain)
 from curvelab.lorentz import Vec4, minkowski_dot
 
 A_PARAM = 1.0
@@ -41,7 +41,7 @@ def samples_of(source, count):
 # -- construction -------------------------------------------------------------
 
 def test_constructed_curve_is_rectifying(constructed):
-    worst = max(rectifying.rectifying_residual(constructed, s)
+    worst = max(abs(rectifying.rectifying_residual(constructed, s))
                 for s in samples_of(constructed, 50))
     assert worst < 1e-12
 
@@ -311,6 +311,30 @@ def test_report_reads_each_sample_once(constructed):
           for s in ss]
     assert rep.constant_vector_drift == max(
         float(np.linalg.norm(x - xs[0])) for x in xs)
+
+
+def test_torsion_memo_holds_one_angle_per_sample(constructed):
+    src = frenet.JetFrameSource(constructed.spec)
+    ss = samples_of(src, 12)
+    first, second = (rectifying.theorem33_report(
+        src, ss, rectifying.ReportTolerances()) for _ in range(2))
+    assert list(second.thm31.t_samples) == list(first.thm31.t_samples)
+    assert second.to_json_dict() == first.to_json_dict()
+    assert src._k3.keys() == {0.0, *ss}
+
+
+def test_eps_change_among_the_samples_stops_before_the_torsion_angle():
+    # on the clelia eps flips between the 2nd and 3rd of 20 samples, where
+    # B1 turns null and kappa3 spikes
+    source = CountingSource(
+        frenet.JetFrameSource(curves.make_spec("hyperbolic_clelia")))
+    ss = list(source.base.grid_samples(20))
+    with pytest.raises(DegenerateFrame) as exc:
+        rectifying.theorem33_report(source, ss)
+    assert exc.value.level == 2
+    assert str(exc.value) == (f"eps changes from 1 at s={ss[1]} "
+                              f"to -1 at s={ss[2]}")
+    assert not [key for key in source.reads if key[0] == "kappa3_integral"]
 
 
 def test_report_verdict_is_monotone_in_the_tolerances():
