@@ -274,13 +274,13 @@ def _source_for_check(args):
         # the fitted constant vector before running the position battery.
         # Its positions are taken about the synthesis origin, so an unknown
         # c comes from the curvatures and the torsion angle alone.
-        c = args.c
-        if c is None:
-            c, _ = rectifying.thm31_min_rms_over_c(src, samples)
-        fit = rectifying.fit_theorem31(src, samples, c=c)
+        if args.c is None:
+            fit = rectifying._fit_min_rms_c(src, samples)
+        else:
+            fit = rectifying.fit_theorem31(src, samples, c=args.c)
         shift = rectifying.constant_vector_X(src, samples[0], fit)
         shifted = frenet.TranslatedSource(src, -shift)
-        return shifted, args.from_synthesis, samples, c
+        return shifted, args.from_synthesis, samples, fit.c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
     return src, spec.catalog_id, list(src.grid_samples(args.samples)), args.c

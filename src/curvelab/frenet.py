@@ -7,17 +7,19 @@ curvature derivatives at a point, with no finite differencing anywhere.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
-re-orthonormalizing, so sign errors in the system cannot be masked.  The
-monitor sums each Gram entry left to right in plain floats, as numpy's
-reduction of a 4-element array does, so it matches the ``np.sum`` form bit
-for bit; a non-finite deviation aborts the synthesis.
+re-orthonormalizing, so sign errors in the system cannot be masked.  It runs
+in plain Python floats, a state of 20 of them, with every operation in the
+order numpy's elementwise form of the same loop takes, so the trajectory
+matches that form bit for bit.  The monitor sums each Gram entry left to
+right, as numpy's reduction of a 4-element array does, so it matches the
+``np.sum`` form bit for bit; a non-finite deviation aborts the synthesis.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -320,14 +322,32 @@ def _frame_from_position_jets(aj, s: float) -> FrenetData:
     )
 
 
-def frenet_rhs(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
-               k1: float, k2: float, k3: float, eps: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand side of the moving-frame system."""
-    return (k1 * N,
-            -k1 * T + k2 * B1,
-            -eps * k2 * N + k3 * B2,
-            k3 * B1)
+_Seq4 = Sequence[float]
+_Row4 = tuple[float, float, float, float]
+
+
+def frenet_rhs(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, k1: float,
+               k2: float, k3: float, eps: int
+               ) -> tuple[_Row4, _Row4, _Row4, _Row4]:
+    """Right-hand side of the moving-frame system.
+
+    Takes the frame as four 4-sequences of floats and returns the four
+    derivatives as 4-tuples, each component computed as numpy computes
+    ``k1 * N``, ``-k1 * T + k2 * B1``, ``-eps * k2 * N + k3 * B2`` and
+    ``k3 * B1``.
+    """
+    t0, t1, t2, t3 = T
+    n0, n1, n2, n3 = N
+    p0, p1, p2, p3 = B1
+    q0, q1, q2, q3 = B2
+    m1 = -k1
+    e2 = (-eps) * k2
+    return ((k1 * n0, k1 * n1, k1 * n2, k1 * n3),
+            (m1 * t0 + k2 * p0, m1 * t1 + k2 * p1, m1 * t2 + k2 * p2,
+             m1 * t3 + k2 * p3),
+            (e2 * n0 + k3 * q0, e2 * n1 + k3 * q1, e2 * n2 + k3 * q2,
+             e2 * n3 + k3 * q3),
+            (k3 * p0, k3 * p1, k3 * p2, k3 * p3))
 
 
 def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, s: float, h: float,
@@ -346,8 +366,8 @@ def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
                   frame_rhs: Callable = frenet_rhs
                   ) -> tuple[float, float, float, float]:
     """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
-    rhs = frame_rhs(*f0.frame_arrays(), f0.kappa1, f0.kappa2, f0.kappa3,
-                    f0.eps)
+    rhs = frame_rhs(f0.T.components, f0.N.components, f0.B1.components,
+                    f0.B2.components, f0.kappa1, f0.kappa2, f0.kappa3, f0.eps)
     lo = fm.frame_arrays()
     hi = fp.frame_arrays()
     out = []
@@ -357,9 +377,11 @@ def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
     return tuple(out)
 
 
-def gram_errors(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
-                eps: int) -> float:
+def gram_errors(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, eps: int
+                ) -> float:
     """Max deviation of the ten Gram conditions from their target values.
+
+    The frame vectors are 4-sequences of floats, numpy arrays included.
 
     Each entry g(a, b) is summed left to right in plain floats,
     ``(((-a0)*b0 + a1*b1) + a2*b2) + a3*b3``, the order numpy's reduction
@@ -368,10 +390,10 @@ def gram_errors(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
     makes the result non-finite (``max`` alone would drop a NaN), which
     aborts ``synthesize_curve``.
     """
-    t0, t1, t2, t3 = T.tolist()
-    n0, n1, n2, n3 = N.tolist()
-    p0, p1, p2, p3 = B1.tolist()
-    q0, q1, q2, q3 = B2.tolist()
+    t0, t1, t2, t3 = map(float, T)
+    n0, n1, n2, n3 = map(float, N)
+    p0, p1, p2, p3 = map(float, B1)
+    q0, q1, q2, q3 = map(float, B2)
     e = float(eps)
     devs = (
         abs((((-t0) * t0 + t1 * t1) + t2 * t2) + t3 * t3 - 1.0),
@@ -393,15 +415,22 @@ def gram_errors(T: np.ndarray, N: np.ndarray, B1: np.ndarray, B2: np.ndarray,
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Closed-form curvature functions of arclength, jet evaluable."""
+    """Closed-form curvature functions of arclength, jet evaluable.
+
+    ``closed_form``, when given, returns the three curvatures at a float s
+    bit for bit equal to the jet functions' values, with no jet built.
+    """
 
     kappa1: Callable[[Jet], Jet]
     kappa2: Callable[[Jet], Jet]
     kappa3: Callable[[Jet], Jet]
     eps: int
     s_range: tuple[float, float]
+    closed_form: Callable[[float], tuple[float, float, float]] | None = None
 
     def values(self, s: float) -> tuple[float, float, float]:
+        if self.closed_form is not None:
+            return self.closed_form(s)
         sj = jets.variable(s)
         return (self.kappa1(sj).value, self.kappa2(sj).value,
                 self.kappa3(sj).value)
@@ -411,11 +440,12 @@ def constant_profile(k1: float, k2: float, k3: float, eps: int,
                      s_range: tuple[float, float]) -> CurvatureProfile:
     if not all(0.0 < k < math.inf for k in (k1, k2, k3)):
         raise ValueError("curvatures must be positive and finite")
+    ks = (float(k1), float(k2), float(k3))
     return CurvatureProfile(
         kappa1=lambda sj: jets.constant(k1),
         kappa2=lambda sj: jets.constant(k2),
         kappa3=lambda sj: jets.constant(k3),
-        eps=eps, s_range=tuple(s_range))
+        eps=eps, s_range=tuple(s_range), closed_form=lambda s: ks)
 
 
 def rectifying_profile(s_range: tuple[float, float] = (0.5, 2.5),
@@ -431,7 +461,8 @@ def rectifying_profile(s_range: tuple[float, float] = (0.5, 2.5),
         kappa1=lambda sj: jets.cosh(sj) / sj,
         kappa2=lambda sj: jets.constant(1.0),
         kappa3=lambda sj: jets.constant(1.0),
-        eps=eps, s_range=tuple(s_range))
+        eps=eps, s_range=tuple(s_range),
+        closed_form=lambda s: (math.cosh(s) / s, 1.0, 1.0))
 
 
 def profile_from_name(name: str, params: dict, eps: int,
@@ -511,7 +542,7 @@ class SynthesizedCurve:
         return Vec4(*self.pos[self._index(s)])
 
     def kappa3_integral(self, s: float) -> float:
-        k3 = lambda u: self.profile.kappa3(jets.variable(u)).value
+        k3 = lambda u: self.profile.values(u)[2]
         return adaptive_simpson(k3, float(self.s[0]), s, REPARAM_TOL)
 
 
@@ -530,64 +561,67 @@ def synthesize_curve(profile: CurvatureProfile,
     if ds <= 0.0:
         raise ValueError("ds must be positive")
     frame = init_frame or standard_init_frame(profile.eps)
-    if not gram_errors(*frame.frame_arrays(), profile.eps) <= 1e-12:
+    eps = profile.eps
+    y = [0.0] * 4 + [float(x) for v in (frame.T, frame.N, frame.B1, frame.B2)
+                     for x in v.components]
+    if not gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps) <= 1e-12:
         raise ValueError("init_frame violates the Gram conditions")
 
     s_lo, s_hi = profile.s_range
-    state = np.concatenate([np.zeros(4), *frame.frame_arrays()])
-    if s_hi <= s_lo:
-        return _pack_synthesis(profile, [s_lo], [state], 0.0)
-
-    n = max(1, int(round((s_hi - s_lo) / ds)))
+    n = max(1, int(round((s_hi - s_lo) / ds))) if s_hi > s_lo else 0
+    ss = np.empty(n + 1)
+    rows = np.empty((n + 1, 20))
+    ss[0], rows[0] = s_lo, y
+    if n == 0:
+        return _pack_synthesis(profile, ss, rows, 0.0)
     ds = (s_hi - s_lo) / n
+    half, sixth = 0.5 * ds, ds / 6.0
     kvals = profile.values
 
     def rhs(kv, y):
-        T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
-        dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, *kv, profile.eps)
-        return np.concatenate([T, dT, dN, dB1, dB2])
+        T = y[4:8]
+        dT, dN, dB1, dB2 = frame_rhs(T, y[8:12], y[12:16], y[16:20], *kv, eps)
+        return (*T, *dT, *dN, *dB1, *dB2)
 
-    ss = [s_lo]
-    states = [state]
     drift = 0.0
     s = s_lo
     # s + ds here and the next step's s come from the same addition, so the
     # curvatures at the end of one step are those at the start of the next
     k_lo = kvals(s)
-    # an overflowing state goes non-finite quietly; the drift check aborts
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            k_mid = kvals(s + 0.5 * ds)
-            k_hi = kvals(s + ds)
-            k1 = rhs(k_lo, state)
-            k2 = rhs(k_mid, state + 0.5 * ds * k1)
-            k3 = rhs(k_mid, state + 0.5 * ds * k2)
-            k4 = rhs(k_hi, state + ds * k3)
-            state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += ds
-            k_lo = k_hi
-            ss.append(s)
-            states.append(state)
-            g = gram_errors(state[4:8], state[8:12], state[12:16],
-                            state[16:20], profile.eps)
-            if not g <= drift:           # max() that keeps a NaN
-                drift = g
-            if not drift <= synth_tol:
-                while not np.isfinite(states[-1]).all():
-                    del ss[-1], states[-1]
-                partial = _pack_synthesis(profile, ss, states, drift)
-                raise FrameDriftExceeded(
-                    f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
-                    partial=partial)
-    return _pack_synthesis(profile, ss, states, drift)
+    # Each component is computed as numpy computes ``y + 0.5 * ds * a`` and
+    # ``y + (ds / 6.0) * (a + 2.0 * b + 2.0 * c + d)`` on arrays.  An
+    # overflowing float goes non-finite quietly; the drift check aborts.
+    for i in range(1, n + 1):
+        k_mid = kvals(s + half)
+        k_hi = kvals(s + ds)
+        a = rhs(k_lo, y)
+        b = rhs(k_mid, [u + half * v for u, v in zip(y, a)])
+        c = rhs(k_mid, [u + half * v for u, v in zip(y, b)])
+        d = rhs(k_hi, [u + ds * v for u, v in zip(y, c)])
+        y = [u + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
+             for u, p, q, r, w in zip(y, a, b, c, d)]
+        s += ds
+        k_lo = k_hi
+        ss[i], rows[i] = s, y
+        g = gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps)
+        if not g <= drift:           # max() that keeps a NaN
+            drift = g
+        if not drift <= synth_tol:
+            while not np.isfinite(rows[i]).all():
+                i -= 1
+            partial = _pack_synthesis(profile, ss[:i + 1], rows[:i + 1],
+                                      drift)
+            raise FrameDriftExceeded(
+                f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
+                partial=partial)
+    return _pack_synthesis(profile, ss, rows, drift)
 
 
-def _pack_synthesis(profile, ss, states, drift) -> SynthesizedCurve:
-    arr = np.asarray(states)
+def _pack_synthesis(profile, ss, rows, drift) -> SynthesizedCurve:
     return SynthesizedCurve(
-        profile=profile, s=np.asarray(ss, dtype=float),
-        pos=arr[:, 0:4], T=arr[:, 4:8], N=arr[:, 8:12],
-        B1=arr[:, 12:16], B2=arr[:, 16:20], max_drift=drift)
+        profile=profile, s=ss, pos=rows[:, 0:4], T=rows[:, 4:8],
+        N=rows[:, 8:12], B1=rows[:, 12:16], B2=rows[:, 16:20],
+        max_drift=drift)
 
 
 # -- frame sources ------------------------------------------------------------

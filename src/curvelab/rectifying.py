@@ -176,7 +176,12 @@ def fit_theorem31(source, samples: Sequence[float],
     current origin; for a translated or synthesized curve pass the known
     ``c``, or the one ``thm31_min_rms_over_c`` finds.
     """
-    frames, ts = _gather(source, samples)
+    return _fit_gathered(*_gather(source, samples), c)
+
+
+def _fit_gathered(frames: list[FrenetData], ts: np.ndarray,
+                  c: float | None) -> Theorem31Fit:
+    """``fit_theorem31`` on frames and torsion angles already gathered."""
     eps = frames[0].eps
     if c is None:
         c = float(np.mean([minkowski_dot(f.position, f.T) - f.s
@@ -201,12 +206,24 @@ def thm31_min_rms_over_c(source, samples: Sequence[float]
     The rms is the minimum over every real c even where the coefficients
     are ill-determined.
     """
-    frames, ts = _gather(source, samples)
+    return _min_rms_c_gathered(*_gather(source, samples))
+
+
+def _min_rms_c_gathered(frames: list[FrenetData], ts: np.ndarray
+                        ) -> tuple[float, float]:
     ss = np.array([f.s for f in frames])
     ratio = np.array([f.eps * f.kappa1 / f.kappa2 for f in frames])
     design = np.column_stack([np.cosh(ts), np.sinh(ts), -ratio])
     coef, rms = _lstsq(design, ratio * ss)
     return float(coef[2]), rms
+
+
+def _fit_min_rms_c(source, samples: Sequence[float]) -> Theorem31Fit:
+    """``fit_theorem31`` at the c ``thm31_min_rms_over_c`` finds, from one
+    gather of the samples."""
+    frames, ts = _gather(source, samples)
+    c, _ = _min_rms_c_gathered(frames, ts)
+    return _fit_gathered(frames, ts, c)
 
 
 def _witness(f: FrenetData, t: float, fit: Theorem31Fit) -> Vec4:

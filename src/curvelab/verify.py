@@ -260,12 +260,10 @@ def criterion_8(ws: Workspace) -> CriterionResult:
 def flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
     """``frenet.frenet_rhs`` with the sign of the (B1)' coupling to N flipped.
 
-    The mutant that criterion 9 feeds to suites 2 and 5.
+    The mutant that criterion 9 feeds to suites 2 and 5.  eps enters the
+    system only through that coupling, so negating it flips just that sign.
     """
-    return (k1 * N,
-            -k1 * T + k2 * B1,
-            eps * k2 * N + k3 * B2,
-            k3 * B1)
+    return frenet.frenet_rhs(T, N, B1, B2, k1, k2, k3, -eps)
 
 
 def criterion_9(ws: Workspace) -> CriterionResult:

@@ -265,6 +265,25 @@ def test_synthesis_check_without_c_takes_c_from_the_curvatures(tmp_path):
     assert abs(rep["thm31"]["c"]) < 1e-12        # the profile's c is 0
 
 
+@pytest.mark.parametrize("c_flag, reads", [([], 803), (["--c", "0"], 803)],
+                         ids=["free_c", "given_c"])
+def test_synthesis_check_reads_each_row_twice(tmp_path, monkeypatch,
+                                              c_flag, reads):
+    # the c solve and the shift fit share one gather; the battery on the
+    # shifted table is the second, and the shift's own frame one more
+    path = tmp_path / "syn.csv"
+    run(["synthesize", "--profile", "cosh_over_s", "--samples", "401",
+         "-o", str(path)])
+    calls = []
+    frame = cli.CsvFrameSource.frame
+    monkeypatch.setattr(cli.CsvFrameSource, "frame",
+                        lambda self, s: calls.append(s) or frame(self, s))
+    code, _ = run(["rectify-check", "--from-synthesis", str(path),
+                   *c_flag, "--samples", "401"])
+    assert code == 0
+    assert len(calls) == reads
+
+
 def test_synthesize_drift_ratio(tmp_path):
     def drift(ds):
         _, text = run(["synthesize", "--profile", "constant",

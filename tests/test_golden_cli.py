@@ -38,6 +38,8 @@ CASES = {
                     "--samples", "21", "-o", SYNTH_CSV], 0),
     "synthesis_rectify_check": (["rectify-check", "--from-synthesis",
                                  SYNTH_CSV, "--c", "0", "--samples", "21"], 0),
+    "synthesis_rectify_check_free_c": (["rectify-check", "--from-synthesis",
+                                        SYNTH_CSV, "--samples", "21"], 0),
     "verify_frenet": (["verify", "frenet"], 0),
     "verify_lorentz": (["verify", "lorentz"], 0),
     "verify_rectifying": (["verify", "rectifying"], 0),

@@ -15,9 +15,9 @@ _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 # -- reference implementations ------------------------------------------------
-# A numpy Gram monitor and an RK4 loop that evaluates the profile four times
-# per step; gram_errors and synthesize_curve must match them bit for bit on
-# finite input.
+# A numpy Gram monitor, frame system and RK4 loop that evaluates the
+# profile's jet functions four times per step; gram_errors, frenet_rhs and
+# synthesize_curve must match them bit for bit on finite input.
 
 def reference_gram_errors(T, N, B1, B2, eps):
     vecs = (T, N, B1, B2)
@@ -30,8 +30,22 @@ def reference_gram_errors(T, N, B1, B2, eps):
     return worst
 
 
+def reference_frenet_rhs(T, N, B1, B2, k1, k2, k3, eps):
+    return (k1 * N,
+            -k1 * T + k2 * B1,
+            -eps * k2 * N + k3 * B2,
+            k3 * B1)
+
+
+def jet_values(profile, s):
+    """The curvatures at s read from the jet functions, not ``values``."""
+    sj = jets.variable(s)
+    return (profile.kappa1(sj).value, profile.kappa2(sj).value,
+            profile.kappa3(sj).value)
+
+
 def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
-                        frame_rhs=frenet.frenet_rhs):
+                        frame_rhs=reference_frenet_rhs):
     """(s list, state list, max drift, aborted) from the standard frame."""
     frame = frenet.standard_init_frame(profile.eps)
     s_lo, s_hi = profile.s_range
@@ -41,7 +55,7 @@ def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
 
     def rhs(s, y):
         T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
-        k1, k2, k3 = profile.values(s)
+        k1, k2, k3 = jet_values(profile, s)
         dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, k1, k2, k3, profile.eps)
         return np.concatenate([T, dT, dN, dB1, dB2])
 
@@ -250,29 +264,80 @@ def test_each_gram_entry_matches_numpy_reference(i, j, v, x, n, y, m, eps):
     assert repr(float(got)) == repr(float(want))
 
 
+# kappa1 = s*cosh(s)/(1 + s) with no closed form: values() takes the jets
+JET_ONLY = frenet.CurvatureProfile(
+    kappa1=lambda sj: sj * jets.cosh(sj) / (1.0 + sj),
+    kappa2=lambda sj: jets.sqrt(sj),
+    kappa3=lambda sj: jets.constant(0.75),
+    eps=-1, s_range=(0.5, 1.5))
+
+
 @pytest.mark.parametrize("profile, ds", [
     (frenet.rectifying_profile(eps=1), 2e-3),
     (frenet.rectifying_profile(eps=-1), 2e-3),
     (frenet.constant_profile(2.0, 0.5, 1.5, -1, (0.5, 2.5)), 1e-2),
-], ids=["cosh_over_s_eps+1", "cosh_over_s_eps-1", "constant_eps-1"])
+    (JET_ONLY, 2e-3),
+], ids=["cosh_over_s_eps+1", "cosh_over_s_eps-1", "constant_eps-1",
+        "jet_only_eps-1"])
 def test_synthesis_matches_reference_loop(profile, ds):
     ref = reference_synthesis(profile, ds)
     assert not ref[3]
     assert_same_trajectory(frenet.synthesize_curve(profile, ds=ds), ref)
 
 
-@pytest.mark.parametrize("ds, synth_tol, frame_rhs", [
-    (1e-3, frenet.SYNTH_TOL, verify.flipped_b1_rhs),
-    (0.05, 1e-9, frenet.frenet_rhs),
+def reference_flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
+    return reference_frenet_rhs(T, N, B1, B2, k1, k2, k3, -eps)
+
+
+@pytest.mark.parametrize("ds, synth_tol, frame_rhs, ref_rhs", [
+    (1e-3, frenet.SYNTH_TOL, verify.flipped_b1_rhs, reference_flipped_b1_rhs),
+    (0.05, 1e-9, frenet.frenet_rhs, reference_frenet_rhs),
 ], ids=["flipped_b1_rhs", "coarse_step"])
-def test_drift_abort_matches_reference_loop(ds, synth_tol, frame_rhs):
+def test_drift_abort_matches_reference_loop(ds, synth_tol, frame_rhs,
+                                            ref_rhs):
     profile = frenet.rectifying_profile()
-    ref = reference_synthesis(profile, ds, synth_tol, frame_rhs)
+    ref = reference_synthesis(profile, ds, synth_tol, ref_rhs)
     assert ref[3]
     with pytest.raises(FrameDriftExceeded) as exc:
         frenet.synthesize_curve(profile, ds=ds, synth_tol=synth_tol,
                                 frame_rhs=frame_rhs)
     assert_same_trajectory(exc.value.partial, ref)
+
+
+# -- float curvature values ---------------------------------------------------
+
+BUILT_IN = {
+    "cosh_over_s_eps+1": frenet.rectifying_profile(eps=1),
+    "cosh_over_s_eps-1": frenet.rectifying_profile(eps=-1),
+    # a JSON config passes integer parameters through unchanged
+    "constant_int_params": frenet.profile_from_name(
+        "constant", {"k1": 2, "k2": 1, "k3": 3}, -1, (0.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+@given(data=st.data())
+def test_closed_form_values_match_the_jets(name, data):
+    profile = BUILT_IN[name]
+    lo, hi = profile.s_range
+    s = data.draw(st.floats(min_value=lo, max_value=hi))
+    got = profile.values(s)
+    want = jet_values(profile, s)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_built_in_synthesis_builds_no_jet(name, monkeypatch):
+    built = []
+    post_init = jets.Jet.__post_init__
+    monkeypatch.setattr(jets.Jet, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    jets.variable(0.5)
+    assert built == [1]          # the counter sees a jet being built
+    built.clear()
+    frenet.synthesize_curve(BUILT_IN[name], ds=1e-2)
+    assert built == []
 
 
 # -- non-finite input ---------------------------------------------------------
