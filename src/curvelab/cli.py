@@ -237,10 +237,9 @@ def cmd_classify(args, out) -> int:
 def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
                 count: int) -> tuple[list[str], int]:
     """Per-sample CSV data rows; degenerate samples are counted, not emitted."""
-    total = amap.total
     rows = []
     degenerate = 0
-    for s in np.linspace(0.01 * total, 0.99 * total, count):
+    for s in amap.grid_samples(count):
         s = float(s)
         try:
             f = frenet.frenet_apparatus(spec, amap, s)

@@ -81,9 +81,10 @@ class CurveJet:
         return Vec4(*(j.derivative(k) for j in self.jets))
 
 
-# (s_between(lo, t), t_from(lo, s)), the exact arclength of a catalog entry
-ArclengthPair = tuple[Callable[[float, float], float],
-                      Callable[[float, float], float]]
+# (s_between(params, lo, t), t_from(params, lo, s)), the exact arclength of
+# a catalog entry
+ArclengthPair = tuple[Callable[[Mapping[str, float], float, float], float],
+                      Callable[[Mapping[str, float], float, float], float]]
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,12 @@ class CatalogEntry:
     """How to build a curve's coordinate jets, with its defaults.
 
     ``arclength``, when given, is the exact arclength as a pair of
-    functions ``(s_between, t_from)``: ``s_between(lo, t)`` is the
-    arclength from ``lo`` to ``t`` and ``t_from(lo, s)`` its inverse in
-    ``t``.  They take the domain's low end because an entry does not depend
-    on the domain.  ``frenet.arclength_map`` uses the pair in place of
-    quadrature and Newton inversion; ``None`` selects those.
+    functions ``(s_between, t_from)``: ``s_between(params, lo, t)`` is the
+    arclength from ``lo`` to ``t`` and ``t_from(params, lo, s)`` its
+    inverse in ``t``.  They take the curve's parameters, as ``build`` does,
+    and the domain's low end, because an entry does not depend on the
+    domain.  ``frenet.arclength_map`` uses the pair in place of quadrature
+    and Newton inversion; ``None`` selects those.
     """
 
     build: Callable[[Jet, Mapping[str, float]], tuple[Jet, Jet, Jet, Jet]]
@@ -152,6 +154,36 @@ def _lorentz_helix(tj: Jet, p) -> tuple[Jet, ...]:
     return (p["A"] * sh, p["A"] * ch, p["B"] * cn, p["B"] * sn)
 
 
+def _lorentz_helix_speed(p) -> float:
+    """The helix's constant speed sqrt((Bq)^2 - (Ap)^2).
+
+    The difference of squares is taken as (|Bq| - |Ap|)(|Bq| + |Ap|), which
+    does not cancel.  Raises NonSpacelikeVelocity unless it is positive and
+    finite: a timelike or null helix, or one whose speed floating point
+    cannot hold.
+    """
+    bq, ap = abs(p["B"] * p["q"]), abs(p["A"] * p["p"])
+    g = (bq - ap) * (bq + ap)
+    if not 0.0 < g < math.inf:
+        raise NonSpacelikeVelocity(
+            f"g(alpha', alpha') = (Bq)^2 - (Ap)^2 = {g} on lorentz_helix")
+    return math.sqrt(g)
+
+
+def _constant_speed_arclength(speed: Callable[[Mapping[str, float]], float]
+                              ) -> ArclengthPair:
+    """(s_between, t_from) of a curve whose speed ``speed(params)`` does
+    not depend on t: s = v (t - lo) and t = lo + s / v."""
+
+    def s_between(params, lo: float, t: float) -> float:
+        return speed(params) * (t - lo)
+
+    def t_from(params, lo: float, s: float) -> float:
+        return lo + s / speed(params)
+
+    return s_between, t_from
+
+
 _CATALOG: dict[str, CatalogEntry] = {
     "paper_example": CatalogEntry(
         build=_paper_example,
@@ -162,6 +194,7 @@ _CATALOG: dict[str, CatalogEntry] = {
     "hyperbolic_geodesic": CatalogEntry(
         build=_hyperbolic_geodesic,
         default_domain=(0.0, 2.0),
+        arclength=_constant_speed_arclength(lambda p: 1.0),
     ),
     "hyperbolic_clelia": CatalogEntry(
         build=_hyperbolic_clelia,
@@ -171,6 +204,7 @@ _CATALOG: dict[str, CatalogEntry] = {
         build=_lorentz_helix,
         default_params={"A": 1.0, "p": 1.0, "B": math.sqrt(2.0), "q": 1.0},
         default_domain=(0.0, 3.0),
+        arclength=_constant_speed_arclength(_lorentz_helix_speed),
     ),
 }
 

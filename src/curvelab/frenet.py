@@ -122,11 +122,17 @@ class ArclengthMap:
     def total(self) -> float:
         return float(self.grid_s[-1])
 
+    def grid_samples(self, count: int) -> np.ndarray:
+        """``count`` evenly spaced arclengths, 1% of the total in from
+        each end."""
+        pad = 0.01 * self.total
+        return np.linspace(pad, self.total - pad, count)
+
     def s_of_t(self, t: float) -> float:
         if not self.spec.contains(t):
             raise OutOfDomain(f"t={t} outside {self.spec.domain}")
         if self.arclength is not None:
-            return self.arclength[0](self.spec.domain[0], t)
+            return self.arclength[0](self.spec.params, self.spec.domain[0], t)
         i = min(bisect.bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
         return float(self.grid_s[i] + adaptive_simpson(
@@ -138,7 +144,7 @@ class ArclengthMap:
             raise OutOfDomain(f"s={s} outside covered arclength [0, {span}]")
         s = min(max(s, 0.0), span)
         if self.arclength is not None:
-            return self.arclength[1](self.spec.domain[0], s)
+            return self.arclength[1](self.spec.params, self.spec.domain[0], s)
         i = int(np.searchsorted(self.grid_s, s))
         i = min(max(i, 1), len(self.grid_s) - 1)
         lo_t, hi_t = float(self.grid_t[i - 1]), float(self.grid_t[i])
@@ -174,7 +180,7 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
     ts = np.linspace(lo, hi, ARCLENGTH_GRID)
     exact = _lookup(spec.catalog_id).arclength
     if exact is not None:
-        ss = np.array([exact[0](lo, float(t)) for t in ts])
+        ss = np.array([exact[0](spec.params, lo, float(t)) for t in ts])
         return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss, arclength=exact)
     ss = np.empty_like(ts)
     ss[0] = 0.0
@@ -640,8 +646,7 @@ class JetFrameSource:
         return (0.0, self.map.total)
 
     def grid_samples(self, count: int) -> np.ndarray:
-        pad = 0.01 * self.map.total
-        return np.linspace(pad, self.map.total - pad, count)
+        return self.map.grid_samples(count)
 
     def frame(self, s: float) -> FrenetData:
         f = self._frames.get(s)
@@ -659,8 +664,17 @@ class JetFrameSource:
         if s not in self._k3:
             s0 = min(self._k3, key=lambda a: abs(a - s))
             self._k3[s] = self._k3[s0] + adaptive_simpson(
-                lambda u: self.frame(u).kappa3, s0, s, REPARAM_TOL)
+                self._node_kappa3, s0, s, REPARAM_TOL)
         return self._k3[s]
+
+    def _node_kappa3(self, s: float) -> float:
+        """kappa3 at a quadrature node: a requested sample's frame is
+        reused, and a node's own frame is not cached, so the cache holds
+        only the requested samples."""
+        f = self._frames.get(s)
+        if f is None:
+            f = frenet_apparatus(self.spec, self.map, s)
+        return f.kappa3
 
 
 class TranslatedSource:

@@ -501,11 +501,11 @@ def _radius_law_arclength(a: float, t0: float) -> ArclengthPair:
     """
     scale = abs(a)
 
-    def s_between(lo: float, u: float) -> float:
+    def s_between(_params, lo: float, u: float) -> float:
         return scale * math.sinh(u - lo) / (math.cosh(u + t0)
                                             * math.cosh(lo + t0))
 
-    def t_from(lo: float, s: float) -> float:
+    def t_from(_params, lo: float, s: float) -> float:
         d = s / scale
         ch = math.cosh(lo + t0)
         den = 1.0 / (ch * ch) - d * math.tanh(lo + t0)

@@ -7,9 +7,10 @@ tolerance.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from curvelab import verify
+from curvelab import curves, verify
 
 _workspace = verify.Workspace()
 
@@ -31,6 +32,35 @@ def test_all_suites_cover_every_criterion():
         if name != "all":
             covered.update(nums)
     assert covered == set(verify.SUITES["all"])
+
+
+def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
+    # reference: the same points, every stencil node evaluated afresh
+    rng = np.random.default_rng(0)
+    margin = 3 * max(verify._FD_STEPS.values())
+    static_ids = [cid for cid in curves.catalog_ids() if ":" not in cid]
+    want = 0.0
+    for cid in static_ids:
+        spec = curves.make_spec(cid)
+        lo, hi = spec.domain
+        for t in rng.uniform(lo + margin, hi - margin, 50):
+            cj = curves.eval_curve(spec, float(t))
+            for k, h in verify._FD_STEPS.items():
+                w, half = verify._FD_STENCILS[k]
+                vals = np.array([
+                    curves.eval_curve(spec, float(t) + o * h).position()
+                    .components for o in np.arange(-half, half + 1)])
+                approx = (w[:, None] * vals).sum(axis=0) / h ** k
+                exact = np.array(cj.derivative(k).components)
+                want = max(want, np.linalg.norm(approx - exact)
+                           / max(np.linalg.norm(exact), 1e-12))
+    calls = []
+    real = curves.eval_curve
+    monkeypatch.setattr(curves, "eval_curve",
+                        lambda spec, t: calls.append(t) or real(spec, t))
+    assert verify.fd_oracle_error() == want
+    # the nodes t + o * 1e-2 and t + o * 8e-3 for o in -3..3 share o = 0
+    assert len(calls) == len(static_ids) * 50 * 13
 
 
 class NormalShifted:

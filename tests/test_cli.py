@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from curvelab import cli, frenet
+from curvelab import cli, curves, frenet
 from curvelab.errors import OutOfDomain
 
 
@@ -18,6 +18,22 @@ def run(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return code, out.getvalue()
+
+
+def test_helix_frenet_evaluates_the_curve_three_times_per_row(monkeypatch):
+    # the helix's arclength is exact, so building its map evaluates
+    # nothing, and a row evaluates the curve once for each of its frames
+    # at s - h, s and s + h
+    calls = []
+    real = curves.eval_curve
+    monkeypatch.setattr(curves, "eval_curve",
+                        lambda spec, t: calls.append(t) or real(spec, t))
+    frenet.arclength_map(curves.make_spec("lorentz_helix"))
+    assert calls == []
+    code, text = run(["frenet", "--curve", "lorentz_helix", "--samples", "20"])
+    rows = text.splitlines()[1:-1]
+    assert code == 0 and len(rows) == 20
+    assert len(calls) == 3 * len(rows)
 
 
 def test_classify_spacelike():

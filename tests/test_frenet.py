@@ -1,5 +1,6 @@
 """Arclength maps, frame extraction and the moving-frame system."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from curvelab import curves, frenet, jets
 from curvelab.curves import CatalogEntry
 from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
-                             NonSpacelikePrincipalNormal)
+                             NonSpacelikePrincipalNormal, NonSpacelikeVelocity)
 
 SQ3 = math.sqrt(3.0)
 
@@ -46,8 +47,8 @@ def test_adaptive_simpson_raises_at_the_depth_limit():
         frenet.adaptive_simpson(step, 0.0, 1.0, 1e-12)
 
 
-def test_t_of_s_raises_when_newton_does_not_converge(helix, monkeypatch):
-    spec, amap = helix
+def test_t_of_s_raises_when_newton_does_not_converge(clelia, monkeypatch):
+    spec, amap = clelia
     # a speed far below the one the grid was built with: the integral never
     # reaches s inside the bracket
     monkeypatch.setattr(frenet, "speed", lambda spec, t: 1e-3)
@@ -63,6 +64,49 @@ def test_unit_speed_curve_has_identity_arclength(helix):
     for s in (0.3, 1.2, 2.7):
         assert math.isclose(amap.t_of_s(s), spec.domain[0] + s,
                             rel_tol=1e-10)
+
+
+# (catalog id, params, domain) of the constant-speed curves checked against
+# their quadrature maps
+CONSTANT_SPEED = [
+    ("lorentz_helix", {}, None),
+    ("lorentz_helix", {"A": 0.5, "p": 2.0, "B": 1.5, "q": 1.3}, (-1.0, 2.5)),
+    ("lorentz_helix", {"A": -2.0, "p": 0.3, "B": 1.0, "q": -0.9}, (0.4, 3.1)),
+    ("hyperbolic_geodesic", {}, None),
+    ("hyperbolic_geodesic", {}, (-0.5, 1.5)),
+]
+
+
+@pytest.mark.parametrize("cid, params, domain", CONSTANT_SPEED)
+def test_constant_speed_map_matches_quadrature(cid, params, domain):
+    # the quadrature map comes from the same build registered without its
+    # arclength pair, so only the map differs
+    spec = curves.make_spec(cid, params, domain)
+    exact = frenet.arclength_map(spec)
+    entry = curves._lookup(cid)
+    quad_id = curves.register_curve(dataclasses.replace(entry, arclength=None))
+    quad = frenet.arclength_map(curves.CurveSpec(quad_id, spec.params,
+                                                 spec.domain))
+    assert exact.arclength is not None and quad.arclength is None
+    assert math.isclose(exact.total, quad.total, rel_tol=1e-13)
+    for t in np.linspace(*spec.domain, 7):
+        assert math.isclose(exact.s_of_t(float(t)), quad.s_of_t(float(t)),
+                            rel_tol=1e-13, abs_tol=1e-13)
+    for s in np.linspace(0.0, exact.total, 7):
+        assert math.isclose(exact.t_of_s(float(s)), quad.t_of_s(float(s)),
+                            rel_tol=1e-13, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("params", [
+    {"A": 1.0, "p": 1.5, "B": 1.0, "q": 1.0},          # timelike
+    {"A": 1.0, "p": 1.0, "B": 1.0, "q": 1.0},          # null
+    {"A": 1e200, "p": 1e200, "B": 1e200, "q": 1e200},  # inf - inf = NaN
+    {"A": 1.0, "p": 1.0, "B": 1e200, "q": 1e200},      # speed overflows
+])
+def test_arclength_map_rejects_a_helix_without_a_spacelike_speed(params):
+    spec = curves.make_spec("lorentz_helix", params)
+    with pytest.raises(NonSpacelikeVelocity):
+        frenet.arclength_map(spec)
 
 
 def test_arclength_inversion_round_trip(clelia):

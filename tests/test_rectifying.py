@@ -323,6 +323,15 @@ def test_torsion_memo_holds_one_angle_per_sample(constructed):
     assert src._k3.keys() == {0.0, *ss}
 
 
+@pytest.mark.parametrize("curve", ["helix", "constructed"])
+def test_frame_cache_holds_only_the_requested_samples(curve, request):
+    # the torsion angle's quadrature nodes are evaluated, not cached
+    src = frenet.JetFrameSource(request.getfixturevalue(curve).spec)
+    ss = list(src.grid_samples(50))
+    rectifying.theorem33_report(src, ss, rectifying.ReportTolerances())
+    assert src._frames.keys() == set(ss)
+
+
 def test_eps_change_among_the_samples_stops_before_the_torsion_angle():
     # on the clelia eps flips between the 2nd and 3rd of 20 samples, where
     # B1 turns null and kappa3 spikes
