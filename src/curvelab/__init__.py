@@ -27,7 +27,6 @@ from .lorentz import (
     causal_character,
     minkowski_dot,
     on_hyperbolic_sphere,
-    pseudo_norm,
 )
 from .jets import Jet
 from .curves import CurveSpec, catalog_ids, eval_curve, make_spec, register_curve
@@ -49,7 +48,6 @@ from .rectifying import (
     construct_rectifying,
     fit_theorem31,
     rectifying_residual,
-    spherical_center,
     theorem33_report,
 )
 
@@ -92,10 +90,8 @@ __all__ = [
     "make_spec",
     "minkowski_dot",
     "on_hyperbolic_sphere",
-    "pseudo_norm",
     "rectifying_residual",
     "register_curve",
-    "spherical_center",
     "synthesize_curve",
     "theorem33_report",
 ]

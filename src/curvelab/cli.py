@@ -173,9 +173,9 @@ def spec_from_config(cfg: dict) -> curves.CurveSpec:
 class CsvFrameSource(frenet.SynthesizedCurve):
     """The synthesis table read back from a cmd_synthesize CSV.
 
-    Frames carry the stored curvatures and no curvature derivatives; the
-    torsion integral is the stored t_int column.  Rejects, as a UsageError
-    naming the line, a row without one finite value per header field, an
+    Frames carry the stored curvatures; the torsion integral is the stored
+    t_int column.  Rejects, as a UsageError naming the line, a row without
+    one finite value per header field, a curvature that is not positive, an
     eps other than 1 or -1, and an s that does not strictly increase.
     """
 
@@ -201,6 +201,9 @@ class CsvFrameSource(frenet.SynthesizedCurve):
                     raise UsageError(f"{where}: {exc}") from None
                 if not all(math.isfinite(v) for v in row):
                     raise UsageError(f"{where}: non-finite value")
+                if not min(row[21:24]) > 0.0:
+                    raise UsageError(f"{where}: curvatures must be positive, "
+                                     f"got {', '.join(cells[21:24])}")
                 if row[24] not in (1.0, -1.0):
                     raise UsageError(f"{where}: eps must be 1 or -1, "
                                      f"got {cells[24]}")

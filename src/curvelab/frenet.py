@@ -2,8 +2,8 @@
 
 Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain entirely in
 jet arithmetic: the order-4 position jets in arclength are exactly enough to
-produce T, N, B1, B2, the three curvatures and the first couple of
-curvature derivatives at a point, with no finite differencing anywhere.
+produce T, N, B1, B2 and the three curvatures at a point, with no finite
+differencing anywhere.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -194,11 +194,9 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frame, curvatures and sign at one arclength value.
+    """Frame {T, N, B1, B2}, position, curvatures and sign at arclength s.
 
-    ``dkappa1``, ``d2kappa1`` and ``dkappa2`` are the curvature derivatives
-    that fall out of the jet pipeline for free; downstream formulas
-    (component cross-checks, spherical centers) consume them.
+    ``eps`` is the sign of g(B1, B1), 1 or -1.
     """
 
     s: float
@@ -211,9 +209,6 @@ class FrenetData:
     kappa2: float
     kappa3: float
     eps: int
-    dkappa1: float = 0.0
-    d2kappa1: float = 0.0
-    dkappa2: float = 0.0
 
     def frame_arrays(self) -> tuple[np.ndarray, ...]:
         return (np.array(self.T.components), np.array(self.N.components),
@@ -322,9 +317,6 @@ def _frame_from_position_jets(aj, s: float) -> FrenetData:
         kappa2=k2.value,
         kappa3=k3,
         eps=eps,
-        dkappa1=k1.derivative(1),
-        d2kappa1=k1.derivative(2),
-        dkappa2=k2.derivative(1),
     )
 
 
@@ -525,27 +517,18 @@ class SynthesizedCurve:
         return self.s[np.unique(idx)]
 
     def _row_frame(self, i: int, kappa1: float, kappa2: float,
-                   kappa3: float, eps: int, **derivatives) -> FrenetData:
+                   kappa3: float, eps: int) -> FrenetData:
         """Row ``i`` of the table with the given curvatures."""
         return FrenetData(
             s=float(self.s[i]), position=Vec4(*self.pos[i]),
             T=Vec4(*self.T[i]), N=Vec4(*self.N[i]),
             B1=Vec4(*self.B1[i]), B2=Vec4(*self.B2[i]),
-            kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, eps=eps,
-            **derivatives)
+            kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, eps=eps)
 
     def frame(self, s: float) -> FrenetData:
         i = self._index(s)
-        sj = jets.variable(float(self.s[i]))
-        k1j = self.profile.kappa1(sj)
-        k2j = self.profile.kappa2(sj)
-        return self._row_frame(
-            i, k1j.value, k2j.value, self.profile.kappa3(sj).value,
-            self.profile.eps, dkappa1=k1j.derivative(1),
-            d2kappa1=k1j.derivative(2), dkappa2=k2j.derivative(1))
-
-    def position_at(self, s: float) -> Vec4:
-        return Vec4(*self.pos[self._index(s)])
+        return self._row_frame(i, *self.profile.values(float(self.s[i])),
+                               self.profile.eps)
 
     def kappa3_integral(self, s: float) -> float:
         k3 = lambda u: self.profile.values(u)[2]

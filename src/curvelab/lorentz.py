@@ -14,8 +14,6 @@ __all__ = [
     "CausalCharacter",
     "minkowski_dot",
     "causal_character",
-    "pseudo_norm",
-    "euclidean_norm",
     "on_hyperbolic_sphere",
 ]
 
@@ -71,11 +69,6 @@ def minkowski_dot(v: Vec4, w: Vec4) -> float:
     return -v.x0 * w.x0 + v.x1 * w.x1 + v.x2 * w.x2 + v.x3 * w.x3
 
 
-def euclidean_norm(v: Vec4) -> float:
-    """Euclidean norm of the coordinate tuple (used for relative tolerances)."""
-    return math.hypot(v.x0, v.x1, v.x2, v.x3)
-
-
 def causal_character(v: Vec4, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacter:
     """Classify ``v`` as spacelike, timelike or null.
 
@@ -93,11 +86,6 @@ def causal_character(v: Vec4, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacte
     if g < -band:
         return CausalCharacter.TIMELIKE
     return CausalCharacter.NULL
-
-
-def pseudo_norm(v: Vec4) -> float:
-    """sqrt(|g(v, v)|); vanishes on null vectors."""
-    return math.sqrt(abs(minkowski_dot(v, v)))
 
 
 def on_hyperbolic_sphere(p: Vec4, tol: float) -> bool:

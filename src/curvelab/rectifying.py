@@ -4,8 +4,8 @@ A curve is rectifying when g(alpha, N) vanishes identically, i.e. the
 position vector stays inside span{T, B1, B2}.  Everything here consumes a
 *frame source* (jet-backed extraction or a synthesized trajectory) and
 produces residuals a reviewer can grep: curvature-ratio fits against the
-hyperbolic model, the constant-witness vector, the component battery, the
-spherical construction and the hyperbolic-spherical center test.
+hyperbolic model, the constant-witness vector, the Theorem 3.3 report and
+the spherical construction.
 
 The non-rectifying witnesses, ``thm31_min_rms_over_c`` and
 ``least_squares_origin``, are exact least-squares minima: lower bounds over
@@ -21,8 +21,7 @@ principal normal direction gives
 (rho'/v)' + rho/v = 0, whose solution with v the actual speed of alpha is
 rho(t) = a / cosh(t + t0).  This is the hyperbolic analogue of the familiar
 Euclidean a / cos(t + t0) law, and it is what ``construct_rectifying``
-uses; ``rho_ode_residual`` evaluates the minus-sign variant of the ODE so
-both conventions stay auditable.
+uses.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +44,6 @@ from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
 __all__ = [
     "rectifying_residual",
-    "ComponentTriple",
-    "component_functions",
-    "components_from_curvatures",
     "Theorem31Fit",
     "fit_theorem31",
     "thm31_min_rms_over_c",
@@ -59,15 +55,10 @@ __all__ = [
     "theorem33_report",
     "ConstructionParams",
     "construct_rectifying",
-    "rho_ode_residual",
-    "construction_ode_residual",
-    "SphericalCenter",
-    "spherical_center",
 ]
 
 FIT_CONDITION_LIMIT = 1e8
 SPHERE_TOL = 1e-10
-CENTER_TOL = 1e-5
 # rho^2 counts as varying when its span exceeds this share of max(1, |rho^2|);
 # a fixed floor, so loosening a tolerance can never fail a curve
 RHO_SPAN_FLOOR = 1e-4
@@ -89,50 +80,6 @@ def rectifying_residual(source, s: float) -> float:
     """g(alpha(s), N(s)); identically zero exactly on rectifying curves."""
     f = source.frame(s)
     return minkowski_dot(f.position, f.N)
-
-
-# -- component functions ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComponentTriple:
-    """Coefficients of alpha on {T, B1, B2} at one arclength value."""
-
-    lambda_: float
-    mu: float
-    nu: float
-
-
-def component_functions(source, s: float) -> ComponentTriple:
-    """Projection-side components: metric projections of the position."""
-    f = source.frame(s)
-    return ComponentTriple(
-        lambda_=minkowski_dot(f.position, f.T),
-        mu=f.eps * minkowski_dot(f.position, f.B1),
-        nu=-f.eps * minkowski_dot(f.position, f.B2),
-    )
-
-
-def components_from_curvatures(f: FrenetData, c: float) -> ComponentTriple:
-    """Curvature-side components implied by the rectifying relations.
-
-    lambda = s + c, mu = eps*k1*(s+c)/k2 and nu = -mu'/k3 expanded through
-    the curvature derivatives carried by the frame.
-    """
-    sc = f.s + c
-    mu = f.eps * f.kappa1 * sc / f.kappa2
-    num = (f.kappa1 * f.kappa2
-           + sc * (f.dkappa1 * f.kappa2 - f.kappa1 * f.dkappa2))
-    nu = -f.eps * num / (f.kappa2 ** 2 * f.kappa3)
-    return ComponentTriple(lambda_=sc, mu=mu, nu=nu)
-
-
-def reconstruction_error(source, s: float) -> float:
-    """Euclidean norm of lambda*T + mu*B1 + nu*B2 - alpha."""
-    f = source.frame(s)
-    comp = component_functions(source, s)
-    resid = (comp.lambda_ * _arr(f.T) + comp.mu * _arr(f.B1)
-             + comp.nu * _arr(f.B2) - _arr(f.position))
-    return float(np.linalg.norm(resid))
 
 
 # -- Theorem 3.1 fit ----------------------------------------------------------
@@ -517,77 +464,3 @@ def _radius_law_arclength(a: float, t0: float) -> ArclengthPair:
         return lo + math.atanh(x)
 
     return s_between, t_from
-
-
-def rho_ode_residual(rho: Callable[[Jet], Jet], v: Callable[[Jet], Jet],
-                     t: float) -> float:
-    """(rho'/v)' - rho/v via jets: the minus-sign variant of the radius ODE."""
-    tj = jets.variable(t)
-    rj, vj = rho(tj), v(tj)
-    w = rj.d() / vj
-    return w.d().value - (rj / vj).value
-
-
-def construction_ode_residual(rho: Callable[[Jet], Jet],
-                              v: Callable[[Jet], Jet], t: float) -> float:
-    """(rho'/v)' + rho/v via jets: the form the construction actually solves."""
-    tj = jets.variable(t)
-    rj, vj = rho(tj), v(tj)
-    w = rj.d() / vj
-    return w.d().value + (rj / vj).value
-
-
-# -- hyperbolic spherical center ----------------------------------------------
-
-@dataclass(frozen=True)
-class SphericalCenter:
-    """Pointwise sphere-center estimate and its drift across samples."""
-
-    m: Vec4
-    max_drift: float
-    radius: float
-    radius_deviation: float
-    is_spherical: bool
-
-
-def _center_at(f: FrenetData) -> Vec4:
-    """Pointwise center from the normal-curve decomposition formula.
-
-    Uses the exact jet-carried curvature derivatives: (1/k1)' and
-    ((1/k2)(1/k1)')' expand through dk1, d2k1 and dk2.
-    """
-    k1, k2, k3 = f.kappa1, f.kappa2, f.kappa3
-    eps = float(f.eps)
-    inv_k1_p = -f.dkappa1 / k1 ** 2
-    inv_k1_pp = (2.0 * f.dkappa1 ** 2 - k1 * f.d2kappa1) / k1 ** 3
-    inv_k2_p = -f.dkappa2 / k2 ** 2
-    # expanding alpha - m on {N, B1, B2} and propagating eps through the
-    # first-binormal metric sign gives the eps factors below; the eps = 1
-    # case reduces to the familiar closed form
-    bracket = k2 / k1 + eps * (inv_k2_p * inv_k1_p + inv_k1_pp / k2)
-    return (f.position + (1.0 / k1) * f.N + eps * (inv_k1_p / k2) * f.B1
-            - (bracket / k3) * f.B2)
-
-
-def spherical_center(source, samples: Sequence[float]) -> SphericalCenter:
-    """Detect hyperbolic-spherical (normal) curves via the center formula.
-
-    The curve is reported spherical when the pointwise centers agree within
-    ``CENTER_TOL`` and the pseudo-distance to the mean center is constant.
-    """
-    frames = [source.frame(float(s)) for s in samples]
-    centers = np.array([_arr(_center_at(f)) for f in frames])
-    mean = centers.mean(axis=0)
-    drift = float(np.max(np.linalg.norm(centers - mean, axis=1)))
-    m = Vec4(*mean)
-    radii = np.array([minkowski_dot(f.position - m, f.position - m)
-                      for f in frames])
-    radius = float(radii.mean())
-    radius_dev = float(np.max(np.abs(radii - radius)))
-    scale = max(1.0, float(np.max(np.abs(radii))))
-    # a constant center alone also matches de Sitter spherical curves
-    # (position minus center spacelike); hyperbolic needs a timelike one
-    ok = (drift <= CENTER_TOL and radius_dev <= 10.0 * CENTER_TOL * scale
-          and radius < 0.0)
-    return SphericalCenter(m=m, max_drift=drift, radius=radius,
-                           radius_deviation=radius_dev, is_spherical=ok)

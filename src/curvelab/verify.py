@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import curves, frenet, jets, rectifying
+from . import curves, frenet, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
 from .lorentz import minkowski_dot
 
@@ -150,23 +150,18 @@ def criterion_3(ws: Workspace) -> CriterionResult:
 
 
 def criterion_4(ws: Workspace) -> CriterionResult:
-    """Component battery on the constructed curve."""
+    """Component battery on the constructed curve: the report's verdict."""
     src = ws.constructed(1.0)
-    tol = REPORT_TOL
-    rep = rectifying.theorem33_report(src, list(src.grid_samples(50)), tol,
+    rep = rectifying.theorem33_report(src, list(src.grid_samples(50)),
+                                      REPORT_TOL,
                                       curve_name=src.spec.catalog_id)
     lead = rep.distance_quadratic["lead"]
     slope = rep.tangential_linear["slope"]
     dev = rep.normal_constancy["max_deviation"]
     rb1 = rep.binormal_components["residual_b1"]
     rb2 = rep.binormal_components["residual_b2"]
-    ok = (abs(lead - 1.0) < tol.distance_lead
-          and abs(slope - 1.0) < tol.tangential_slope
-          and dev < tol.normal_constancy
-          and rep.normal_constancy["rho_nonconstant"]
-          and rb1 < tol.binormal_residual and rb2 < tol.binormal_residual)
     return CriterionResult(
-        4, "component battery", ok,
+        4, "component battery", rep.verdict,
         f"lead-1 {lead - 1.0:.2e}, slope-1 {slope - 1.0:.2e}, "
         f"normal dev {dev:.2e}, binormal residuals {rb1:.2e}/{rb2:.2e}")
 

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvelab import curves, verify
+from curvelab import curves, rectifying, verify
 
 _workspace = verify.Workspace()
 
@@ -86,3 +86,22 @@ def test_criterion_3_fails_on_a_negative_residual():
     result = verify.criterion_3(ws)
     assert not result.passed
     assert "max |g(alpha,N)| 1.000e-03" in result.detail
+
+
+def test_criterion_4_passes_at_tolerances_equal_to_its_residuals(
+        monkeypatch):
+    # the report's verdict admits a residual equal to its tolerance, and
+    # criterion 4 judges by that verdict
+    src = _workspace.constructed(1.0)
+    rep = rectifying.theorem33_report(src, list(src.grid_samples(50)),
+                                      verify.REPORT_TOL)
+    b = rep.binormal_components
+    measured = rectifying.ReportTolerances(
+        distance_lead=abs(rep.distance_quadratic["lead"] - 1.0),
+        tangential_slope=abs(rep.tangential_linear["slope"] - 1.0),
+        normal_constancy=rep.normal_constancy["max_deviation"],
+        binormal_residual=max(b["residual_b1"], b["residual_b2"]),
+        thm31_rms=rep.thm31.rms_residual,
+        drift=rep.constant_vector_drift)
+    monkeypatch.setattr(verify, "REPORT_TOL", measured)
+    assert verify.criterion_4(_workspace).passed

@@ -116,3 +116,20 @@ def test_benchmark_flows_match_the_cli(tmp_path):
         cli_file = Path(csv).read_bytes() if "-o" in argv else None
         assert (driven.code, driven.stdout, driven_file) == (
             code, out.getvalue(), cli_file), argv
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in an __all__ earns its place by a reference in the library
+    # or the benchmark, beyond its own def/class line and the export lists
+    # (the package's re-exports are export lists too)
+    root = Path(curvelab.__file__).parent
+    files = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
+    text = "\n".join(re.sub(r"__all__ = \[.*?\]", "", p.read_text(),
+                            flags=re.S)
+                     for p in files + sorted(BENCH.glob("*.py")))
+    unused = sorted({
+        name for module in MODULES for name in getattr(module, "__all__", ())
+        if not any(re.search(rf"\b{name}\b", line)
+                   and not re.match(rf"\s*(def|class) {name}\b", line)
+                   for line in text.splitlines())})
+    assert unused == []

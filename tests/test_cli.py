@@ -355,7 +355,7 @@ def test_synthesis_csv_reads_back_as_the_same_table(tmp_path):
                                     ds=1e-2)
     src = cli.CsvFrameSource(str(path))
     assert isinstance(src, frenet.SynthesizedCurve)
-    for name in ("s_range", "_index", "grid_samples", "position_at"):
+    for name in ("s_range", "_index", "grid_samples"):
         assert name not in vars(cli.CsvFrameSource)
     written = [float(s) for s in curve.grid_samples(11)]
     assert list(src.s) == written
@@ -406,10 +406,13 @@ def _add_comments(lines):
     (_set_cell(5, "abc"), 64, "line 4: could not convert"),
     (_set_cell(5, "nan"), 64, "line 4: non-finite"),
     (_set_cell(24, "3"), 64, "line 4: eps must be 1 or -1"),
+    (_set_cell(21, "-1.5"), 64, "line 4: curvatures must be positive"),
+    (_set_cell(22, "0"), 64, "line 4: curvatures must be positive"),
+    (_set_cell(23, "-0.0"), 64, "line 4: curvatures must be positive"),
     (_repeat_s, 64, "line 4: s does not increase"),
     (_add_comments, 0, ""),
-], ids=["short_row", "non_numeric", "nan", "eps_3", "s_repeated",
-        "comments_accepted"])
+], ids=["short_row", "non_numeric", "nan", "eps_3", "kappa1_negative",
+        "kappa2_zero", "kappa3_zero", "s_repeated", "comments_accepted"])
 def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
                                                synthesis_lines, edit, code,
                                                message):

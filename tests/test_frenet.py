@@ -182,22 +182,6 @@ def test_timelike_principal_normal_detected():
         frenet.frenet_apparatus(spec, amap, 0.5 * amap.total)
 
 
-def test_curvature_derivatives_against_finite_differences(clelia):
-    spec, amap = clelia
-    s = 0.4 * amap.total
-    h = 1e-4
-    f0 = frenet.frenet_apparatus(spec, amap, s)
-    fp = frenet.frenet_apparatus(spec, amap, s + h)
-    fm = frenet.frenet_apparatus(spec, amap, s - h)
-    assert math.isclose(f0.dkappa1, (fp.kappa1 - fm.kappa1) / (2 * h),
-                        rel_tol=1e-6)
-    assert math.isclose(f0.dkappa2, (fp.kappa2 - fm.kappa2) / (2 * h),
-                        rel_tol=1e-6)
-    assert math.isclose(f0.d2kappa1,
-                        (fp.kappa1 - 2 * f0.kappa1 + fm.kappa1) / h ** 2,
-                        rel_tol=1e-4)
-
-
 def test_tangent_is_arclength_derivative(clelia):
     spec, amap = clelia
     s = 0.6 * amap.total

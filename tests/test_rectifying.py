@@ -2,13 +2,12 @@
 
 import dataclasses
 import math
-import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from curvelab import curves, frenet, jets, rectifying, verify
+from curvelab import curves, frenet, rectifying, verify
 from curvelab.errors import (CurveLabError, DegenerateFrame,
                              IllConditionedFit, NonSpacelikeVelocity,
                              NotOnHyperbolicSphere, OutOfDomain)
@@ -68,37 +67,12 @@ def test_construction_rejects_zero_scale():
         rectifying.ConstructionParams(a=0.0)
 
 
-def test_radius_law_solves_the_derived_ode():
-    # rho = a/cosh(u + t0) with the induced speed a/cosh^2 satisfies
-    # (rho'/v)' + rho/v = 0 identically
-    a, t0 = 2.0, 0.4
-    rho = lambda tj: jets.constant(a) / jets.cosh(tj + t0)
-    v = lambda tj: jets.constant(a) / jets.powi(jets.cosh(tj + t0), 2)
-    for t in (0.0, 0.7, 1.5):
-        assert abs(rectifying.construction_ode_residual(rho, v, t)) < 1e-12
-
-
 def test_constructed_speed_matches_radius_law(constructed):
     a, t0 = A_PARAM, T0_PARAM
     for u in (0.4, 0.8, 1.1):
         want = abs(a) / math.cosh(u + t0) ** 2
         assert math.isclose(curves.speed(constructed.spec, u), want,
                             rel_tol=1e-10)
-
-
-def test_minus_sign_variant_is_not_solved():
-    # the same radius law leaves a residual of 2*rho/v in the minus form
-    a, t0 = 1.0, 0.0
-    rho = lambda tj: jets.constant(a) / jets.cosh(tj + t0)
-    v = lambda tj: jets.constant(a) / jets.powi(jets.cosh(tj + t0), 2)
-    r = rectifying.rho_ode_residual(rho, v, 0.5)
-    assert math.isclose(r, -2.0 * math.cosh(0.5), rel_tol=1e-10)
-
-
-def test_rho_ode_residual_constant_case():
-    rho = lambda tj: jets.constant(3.0)
-    v = lambda tj: jets.constant(1.0)
-    assert math.isclose(rectifying.rho_ode_residual(rho, v, 1.0), -3.0)
 
 
 # -- exact arclength of the construction --------------------------------------
@@ -201,45 +175,6 @@ def test_constructed_frames_satisfy_the_gram_conditions(a, t0):
         f = src.frame(s)
         assert frenet.gram_errors(*f.frame_arrays(), f.eps) < verify.GRAM_TOL
         assert f.eps == int(math.copysign(1.0, minkowski_dot(f.B1, f.B1)))
-
-
-# -- component identities -----------------------------------------------------
-
-def test_component_projections_match_curvature_formulas(constructed):
-    ss = samples_of(constructed, 12)
-    fit = rectifying.fit_theorem31(constructed, ss)
-    for s in ss[::3]:
-        proj = rectifying.component_functions(constructed, s)
-        pred = rectifying.components_from_curvatures(constructed.frame(s),
-                                                     fit.c)
-        assert math.isclose(proj.lambda_, pred.lambda_, abs_tol=1e-10)
-        assert math.isclose(proj.mu, pred.mu, abs_tol=1e-10)
-        assert math.isclose(proj.nu, pred.nu, abs_tol=1e-10)
-
-
-def test_reconstruction_error_small_only_when_rectifying(constructed, helix):
-    assert max(rectifying.reconstruction_error(constructed, s)
-               for s in samples_of(constructed, 10)) < 1e-12
-    assert max(rectifying.reconstruction_error(helix, s)
-               for s in samples_of(helix, 10)) > 1e-2
-
-
-def test_component_system_first_order_odes(constructed):
-    # differentiate the projections numerically and check the coupled system
-    # lambda' = 1, mu' = -k3*nu, nu' = -k3*mu (signs follow from how the
-    # components fold in eps)
-    h = 1e-5
-    for s in samples_of(constructed, 5):
-        cp = rectifying.component_functions(constructed, s + h)
-        cm = rectifying.component_functions(constructed, s - h)
-        f = constructed.frame(s)
-        dl = (cp.lambda_ - cm.lambda_) / (2 * h)
-        dmu = (cp.mu - cm.mu) / (2 * h)
-        dnu = (cp.nu - cm.nu) / (2 * h)
-        c0 = rectifying.component_functions(constructed, s)
-        assert math.isclose(dl, 1.0, abs_tol=1e-6)
-        assert math.isclose(dmu, -f.kappa3 * c0.nu, abs_tol=1e-5)
-        assert math.isclose(dnu, -f.kappa3 * c0.mu, abs_tol=1e-5)
 
 
 # -- hyperbolic fit -----------------------------------------------------------
@@ -420,32 +355,3 @@ def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("CURVELAB_TOL", "-1")
     with pytest.raises(ValueError):
         rectifying.ReportTolerances.default()
-
-
-# -- spherical center ---------------------------------------------------------
-
-def test_clelia_is_hyperbolic_spherical():
-    src = frenet.JetFrameSource(curves.make_spec("hyperbolic_clelia"))
-    res = rectifying.spherical_center(src, samples_of(src, 20))
-    assert res.is_spherical
-    assert res.max_drift < 1e-8
-    assert math.isclose(res.radius, -1.0, rel_tol=1e-8)
-    assert max(abs(c) for c in res.m.components) < 1e-8
-
-
-def test_translated_sphere_center_recovered():
-    src = frenet.JetFrameSource(curves.make_spec("hyperbolic_clelia"))
-    shift = Vec4(0.3, -1.1, 0.25, 2.0)
-    moved = frenet.TranslatedSource(src, shift)
-    res = rectifying.spherical_center(moved, samples_of(moved, 20))
-    assert res.is_spherical
-    for got, want in zip(res.m.components, shift.components):
-        assert math.isclose(got, want, abs_tol=1e-8)
-
-
-def test_helix_center_converges_but_sphere_is_not_hyperbolic(helix):
-    # constant center with spacelike radius vector: de Sitter, not H^3
-    res = rectifying.spherical_center(helix, samples_of(helix, 20))
-    assert res.max_drift < 1e-8
-    assert res.radius > 0.0
-    assert not res.is_spherical

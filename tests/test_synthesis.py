@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curvelab import curves, frenet, jets, verify
 from curvelab.errors import FrameDriftExceeded
@@ -146,8 +146,8 @@ def test_scaling_covariance():
     scaled = frenet.constant_profile(2.0, 3.0, 1.0, 1, (0.0, 0.5))
     c1 = frenet.synthesize_curve(base, ds=1e-3)
     c2 = frenet.synthesize_curve(scaled, ds=5e-4)
-    p1 = np.array(c1.position_at(1.0).components)
-    p2 = np.array(c2.position_at(0.5).components)
+    p1 = np.array(c1.frame(1.0).position.components)
+    p2 = np.array(c2.frame(0.5).position.components)
     assert np.allclose(2.0 * p2, p1, atol=1e-9)
 
 
@@ -234,12 +234,15 @@ def test_gram_errors_matches_numpy_reference(T, N, B1, B2, eps):
 # Each Gram entry in turn is made the largest deviation, so a change to the
 # summation order of any one of the ten sums shows in the result: a lone
 # non-null vector for a diagonal entry, two null vectors for an off-diagonal
-# one (their own deviations are then ~1, the zero slots' exactly 1).
-# 1 <= |x| < 2 with a full mantissa
-mantissas = st.tuples(st.integers(2 ** 52, 2 ** 53 - 1),
-                      st.sampled_from([1, -1]))
-unit_floats = mantissas.map(lambda km: km[1] * km[0] / 2.0 ** 52)
-directions = st.lists(unit_floats, min_size=3, max_size=3)
+# one (their own deviations are then ~1, the zero slots' exactly 1).  A
+# seeded Random fills the frames with full-mantissa components, on which a
+# reordered sum changes the result about a third of the time; hypothesis's
+# own float draws are plainer and catch far less per example.
+
+def _unit_floats(rng, count):
+    """``count`` floats with 1 <= |x| < 2 and a full mantissa."""
+    return [rng.choice((1, -1)) * rng.randrange(2 ** 52, 2 ** 53) / 2.0 ** 52
+            for _ in range(count)]
 
 
 def _null(scale, direction):
@@ -249,19 +252,19 @@ def _null(scale, direction):
 
 @pytest.mark.parametrize("i, j", [(i, j) for i in range(4)
                                   for j in range(i, 4)])
-@given(st.lists(unit_floats, min_size=4, max_size=4),
-       st.floats(min_value=10.0, max_value=1e3), directions,
-       st.floats(min_value=10.0, max_value=1e3), directions,
-       st.sampled_from([1, -1]))
-def test_each_gram_entry_matches_numpy_reference(i, j, v, x, n, y, m, eps):
-    slots = [np.zeros(4) for _ in range(4)]
-    if i == j:
-        slots[i] = 1e3 * np.array(v)
-    else:
-        slots[i], slots[j] = _null(x, n), _null(y, m)
-    got = frenet.gram_errors(*slots, eps)
-    want = reference_gram_errors(*slots, eps)
-    assert repr(float(got)) == repr(float(want))
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=True), st.sampled_from([1, -1]))
+def test_each_gram_entry_matches_numpy_reference(i, j, rng, eps):
+    for _ in range(4):
+        slots = [np.zeros(4) for _ in range(4)]
+        if i == j:
+            slots[i] = 1e3 * np.array(_unit_floats(rng, 4))
+        else:
+            slots[i] = _null(rng.uniform(10.0, 1e3), _unit_floats(rng, 3))
+            slots[j] = _null(rng.uniform(10.0, 1e3), _unit_floats(rng, 3))
+        got = frenet.gram_errors(*slots, eps)
+        want = reference_gram_errors(*slots, eps)
+        assert repr(float(got)) == repr(float(want))
 
 
 # kappa1 = s*cosh(s)/(1 + s) with no closed form: values() takes the jets
@@ -336,7 +339,9 @@ def test_built_in_synthesis_builds_no_jet(name, monkeypatch):
     jets.variable(0.5)
     assert built == [1]          # the counter sees a jet being built
     built.clear()
-    frenet.synthesize_curve(BUILT_IN[name], ds=1e-2)
+    curve = frenet.synthesize_curve(BUILT_IN[name], ds=1e-2)
+    for s in curve.grid_samples(5):
+        curve.frame(float(s))
     assert built == []
 
 
