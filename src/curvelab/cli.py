@@ -22,7 +22,7 @@ from .errors import (
     FrameDriftExceeded,
     UsageError,
 )
-from .lorentz import causal_character
+from .lorentz import Vec4, causal_character
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -232,7 +232,7 @@ class CsvFrameSource(frenet.SynthesizedCurve):
 def cmd_classify(args, out) -> int:
     spec = spec_from_config(load_config(args))
     for t in args.at:
-        vel = curves.eval_curve(spec, t).derivative(1)
+        vel = Vec4(*curves.point(spec, t)[1])
         out.write(f"t={_fmt(t)}: {causal_character(vel).value}\n")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ __all__ = [
     "CurveSpec",
     "CurveJet",
     "eval_curve",
+    "point",
     "speed",
     "speed_jet",
     "arclength_jets",
@@ -85,6 +86,7 @@ class CurveJet:
 # a catalog entry
 ArclengthPair = tuple[Callable[[Mapping[str, float], float, float], float],
                       Callable[[Mapping[str, float], float, float], float]]
+Quad = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,11 @@ class CatalogEntry:
     and the domain's low end, because an entry does not depend on the
     domain.  ``frenet.arclength_map`` uses the pair in place of quadrature
     and Newton inversion; ``None`` selects those.
+
+    ``closed_form``, when given, is ``closed_form(params, t) -> (position,
+    velocity)`` in plain floats: bit for bit coefficients 0 and 1 of the
+    jets ``build`` returns, by the same operations in the same order.
+    ``point`` uses it in place of ``build``.
     """
 
     build: Callable[[Jet, Mapping[str, float]], tuple[Jet, Jet, Jet, Jet]]
@@ -107,6 +114,8 @@ class CatalogEntry:
     validate: Callable[[Mapping[str, float], tuple[float, float]], None] = \
         lambda params, domain: None
     arclength: ArclengthPair | None = None
+    closed_form: Callable[[Mapping[str, float], float],
+                          tuple[Quad, Quad]] | None = None
 
 
 # -- static catalog -----------------------------------------------------------
@@ -116,6 +125,18 @@ def _paper_example(tj: Jet, p) -> tuple[Jet, ...]:
     rho = p["a"] / jets.sin(tj + p["s0"])
     zero = jets.constant(0.0)
     return (rho * ch, zero, rho * sh, zero)
+
+
+def _paper_example_point(p, t):
+    sh, ch = math.sinh(t), math.cosh(t)
+    u = t + p["s0"]
+    sn0, sn1 = math.sin(u), 0.0 + math.cos(u)
+    jets.check_divisor(sn0)
+    r0 = float(p["a"]) / sn0
+    r1 = (0.0 - r0 * sn1) / sn0
+    return ((0.0 + r0 * ch, 0.0, 0.0 + r0 * sh, 0.0),
+            (0.0 + r0 * (0.0 + sh) + r1 * ch, 0.0,
+             0.0 + r0 * (0.0 + ch) + r1 * sh, 0.0))
 
 
 def _paper_example_validate(p, domain):
@@ -142,16 +163,42 @@ def _hyperbolic_geodesic(tj: Jet, p) -> tuple[Jet, ...]:
     return (ch, zero, sh, zero)
 
 
+def _hyperbolic_geodesic_point(p, t):
+    sh, ch = math.sinh(t), math.cosh(t)
+    return (ch, 0.0, sh, 0.0), (0.0 + sh, 0.0, 0.0 + ch, 0.0)
+
+
 def _hyperbolic_clelia(tj: Jet, p) -> tuple[Jet, ...]:
     sh, ch = jets.sinhcosh(tj)
     sn, cn = jets.sincos(tj)
     return (ch, sh * cn, sh * sn * cn, sh * sn * sn)
 
 
+def _hyperbolic_clelia_point(p, t):
+    sh, ch = math.sinh(t), math.cosh(t)
+    sn, cn = math.sin(t), math.cos(t)
+    sh1, sn1, cn1 = 0.0 + ch, 0.0 + cn, -(0.0 + sn)
+    q0, q1 = 0.0 + sh * sn, 0.0 + sh * sn1 + sh1 * sn      # sh * sn
+    return ((ch, 0.0 + sh * cn, 0.0 + q0 * cn, 0.0 + q0 * sn),
+            (0.0 + sh, 0.0 + sh * cn1 + sh1 * cn, 0.0 + q0 * cn1 + q1 * cn,
+             0.0 + q0 * sn1 + q1 * sn))
+
+
 def _lorentz_helix(tj: Jet, p) -> tuple[Jet, ...]:
     sh, ch = jets.sinhcosh(p["p"] * tj)
     sn, cn = jets.sincos(p["q"] * tj)
     return (p["A"] * sh, p["A"] * ch, p["B"] * cn, p["B"] * sn)
+
+
+def _lorentz_helix_point(p, t):
+    a, b, hp, hq = p["A"], p["B"], p["p"], p["q"]
+    u = t * hp
+    sh, ch = math.sinh(u), math.cosh(u)
+    v = t * hq
+    sn, cn = math.sin(v), math.cos(v)
+    return ((sh * a, ch * a, cn * b, sn * b),
+            ((0.0 + hp * ch) * a, (0.0 + hp * sh) * a,
+             -(0.0 + hq * sn) * b, (0.0 + hq * cn) * b))
 
 
 def _lorentz_helix_speed(p) -> float:
@@ -190,21 +237,25 @@ _CATALOG: dict[str, CatalogEntry] = {
         default_params={"a": 1.0, "s0": 0.0},
         default_domain=(0.9, 2.2),
         validate=_paper_example_validate,
+        closed_form=_paper_example_point,
     ),
     "hyperbolic_geodesic": CatalogEntry(
         build=_hyperbolic_geodesic,
         default_domain=(0.0, 2.0),
         arclength=_constant_speed_arclength(lambda p: 1.0),
+        closed_form=_hyperbolic_geodesic_point,
     ),
     "hyperbolic_clelia": CatalogEntry(
         build=_hyperbolic_clelia,
         default_domain=(0.25, 2.4),
+        closed_form=_hyperbolic_clelia_point,
     ),
     "lorentz_helix": CatalogEntry(
         build=_lorentz_helix,
         default_params={"A": 1.0, "p": 1.0, "B": math.sqrt(2.0), "q": 1.0},
         default_domain=(0.0, 3.0),
         arclength=_constant_speed_arclength(_lorentz_helix_speed),
+        closed_form=_lorentz_helix_point,
     ),
 }
 
@@ -242,17 +293,45 @@ def make_spec(catalog_id: str, params: Mapping[str, float] | None = None,
                      tuple(domain) if domain else tuple(entry.default_domain))
 
 
-def eval_curve(spec: CurveSpec, t: float) -> CurveJet:
-    """Position and exact derivatives up to order 4 of the curve at ``t``."""
+_POLES = (DivisionNearZero, SqrtNonPositive, OverflowError)
+
+
+def _entry_at(spec: CurveSpec, t: float) -> CatalogEntry:
     if not spec.contains(t):
         raise OutOfDomain(f"t={t} outside domain {spec.domain} of {spec.catalog_id}")
-    entry = _lookup(spec.catalog_id)
+    return _lookup(spec.catalog_id)
+
+
+def _pole(spec: CurveSpec, t: float, exc: Exception) -> PoleEncountered:
+    what = ("overflows floating point" if isinstance(exc, OverflowError)
+            else "hit a pole")
+    return PoleEncountered(f"{spec.catalog_id} {what} at t={t}: {exc}")
+
+
+def eval_curve(spec: CurveSpec, t: float) -> CurveJet:
+    """Position and exact derivatives up to order 4 of the curve at ``t``."""
+    entry = _entry_at(spec, t)
     try:
         coords = entry.build(jets.variable(t), spec.params)
-    except (DivisionNearZero, SqrtNonPositive) as exc:
-        raise PoleEncountered(
-            f"{spec.catalog_id} hit a pole at t={t}: {exc}") from exc
+    except _POLES as exc:
+        raise _pole(spec, t, exc) from exc
     return CurveJet(t=t, jets=tuple(coords))
+
+
+def point(spec: CurveSpec, t: float) -> tuple[Quad, Quad]:
+    """Position and velocity of the curve at ``t`` in plain floats.
+
+    Bit for bit coefficients 0 and 1 of ``eval_curve(spec, t)``'s jets,
+    with its errors; the entry's ``closed_form`` builds no jet.
+    """
+    entry = _entry_at(spec, t)
+    if entry.closed_form is None:
+        cj = eval_curve(spec, t).jets
+        return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
+    try:
+        return entry.closed_form(spec.params, float(t))
+    except _POLES as exc:
+        raise _pole(spec, t, exc) from exc
 
 
 def speed_jet(spec: CurveSpec, t: float) -> Jet:
@@ -291,9 +370,9 @@ def speed(spec: CurveSpec, t: float) -> float:
     """||alpha'(t)||; requires a spacelike velocity.
 
     Bit for bit ``speed_jet(spec, t).value``: the same products and sums,
-    on the velocity components alone.
+    on the velocity that ``point`` reads.
     """
-    d0, d1, d2, d3 = (j.coeffs[1] for j in eval_curve(spec, t).jets)
+    d0, d1, d2, d3 = point(spec, t)[1]
     g = (0.0 + -d0 * d0) + (0.0 + d1 * d1) + (0.0 + d2 * d2) + (0.0 + d3 * d3)
     if not g > 0.0:
         raise NonSpacelikeVelocity(

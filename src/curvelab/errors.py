@@ -18,7 +18,8 @@ class OutOfDomain(CurveLabError):
 
 
 class PoleEncountered(CurveLabError):
-    """Curve evaluation hit a pole of one of its component functions."""
+    """Curve evaluation hit a pole of one of its component functions, or a
+    value that overflows floating point."""
 
 
 class NonSpacelikeVelocity(CurveLabError):

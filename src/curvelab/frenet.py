@@ -17,6 +17,7 @@ right, as numpy's reduction of a 4-element array does, so it matches the
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -153,9 +154,10 @@ class ArclengthMap:
         t = lo_t + (hi_t - lo_t) * (s - lo_s) / max(
             float(self.grid_s[i]) - lo_s, 1e-300)
         scale = max(1.0, span)
+        # Simpson has just evaluated the speed at t and lo_t
+        f = functools.cache(lambda u: speed(self.spec, u))
         for _ in range(80):
-            st = lo_s + adaptive_simpson(
-                lambda u: speed(self.spec, u), lo_t, t, REPARAM_TOL * 1e-2)
+            st = lo_s + adaptive_simpson(f, lo_t, t, REPARAM_TOL * 1e-2)
             err = st - s
             if abs(err) < 1e-13 * scale:
                 return t
@@ -163,7 +165,7 @@ class ArclengthMap:
                 hi_t = t
             else:
                 lo_t, lo_s = t, st
-            step = err / speed(self.spec, t)
+            step = err / f(t)
             nxt = t - step
             if not (lo_t < nxt < hi_t):
                 nxt = 0.5 * (lo_t + hi_t)

@@ -152,11 +152,17 @@ def constant(c: float) -> Jet:
     return Jet((float(c), 0.0, 0.0, 0.0, 0.0))
 
 
+def check_divisor(b0: float) -> None:
+    """Raise DivisionNearZero if a series with constant term ``b0`` is too
+    close to zero to divide by."""
+    if abs(b0) <= DIV_FLOOR:
+        raise DivisionNearZero("jet division by a series with ~zero constant term")
+
+
 def _divide(num: Jet, den: Jet) -> Jet:
     a0, a1, a2, a3, a4 = num.coeffs
     b0, b1, b2, b3, b4 = den.coeffs
-    if abs(b0) <= DIV_FLOOR:
-        raise DivisionNearZero("jet division by a series with ~zero constant term")
+    check_divisor(b0)
     q0 = a0 / b0
     q1 = (a1 - q0 * b1) / b0
     q2 = (a2 - q0 * b2 - q1 * b1) / b0

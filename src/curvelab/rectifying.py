@@ -35,7 +35,7 @@ import numpy as np
 
 from . import jets
 from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
-                     eval_curve, register_curve)
+                     point, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import _MSIGN, FrenetData, arclength_map
@@ -405,7 +405,7 @@ def construct_rectifying(sphere_spec: CurveSpec,
     total = ymap.total
     for u in np.linspace(0.0, total, 33):
         tau = ymap.t_of_s(float(u))
-        pos = eval_curve(sphere_spec, tau).position()
+        pos = Vec4(*point(sphere_spec, tau)[0])
         if not on_hyperbolic_sphere(pos, SPHERE_TOL):
             raise NotOnHyperbolicSphere(
                 f"{sphere_spec.catalog_id} leaves H_0^3(1) at t={tau} "

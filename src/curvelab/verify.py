@@ -225,14 +225,13 @@ def criterion_7(ws: Workspace) -> CriterionResult:
         f"{len(rows)}, degenerate_samples={n_deg}")
 
 
-def fd_derivative(curve_at: Callable[[float], curves.CurveJet], t: float,
+def fd_derivative(position: Callable[[float], tuple[float, ...]], t: float,
                   k: int, h: float) -> np.ndarray:
-    """Order-4 central difference of the k-th derivative of the position
-    that ``curve_at(x)`` evaluates, at ``t`` with step ``h``."""
+    """Order-4 central difference of the k-th derivative of
+    ``position(x)``, at ``t`` with step ``h``."""
     w, half = _FD_STENCILS[k]
     offsets = np.arange(-half, half + 1)
-    vals = np.array([curve_at(float(t + o * h)).position().components
-                     for o in offsets])
+    vals = np.array([position(float(t + o * h)) for o in offsets])
     return (w[:, None] * vals).sum(axis=0) / h ** k
 
 
@@ -240,8 +239,9 @@ def fd_oracle_error() -> float:
     """Largest relative error of the k = 1..4 finite differences against
     the jet derivatives, at 50 random points on each static curve.
 
-    The stencils at one point share their nodes, and the point itself is
-    a node, so each point evaluates every node once.
+    The exact derivatives take one jet evaluation per point.  The
+    stencils at one point share their nodes, and the point itself is a
+    node, so each point reads the position at every node once.
     """
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -251,12 +251,11 @@ def fd_oracle_error() -> float:
         spec = curves.make_spec(cid)
         lo, hi = spec.domain
         for t in rng.uniform(lo + margin, hi - margin, 50):
-            curve_at = functools.cache(functools.partial(curves.eval_curve,
-                                                         spec))
-            cj = curve_at(float(t))
+            cj = curves.eval_curve(spec, float(t))
+            at = functools.cache(functools.partial(curves.point, spec))
             for k, h in _FD_STEPS.items():
                 exact = np.array(cj.derivative(k).components)
-                approx = fd_derivative(curve_at, float(t), k, h)
+                approx = fd_derivative(lambda x: at(x)[0], float(t), k, h)
                 rel = (np.linalg.norm(approx - exact)
                        / max(np.linalg.norm(exact), 1e-12))
                 worst = max(worst, rel)

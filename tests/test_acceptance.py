@@ -54,13 +54,16 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
                 exact = np.array(cj.derivative(k).components)
                 want = max(want, np.linalg.norm(approx - exact)
                            / max(np.linalg.norm(exact), 1e-12))
-    calls = []
-    real = curves.eval_curve
-    monkeypatch.setattr(curves, "eval_curve",
-                        lambda spec, t: calls.append(t) or real(spec, t))
+    calls = {"eval_curve": [], "point": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(curves, name, lambda spec, t, real=getattr(
+            curves, name), log=log: log.append(t) or real(spec, t))
     assert verify.fd_oracle_error() == want
-    # the nodes t + o * 1e-2 and t + o * 8e-3 for o in -3..3 share o = 0
-    assert len(calls) == len(static_ids) * 50 * 13
+    # one jet evaluation per point for the exact derivatives; the nodes
+    # t + o * 1e-2 and t + o * 8e-3 for o in -3..3 share o = 0
+    points = len(static_ids) * 50
+    assert len(calls["eval_curve"]) == points
+    assert len(calls["point"]) == points * 13
 
 
 class NormalShifted:

@@ -58,6 +58,21 @@ def test_classify_pole_exits_2(capsys):
     assert "PoleEncountered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--curve", "hyperbolic_geodesic", "--domain", "0", "800",
+     "--at", "750"],
+    ["frenet", "--curve", "lorentz_helix", "--param", "p=1000",
+     "--param", "q=2000", "--samples", "5"],
+], ids=["classify", "frenet"])
+def test_a_coordinate_that_overflows_exits_2(argv, capsys):
+    # sinh past ~710.5 overflows floating point: a typed error, not an
+    # OverflowError traceback with the "property failed" code
+    code, _ = run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "PoleEncountered" in err and "overflows floating point" in err
+
+
 def test_unknown_curve_exits_64():
     code, _ = run(["classify", "--curve", "nope", "--at", "0"])
     assert code == 64

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvelab import curves
-from curvelab.errors import NonSpacelikeVelocity, OutOfDomain, PoleEncountered
+from curvelab import curves, frenet
+from curvelab.errors import (CurveLabError, NonSpacelikeVelocity, OutOfDomain,
+                             PoleEncountered)
 from curvelab.lorentz import minkowski_dot, on_hyperbolic_sphere
 
 
@@ -196,3 +198,76 @@ def test_speed_and_speed_jet_reject_a_timelike_helix():
             curves.speed(spec, t)
         with pytest.raises(NonSpacelikeVelocity):
             curves.speed_jet(spec, t)
+
+
+# -- closed forms -------------------------------------------------------------
+
+STATIC = [cid for cid in curves.catalog_ids() if ":" not in cid]
+
+
+def test_every_static_entry_has_a_closed_form():
+    assert [cid for cid in STATIC
+            if curves._lookup(cid).closed_form is None] == []
+
+
+def test_quadrature_map_builds_no_jet(monkeypatch):
+    calls = []
+    real = curves.eval_curve
+    monkeypatch.setattr(curves, "eval_curve",
+                        lambda spec, t: calls.append(t) or real(spec, t))
+    frenet.arclength_map(curves.make_spec("hyperbolic_clelia"))
+    assert calls == []
+
+
+# An order-1 coefficient sums at most two nonzero terms, so a reordered or
+# reassociated sum moves bits only through the sign of a zero: the draws
+# mix signed zeros into the parameters and into t.
+def _signed(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(min_value=lo, max_value=hi))
+
+
+@st.composite
+def _static_case(draw, cid):
+    """A valid spec of catalog entry ``cid`` and a t in its domain; |t|
+    reaches past 710, where sinh and cosh overflow."""
+    lo = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-720.0, 720.0)))
+    width = draw(st.floats(0.05, 3.0))
+    params = {}
+    if cid == "paper_example":
+        # sin(t + s0) keeps one sign on the domain: t + s0 in (0.01, pi - 0.01)
+        frac = draw(st.floats(0.0, 1.0))
+        s0 = 0.01 + frac * (math.pi - 0.02 - width) - lo
+        params = {"a": draw(st.one_of(st.floats(-5.0, -1e-3),
+                                      st.floats(1e-3, 5.0))), "s0": s0}
+    elif cid == "lorentz_helix":
+        params = {name: draw(_signed(-3.0, 3.0)) for name in "ApBq"}
+    spec = curves.make_spec(cid, params, (lo, lo + width))
+    specials = [x for x in (lo, lo + width, 0.0, -0.0) if spec.contains(x)]
+    t = draw(st.one_of(st.sampled_from(specials),
+                       st.floats(lo, lo + width)))
+    return spec, t
+
+
+def _result(fn, *args):
+    """repr of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return repr(fn(*args))
+    except CurveLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _jet_point(spec, t):
+    cj = curves.eval_curve(spec, t).jets
+    return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
+
+
+@pytest.mark.parametrize("cid", STATIC)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_form_is_the_jet_bit_for_bit(cid, data):
+    spec, t = data.draw(_static_case(cid))
+    assert _result(curves.point, spec, t) == _result(_jet_point, spec, t)
+    jet_value = lambda spec, t: curves.speed_jet(spec, t).value
+    assert (_result(curves.speed, spec, t)
+            == _result(jet_value, spec, t))
