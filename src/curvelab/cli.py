@@ -232,8 +232,10 @@ class CsvFrameSource(frenet.SynthesizedCurve):
 def cmd_classify(args, out) -> int:
     spec = spec_from_config(load_config(args))
     for t in args.at:
-        vel = Vec4(*curves.point(spec, t)[1])
-        out.write(f"t={_fmt(t)}: {causal_character(vel).value}\n")
+        vel = curves.point(spec, t)[1]
+        if not all(map(math.isfinite, vel)):
+            raise curves._pole(spec, t, OverflowError(f"velocity {vel}"))
+        out.write(f"t={_fmt(t)}: {causal_character(Vec4(*vel)).value}\n")
     return EXIT_OK
 
 

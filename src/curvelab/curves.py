@@ -343,12 +343,15 @@ def speed_jet(spec: CurveSpec, t: float) -> Jet:
 
 
 def _speed_jet(spec: CurveSpec, cj: CurveJet) -> Jet:
-    d = [j.d() for j in cj.jets]
-    g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
-    if not g.value > 0.0:
+    # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first
+    d = [(c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4], 0.0)
+         for c in (j.coeffs for j in cj.jets)]
+    p = [jets._cauchy(u, v) for u, v in zip([[-x for x in d[0]], *d[1:]], d)]
+    g = [((x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
+    if not g[0] > 0.0:
         raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g.value} at t={cj.t} on {spec.catalog_id}")
-    return jets.sqrt(g)
+            f"g(alpha', alpha') = {g[0]} at t={cj.t} on {spec.catalog_id}")
+    return Jet(jets._sqrt(g))
 
 
 def arclength_jets(spec: CurveSpec, t: float, s: float

@@ -1,9 +1,9 @@
 """Arclength reparameterization, Frenet apparatus and frame synthesis.
 
-Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain entirely in
-jet arithmetic: the order-4 position jets in arclength are exactly enough to
-produce T, N, B1, B2 and the three curvatures at a point, with no finite
-differencing anywhere.
+Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain in plain
+floats on the coefficients of the order-4 position jets in arclength, which
+are exactly enough to produce T, N, B1, B2 and the three curvatures at a
+point, bit for bit as jet arithmetic would, with no finite differencing.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -59,9 +59,6 @@ ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
-
-_MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
-
 
 # -- quadrature ---------------------------------------------------------------
 
@@ -184,11 +181,12 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
     if exact is not None:
         ss = np.array([exact[0](spec.params, lo, float(t)) for t in ts])
         return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss, arclength=exact)
-    ss = np.empty_like(ts)
-    ss[0] = 0.0
+    ss = np.zeros_like(ts)
+    # each interior node ends one interval and starts the next
+    f = functools.cache(lambda u: speed(spec, u))
     for i in range(1, ARCLENGTH_GRID):
-        ss[i] = ss[i - 1] + adaptive_simpson(
-            lambda u: speed(spec, u), float(ts[i - 1]), float(ts[i]))
+        ss[i] = ss[i - 1] + adaptive_simpson(f, float(ts[i - 1]),
+                                             float(ts[i]))
     return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss)
 
 
@@ -212,38 +210,30 @@ class FrenetData:
     kappa3: float
     eps: int
 
-    def frame_arrays(self) -> tuple[np.ndarray, ...]:
-        return (np.array(self.T.components), np.array(self.N.components),
-                np.array(self.B1.components), np.array(self.B2.components))
+
+def _gram(p):
+    """g(v, v), summed as the jets ``-(v0*v0) + v1*v1 + ...`` are, and the
+    Euclidean square of v's values, from ``p``, the squares of v's series."""
+    g = [((-x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
+    return g, (((0.0 + p[0][0]) + p[1][0]) + p[2][0]) + p[3][0]
 
 
-def _jvec_d(v):
-    return tuple(j.d() for j in v)
+def _sqrt_recip(g):
+    """k = sqrt(g) and 1/k to len(g), 2 or 3, as jets.sqrt and _divide do."""
+    r0 = math.sqrt(g[0])
+    r1 = g[1] / (2.0 * r0)
+    jets.check_divisor(r0)
+    q0 = 1.0 / r0
+    q1 = (0.0 - q0 * r1) / r0
+    if len(g) == 2:
+        return (r0, r1), (q0, q1)
+    r2 = (g[2] - r1 * r1) / (2.0 * r0)
+    return (r0, r1, r2), (q0, q1, (0.0 - q0 * r2 - q1 * r1) / r0)
 
 
-def _jvec_dot(a, b):
-    return -(a[0] * b[0]) + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-
-def _jvec_scale(c, v):
-    return tuple(c * j for j in v)
-
-
-def _jvec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _jvec_value(v) -> Vec4:
-    return Vec4(*(j.value for j in v))
-
-
-def _euclid_sq(v) -> float:
-    return sum(j.value * j.value for j in v)
-
-
-def _derivative_rank(aj) -> int:
-    """Euclidean rank of the derivative vectors alpha' .. alpha''''."""
-    rows = np.array([[j.derivative(k) for j in aj] for k in (1, 2, 3, 4)])
+def _derivative_rank(a) -> int:
+    """Euclidean rank of alpha' .. alpha'''' from position coefficients."""
+    rows = np.array([[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)])
     sv = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
@@ -261,65 +251,66 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
 
 
 def _frame_from_position_jets(aj, s: float) -> FrenetData:
-    T = _jvec_d(aj)
-    Tp = _jvec_d(T)
+    """The Gram-Schmidt chain in floats on the coefficients of ``aj``.
 
-    g1 = _jvec_dot(Tp, Tp)
-    e1 = _euclid_sq(Tp)
-    scale1 = max(e1, 1e-300)
-    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _euclid_sq(T)):
+    Coefficient k of a series product, root or quotient reads coefficients
+    up to k only, so each series goes as far as a later step reads it: T to
+    coefficient 1; T', kappa1, N to 2; R1 = N' + kappa1 T, kappa2, B1 to 1;
+    R2, B2 as values.  Each coefficient takes the jets' float operations in
+    their order, so the frame is the jet chain's bit for bit."""
+    a = [j.coeffs for j in aj]
+    T = [(c[1], 2.0 * c[2]) for c in a]
+    Tp = [(2.0 * c[2], 2.0 * (3.0 * c[3]), 3.0 * (4.0 * c[4])) for c in a]
+
+    g1, e1 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0,
+                     0.0 + x0 * x2 + x1 * x1 + x2 * x0) for x0, x1, x2 in Tp])
+    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _gram([(0.0 + t * t,)
+                                                   for t, _ in T])[1]):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
-    if g1.value < CURVATURE_FLOOR * scale1:
+    if g1[0] < CURVATURE_FLOOR * max(e1, 1e-300):
         # Planar (or 3-flat) curves never reach the kappa2 / kappa3 residual
         # checks when T' is timelike, so classify by derivative rank first:
         # a curve confined to a Lorentzian 2-plane has an in-plane, timelike
         # T' yet its real defect is that kappa2 is undefined.
-        rank = _derivative_rank(aj)
-        if rank <= 2:
+        if _derivative_rank(a) <= 2:
             raise DegenerateFrame(2, f"curve is planar near s={s}")
-        if g1.value < -CURVATURE_FLOOR * scale1:
+        if g1[0] < -CURVATURE_FLOOR * max(e1, 1e-300):
             raise NonSpacelikePrincipalNormal(
-                f"g(T',T') = {g1.value} at s={s}")
+                f"g(T',T') = {g1[0]} at s={s}")
         raise DegenerateFrame(1, f"T' numerically null at s={s}")
 
-    k1 = jets.sqrt(g1)
-    N = _jvec_scale(1.0 / k1, Tp)
+    (r0, r1, _), (q0, q1, q2) = _sqrt_recip(g1)
+    N = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0,
+          0.0 + q0 * x2 + q1 * x1 + q2 * x0) for x0, x1, x2 in Tp]
 
-    R1 = _jvec_add(_jvec_d(N), _jvec_scale(k1, T))
-    g2 = _jvec_dot(R1, R1)
-    e2 = _euclid_sq(R1)
+    R1 = [(n1 + (0.0 + r0 * t0), 2.0 * n2 + (0.0 + r0 * t1 + r1 * t0))
+          for (_, n1, n2), (t0, t1) in zip(N, T)]
+    g2, e2 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0)
+                    for x0, x1 in R1])
     if e2 < CURVATURE_FLOOR ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
-    if abs(g2.value) < CURVATURE_FLOOR * e2:
+    if abs(g2[0]) < CURVATURE_FLOOR * e2:
         raise DegenerateFrame(2, f"second Frenet residual null at s={s}")
-    eps = 1 if g2.value > 0.0 else -1
+    eps = 1 if g2[0] > 0.0 else -1
 
-    k2 = jets.sqrt(float(eps) * g2)
-    B1 = _jvec_scale(1.0 / k2, R1)
+    (k2, _), (q0, q1) = _sqrt_recip([g * eps for g in g2])
+    B1 = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0) for x0, x1 in R1]
 
-    R2 = _jvec_add(_jvec_d(B1), _jvec_scale(float(eps) * k2, N))
-    g3 = _jvec_dot(R2, R2)
-    e3 = _euclid_sq(R2)
+    R2 = [b1 + (0.0 + k2 * eps * n[0]) for (_, b1), n in zip(B1, N)]
+    g3, e3 = _gram([(0.0 + x * x,) for x in R2])
     if e3 < CURVATURE_FLOOR ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
-    if abs(g3.value) < CURVATURE_FLOOR * e3:
+    if abs(g3[0]) < CURVATURE_FLOOR * e3:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
 
-    k3 = math.sqrt(abs(g3.value))
-    B2 = _jvec_scale(1.0 / jets.constant(k3), R2)
+    k3 = math.sqrt(abs(g3[0]))
+    jets.check_divisor(k3)
 
     return FrenetData(
-        s=s,
-        position=_jvec_value(aj),
-        T=_jvec_value(T),
-        N=_jvec_value(N),
-        B1=_jvec_value(B1),
-        B2=_jvec_value(B2),
-        kappa1=k1.value,
-        kappa2=k2.value,
-        kappa3=k3,
-        eps=eps,
-    )
+        s=s, position=Vec4(*[c[0] for c in a]), T=Vec4(*[t[0] for t in T]),
+        N=Vec4(*[n[0] for n in N]), B1=Vec4(*[b[0] for b in B1]),
+        B2=Vec4(*[0.0 + 1.0 / k3 * x for x in R2]),
+        kappa1=r0, kappa2=k2, kappa3=k3, eps=eps)
 
 
 _Seq4 = Sequence[float]
@@ -368,12 +359,11 @@ def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
     """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
     rhs = frame_rhs(f0.T.components, f0.N.components, f0.B1.components,
                     f0.B2.components, f0.kappa1, f0.kappa2, f0.kappa3, f0.eps)
-    lo = fm.frame_arrays()
-    hi = fp.frame_arrays()
     out = []
-    for k in range(4):
-        diff = (hi[k] - lo[k]) / (2.0 * h) - rhs[k]
-        out.append(math.sqrt(abs(float(np.sum(_MSIGN * diff * diff)))))
+    for lo, hi, r in zip(*[(f.T, f.N, f.B1, f.B2) for f in (fm, fp)], rhs):
+        d0, d1, d2, d3 = [(b - a) / (2.0 * h) - c for a, b, c
+                          in zip(lo.components, hi.components, r)]
+        out.append(math.sqrt(abs((((-d0) * d0 + d1 * d1) + d2 * d2) + d3 * d3)))
     return tuple(out)
 
 
@@ -386,9 +376,9 @@ def gram_errors(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, eps: int
     Each entry g(a, b) is summed left to right in plain floats,
     ``(((-a0)*b0 + a1*b1) + a2*b2) + a3*b3``, the order numpy's reduction
     of a 4-element array takes, so the result equals the
-    ``np.sum(_MSIGN * a * b)`` form bit for bit.  A non-finite deviation
-    makes the result non-finite (``max`` alone would drop a NaN), which
-    aborts ``synthesize_curve``.
+    ``np.sum(np.array([-1., 1., 1., 1.]) * a * b)`` form bit for bit.  A
+    non-finite deviation makes the result non-finite (``max`` alone would
+    drop a NaN), which aborts ``synthesize_curve``.
     """
     t0, t1, t2, t3 = map(float, T)
     n0, n1, n2, n3 = map(float, N)

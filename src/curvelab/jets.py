@@ -172,7 +172,11 @@ def _divide(num: Jet, den: Jet) -> Jet:
 
 
 def sqrt(j: Jet) -> Jet:
-    a0, a1, a2, a3, a4 = j.coeffs
+    return Jet(_sqrt(j.coeffs))
+
+
+def _sqrt(a):
+    a0, a1, a2, a3, a4 = a
     if a0 <= 0.0:
         raise SqrtNonPositive(f"jet sqrt of non-positive value {a0!r}")
     r0 = math.sqrt(a0)
@@ -181,7 +185,7 @@ def sqrt(j: Jet) -> Jet:
     r2 = (a2 - r1 * r1) / two_r0
     r3 = (a3 - r1 * r2 - r2 * r1) / two_r0
     r4 = (a4 - r1 * r3 - r2 * r2 - r3 * r1) / two_r0
-    return Jet((r0, r1, r2, r3, r4))
+    return (r0, r1, r2, r3, r4)
 
 
 # exp, sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k;

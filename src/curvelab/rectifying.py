@@ -38,7 +38,7 @@ from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
                      point, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
-from .frenet import _MSIGN, FrenetData, arclength_map
+from .frenet import FrenetData, arclength_map
 from .jets import Jet
 from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
@@ -199,7 +199,7 @@ def least_squares_origin(source, samples: Sequence[float]
     rectifying on the samples.
     """
     frames = [source.frame(float(s)) for s in samples]
-    design = np.array([_MSIGN * _arr(f.N) for f in frames])
+    design = np.array([f.N.components for f in frames]) * [-1.0, 1.0, 1.0, 1.0]
     target = np.array([minkowski_dot(f.position, f.N) for f in frames])
     d, rms = _lstsq(design, target)
     return Vec4(*d), rms

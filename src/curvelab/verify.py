@@ -102,7 +102,8 @@ def criterion_1(ws: Workspace) -> CriterionResult:
         src = ws.source(cid)
         for s in src.grid_samples(100):
             f = src.frame(float(s))
-            worst = max(worst, frenet.gram_errors(*f.frame_arrays(), f.eps))
+            worst = max(worst, frenet.gram_errors(*(
+                v.components for v in (f.T, f.N, f.B1, f.B2)), f.eps))
             g_b1 = minkowski_dot(f.B1, f.B1)
             eps_ok = eps_ok and f.eps == int(math.copysign(1.0, g_b1))
     ok = worst < GRAM_TOL and eps_ok

@@ -63,10 +63,13 @@ def test_classify_pole_exits_2(capsys):
      "--at", "750"],
     ["frenet", "--curve", "lorentz_helix", "--param", "p=1000",
      "--param", "q=2000", "--samples", "5"],
-], ids=["classify", "frenet"])
+    ["classify", "--curve", "lorentz_helix", "--param", "A=1e308",
+     "--param", "B=1e308", "--at", "2"],
+], ids=["classify", "frenet", "classify_product"])
 def test_a_coordinate_that_overflows_exits_2(argv, capsys):
-    # sinh past ~710.5 overflows floating point: a typed error, not an
-    # OverflowError traceback with the "property failed" code
+    # sinh past ~710.5 overflows floating point, and so does A * cosh(pt)
+    # with A near the largest float: a typed error, not a traceback with
+    # the "property failed" code
     code, _ = run(argv)
     assert code == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvelab import curves, frenet
+from curvelab import curves, frenet, jets
 from curvelab.errors import (CurveLabError, NonSpacelikeVelocity, OutOfDomain,
                              PoleEncountered)
 from curvelab.lorentz import minkowski_dot, on_hyperbolic_sphere
@@ -271,3 +271,34 @@ def test_closed_form_is_the_jet_bit_for_bit(cid, data):
     jet_value = lambda spec, t: curves.speed_jet(spec, t).value
     assert (_result(curves.speed, spec, t)
             == _result(jet_value, spec, t))
+
+
+def _jet_speed_jet(spec, cj):
+    """The speed jet in jet arithmetic, as ``curves._speed_jet`` once was."""
+    d = [j.d() for j in cj.jets]
+    g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
+    if not g.value > 0.0:
+        raise NonSpacelikeVelocity(
+            f"g(alpha', alpha') = {g.value} at t={cj.t} on {spec.catalog_id}")
+    return jets.sqrt(g)
+
+
+@pytest.mark.parametrize("cid", STATIC)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_speed_jet_is_the_jet_form_bit_for_bit(cid, data):
+    spec, t = data.draw(_static_case(cid))
+    on_curve = lambda fn: lambda spec, t: fn(spec, curves.eval_curve(spec, t))
+    assert (_result(on_curve(curves._speed_jet), spec, t)
+            == _result(on_curve(_jet_speed_jet), spec, t))
+
+
+def test_speed_jet_builds_one_jet(monkeypatch):
+    spec = curves.make_spec("hyperbolic_clelia")
+    cj = curves.eval_curve(spec, 1.1)
+    built = []
+    post_init = jets.Jet.__post_init__
+    monkeypatch.setattr(jets.Jet, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    v = curves._speed_jet(spec, cj)
+    assert built == [v]

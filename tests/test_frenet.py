@@ -1,15 +1,18 @@
 """Arclength maps, frame extraction and the moving-frame system."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from curvelab import curves, frenet, jets
+from curvelab import curves, frenet, jets, rectifying
 from curvelab.curves import CatalogEntry
 from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
                              NonSpacelikePrincipalNormal, NonSpacelikeVelocity)
+from curvelab.lorentz import Vec4
 
 SQ3 = math.sqrt(3.0)
 
@@ -137,7 +140,9 @@ def test_gram_conditions(helix, clelia):
     for spec, amap in (helix, clelia):
         for s in np.linspace(0.05 * amap.total, 0.95 * amap.total, 25):
             f = frenet.frenet_apparatus(spec, amap, float(s))
-            assert frenet.gram_errors(*f.frame_arrays(), f.eps) < 1e-10
+            assert frenet.gram_errors(f.T.components, f.N.components,
+                                      f.B1.components, f.B2.components,
+                                      f.eps) < 1e-10
 
 
 def test_eps_matches_first_binormal_sign(clelia):
@@ -197,10 +202,253 @@ def test_tangent_is_arclength_derivative(clelia):
 def test_frenet_rhs_rows(helix):
     spec, amap = helix
     f = frenet.frenet_apparatus(spec, amap, 1.0)
-    T, N, B1, B2 = f.frame_arrays()
+    T, N, B1, B2 = (np.array(v.components) for v in (f.T, f.N, f.B1, f.B2))
     dT, dN, dB1, dB2 = frenet.frenet_rhs(T, N, B1, B2, f.kappa1, f.kappa2,
                                          f.kappa3, f.eps)
     assert np.allclose(dT, f.kappa1 * N)
     assert np.allclose(dN, -f.kappa1 * T + f.kappa2 * B1)
     assert np.allclose(dB1, -f.eps * f.kappa2 * N + f.kappa3 * B2)
     assert np.allclose(dB2, f.kappa3 * B1)
+
+
+def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
+    # adjacent Simpson intervals share their end node, and the speed there
+    # is read once: 127 fewer position reads than one per interval end
+    calls = []
+    real = curves.point
+    monkeypatch.setattr(curves, "point",
+                        lambda spec, t: calls.append(t) or real(spec, t))
+    for cid in ("hyperbolic_clelia", "paper_example"):
+        spec = curves.make_spec(cid)
+        calls.clear()
+        amap = frenet.arclength_map(spec)
+        assert len(calls) == 513, cid
+        ts = np.linspace(*spec.domain, frenet.ARCLENGTH_GRID)
+        want = [0.0]
+        for lo, hi in zip(ts, ts[1:]):
+            want.append(want[-1] + frenet.adaptive_simpson(
+                lambda u: curves.speed(spec, u), float(lo), float(hi)))
+        assert amap.grid_s.tobytes() == np.array(want).tobytes(), cid
+
+
+def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
+    msign = np.array([-1.0, 1.0, 1.0, 1.0])
+    h = frenet.ODE_H
+    for spec, amap in (helix, clelia):
+        for s in np.linspace(0.1 * amap.total, 0.9 * amap.total, 9):
+            fm, f0, fp = (frenet.frenet_apparatus(spec, amap, float(s) + d)
+                          for d in (-h, 0.0, h))
+            rhs = frenet.frenet_rhs(f0.T.components, f0.N.components,
+                                    f0.B1.components, f0.B2.components,
+                                    f0.kappa1, f0.kappa2, f0.kappa3, f0.eps)
+            want = []
+            for k, name in enumerate(("T", "N", "B1", "B2")):
+                lo = np.array(getattr(fm, name).components)
+                hi = np.array(getattr(fp, name).components)
+                diff = (hi - lo) / (2.0 * h) - rhs[k]
+                want.append(math.sqrt(abs(float(np.sum(msign * diff * diff)))))
+            got = frenet._ode_residual(fm, f0, fp, h)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# -- reference: the Gram-Schmidt chain in jet arithmetic ----------------------
+# The frame kernel once ran this chain on whole jets; it stays here as the
+# oracle that ``frenet._frame_from_position_jets`` must match bit for bit.
+
+
+def _jvec_d(v):
+    return tuple(j.d() for j in v)
+
+
+def _jvec_dot(a, b):
+    return -(a[0] * b[0]) + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _jvec_scale(c, v):
+    return tuple(c * j for j in v)
+
+
+def _jvec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _jvec_value(v):
+    return Vec4(*(j.value for j in v))
+
+
+def _euclid_sq(v):
+    # builtin sum() as Python 3.11 runs it: from 0.0, left to right
+    out = 0.0
+    for j in v:
+        out += j.value * j.value
+    return out
+
+
+def _derivative_rank(aj):
+    rows = np.array([[j.derivative(k) for j in aj] for k in (1, 2, 3, 4)])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(sv > frenet.RANK_REL_TOL * sv[0]))
+
+
+def reference_frame(aj, s):
+    floor = frenet.CURVATURE_FLOOR
+    T = _jvec_d(aj)
+    Tp = _jvec_d(T)
+
+    g1 = _jvec_dot(Tp, Tp)
+    e1 = _euclid_sq(Tp)
+    scale1 = max(e1, 1e-300)
+    if e1 < floor ** 2 * max(1.0, _euclid_sq(T)):
+        raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
+    if g1.value < floor * scale1:
+        rank = _derivative_rank(aj)
+        if rank <= 2:
+            raise DegenerateFrame(2, f"curve is planar near s={s}")
+        if g1.value < -floor * scale1:
+            raise NonSpacelikePrincipalNormal(
+                f"g(T',T') = {g1.value} at s={s}")
+        raise DegenerateFrame(1, f"T' numerically null at s={s}")
+
+    k1 = jets.sqrt(g1)
+    N = _jvec_scale(1.0 / k1, Tp)
+
+    R1 = _jvec_add(_jvec_d(N), _jvec_scale(k1, T))
+    g2 = _jvec_dot(R1, R1)
+    e2 = _euclid_sq(R1)
+    if e2 < floor ** 2 * max(1.0, e1):
+        raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
+    if abs(g2.value) < floor * e2:
+        raise DegenerateFrame(2, f"second Frenet residual null at s={s}")
+    eps = 1 if g2.value > 0.0 else -1
+
+    k2 = jets.sqrt(float(eps) * g2)
+    B1 = _jvec_scale(1.0 / k2, R1)
+
+    R2 = _jvec_add(_jvec_d(B1), _jvec_scale(float(eps) * k2, N))
+    g3 = _jvec_dot(R2, R2)
+    e3 = _euclid_sq(R2)
+    if e3 < floor ** 2 * max(1.0, e2):
+        raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
+    if abs(g3.value) < floor * e3:
+        raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
+
+    k3 = math.sqrt(abs(g3.value))
+    B2 = _jvec_scale(1.0 / jets.constant(k3), R2)
+
+    return frenet.FrenetData(
+        s=s, position=_jvec_value(aj), T=_jvec_value(T), N=_jvec_value(N),
+        B1=_jvec_value(B1), B2=_jvec_value(B2), kappa1=k1.value,
+        kappa2=k2.value, kappa3=k3, eps=eps)
+
+
+def _outcome(fn, aj, s):
+    """repr of every field of the frame, or the type and message of the
+    error raised instead."""
+    try:
+        f = fn(aj, s)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [(fld.name, repr(getattr(f, fld.name)))
+            for fld in dataclasses.fields(f)]
+
+
+STATIC = [cid for cid in curves.catalog_ids() if ":" not in cid]
+CONSTRUCTED = [(2.0, 0.48), (3.0, 0.3), (-1.5, 0.1)]
+
+
+@functools.cache
+def _static_source(cid):
+    spec = curves.make_spec(cid)
+    return spec, frenet.arclength_map(spec)
+
+
+@functools.cache
+def _constructed_source(a, t0):
+    spec = rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=a, t0=t0, domain=(0.35, 1.2)))
+    return spec, frenet.arclength_map(spec)
+
+
+def _arclength(data, amap):
+    """An arclength of the map, its ends included."""
+    return data.draw(st.one_of(st.sampled_from([0.0, amap.total]),
+                               st.floats(0.0, amap.total)))
+
+
+def _kernel_matches_reference(spec, amap, s):
+    aj = curves.arclength_jets(spec, amap.t_of_s(s), s)
+    want = _outcome(reference_frame, aj, s)
+    assert _outcome(frenet._frame_from_position_jets, aj, s) == want
+    return want
+
+
+@pytest.mark.parametrize("cid", STATIC)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_kernel_is_the_jet_chain_on_static_curves(cid, data):
+    spec, amap = _static_source(cid)
+    want = _kernel_matches_reference(spec, amap, _arclength(data, amap))
+    if cid == "hyperbolic_geodesic":
+        # a timelike T' in a Lorentzian 2-plane: the derivative-rank path
+        assert want.startswith("DegenerateFrame: curve is planar")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_kernel_is_the_jet_chain_on_helices(data):
+    sign = st.sampled_from([1.0, -1.0])
+    params = {name: data.draw(sign) * data.draw(st.floats(0.3, 2.0))
+              for name in "ApB"}
+    # a spacelike velocity: |Bq| > |Ap|
+    params["q"] = data.draw(sign) * data.draw(st.floats(1.05, 3.0)) * abs(
+        params["A"] * params["p"] / params["B"])
+    lo = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    spec = curves.make_spec("lorentz_helix", params,
+                            (lo, lo + data.draw(st.floats(0.1, 3.0))))
+    amap = frenet.arclength_map(spec)
+    _kernel_matches_reference(spec, amap, _arclength(data, amap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_kernel_is_the_jet_chain_on_constructed_curves(data):
+    spec, amap = _constructed_source(*data.draw(st.sampled_from(CONSTRUCTED)))
+    _kernel_matches_reference(spec, amap, _arclength(data, amap))
+
+
+# Position jets of a curve pass through jets.compose, whose sums start from
+# 0.0, so they never hold a -0.0; raw coefficients reach the sign of zero,
+# and the smallest subnormals make products underflow to a signed zero.
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
+                                    5e-324, -5e-324]),
+                   st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.tuples(*[_COEFF] * 5), min_size=4, max_size=4))
+@example(coeffs=[      # (1/kappa3) * R2 underflows to a zero in B2
+    (8.81628506420465, -5e-324, -2.0, 2.098675705733692, -1.0),
+    (-2.0, 0.5, -0.0, -0.37007070900485495, -5e-324),
+    (-4.035330302704853, -0.0, -5e-324, 0.0, -5e-324),
+    (-2.0, -1.0, -3.4283980221060943, 5e-324, -2.0)])
+def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
+    aj = tuple(jets.Jet(c) for c in coeffs)
+    assert (_outcome(frenet._frame_from_position_jets, aj, 0.5)
+            == _outcome(reference_frame, aj, 0.5))
+
+
+def test_float_kernel_builds_no_jet(helix, monkeypatch):
+    spec, amap = helix
+    aj = curves.arclength_jets(spec, amap.t_of_s(1.0), 1.0)
+    built = []
+    post_init = jets.Jet.__post_init__
+    monkeypatch.setattr(jets.Jet, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    jets.variable(0.5)
+    assert built == [1]          # the counter sees a jet being built
+    built.clear()
+    f = frenet._frame_from_position_jets(aj, 1.0)
+    assert built == []
+    assert _outcome(lambda aj, s: f, aj, 1.0) == _outcome(reference_frame,
+                                                           aj, 1.0)

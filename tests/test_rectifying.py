@@ -173,7 +173,9 @@ def test_constructed_frames_satisfy_the_gram_conditions(a, t0):
     src = frenet.JetFrameSource(construct(a, t0))
     for s in samples_of(src, 50):
         f = src.frame(s)
-        assert frenet.gram_errors(*f.frame_arrays(), f.eps) < verify.GRAM_TOL
+        assert frenet.gram_errors(f.T.components, f.N.components,
+                                  f.B1.components, f.B2.components,
+                                  f.eps) < verify.GRAM_TOL
         assert f.eps == int(math.copysign(1.0, minkowski_dot(f.B1, f.B1)))
 
 

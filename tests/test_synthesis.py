@@ -49,7 +49,9 @@ def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
     """(s list, state list, max drift, aborted) from the standard frame."""
     frame = frenet.standard_init_frame(profile.eps)
     s_lo, s_hi = profile.s_range
-    state = np.concatenate([np.zeros(4), *frame.frame_arrays()])
+    state = np.concatenate([np.zeros(4), frame.T.components,
+                            frame.N.components, frame.B1.components,
+                            frame.B2.components])
     n = max(1, int(round((s_hi - s_lo) / ds)))
     ds = (s_hi - s_lo) / n
 
@@ -156,7 +158,9 @@ def test_synthesized_frames_stay_orthonormal():
     curve = frenet.synthesize_curve(profile, ds=1e-3)
     for s in curve.grid_samples(11):
         f = curve.frame(float(s))
-        assert frenet.gram_errors(*f.frame_arrays(), f.eps) < 1e-10
+        assert frenet.gram_errors(f.T.components, f.N.components,
+                                  f.B1.components, f.B2.components,
+                                  f.eps) < 1e-10
 
 
 def test_kappa3_integral_linear_for_unit_torsion():
@@ -348,7 +352,8 @@ def test_built_in_synthesis_builds_no_jet(name, monkeypatch):
 # -- non-finite input ---------------------------------------------------------
 
 def test_gram_errors_propagates_nan():
-    T, N, B1, _ = frenet.standard_init_frame(1).frame_arrays()
+    f = frenet.standard_init_frame(1)
+    T, N, B1 = (np.array(v.components) for v in (f.T, f.N, f.B1))
     B2 = np.array([math.nan, 0.0, 0.0, 0.0])
     assert math.isnan(frenet.gram_errors(T, N, B1, B2, 1))
 
