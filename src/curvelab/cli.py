@@ -22,7 +22,7 @@ from .errors import (
     FrameDriftExceeded,
     UsageError,
 )
-from .lorentz import Vec4, causal_character
+from .lorentz import causal_character
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -56,16 +56,12 @@ def _finite(raw: str) -> float:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _frame_row(f: frenet.FrenetData, last: float) -> str:
     """One frame CSV data row; ``last`` is ode_residual_max or t_int."""
-    vals = [f.s, *f.position.components,
-            *f.T.components, *f.N.components,
-            *f.B1.components, *f.B2.components,
+    vals = [f.s, *f.position, *f.T, *f.N, *f.B1, *f.B2,
             f.kappa1, f.kappa2, f.kappa3, f.eps, last]
     return ",".join(_fmt(v) for v in vals)
 
@@ -213,18 +209,17 @@ class CsvFrameSource(frenet.SynthesizedCurve):
         if len(rows) < 2:
             raise UsageError(f"{path} holds fewer than 2 samples")
         data = np.array(rows)
-        super().__init__(profile=None, s=data[:, 0], pos=data[:, 1:5],
-                         T=data[:, 5:9], N=data[:, 9:13], B1=data[:, 13:17],
-                         B2=data[:, 17:21], max_drift=math.nan)
+        super().__init__(profile=None, s=data[:, 0], rows=data[:, 1:21],
+                         max_drift=math.nan)
         self._data = data
 
     def frame(self, s: float) -> frenet.FrenetData:
         i = self._index(s)
-        k1, k2, k3, eps = self._data[i, 21:25]
-        return self._row_frame(i, float(k1), float(k2), float(k3), int(eps))
+        k1, k2, k3, eps = self._data[i, 21:25].tolist()
+        return self._row_frame(i, k1, k2, k3, int(eps))
 
     def kappa3_integral(self, s: float) -> float:
-        return float(self._data[self._index(s), 25])
+        return self._data[self._index(s), 25].item()
 
 
 # -- command bodies -----------------------------------------------------------
@@ -235,7 +230,7 @@ def cmd_classify(args, out) -> int:
         vel = curves.point(spec, t)[1]
         if not all(map(math.isfinite, vel)):
             raise curves._pole(spec, t, OverflowError(f"velocity {vel}"))
-        out.write(f"t={_fmt(t)}: {causal_character(Vec4(*vel)).value}\n")
+        out.write(f"t={_fmt(t)}: {causal_character(vel).value}\n")
     return EXIT_OK
 
 
@@ -245,7 +240,6 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
     rows = []
     degenerate = 0
     for s in amap.grid_samples(count):
-        s = float(s)
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
             resid = max(frenet._ode_residual(
@@ -271,9 +265,12 @@ def cmd_frenet(args, out) -> int:
 
 
 def _source_for_check(args):
-    if getattr(args, "from_synthesis", None):
+    if args.from_synthesis:
+        if args.config or args.curve or args.param or args.domain:
+            raise UsageError("--from-synthesis takes no --config, --curve, "
+                             "--param or --domain")
         src = CsvFrameSource(args.from_synthesis)
-        samples = list(src.grid_samples(args.samples))
+        samples = src.grid_samples(args.samples)
         # A synthesized curve is congruent to a rectifying one: subtract
         # the fitted constant vector before running the position battery.
         # Its positions are taken about the synthesis origin, so an unknown
@@ -287,7 +284,7 @@ def _source_for_check(args):
         return shifted, args.from_synthesis, samples, fit.c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
-    return src, spec.catalog_id, list(src.grid_samples(args.samples)), args.c
+    return src, spec.catalog_id, src.grid_samples(args.samples), args.c
 
 
 def cmd_rectify_check(args, out) -> int:
@@ -315,9 +312,9 @@ def cmd_construct(args, out) -> int:
         sphere, rectifying.ConstructionParams(a=args.a, t0=args.t0,
                                               domain=domain))
     lines = [POSITION_HEADER]
-    for u in np.linspace(spec.domain[0], spec.domain[1], args.samples):
-        pos = curves.eval_curve(spec, float(u)).position()
-        lines.append(",".join(_fmt(v) for v in (float(u), *pos.components)))
+    for u in frenet.grid(*spec.domain, args.samples):
+        pos = curves.eval_curve(spec, u).position()
+        lines.append(",".join(_fmt(v) for v in (u, *pos)))
     _write_lines(args.output, lines, out)
     out.write(f"registered: {spec.catalog_id}\n")
     return EXIT_OK
@@ -333,6 +330,8 @@ def cmd_synthesize(args, out) -> int:
     if args.eps not in (1, -1):
         raise UsageError("--eps must be 1 or -1")
     cfg = load_config(args)
+    if "id" in cfg or "construct" in cfg:       # --curve sets "id"
+        raise UsageError("synthesize takes a --profile, not a curve")
     s_range = tuple(cfg.get("domain", (0.5, 2.5)))
     try:
         profile = frenet.profile_from_name(args.profile,
@@ -346,7 +345,6 @@ def cmd_synthesize(args, out) -> int:
     def emit(curve: frenet.SynthesizedCurve) -> None:
         lines = [SYNTH_HEADER]
         for s in curve.grid_samples(args.samples):
-            s = float(s)
             lines.append(_frame_row(curve.frame(s), curve.kappa3_integral(s)))
         lines.append(f"# max_gram_drift={_fmt(curve.max_drift)}")
         _write_lines(args.output, lines, out)

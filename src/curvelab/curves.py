@@ -20,7 +20,7 @@ from . import jets
 from .errors import (DivisionNearZero, NonSpacelikeVelocity, OutOfDomain,
                      PoleEncountered, SqrtNonPositive)
 from .jets import Jet
-from .lorentz import Vec4
+from .lorentz import Vec4, minkowski_dot
 
 __all__ = [
     "CurveSpec",
@@ -52,8 +52,8 @@ class CurveSpec:
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise OutOfDomain(f"domain must be a nonempty interval, got {self.domain}")
         entry = _lookup(self.catalog_id)
-        merged = dict(entry.default_params)
-        merged.update(self.params)
+        _check_names(self.catalog_id, self.params, entry.default_params)
+        merged = {**entry.default_params, **self.params}
         for name, value in merged.items():
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"parameter {name} must be a finite number, "
@@ -65,6 +65,14 @@ class CurveSpec:
         lo, hi = self.domain
         span = hi - lo
         return lo - DOMAIN_SLACK * span <= t <= hi + DOMAIN_SLACK * span
+
+
+def _check_names(owner: str, params, accepted) -> None:
+    """Reject a name in ``params`` that ``accepted`` does not list."""
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"{owner} has no parameter {', '.join(unknown)} "
+                         f"(accepted: {', '.join(accepted) or 'none'})")
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,6 @@ class CurveJet:
 # a catalog entry
 ArclengthPair = tuple[Callable[[Mapping[str, float], float, float], float],
                       Callable[[Mapping[str, float], float, float], float]]
-Quad = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ class CatalogEntry:
         lambda params, domain: None
     arclength: ArclengthPair | None = None
     closed_form: Callable[[Mapping[str, float], float],
-                          tuple[Quad, Quad]] | None = None
+                          tuple[tuple, tuple]] | None = None
 
 
 # -- static catalog -----------------------------------------------------------
@@ -318,8 +325,8 @@ def eval_curve(spec: CurveSpec, t: float) -> CurveJet:
     return CurveJet(t=t, jets=tuple(coords))
 
 
-def point(spec: CurveSpec, t: float) -> tuple[Quad, Quad]:
-    """Position and velocity of the curve at ``t`` in plain floats.
+def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
+    """Position and velocity of the curve at ``t``, two 4-tuples of floats.
 
     Bit for bit coefficients 0 and 1 of ``eval_curve(spec, t)``'s jets,
     with its errors; the entry's ``closed_form`` builds no jet.
@@ -375,8 +382,8 @@ def speed(spec: CurveSpec, t: float) -> float:
     Bit for bit ``speed_jet(spec, t).value``: the same products and sums,
     on the velocity that ``point`` reads.
     """
-    d0, d1, d2, d3 = point(spec, t)[1]
-    g = (0.0 + -d0 * d0) + (0.0 + d1 * d1) + (0.0 + d2 * d2) + (0.0 + d3 * d3)
+    vel = point(spec, t)[1]
+    g = minkowski_dot(vel, vel)
     if not g > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")

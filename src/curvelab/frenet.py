@@ -16,23 +16,24 @@ right, as numpy's reduction of a 4-element array does, so it matches the
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jets
-from .curves import (ArclengthPair, CurveSpec, _lookup, arclength_jets,
-                     speed)
+from .curves import (ArclengthPair, CurveSpec, _check_names, _lookup,
+                     arclength_jets, speed)
 from .errors import (ConvergenceFailure, DegenerateFrame, FrameDriftExceeded,
                      NonSpacelikePrincipalNormal, OutOfDomain)
 from .jets import Jet
-from .lorentz import Vec4
+from .lorentz import Vec4, minkowski_dot
 
 __all__ = [
+    "grid",
     "ArclengthMap",
     "arclength_map",
     "adaptive_simpson",
@@ -59,6 +60,18 @@ ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
+
+
+def grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from ``lo`` to ``hi``, bit for bit numpy's
+    ``linspace``: point i is ``i * step + lo``, or ``i / (n - 1) * (hi - lo)
+    + lo`` where the step underflows to 0, and the last point is ``hi``."""
+    lo, hi = float(lo), float(hi)
+    div = max(n - 1, 1)
+    step = (hi - lo) / div
+    ys = [(i * step if step else i / div * (hi - lo)) + lo for i in range(n)]
+    return ys[:-1] + [hi] if n > 1 else ys
+
 
 # -- quadrature ---------------------------------------------------------------
 
@@ -104,37 +117,33 @@ class ArclengthMap:
     """Monotone map s(t) from the low end of the domain, and its inverse t(s).
 
     ``arclength`` is the curve's ``CatalogEntry.arclength`` pair: when it
-    is given, ``s_of_t`` and ``t_of_s`` evaluate it in closed form and
-    ``grid_s`` holds its values.  Otherwise ``grid_s`` holds adaptive
-    Simpson integrals of the speed, ``s_of_t`` integrates from the nearest
-    grid node below and ``t_of_s`` runs safeguarded Newton over that
-    integral.
+    is given, ``s_of_t`` and ``t_of_s`` evaluate it in closed form and the
+    map keeps only ``total``.  Otherwise ``grid_s`` holds adaptive Simpson
+    integrals of the speed, ``s_of_t`` integrates from the nearest grid
+    node below and ``t_of_s`` runs safeguarded Newton over that integral.
     """
 
     spec: CurveSpec
-    grid_t: np.ndarray
-    grid_s: np.ndarray
+    total: float
+    grid_t: tuple[float, ...] = ()
+    grid_s: tuple[float, ...] = ()
     arclength: ArclengthPair | None = None
 
-    @property
-    def total(self) -> float:
-        return float(self.grid_s[-1])
-
-    def grid_samples(self, count: int) -> np.ndarray:
+    def grid_samples(self, count: int) -> list[float]:
         """``count`` evenly spaced arclengths, 1% of the total in from
         each end."""
         pad = 0.01 * self.total
-        return np.linspace(pad, self.total - pad, count)
+        return grid(pad, self.total - pad, count)
 
     def s_of_t(self, t: float) -> float:
         if not self.spec.contains(t):
             raise OutOfDomain(f"t={t} outside {self.spec.domain}")
         if self.arclength is not None:
             return self.arclength[0](self.spec.params, self.spec.domain[0], t)
-        i = min(bisect.bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
+        i = min(bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
-        return float(self.grid_s[i] + adaptive_simpson(
-            lambda u: speed(self.spec, u), float(self.grid_t[i]), t))
+        return self.grid_s[i] + adaptive_simpson(
+            lambda u: speed(self.spec, u), self.grid_t[i], t)
 
     def t_of_s(self, s: float) -> float:
         span = self.total
@@ -143,13 +152,12 @@ class ArclengthMap:
         s = min(max(s, 0.0), span)
         if self.arclength is not None:
             return self.arclength[1](self.spec.params, self.spec.domain[0], s)
-        i = int(np.searchsorted(self.grid_s, s))
-        i = min(max(i, 1), len(self.grid_s) - 1)
-        lo_t, hi_t = float(self.grid_t[i - 1]), float(self.grid_t[i])
-        lo_s = float(self.grid_s[i - 1])
+        i = min(max(bisect_left(self.grid_s, s), 1), len(self.grid_s) - 1)
+        lo_t, hi_t = self.grid_t[i - 1], self.grid_t[i]
+        lo_s = self.grid_s[i - 1]
         # Newton from the bracket midpoint, bisection as safeguard
-        t = lo_t + (hi_t - lo_t) * (s - lo_s) / max(
-            float(self.grid_s[i]) - lo_s, 1e-300)
+        t = lo_t + (hi_t - lo_t) * (s - lo_s) / max(self.grid_s[i] - lo_s,
+                                                    1e-300)
         scale = max(1.0, span)
         # Simpson has just evaluated the speed at t and lo_t
         f = functools.cache(lambda u: speed(self.spec, u))
@@ -176,18 +184,18 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
     """s(t) from the low end of the domain: exact when the curve's catalog
     entry gives its arclength, else by quadrature of the speed."""
     lo, hi = spec.domain
-    ts = np.linspace(lo, hi, ARCLENGTH_GRID)
     exact = _lookup(spec.catalog_id).arclength
     if exact is not None:
-        ss = np.array([exact[0](spec.params, lo, float(t)) for t in ts])
-        return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss, arclength=exact)
-    ss = np.zeros_like(ts)
+        return ArclengthMap(spec=spec, total=exact[0](spec.params, lo, hi),
+                            arclength=exact)
+    ts = grid(lo, hi, ARCLENGTH_GRID)
+    ss = [0.0]
     # each interior node ends one interval and starts the next
     f = functools.cache(lambda u: speed(spec, u))
-    for i in range(1, ARCLENGTH_GRID):
-        ss[i] = ss[i - 1] + adaptive_simpson(f, float(ts[i - 1]),
-                                             float(ts[i]))
-    return ArclengthMap(spec=spec, grid_t=ts, grid_s=ss)
+    for a, b in zip(ts, ts[1:]):
+        ss.append(ss[-1] + adaptive_simpson(f, a, b))
+    return ArclengthMap(spec=spec, total=ss[-1], grid_t=tuple(ts),
+                        grid_s=tuple(ss))
 
 
 # -- Frenet apparatus ---------------------------------------------------------
@@ -313,13 +321,9 @@ def _frame_from_position_jets(aj, s: float) -> FrenetData:
         kappa1=r0, kappa2=k2, kappa3=k3, eps=eps)
 
 
-_Seq4 = Sequence[float]
-_Row4 = tuple[float, float, float, float]
-
-
-def frenet_rhs(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, k1: float,
-               k2: float, k3: float, eps: int
-               ) -> tuple[_Row4, _Row4, _Row4, _Row4]:
+def frenet_rhs(T: Sequence[float], N: Sequence[float], B1: Sequence[float],
+               B2: Sequence[float], k1: float, k2: float, k3: float, eps: int
+               ) -> tuple[tuple[float, ...], ...]:
     """Right-hand side of the moving-frame system.
 
     Takes the frame as four 4-sequences of floats and returns the four
@@ -357,18 +361,17 @@ def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
                   frame_rhs: Callable = frenet_rhs
                   ) -> tuple[float, float, float, float]:
     """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
-    rhs = frame_rhs(f0.T.components, f0.N.components, f0.B1.components,
-                    f0.B2.components, f0.kappa1, f0.kappa2, f0.kappa3, f0.eps)
+    rhs = frame_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
+                    f0.kappa3, f0.eps)
     out = []
     for lo, hi, r in zip(*[(f.T, f.N, f.B1, f.B2) for f in (fm, fp)], rhs):
-        d0, d1, d2, d3 = [(b - a) / (2.0 * h) - c for a, b, c
-                          in zip(lo.components, hi.components, r)]
-        out.append(math.sqrt(abs((((-d0) * d0 + d1 * d1) + d2 * d2) + d3 * d3)))
+        d = [(b - a) / (2.0 * h) - c for a, b, c in zip(lo, hi, r)]
+        out.append(math.sqrt(abs(minkowski_dot(d, d))))
     return tuple(out)
 
 
-def gram_errors(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, eps: int
-                ) -> float:
+def gram_errors(T: Sequence[float], N: Sequence[float],
+                B1: Sequence[float], B2: Sequence[float], eps: int) -> float:
     """Max deviation of the ten Gram conditions from their target values.
 
     The frame vectors are 4-sequences of floats, numpy arrays included.
@@ -380,6 +383,8 @@ def gram_errors(T: _Seq4, N: _Seq4, B1: _Seq4, B2: _Seq4, eps: int
     non-finite deviation makes the result non-finite (``max`` alone would
     drop a NaN), which aborts ``synthesize_curve``.
     """
+    # the ten sums are written out, not minkowski_dot calls: each RK4 step
+    # runs them
     t0, t1, t2, t3 = map(float, T)
     n0, n1, n2, n3 = map(float, N)
     p0, p1, p2, p3 = map(float, B1)
@@ -458,9 +463,11 @@ def rectifying_profile(s_range: tuple[float, float] = (0.5, 2.5),
 def profile_from_name(name: str, params: dict, eps: int,
                       s_range: tuple[float, float]) -> CurvatureProfile:
     if name == "constant":
+        _check_names("profile constant", params, ("k1", "k2", "k3"))
         return constant_profile(params.get("k1", 1.0), params.get("k2", 1.0),
                                 params.get("k3", 1.0), eps, s_range)
     if name == "cosh_over_s":
+        _check_names("profile cosh_over_s", params, ())
         return rectifying_profile(s_range, eps)
     raise KeyError(f"unknown profile {name!r}")
 
@@ -482,16 +489,13 @@ def standard_init_frame(eps: int = 1) -> FrenetData:
 @dataclass
 class SynthesizedCurve:
     """Sampled-frame table: the dense RK4 output of a frame synthesis and a
-    frame source on its grid points.  ``cli.CsvFrameSource`` is the same
+    frame source on its grid points.  ``rows[i]`` holds the position, T, N,
+    B1 and B2 at ``s[i]``, 20 floats.  ``cli.CsvFrameSource`` is the same
     table read back from a synthesis CSV, with no profile."""
 
     profile: CurvatureProfile | None
     s: np.ndarray
-    pos: np.ndarray          # (n, 4)
-    T: np.ndarray
-    N: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
+    rows: np.ndarray         # (n, 20)
     max_drift: float
 
     @property
@@ -500,31 +504,32 @@ class SynthesizedCurve:
 
     def _index(self, s: float) -> int:
         i = int(np.argmin(np.abs(self.s - s)))
-        if abs(float(self.s[i]) - s) > 1e-9 * max(1.0, abs(s)):
+        if abs(self.s[i] - s) > 1e-9 * max(1.0, abs(s)):
             raise OutOfDomain(f"s={s} is not a synthesis grid point")
         return i
 
-    def grid_samples(self, count: int) -> np.ndarray:
-        idx = np.linspace(0, len(self.s) - 1, count).round().astype(int)
-        return self.s[np.unique(idx)]
+    def grid_samples(self, count: int) -> list[float]:
+        # row indices rounded half to even; rows that coincide count once
+        idx = sorted({round(x) for x in grid(0, len(self.s) - 1, count)})
+        return self.s[idx].tolist()
 
     def _row_frame(self, i: int, kappa1: float, kappa2: float,
                    kappa3: float, eps: int) -> FrenetData:
         """Row ``i`` of the table with the given curvatures."""
+        r = self.rows[i].tolist()
         return FrenetData(
-            s=float(self.s[i]), position=Vec4(*self.pos[i]),
-            T=Vec4(*self.T[i]), N=Vec4(*self.N[i]),
-            B1=Vec4(*self.B1[i]), B2=Vec4(*self.B2[i]),
+            s=self.s[i].item(), position=Vec4(*r[0:4]), T=Vec4(*r[4:8]),
+            N=Vec4(*r[8:12]), B1=Vec4(*r[12:16]), B2=Vec4(*r[16:20]),
             kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, eps=eps)
 
     def frame(self, s: float) -> FrenetData:
         i = self._index(s)
-        return self._row_frame(i, *self.profile.values(float(self.s[i])),
+        return self._row_frame(i, *self.profile.values(self.s[i].item()),
                                self.profile.eps)
 
     def kappa3_integral(self, s: float) -> float:
         k3 = lambda u: self.profile.values(u)[2]
-        return adaptive_simpson(k3, float(self.s[0]), s, REPARAM_TOL)
+        return adaptive_simpson(k3, self.s[0].item(), s, REPARAM_TOL)
 
 
 def synthesize_curve(profile: CurvatureProfile,
@@ -543,8 +548,7 @@ def synthesize_curve(profile: CurvatureProfile,
         raise ValueError("ds must be positive")
     frame = init_frame or standard_init_frame(profile.eps)
     eps = profile.eps
-    y = [0.0] * 4 + [float(x) for v in (frame.T, frame.N, frame.B1, frame.B2)
-                     for x in v.components]
+    y = [0.0] * 4 + [*frame.T, *frame.N, *frame.B1, *frame.B2]
     if not gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps) <= 1e-12:
         raise ValueError("init_frame violates the Gram conditions")
 
@@ -554,7 +558,7 @@ def synthesize_curve(profile: CurvatureProfile,
     rows = np.empty((n + 1, 20))
     ss[0], rows[0] = s_lo, y
     if n == 0:
-        return _pack_synthesis(profile, ss, rows, 0.0)
+        return SynthesizedCurve(profile, ss, rows, 0.0)
     ds = (s_hi - s_lo) / n
     half, sixth = 0.5 * ds, ds / 6.0
     kvals = profile.values
@@ -590,19 +594,12 @@ def synthesize_curve(profile: CurvatureProfile,
         if not drift <= synth_tol:
             while not np.isfinite(rows[i]).all():
                 i -= 1
-            partial = _pack_synthesis(profile, ss[:i + 1], rows[:i + 1],
-                                      drift)
+            partial = SynthesizedCurve(profile, ss[:i + 1], rows[:i + 1],
+                                       drift)
             raise FrameDriftExceeded(
                 f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
                 partial=partial)
-    return _pack_synthesis(profile, ss, rows, drift)
-
-
-def _pack_synthesis(profile, ss, rows, drift) -> SynthesizedCurve:
-    return SynthesizedCurve(
-        profile=profile, s=ss, pos=rows[:, 0:4], T=rows[:, 4:8],
-        N=rows[:, 8:12], B1=rows[:, 12:16], B2=rows[:, 16:20],
-        max_drift=drift)
+    return SynthesizedCurve(profile, ss, rows, drift)
 
 
 # -- frame sources ------------------------------------------------------------
@@ -620,7 +617,7 @@ class JetFrameSource:
     def s_range(self) -> tuple[float, float]:
         return (0.0, self.map.total)
 
-    def grid_samples(self, count: int) -> np.ndarray:
+    def grid_samples(self, count: int) -> list[float]:
         return self.map.grid_samples(count)
 
     def frame(self, s: float) -> FrenetData:

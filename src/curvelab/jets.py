@@ -223,10 +223,6 @@ def sin(j: Jet) -> Jet:
     return sincos(j)[0]
 
 
-def cos(j: Jet) -> Jet:
-    return sincos(j)[1]
-
-
 def sinhcosh(j: Jet) -> tuple[Jet, Jet]:
     a0, a1, a2, a3, a4 = j.coeffs
     a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
@@ -284,14 +280,17 @@ def reverse(j: Jet, at: float) -> Jet:
     """Compositional inverse: given the jet of s(t) at t0, return t(s) at s(t0).
 
     ``at`` is t0, the expansion point of ``j`` (a jet does not carry it);
-    the result has constant term t0.  Requires a non-vanishing linear
-    coefficient.
+    the result has constant term t0.  Raises DivisionNearZero when the
+    linear coefficient b1 is ~0, or b1 ** 7 (or b2 ** 3) under- or overflows.
     """
     _, b1, b2, b3, b4 = j.coeffs
     if abs(b1) <= DIV_FLOOR:
         raise DivisionNearZero("series reversion with ~zero linear coefficient")
-    c1 = 1.0 / b1
-    c2 = -b2 / b1 ** 3
-    c3 = (2.0 * b2 * b2 - b1 * b3) / b1 ** 5
-    c4 = (5.0 * b1 * b2 * b3 - b1 * b1 * b4 - 5.0 * b2 ** 3) / b1 ** 7
-    return Jet((float(at), c1, c2, c3, c4))
+    try:
+        c2 = -b2 / b1 ** 3
+        c3 = (2.0 * b2 * b2 - b1 * b3) / b1 ** 5
+        c4 = (5.0 * b1 * b2 * b3 - b1 * b1 * b4 - 5.0 * b2 ** 3) / b1 ** 7
+    except ArithmeticError as exc:      # a power under- or overflows
+        raise DivisionNearZero(f"series reversion with linear coefficient "
+                               f"{b1!r}: {exc}") from None
+    return Jet((float(at), 1.0 / b1, c2, c3, c4))

@@ -5,9 +5,9 @@ sign.  Everything here is exact coordinate arithmetic, pure and immutable.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
+from operator import add, neg, sub
 
 __all__ = [
     "Vec4",
@@ -26,61 +26,63 @@ class CausalCharacter(Enum):
     NULL = "null"
 
 
-@dataclass(frozen=True)
-class Vec4:
-    """A point or vector of E_1^4; ``x0`` is the timelike coordinate."""
+class Vec4(tuple):
+    """A point or vector of E_1^4, a tuple of four finite Python floats; x0
+    is the timelike coordinate.  ``+``, ``-``, scalar ``*`` and unary ``-``
+    are vector operations.  A numpy row goes through ``.tolist()`` first."""
 
-    x0: float
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ()
+    __array_ufunc__ = None      # so that np.float64 * v calls v.__rmul__
 
-    def __post_init__(self):
-        for c in (self.x0, self.x1, self.x2, self.x3):
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate in Vec4: {c!r}")
+    def __new__(cls, x0: float, x1: float, x2: float, x3: float) -> "Vec4":
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2)
+                and isfinite(x3)):
+            raise ValueError(
+                f"non-finite coordinate in Vec4: {(x0, x1, x2, x3)!r}")
+        return tuple.__new__(cls, (x0, x1, x2, x3))
+
+    def __getnewargs__(self):          # copy and pickle call __new__ with it
+        return tuple(self)
 
     @property
     def components(self) -> tuple[float, float, float, float]:
-        return (self.x0, self.x1, self.x2, self.x3)
+        return tuple(self)
 
-    def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x0 + other.x0, self.x1 + other.x1,
-                    self.x2 + other.x2, self.x3 + other.x3)
+    def __add__(self, other) -> "Vec4":
+        return Vec4(*map(add, self, other))
 
-    def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x0 - other.x0, self.x1 - other.x1,
-                    self.x2 - other.x2, self.x3 - other.x3)
+    def __sub__(self, other) -> "Vec4":
+        return Vec4(*map(sub, self, other))
 
     def __mul__(self, k: float) -> "Vec4":
-        return Vec4(self.x0 * k, self.x1 * k, self.x2 * k, self.x3 * k)
+        k = float(k)            # a numpy scalar would spread to every coordinate
+        return Vec4(*[x * k for x in self])
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vec4":
-        return Vec4(-self.x0, -self.x1, -self.x2, -self.x3)
-
-    def is_zero(self) -> bool:
-        return self.x0 == 0.0 and self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0
+        return Vec4(*map(neg, self))
 
 
-def minkowski_dot(v: Vec4, w: Vec4) -> float:
-    """g(v, w) = -v0*w0 + v1*w1 + v2*w2 + v3*w3."""
-    return -v.x0 * w.x0 + v.x1 * w.x1 + v.x2 * w.x2 + v.x3 * w.x3
+def minkowski_dot(v, w) -> float:
+    """g(v, w) = -v0*w0 + v1*w1 + v2*w2 + v3*w3 of two 4-sequences."""
+    v0, v1, v2, v3 = v
+    w0, w1, w2, w3 = w
+    return -v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3
 
 
-def causal_character(v: Vec4, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacter:
-    """Classify ``v`` as spacelike, timelike or null.
+def causal_character(v, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacter:
+    """Classify the 4-sequence ``v`` as spacelike, timelike or null.
 
     The null band is relative: |g(v,v)| <= tol * ||v||_E^2, which makes the
     classification scale invariant.  The zero vector is spacelike.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    if v.is_zero():
+    if not any(v):
         return CausalCharacter.SPACELIKE
     g = minkowski_dot(v, v)
-    band = tol * (v.x0 * v.x0 + v.x1 * v.x1 + v.x2 * v.x2 + v.x3 * v.x3)
+    band = tol * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
     if g > band:
         return CausalCharacter.SPACELIKE
     if g < -band:
@@ -88,7 +90,7 @@ def causal_character(v: Vec4, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacte
     return CausalCharacter.NULL
 
 
-def on_hyperbolic_sphere(p: Vec4, tol: float) -> bool:
+def on_hyperbolic_sphere(p, tol: float) -> bool:
     """True iff |g(p, p) + 1| <= tol, i.e. p lies on H_0^3(1)."""
     if tol < 0:
         raise ValueError("tol must be >= 0")

@@ -38,7 +38,7 @@ from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
                      point, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
-from .frenet import FrenetData, arclength_map
+from .frenet import FrenetData, arclength_map, grid
 from .jets import Jet
 from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
@@ -62,10 +62,6 @@ SPHERE_TOL = 1e-10
 # rho^2 counts as varying when its span exceeds this share of max(1, |rho^2|);
 # a fixed floor, so loosening a tolerance can never fail a curve
 RHO_SPAN_FLOOR = 1e-4
-
-
-def _arr(v: Vec4) -> np.ndarray:
-    return np.array(v.components)
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray
@@ -186,7 +182,7 @@ def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
 
 def constant_vector_drift(fit: Theorem31Fit) -> float:
     """max over the fit's own samples of the Euclidean norm of X(s) - X(s0)."""
-    xs = [_arr(_witness(f, t, fit)) for f, t in zip(fit.frames, fit.t_samples)]
+    xs = [_witness(f, t, fit) for f, t in zip(fit.frames, fit.t_samples)]
     return max(float(np.linalg.norm(x - xs[0])) for x in xs)
 
 
@@ -199,10 +195,10 @@ def least_squares_origin(source, samples: Sequence[float]
     rectifying on the samples.
     """
     frames = [source.frame(float(s)) for s in samples]
-    design = np.array([f.N.components for f in frames]) * [-1.0, 1.0, 1.0, 1.0]
+    design = np.array([f.N for f in frames]) * [-1.0, 1.0, 1.0, 1.0]
     target = np.array([minkowski_dot(f.position, f.N) for f in frames])
     d, rms = _lstsq(design, target)
-    return Vec4(*d), rms
+    return Vec4(*d.tolist()), rms
 
 
 # -- Theorem 3.3 battery ------------------------------------------------------
@@ -403,9 +399,9 @@ def construct_rectifying(sphere_spec: CurveSpec,
     """
     ymap = arclength_map(sphere_spec)
     total = ymap.total
-    for u in np.linspace(0.0, total, 33):
-        tau = ymap.t_of_s(float(u))
-        pos = Vec4(*point(sphere_spec, tau)[0])
+    for u in grid(0.0, total, 33):
+        tau = ymap.t_of_s(u)
+        pos = point(sphere_spec, tau)[0]
         if not on_hyperbolic_sphere(pos, SPHERE_TOL):
             raise NotOnHyperbolicSphere(
                 f"{sphere_spec.catalog_id} leaves H_0^3(1) at t={tau} "

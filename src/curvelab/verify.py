@@ -101,9 +101,9 @@ def criterion_1(ws: Workspace) -> CriterionResult:
     for cid in NONDEGENERATE_IDS:
         src = ws.source(cid)
         for s in src.grid_samples(100):
-            f = src.frame(float(s))
-            worst = max(worst, frenet.gram_errors(*(
-                v.components for v in (f.T, f.N, f.B1, f.B2)), f.eps))
+            f = src.frame(s)
+            worst = max(worst, frenet.gram_errors(f.T, f.N, f.B1, f.B2,
+                                                  f.eps))
             g_b1 = minkowski_dot(f.B1, f.B1)
             eps_ok = eps_ok and f.eps == int(math.copysign(1.0, g_b1))
     ok = worst < GRAM_TOL and eps_ok
@@ -143,7 +143,7 @@ def criterion_2(ws: Workspace) -> CriterionResult:
 def criterion_3(ws: Workspace) -> CriterionResult:
     """Spherical construction yields g(alpha, N) = 0."""
     src = ws.constructed(1.0)
-    worst = max(abs(rectifying.rectifying_residual(src, float(s)))
+    worst = max(abs(rectifying.rectifying_residual(src, s))
                 for s in src.grid_samples(50))
     return CriterionResult(3, "spherical construction", worst < CONSTRUCT_TOL,
                            f"max |g(alpha,N)| {worst:.3e} "
@@ -153,7 +153,7 @@ def criterion_3(ws: Workspace) -> CriterionResult:
 def criterion_4(ws: Workspace) -> CriterionResult:
     """Component battery on the constructed curve: the report's verdict."""
     src = ws.constructed(1.0)
-    rep = rectifying.theorem33_report(src, list(src.grid_samples(50)),
+    rep = rectifying.theorem33_report(src, src.grid_samples(50),
                                       REPORT_TOL,
                                       curve_name=src.spec.catalog_id)
     lead = rep.distance_quadratic["lead"]
@@ -170,9 +170,9 @@ def criterion_4(ws: Workspace) -> CriterionResult:
 def criterion_5(ws: Workspace) -> CriterionResult:
     """Curvature-ratio law in both directions."""
     src = ws.constructed(1.0)
-    fwd = rectifying.fit_theorem31(src, list(src.grid_samples(50)))
+    fwd = rectifying.fit_theorem31(src, src.grid_samples(50))
     synth = ws.synthesized()
-    samples = list(synth.grid_samples(41))
+    samples = synth.grid_samples(41)
     fit = rectifying.fit_theorem31(synth, samples, c=0.0)
     x0 = rectifying.constant_vector_X(synth, samples[0], fit)
     drift = rectifying.constant_vector_drift(fit)
@@ -191,8 +191,8 @@ def criterion_5(ws: Workspace) -> CriterionResult:
 def criterion_6(ws: Workspace) -> CriterionResult:
     """Non-rectifying witness: no c and no origin fit the flat helix."""
     src = ws.source("lorentz_helix")
-    samples = list(src.grid_samples(60))
-    frames = [src.frame(float(s)) for s in samples]
+    samples = src.grid_samples(60)
+    frames = [src.frame(s) for s in samples]
     kappas = np.array([(f.kappa1, f.kappa2, f.kappa3) for f in frames])
     k_dev = float(np.max(np.abs(kappas - kappas[0])))
     _, best_rms = rectifying.thm31_min_rms_over_c(src, samples)
@@ -214,7 +214,7 @@ def criterion_7(ws: Workspace) -> CriterionResult:
     degenerate = 0
     for s in amap.grid_samples(n):
         try:
-            frenet.frenet_apparatus(spec, amap, float(s))
+            frenet.frenet_apparatus(spec, amap, s)
         except DegenerateFrame:
             degenerate += 1
     from . import cli
@@ -251,12 +251,12 @@ def fd_oracle_error() -> float:
     for cid in static_ids:
         spec = curves.make_spec(cid)
         lo, hi = spec.domain
-        for t in rng.uniform(lo + margin, hi - margin, 50):
-            cj = curves.eval_curve(spec, float(t))
+        for t in rng.uniform(lo + margin, hi - margin, 50).tolist():
+            cj = curves.eval_curve(spec, t)
             at = functools.cache(functools.partial(curves.point, spec))
             for k, h in _FD_STEPS.items():
-                exact = np.array(cj.derivative(k).components)
-                approx = fd_derivative(lambda x: at(x)[0], float(t), k, h)
+                exact = np.array(cj.derivative(k))
+                approx = fd_derivative(lambda x: at(x)[0], t, k, h)
                 rel = (np.linalg.norm(approx - exact)
                        / max(np.linalg.norm(exact), 1e-12))
                 worst = max(worst, rel)

@@ -1,7 +1,8 @@
 """Every exported name resolves: no stale entries in any ``__all__``; the
 names the benchmark calls, and the methods its tracer wraps, are defined
-where it looks for them."""
+where it looks for them; the vector layer does not import numpy."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -133,3 +134,24 @@ def test_every_exported_name_has_a_caller():
                    and not re.match(rf"\s*(def|class) {name}\b", line)
                    for line in text.splitlines())})
     assert unused == []
+
+
+# the modules below the frame layer: plain floats, Vec4 and jets only
+VECTOR_LAYER = ("errors", "lorentz", "jets", "curves")
+
+
+def test_the_vector_layer_does_not_import_numpy():
+    root = Path(curvelab.__file__).parent
+    found = []
+    for name in VECTOR_LAYER:
+        tree = ast.parse((root / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} imports {m}" for m in modules
+                      if m.partition(".")[0] == "numpy"]
+    assert found == []

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, CSV/JSON shapes, round trips."""
 
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from curvelab import cli, curves, frenet
 from curvelab.errors import OutOfDomain
+from curvelab.lorentz import Vec4
 
 
 def run(argv):
@@ -74,6 +76,62 @@ def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "PoleEncountered" in err and "overflows floating point" in err
+
+
+@pytest.mark.parametrize("params", [["A=1e-50", "B=2e-50"],
+                                    ["A=1e45", "B=2e45"]],
+                         ids=["underflow", "overflow"])
+def test_arclength_reversion_out_of_float_range_exits_2(params, capsys):
+    # the seventh power of the speed (about 1.7e-50 or 1.7e45) leaves
+    # floating point while the arclength jet is reverted
+    argv = ["frenet", "--curve", "lorentz_helix", "--samples", "3"]
+    for p in params:
+        argv += ["--param", p]
+    code, _ = run(argv)
+    assert code == 2
+    assert "DivisionNearZero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["frenet", "--curve", "lorentz_helix", "--param", "Z=3"], "A, p, B, q"),
+    (["classify", "--curve", "hyperbolic_geodesic", "--param", "a=1",
+      "--at", "0"], "none"),
+    (["synthesize", "--profile", "constant", "--param", "kk1=5"],
+     "k1, k2, k3"),
+    (["synthesize", "--profile", "cosh_over_s", "--param", "k1=5"], "none"),
+], ids=["frenet", "classify", "constant", "cosh_over_s"])
+def test_unknown_parameter_exits_64(argv, accepted, capsys):
+    code, text = run(argv)
+    assert code == 64 and text == ""
+    assert f"(accepted: {accepted})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--curve", "lorentz_helix", "--param", "p=3"],
+    ["--domain", "0.0", "1.0"],
+], ids=["curve_param", "domain"])
+def test_synthesis_check_rejects_curve_flags(tmp_path, capsys, extra):
+    path = tmp_path / "syn.csv"
+    code, _ = run(["synthesize", "--ds", "2e-2", "--samples", "11",
+                   "-o", str(path)])
+    assert code == 0
+    code, text = run(["rectify-check", "--from-synthesis", str(path),
+                      "--samples", "11", *extra])
+    assert code == 64 and text == ""
+    assert extra[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config_id", "config_construct"])
+def test_synthesize_rejects_a_curve(tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"id": "lorentz_helix"}' if source == "config_id"
+                   else '{"construct": {"a": 1.0}}')
+    curve = (["--curve", "lorentz_helix"] if source == "flag"
+             else ["--config", str(cfg)])
+    code, text = run(["synthesize", *curve, "--ds", "2e-2",
+                      "--samples", "3"])
+    assert code == 64 and text == ""
+    assert "not a curve" in capsys.readouterr().err
 
 
 def test_unknown_curve_exits_64():
@@ -388,6 +446,37 @@ def test_synthesis_csv_reads_back_as_the_same_table(tmp_path):
         assert curve.kappa3_integral(s) == src.kappa3_integral(s)
     with pytest.raises(OutOfDomain):
         src.frame(0.5 * (written[0] + written[1]))
+
+
+def _assert_plain_frame(f: frenet.FrenetData) -> None:
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        if field.name == "eps":
+            assert type(value) is int
+        elif isinstance(value, tuple):
+            assert type(value) is Vec4, field.name
+            assert [type(x) for x in value] == [float] * 4, field.name
+        else:
+            assert type(value) is float, field.name
+
+
+def test_every_frame_source_gives_plain_floats(tmp_path):
+    # no numpy scalar leaves the frame layer, table rows included
+    path = tmp_path / "syn.csv"
+    code, _ = run(["synthesize", "--domain", "0.5", "1.0", "--ds", "1e-2",
+                   "--samples", "11", "-o", str(path)])
+    assert code == 0
+    jet = frenet.JetFrameSource(curves.make_spec("lorentz_helix"))
+    table = frenet.synthesize_curve(frenet.rectifying_profile((0.5, 1.0)),
+                                    ds=1e-2)
+    csv = cli.CsvFrameSource(str(path))
+    shifted = frenet.TranslatedSource(csv, Vec4(0.25, -0.5, 1.0, 2.0))
+    for src in (jet, table, csv, shifted):
+        samples = (src.base if src is shifted else src).grid_samples(4)
+        assert [type(s) for s in samples] == [float] * 4
+        for s in samples:
+            _assert_plain_frame(src.frame(s))
+            assert type(src.kappa3_integral(s)) is float
 
 
 @pytest.fixture(scope="module")

@@ -211,6 +211,30 @@ def test_frenet_rhs_rows(helix):
     assert np.allclose(dB2, f.kappa3 * B1)
 
 
+# endpoints of ordinary spans, and spans a few subnormals wide, whose step
+# underflows to 0 (numpy then scales i / (n - 1) by the span instead)
+_ends = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_tiny_spans = st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -1e-320, 1.0]),
+                        st.integers(-40, 40)).map(
+                            lambda p: (p[0], p[0] + p[1] * 5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_ends, _ends), _tiny_spans),
+       st.integers(min_value=1, max_value=600))
+@example((0.0, 3 * 5e-324), 600)
+@example((-0.0, 1.0), 1)
+@example((0.1, 0.7), 3)
+def test_grid_is_linspace_bit_for_bit(span, n):
+    lo, hi = span
+    got = frenet.grid(lo, hi, n)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes()
+    if n > 1:
+        assert got[-1] == hi and math.copysign(1.0, got[-1]) == \
+            math.copysign(1.0, hi)
+
+
 def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
     # adjacent Simpson intervals share their end node, and the speed there
     # is read once: 127 fewer position reads than one per interval end
@@ -228,7 +252,7 @@ def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
         for lo, hi in zip(ts, ts[1:]):
             want.append(want[-1] + frenet.adaptive_simpson(
                 lambda u: curves.speed(spec, u), float(lo), float(hi)))
-        assert amap.grid_s.tobytes() == np.array(want).tobytes(), cid
+        assert np.array(amap.grid_s).tobytes() == np.array(want).tobytes(), cid
 
 
 def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):

@@ -307,8 +307,8 @@ def test_kernel_compose_reverse_bit_exact(a, b, at):
         return
     try:
         want = ref_reverse(b, at)
-    except ArithmeticError as exc:   # powers of a tiny b1 under/overflow
-        with pytest.raises(type(exc)):
+    except ArithmeticError:          # powers of a tiny b1 under/overflow
+        with pytest.raises(DivisionNearZero):
             jets.reverse(Jet(b), at=at)
         return
     assert bits(jets.reverse(Jet(b), at=at).coeffs) == bits(want)

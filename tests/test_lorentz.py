@@ -1,7 +1,10 @@
 """Metric-level invariants of the Vec4 algebra."""
 
+import copy
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,7 +54,7 @@ def test_causal_partition(v):
     ch = causal_character(v)
     assert ch in (CausalCharacter.SPACELIKE, CausalCharacter.TIMELIKE,
                   CausalCharacter.NULL)
-    if v.is_zero():
+    if v == (0.0, 0.0, 0.0, 0.0):
         assert ch is CausalCharacter.SPACELIKE
 
 
@@ -90,3 +93,29 @@ def test_vector_ops():
     assert (u - v).components == (-3, -1, 1, 3)
     assert (2.0 * u).components == (2, 4, 6, 8)
     assert (-u).components == (-1, -2, -3, -4)
+
+
+def test_vec4_contract():
+    # a tuple of floats whose +, -, scalar * and unary - act on vectors
+    v = Vec4(1.0, 2.0, 3.0, 4.0)
+    w = Vec4(0.5, -1.0, 2.0, 0.0)
+    assert isinstance(v, tuple) and tuple(v) == (1.0, 2.0, 3.0, 4.0)
+    # numpy defers to Vec4 instead of broadcasting it into an array
+    for got in (np.float64(2) * v, v * np.float64(2), 2.0 * v):
+        assert type(got) is Vec4 and got == (2.0, 4.0, 6.0, 8.0)
+        assert all(type(x) is float for x in got)
+    assert type(v + w) is Vec4 and v + w == (1.5, 1.0, 5.0, 4.0)
+    assert type(v - w) is Vec4 and v - w == (0.5, 3.0, 1.0, 4.0)
+    assert type(-v) is Vec4 and -v == (-1.0, -2.0, -3.0, -4.0)
+    for k in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            xs = [0.0] * 4
+            xs[k] = bad
+            with pytest.raises(ValueError):
+                Vec4(*xs)
+    with pytest.raises(ValueError):         # a product that overflows
+        Vec4(1e308, 0.0, 0.0, 0.0) * 10.0
+    with pytest.raises(AttributeError):     # no instance dict
+        v.x0 = 5.0
+    for back in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(back) is Vec4 and back == v

@@ -83,11 +83,8 @@ def assert_same_trajectory(curve, ref):
     ss, states, drift, _ = ref
     arr = np.asarray(states)
     assert curve.s.tobytes() == np.asarray(ss, dtype=float).tobytes()
-    for got, lo in ((curve.pos, 0), (curve.T, 4), (curve.N, 8),
-                    (curve.B1, 12), (curve.B2, 16)):
-        assert got.shape == (len(ss), 4)
-        want = np.ascontiguousarray(arr[:, lo:lo + 4])
-        assert got.tobytes() == want.tobytes()
+    assert curve.rows.shape == (len(ss), 20)
+    assert curve.rows.tobytes() == arr.tobytes()
     assert repr(float(curve.max_drift)) == repr(float(drift))
 
 
@@ -374,7 +371,7 @@ def test_nan_curvature_aborts_with_finite_partial():
     partial = exc.value.partial
     assert math.isnan(partial.max_drift)
     assert len(partial.s) == 1
-    assert np.isfinite(partial.T).all() and np.isfinite(partial.pos).all()
+    assert np.isfinite(partial.rows).all()
 
 
 def test_overflow_aborts_without_numpy_warnings():
@@ -385,4 +382,18 @@ def test_overflow_aborts_without_numpy_warnings():
             frenet.synthesize_curve(profile, ds=0.5)
     partial = exc.value.partial
     assert len(partial.s) >= 1
-    assert np.isfinite(partial.T).all() and np.isfinite(partial.pos).all()
+    assert np.isfinite(partial.rows).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=700))
+def test_grid_samples_follow_the_numpy_index_rule(rows, count):
+    # the rule the table kept before its samples were plain floats
+    s = np.linspace(0.5, 2.5, rows)
+    table = frenet.SynthesizedCurve(profile=None, s=s, rows=None,
+                                    max_drift=0.0)
+    idx = np.linspace(0, rows - 1, count).round().astype(int)
+    got = table.grid_samples(count)
+    assert got == s[np.unique(idx)].tolist()
+    assert all(type(x) is float for x in got)
