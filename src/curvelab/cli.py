@@ -120,7 +120,8 @@ def _is_number(v) -> bool:
 
 
 def _check_config_fields(cfg: dict, path: str) -> None:
-    """Reject a config file's id, params or domain of the wrong shape."""
+    """Reject a config file's id, params, domain or construct.domain of the
+    wrong shape."""
     if "id" in cfg and not isinstance(cfg["id"], str):
         raise UsageError(f'{path}: "id" must be a string')
     params = cfg.get("params", {})
@@ -128,12 +129,18 @@ def _check_config_fields(cfg: dict, path: str) -> None:
                                                   params.values()))):
         raise UsageError(f'{path}: "params" must map names to finite '
                          f'numbers, got {params!r}')
-    if "domain" in cfg:
-        dom = cfg["domain"]
-        if not (isinstance(dom, list) and len(dom) == 2
-                and all(map(_is_number, dom))):
-            raise UsageError(f'{path}: "domain" must be two finite numbers, '
-                             f'got {dom!r}')
+    _check_domain(cfg, "domain", path)
+    if isinstance(cfg.get("construct"), dict):
+        _check_domain(cfg["construct"], "construct.domain", path)
+
+
+def _check_domain(block: dict, name: str, path: str) -> None:
+    """Reject a "domain" in ``block`` that is not two finite numbers."""
+    dom = block.get("domain", [0, 0])
+    if not (isinstance(dom, list) and len(dom) == 2
+            and all(map(_is_number, dom))):
+        raise UsageError(f'{path}: "{name}" must be two finite numbers, '
+                         f'got {dom!r}')
 
 
 def spec_from_config(cfg: dict) -> curves.CurveSpec:
@@ -353,6 +360,8 @@ def cmd_synthesize(args, out) -> int:
     try:
         curve = frenet.synthesize_curve(profile, ds=args.ds,
                                         synth_tol=args.drift_tol)
+    except ValueError as exc:           # too many steps
+        raise UsageError(str(exc))
     except FrameDriftExceeded as exc:
         if exc.partial is not None:
             emit(exc.partial)

@@ -29,7 +29,6 @@ from .curves import (ArclengthPair, CurveSpec, _check_names, _lookup,
                      arclength_jets, speed)
 from .errors import (ConvergenceFailure, DegenerateFrame, FrameDriftExceeded,
                      NonSpacelikePrincipalNormal, OutOfDomain)
-from .jets import Jet
 from .lorentz import Vec4, minkowski_dot
 
 __all__ = [
@@ -60,6 +59,9 @@ ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
+# Each RK4 step stores 20 floats of 8 bytes, so 10**7 steps is 1.6 GB: a
+# longer synthesis is refused before its first step.
+MAX_SYNTH_STEPS = 10 ** 7
 
 
 def grid(lo: float, hi: float, n: int) -> list[float]:
@@ -410,25 +412,12 @@ def gram_errors(T: Sequence[float], N: Sequence[float],
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Closed-form curvature functions of arclength, jet evaluable.
+    """Curvature functions of arclength: ``values(s)`` is (kappa1, kappa2,
+    kappa3) at a float s."""
 
-    ``closed_form``, when given, returns the three curvatures at a float s
-    bit for bit equal to the jet functions' values, with no jet built.
-    """
-
-    kappa1: Callable[[Jet], Jet]
-    kappa2: Callable[[Jet], Jet]
-    kappa3: Callable[[Jet], Jet]
+    values: Callable[[float], tuple[float, float, float]]
     eps: int
     s_range: tuple[float, float]
-    closed_form: Callable[[float], tuple[float, float, float]] | None = None
-
-    def values(self, s: float) -> tuple[float, float, float]:
-        if self.closed_form is not None:
-            return self.closed_form(s)
-        sj = jets.variable(s)
-        return (self.kappa1(sj).value, self.kappa2(sj).value,
-                self.kappa3(sj).value)
 
 
 def constant_profile(k1: float, k2: float, k3: float, eps: int,
@@ -436,11 +425,8 @@ def constant_profile(k1: float, k2: float, k3: float, eps: int,
     if not all(0.0 < k < math.inf for k in (k1, k2, k3)):
         raise ValueError("curvatures must be positive and finite")
     ks = (float(k1), float(k2), float(k3))
-    return CurvatureProfile(
-        kappa1=lambda sj: jets.constant(k1),
-        kappa2=lambda sj: jets.constant(k2),
-        kappa3=lambda sj: jets.constant(k3),
-        eps=eps, s_range=tuple(s_range), closed_form=lambda s: ks)
+    return CurvatureProfile(values=lambda s: ks, eps=eps,
+                            s_range=tuple(s_range))
 
 
 def rectifying_profile(s_range: tuple[float, float] = (0.5, 2.5),
@@ -452,12 +438,8 @@ def rectifying_profile(s_range: tuple[float, float] = (0.5, 2.5),
     """
     if s_range[0] <= 0.0:
         raise ValueError("kappa1 = cosh(s)/s needs s > 0")
-    return CurvatureProfile(
-        kappa1=lambda sj: jets.cosh(sj) / sj,
-        kappa2=lambda sj: jets.constant(1.0),
-        kappa3=lambda sj: jets.constant(1.0),
-        eps=eps, s_range=tuple(s_range),
-        closed_form=lambda s: (math.cosh(s) / s, 1.0, 1.0))
+    return CurvatureProfile(values=lambda s: (math.cosh(s) / s, 1.0, 1.0),
+                            eps=eps, s_range=tuple(s_range))
 
 
 def profile_from_name(name: str, params: dict, eps: int,
@@ -553,7 +535,11 @@ def synthesize_curve(profile: CurvatureProfile,
         raise ValueError("init_frame violates the Gram conditions")
 
     s_lo, s_hi = profile.s_range
-    n = max(1, int(round((s_hi - s_lo) / ds))) if s_hi > s_lo else 0
+    steps = (s_hi - s_lo) / ds
+    if steps > MAX_SYNTH_STEPS:
+        raise ValueError(f"{s_hi - s_lo} / ds = {steps:.3g} RK4 steps, more "
+                         f"than {MAX_SYNTH_STEPS}; use a larger ds")
+    n = max(1, int(round(steps))) if s_hi > s_lo else 0
     ss = np.empty(n + 1)
     rows = np.empty((n + 1, 20))
     ss[0], rows[0] = s_lo, y

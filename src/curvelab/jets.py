@@ -188,19 +188,8 @@ def _sqrt(a):
     return (r0, r1, r2, r3, r4)
 
 
-# exp, sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k;
+# sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k;
 # a1..a4 below stand for i * a_i, and the division by k = 1 is exact.
-
-def exp(j: Jet) -> Jet:
-    a0, a1, a2, a3, a4 = j.coeffs
-    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
-    b0 = math.exp(a0)
-    b1 = 0.0 + a1 * b0
-    b2 = (0.0 + a1 * b1 + a2 * b0) / 2.0
-    b3 = (0.0 + a1 * b2 + a2 * b1 + a3 * b0) / 3.0
-    b4 = (0.0 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0) / 4.0
-    return Jet((b0, b1, b2, b3, b4))
-
 
 def sincos(j: Jet) -> tuple[Jet, Jet]:
     """sin and cos of a jet, computed jointly via their coupled recurrence."""
@@ -239,26 +228,8 @@ def sinhcosh(j: Jet) -> tuple[Jet, Jet]:
     return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
 
 
-def sinh(j: Jet) -> Jet:
-    return sinhcosh(j)[0]
-
-
 def cosh(j: Jet) -> Jet:
     return sinhcosh(j)[1]
-
-
-def powi(j: Jet, n: int) -> Jet:
-    """Integer power by repeated multiplication; negative n goes through 1/j."""
-    if n < 0:
-        return powi(constant(1.0) / j, -n)
-    out = constant(1.0)
-    base = j
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:

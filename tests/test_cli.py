@@ -227,14 +227,22 @@ def test_rectify_check_malformed_config_exits_64(tmp_path):
     ("frenet", '{"id": ["lorentz_helix"]}'),
     ("synthesize", '{"domain": 5}'),
     ("synthesize", '{"params": {"k1": "x"}}'),
+    ("frenet", '{"id": "hyperbolic_clelia", '
+               '"construct": {"a": 2, "domain": [0.4, 1.0, 1.1]}}'),
+    ("frenet", '{"id": "hyperbolic_clelia", '
+               '"construct": {"a": 2, "domain": [1.0]}}'),
 ], ids=["domain_int", "domain_str", "params_list", "domain_nan", "id_list",
-        "synthesize_domain_int", "synthesize_params_str"])
+        "synthesize_domain_int", "synthesize_params_str",
+        "construct_domain_three", "construct_domain_one"])
 def test_malformed_config_field_exits_64(tmp_path, capsys, command, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     code, _ = run([command, "--config", str(cfg), "--samples", "3"])
     assert code == 64
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if "construct" in text:
+        assert '"construct.domain" must be two finite numbers' in err
 
 
 def test_construct_reproduces_example_coordinates(tmp_path):
@@ -291,6 +299,15 @@ def test_synthesize_negative_ds_exits_64():
 def test_synthesize_bad_drift_tol_exits_64(tol):
     code, _ = run(["synthesize", "--drift-tol", tol])
     assert code == 64
+
+
+@pytest.mark.parametrize("ds", ["1e-13", "1e-300"])
+def test_synthesize_refuses_too_many_steps(capsys, ds):
+    # 2e13 and 2e300 steps over the default range 0.5-2.5: refused before
+    # the first step, where the table would have run out of memory
+    code, _ = run(["synthesize", "--ds", ds])
+    assert code == 64
+    assert "RK4 steps, more than 10000000" in capsys.readouterr().err
 
 
 _NAN_CONFIG = "<nan config>"

@@ -41,13 +41,6 @@ def test_square_of_variable():
     assert sq.derivative(3) == 0.0
 
 
-def test_exp_matches_its_own_derivatives():
-    j = jets.exp(jets.variable(0.7))
-    v = math.exp(0.7)
-    for k in range(5):
-        assert math.isclose(j.derivative(k), v, rel_tol=8 * EPS)
-
-
 def test_sin_cos_maclaurin():
     s, c = jets.sincos(jets.variable(0.0))
     assert jet_close(s, Jet((0.0, 1.0, 0.0, -1.0 / 6.0, 0.0)))
@@ -85,25 +78,20 @@ def test_sqrt_of_square():
         jets.sqrt(jets.constant(-4.0))
 
 
-def test_powi():
-    t = jets.variable(1.1)
-    assert jet_close(jets.powi(t, 3), t * t * t)
-    assert jet_close(jets.powi(t, 0), jets.constant(1.0))
-
-
 @given(points)
 def test_compose_chain_rule(t0):
-    # f(g(t)) with f = exp, g = sin: compare against the analytic derivatives
-    g = jets.sin(jets.variable(t0))
-    f = jets.exp(jets.variable(g.value))
+    # f(g(t)) with f = cosh, g = sin: compare against the analytic derivatives
+    g = jets.sincos(jets.variable(t0))[0]
+    f = jets.sinhcosh(jets.variable(g.value))[1]
     h = jets.compose(f, g)
     s, c = math.sin(t0), math.cos(t0)
-    e = math.exp(s)
-    want = (e,
-            e * c,
-            e * (c * c - s),
-            e * (c ** 3 - 3 * s * c - c),
-            e * (c ** 4 - 6 * s * c * c - 4 * c * c + 3 * s * s + s))
+    sh, ch = math.sinh(s), math.cosh(s)
+    want = (ch,
+            sh * c,
+            ch * c * c - sh * s,
+            sh * c ** 3 - 3 * ch * s * c - sh * c,
+            ch * (c ** 4 - 4 * c * c + 3 * s * s) - 6 * sh * s * c * c
+            + sh * s)
     for k in range(5):
         assert abs(h.derivative(k) - want[k]) <= 64 * EPS * max(
             1.0, abs(want[k]))
@@ -113,7 +101,7 @@ def test_compose_chain_rule(t0):
 def test_reversion_round_trip(t0):
     # s(t) = sinh(t) is invertible; composing s with its reversion about t0
     # must reproduce the identity jet at s0 = sinh(t0)
-    s_jet = jets.sinh(jets.variable(t0))
+    s_jet = jets.sinhcosh(jets.variable(t0))[0]
     t_jet = jets.reverse(s_jet, at=t0)
     ident = jets.compose(s_jet, t_jet)
     assert jet_close(ident, jets.variable(s_jet.value), n=64)
@@ -193,14 +181,6 @@ def ref_sqrt(a):
             acc -= r[i] * r[k - i]
         r[k] = acc / (2.0 * r[0])
     return tuple(r)
-
-
-def ref_exp(a):
-    b = [0.0] * 5
-    b[0] = math.exp(a[0])
-    for k in range(1, 5):
-        b[k] = _lsum(i * a[i] * b[k - i] for i in range(1, k + 1)) / k
-    return tuple(b)
 
 
 def ref_sincos(a, hyperbolic=False):
@@ -288,7 +268,6 @@ def test_kernel_sqrt_bit_exact(a):
 @given(coeffs)
 def test_kernel_transcendentals_bit_exact(a):
     ja = Jet(a)
-    assert bits(jets.exp(ja).coeffs) == bits(ref_exp(a))
     s, c = jets.sincos(ja)
     rs, rc = ref_sincos(a)
     assert (bits(s.coeffs), bits(c.coeffs)) == (bits(rs), bits(rc))

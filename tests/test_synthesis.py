@@ -16,7 +16,7 @@ _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
 # -- reference implementations ------------------------------------------------
 # A numpy Gram monitor, frame system and RK4 loop that evaluates the
-# profile's jet functions four times per step; gram_errors, frenet_rhs and
+# profile's curvatures four times per step; gram_errors, frenet_rhs and
 # synthesize_curve must match them bit for bit on finite input.
 
 def reference_gram_errors(T, N, B1, B2, eps):
@@ -37,13 +37,6 @@ def reference_frenet_rhs(T, N, B1, B2, k1, k2, k3, eps):
             k3 * B1)
 
 
-def jet_values(profile, s):
-    """The curvatures at s read from the jet functions, not ``values``."""
-    sj = jets.variable(s)
-    return (profile.kappa1(sj).value, profile.kappa2(sj).value,
-            profile.kappa3(sj).value)
-
-
 def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
                         frame_rhs=reference_frenet_rhs):
     """(s list, state list, max drift, aborted) from the standard frame."""
@@ -57,7 +50,7 @@ def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
 
     def rhs(s, y):
         T, N, B1, B2 = y[4:8], y[8:12], y[12:16], y[16:20]
-        k1, k2, k3 = jet_values(profile, s)
+        k1, k2, k3 = profile.values(s)
         dT, dN, dB1, dB2 = frame_rhs(T, N, B1, B2, k1, k2, k3, profile.eps)
         return np.concatenate([T, dT, dN, dB1, dB2])
 
@@ -115,6 +108,18 @@ def test_negative_ds_rejected():
     profile = frenet.constant_profile(1.0, 1.0, 1.0, 1, (0.0, 1.0))
     with pytest.raises(ValueError):
         frenet.synthesize_curve(profile, ds=-0.1)
+
+
+@pytest.mark.parametrize("ds", [1e-13, 1e-300, 5e-324,
+                                2.0 / (frenet.MAX_SYNTH_STEPS + 1)])
+def test_too_many_steps_rejected_before_the_first(ds):
+    read = []
+    profile = frenet.CurvatureProfile(
+        values=lambda s: read.append(s) or (1.0, 1.0, 1.0), eps=1,
+        s_range=(0.5, 2.5))
+    with pytest.raises(ValueError, match="RK4 steps"):
+        frenet.synthesize_curve(profile, ds=ds)
+    assert read == []
 
 
 def test_bad_init_frame_rejected():
@@ -268,11 +273,10 @@ def test_each_gram_entry_matches_numpy_reference(i, j, rng, eps):
         assert repr(float(got)) == repr(float(want))
 
 
-# kappa1 = s*cosh(s)/(1 + s) with no closed form: values() takes the jets
+# a profile that is not built in (once given by jet functions only):
+# kappa1 = s*cosh(s)/(1 + s), kappa2 = sqrt(s)
 JET_ONLY = frenet.CurvatureProfile(
-    kappa1=lambda sj: sj * jets.cosh(sj) / (1.0 + sj),
-    kappa2=lambda sj: jets.sqrt(sj),
-    kappa3=lambda sj: jets.constant(0.75),
+    values=lambda s: (s * math.cosh(s) / (1.0 + s), math.sqrt(s), 0.75),
     eps=-1, s_range=(0.5, 1.5))
 
 
@@ -318,6 +322,22 @@ BUILT_IN = {
         "constant", {"k1": 2, "k2": 1, "k3": 3}, -1, (0.5, 2.5)),
 }
 
+# the same curvatures as jet functions, the form profiles once carried
+_COSH_OVER_S = (lambda sj: jets.cosh(sj) / sj,
+                lambda sj: jets.constant(1.0), lambda sj: jets.constant(1.0))
+JET_FORMS = {
+    "cosh_over_s_eps+1": _COSH_OVER_S,
+    "cosh_over_s_eps-1": _COSH_OVER_S,
+    "constant_int_params": tuple(lambda sj, k=k: jets.constant(k)
+                                 for k in (2, 1, 3)),
+}
+
+
+def jet_values(name, s):
+    """The curvatures at s read from the jet functions, not ``values``."""
+    sj = jets.variable(s)
+    return tuple(kappa(sj).value for kappa in JET_FORMS[name])
+
 
 @pytest.mark.parametrize("name", BUILT_IN)
 @given(data=st.data())
@@ -326,7 +346,7 @@ def test_closed_form_values_match_the_jets(name, data):
     lo, hi = profile.s_range
     s = data.draw(st.floats(min_value=lo, max_value=hi))
     got = profile.values(s)
-    want = jet_values(profile, s)
+    want = jet_values(name, s)
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -362,9 +382,7 @@ def test_constant_profile_rejects_bad_curvature(bad):
 
 
 def test_nan_curvature_aborts_with_finite_partial():
-    nan = lambda sj: jets.constant(math.nan)
-    one = lambda sj: jets.constant(1.0)
-    profile = frenet.CurvatureProfile(kappa1=nan, kappa2=one, kappa3=one,
+    profile = frenet.CurvatureProfile(values=lambda s: (math.nan, 1.0, 1.0),
                                       eps=1, s_range=(0.5, 1.5))
     with pytest.raises(FrameDriftExceeded) as exc:
         frenet.synthesize_curve(profile, ds=0.1)
