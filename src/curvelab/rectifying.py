@@ -31,8 +31,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import jets
 from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
                      point, register_curve)
@@ -58,18 +56,69 @@ __all__ = [
 ]
 
 FIT_CONDITION_LIMIT = 1e8
+_EPS = 2.220446049250313e-16        # unit roundoff of a double, times 2
 SPHERE_TOL = 1e-10
 # rho^2 counts as varying when its span exceeds this share of max(1, |rho^2|);
 # a fixed floor, so loosening a tolerance can never fail a curve
 RHO_SPAN_FLOOR = 1e-4
 
 
-def _lstsq(design: np.ndarray, target: np.ndarray
-           ) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients and the rms of the residual."""
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    rms = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
-    return coef, rms
+def _lstsq(columns: Sequence[Sequence[float]], target: Sequence[float]
+           ) -> tuple[list[float], float, list[list[float]]]:
+    """Least-squares coefficients, the rms of the residual and R.
+
+    Householder QR, dot products by ``math.fsum``.  The rms is the norm of
+    the transformed target's tail: backward stably the least residual,
+    even where R is near singular and the coefficients ill-determined.  A
+    column whose part below the diagonal is at roundoff level of its norm
+    lies in the span of those before it: it is not reflected, and its
+    coefficient is 0.  ``r[j]`` is column j of R down to its diagonal.
+    """
+    cols = [list(c) for c in columns]
+    b = list(target)
+    m = len(b)
+    r, pivots = [], []
+    for j, col in enumerate(cols):
+        k = len(pivots)
+        x = col[k:]
+        norm = math.hypot(*x)
+        r.append(col[:k] + [norm])
+        if norm <= m * _EPS * math.hypot(*col):
+            continue
+        alpha = -math.copysign(norm, x[0])
+        scale = norm * (norm + abs(x[0]))       # v.v / 2
+        x[0] -= alpha                           # v
+        for y in cols[j + 1:] + [b]:
+            f = math.fsum(p * q for p, q in zip(x, y[k:])) / scale
+            y[k:] = [q - f * p for p, q in zip(x, y[k:])]
+        r[j][k] = alpha
+        pivots.append(j)
+    coef = [0.0] * len(cols)
+    for i, j in reversed(list(enumerate(pivots))):
+        coef[j] = (b[i] - math.fsum(r[q][i] * coef[q]
+                                    for q in range(j + 1, len(cols)))) / r[j][i]
+    return coef, math.hypot(*b[len(pivots):]) / math.sqrt(m), r
+
+
+def _cond2(r: list[list[float]]) -> float:
+    """2-norm condition number of the 2x2 triangle [[a, b], [0, d]]: its
+    singular values have squares (f +- sqrt(f^2 - 4p^2)) / 2 with
+    f = a^2 + b^2 + d^2 and p = |a d|."""
+    (a,), (b, d) = r
+    a, d = abs(a), abs(d)
+    p = a * d
+    f = a * a + b * b + d * d
+    root = math.sqrt(((a - d) ** 2 + b * b) * ((a + d) ** 2 + b * b))
+    return (f + root) / (2.0 * p) if p else math.inf
+
+
+def _cosh_sinh(ts: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The columns cosh t and sinh t of the Theorem 3.1 design."""
+    try:
+        return [math.cosh(t) for t in ts], [math.sinh(t) for t in ts]
+    except OverflowError:
+        raise IllConditionedFit(f"cosh/sinh of a torsion angle up to "
+                                f"{max(map(abs, ts))} overflows") from None
 
 
 def rectifying_residual(source, s: float) -> float:
@@ -93,7 +142,7 @@ class Theorem31Fit:
     eps: int
     rms_residual: float
     frames: list[FrenetData] = field(repr=False)
-    t_samples: np.ndarray = field(repr=False)
+    t_samples: list[float] = field(repr=False)
 
 
 def _gather(source, samples: Sequence[float]):
@@ -106,7 +155,7 @@ def _gather(source, samples: Sequence[float]):
             # B1 turns null in between, where kappa3 blows up
             raise DegenerateFrame(2, f"eps changes from {f.eps} at s={f.s} "
                                      f"to {g.eps} at s={g.s}")
-    ts = np.array([source.kappa3_integral(float(s)) for s in samples])
+    ts = [source.kappa3_integral(float(s)) for s in samples]
     return frames, ts
 
 
@@ -122,22 +171,20 @@ def fit_theorem31(source, samples: Sequence[float],
     return _fit_gathered(*_gather(source, samples), c)
 
 
-def _fit_gathered(frames: list[FrenetData], ts: np.ndarray,
+def _fit_gathered(frames: list[FrenetData], ts: list[float],
                   c: float | None) -> Theorem31Fit:
     """``fit_theorem31`` on frames and torsion angles already gathered."""
     eps = frames[0].eps
     if c is None:
-        c = float(np.mean([minkowski_dot(f.position, f.T) - f.s
-                           for f in frames]))
-    target = np.array([f.eps * f.kappa1 * (f.s + c) / f.kappa2
-                       for f in frames])
-    design = np.column_stack([np.cosh(ts), np.sinh(ts)])
-    if np.linalg.cond(design) > FIT_CONDITION_LIMIT:
+        c = math.fsum(minkowski_dot(f.position, f.T) - f.s
+                      for f in frames) / len(frames)
+    target = [f.eps * f.kappa1 * (f.s + c) / f.kappa2 for f in frames]
+    (A, B), rms, r = _lstsq(_cosh_sinh(ts), target)
+    if not _cond2(r) <= FIT_CONDITION_LIMIT:
         raise IllConditionedFit("cosh/sinh design matrix is near singular "
                                 "(t-range too small)")
-    coef, rms = _lstsq(design, target)
-    return Theorem31Fit(c=c, A=float(coef[0]), B=float(coef[1]), eps=eps,
-                        rms_residual=rms, frames=frames, t_samples=ts)
+    return Theorem31Fit(c=c, A=A, B=B, eps=eps, rms_residual=rms,
+                        frames=frames, t_samples=ts)
 
 
 def thm31_min_rms_over_c(source, samples: Sequence[float]
@@ -152,13 +199,12 @@ def thm31_min_rms_over_c(source, samples: Sequence[float]
     return _min_rms_c_gathered(*_gather(source, samples))
 
 
-def _min_rms_c_gathered(frames: list[FrenetData], ts: np.ndarray
+def _min_rms_c_gathered(frames: list[FrenetData], ts: list[float]
                         ) -> tuple[float, float]:
-    ss = np.array([f.s for f in frames])
-    ratio = np.array([f.eps * f.kappa1 / f.kappa2 for f in frames])
-    design = np.column_stack([np.cosh(ts), np.sinh(ts), -ratio])
-    coef, rms = _lstsq(design, ratio * ss)
-    return float(coef[2]), rms
+    ratio = [f.eps * f.kappa1 / f.kappa2 for f in frames]
+    (_, _, c), rms, _ = _lstsq([*_cosh_sinh(ts), [-q for q in ratio]],
+                               [q * f.s for q, f in zip(ratio, frames)])
+    return c, rms
 
 
 def _fit_min_rms_c(source, samples: Sequence[float]) -> Theorem31Fit:
@@ -183,7 +229,7 @@ def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
 def constant_vector_drift(fit: Theorem31Fit) -> float:
     """max over the fit's own samples of the Euclidean norm of X(s) - X(s0)."""
     xs = [_witness(f, t, fit) for f, t in zip(fit.frames, fit.t_samples)]
-    return max(float(np.linalg.norm(x - xs[0])) for x in xs)
+    return max(math.hypot(*(x - xs[0])) for x in xs)
 
 
 def least_squares_origin(source, samples: Sequence[float]
@@ -195,10 +241,10 @@ def least_squares_origin(source, samples: Sequence[float]
     rectifying on the samples.
     """
     frames = [source.frame(float(s)) for s in samples]
-    design = np.array([f.N for f in frames]) * [-1.0, 1.0, 1.0, 1.0]
-    target = np.array([minkowski_dot(f.position, f.N) for f in frames])
-    d, rms = _lstsq(design, target)
-    return Vec4(*d.tolist()), rms
+    n0, *rest = zip(*[f.N for f in frames])
+    target = [minkowski_dot(f.position, f.N) for f in frames]
+    d, rms, _ = _lstsq([[-x for x in n0], *rest], target)
+    return Vec4(*d), rms
 
 
 # -- Theorem 3.3 battery ------------------------------------------------------
@@ -288,54 +334,45 @@ def theorem33_report(source, samples: Sequence[float],
     tol = tolerances if tolerances is not None else ReportTolerances.default()
     fit = fit_theorem31(source, samples, c=c)
     frames = fit.frames
-    ss = np.array([f.s for f in frames])
-    ts = fit.t_samples
+    ss = [f.s for f in frames]
+    ones = [1.0] * len(ss)
     eps = fit.eps
     warnings: list[str] = []
 
     # (i) distance function rho^2 = g(alpha, alpha) against s^2 + c1 s + c2
-    rho_sq = np.array([minkowski_dot(f.position, f.position) for f in frames])
-    coef_q, resid_q = _lstsq(np.column_stack([ss ** 2, ss, np.ones_like(ss)]),
-                             rho_sq)
-    distance = {
-        "lead": float(coef_q[0]),
-        "c1": float(coef_q[1]),
-        "c2": float(coef_q[2]),
-        "residual": resid_q,
-    }
+    rho_sq = [minkowski_dot(f.position, f.position) for f in frames]
+    (lead, c1, c2), resid_q, _ = _lstsq([[s * s for s in ss], ss, ones],
+                                        rho_sq)
+    distance = {"lead": lead, "c1": c1, "c2": c2, "residual": resid_q}
 
     # (ii) tangential component g(alpha, T) against s + c
-    tang = np.array([minkowski_dot(f.position, f.T) for f in frames])
-    coef_l, resid_l = _lstsq(np.column_stack([ss, np.ones_like(ss)]), tang)
-    tangential = {
-        "slope": float(coef_l[0]),
-        "c": float(coef_l[1]),
-        "residual": resid_l,
-    }
+    tang = [minkowski_dot(f.position, f.T) for f in frames]
+    (slope, c0), resid_l, _ = _lstsq([ss, ones], tang)
+    tangential = {"slope": slope, "c": c0, "residual": resid_l}
 
     # (iii) normal component constancy with rho non-constant
-    norm_sq = rho_sq - tang ** 2
-    a_const = float(np.mean(norm_sq))
-    dev = float(np.max(np.abs(norm_sq - a_const)))
-    rho_span = float(np.max(rho_sq) - np.min(rho_sq))
-    rho_nonconstant = rho_span > RHO_SPAN_FLOOR * max(
-        1.0, float(np.max(np.abs(rho_sq))))
+    norm_sq = [q - g * g for q, g in zip(rho_sq, tang)]
+    a_const = math.fsum(norm_sq) / len(norm_sq)
+    dev = max(abs(q - a_const) for q in norm_sq)
+    rho_span = max(rho_sq) - min(rho_sq)
+    rho_nonconstant = rho_span > RHO_SPAN_FLOOR * max(1.0,
+                                                      *map(abs, rho_sq))
     normal = {
         "a": a_const,
         "max_deviation": dev,
-        "rho_nonconstant": bool(rho_nonconstant),
+        "rho_nonconstant": rho_nonconstant,
     }
 
     # (iv) binormal components against the model implied by the fit
-    mu_model = fit.A * np.cosh(ts) + fit.B * np.sinh(ts)
-    nu_model = fit.A * np.sinh(ts) + fit.B * np.cosh(ts)
-    gb1 = np.array([minkowski_dot(f.position, f.B1) for f in frames])
-    gb2 = np.array([minkowski_dot(f.position, f.B2) for f in frames])
-    res_b1 = float(np.max(np.abs(gb1 - eps * mu_model)))
-    res_b2 = float(np.max(np.abs(gb2 - eps * nu_model)))
-    # alternative closed form with the B term negated
-    alt_model = fit.A * np.sinh(ts) - fit.B * np.cosh(ts)
-    res_b2_alt = float(np.max(np.abs(gb2 - eps * alt_model)))
+    A, B = fit.A, fit.B
+    res_b1 = res_b2 = res_b2_alt = 0.0
+    for f, ch, sh in zip(frames, *_cosh_sinh(fit.t_samples)):
+        gb1 = minkowski_dot(f.position, f.B1)
+        gb2 = minkowski_dot(f.position, f.B2)
+        res_b1 = max(res_b1, abs(gb1 - eps * (A * ch + B * sh)))
+        res_b2 = max(res_b2, abs(gb2 - eps * (A * sh + B * ch)))
+        # alternative closed form with the B term negated
+        res_b2_alt = max(res_b2_alt, abs(gb2 - eps * (A * sh - B * ch)))
     binormal = {
         "residual_b1": res_b1,
         "residual_b2": res_b2,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -347,6 +348,86 @@ def test_exact_c_minimum_against_a_brute_force_c_grid(curve, request):
     assert 0 < i < len(grid) - 1            # the minimum is inside the grid
     assert best_rms <= rms[i] * (1.0 + 1e-12)
     assert abs(best_c - grid[i]) <= 0.5 * step + 1e-9
+
+
+# -- the least-squares kernel against numpy ---------------------------------
+# Seeded designs, a fixed number per test: an oracle check with no search
+# and no shrinking.
+
+def _design(rng, rows, cols):
+    """Gaussian columns of scales 0.1 .. 10, as lists of floats."""
+    return [[rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-1, 1)
+             for _ in range(rows)] for _ in range(cols)]
+
+
+def _numpy_lstsq(columns, target):
+    a, b = np.array(columns).T, np.array(target)
+    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return coef, float(np.sqrt(np.mean((b - a @ coef) ** 2)))
+
+
+def _rms(xs):
+    return math.sqrt(math.fsum(x * x for x in xs) / len(xs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lstsq_matches_numpy_on_random_designs(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        rows, cols = rng.randint(8, 60), rng.randint(2, 4)
+        columns = _design(rng, rows, cols)
+        exact = [rng.uniform(-2.0, 2.0) for _ in range(cols)]
+        noise = rng.choice([0.0, 1e-6, 1.0])
+        target = [math.fsum(x * c[i] for x, c in zip(exact, columns))
+                  + noise * rng.gauss(0.0, 1.0) for i in range(rows)]
+        coef, rms, _ = rectifying._lstsq(columns, target)
+        want, want_rms = _numpy_lstsq(columns, target)
+        # about 1e-14 at worst on these seeds
+        scale = max(abs(x) for x in want)
+        assert all(abs(x - y) <= 1e-13 * scale for x, y in zip(coef, want))
+        assert abs(rms - want_rms) <= 1e-13 * _rms(target)
+
+
+def test_lstsq_rms_is_the_minimum_on_rank_deficient_designs():
+    # a repeated column, and one equal to a sum of the others up to 1e-17
+    # relative: numpy's SVD drops them; QR leaves them out of the pivots
+    rng = random.Random(7)
+    for _ in range(100):
+        rows = rng.randint(8, 60)
+        u, v = _design(rng, rows, 2)
+        w = [(x + y) * (1.0 + 1e-17 * rng.uniform(-1, 1))
+             for x, y in zip(u, v)]
+        target = [rng.gauss(0.0, 1.0) for _ in range(rows)]
+        for columns in ([u, v, u], [u, v, w]):
+            coef, rms, _ = rectifying._lstsq(columns, target)
+            _, want_rms = _numpy_lstsq(columns, target)
+            assert coef[2] == 0.0
+            assert abs(rms - want_rms) <= 1e-13 * _rms(target)
+            # the coefficients reach the minimum they report
+            fitted = [math.fsum(x * c[i] for x, c in zip(coef, columns))
+                      for i in range(rows)]
+            assert math.isclose(_rms([b - f for b, f in zip(target, fitted)]),
+                                rms, rel_tol=1e-12)
+
+
+def test_fit_condition_number_matches_numpy():
+    # cosh/sinh designs as the Theorem 3.1 fit builds them, over t-ranges
+    # from wide (cond ~ 1) to narrow (cond up to ~1e9, past
+    # FIT_CONDITION_LIMIT)
+    rng = random.Random(11)
+    for width in (3.0, 1.0, 0.1, 1e-2, 1e-3, 1e-5, 1e-7):
+        for _ in range(20):
+            lo = rng.uniform(-2.0, 2.0)
+            ts = sorted(lo + width * rng.random()
+                        for _ in range(rng.randint(8, 60)))
+            columns = rectifying._cosh_sinh(ts)
+            _, _, r = rectifying._lstsq(columns, ts)
+            got = rectifying._cond2(r)
+            want = float(np.linalg.cond(np.array(columns).T))
+            # both carry the backward error eps * cond relative to cond
+            assert math.isclose(got, want, rel_tol=max(1e-13, 1e-14 * want))
+    assert rectifying._cond2([[2.0], [1.0, 0.0]]) == math.inf
+    assert rectifying._cond2([[-3.0], [0.0, 3.0]]) == 1.0
 
 
 def test_env_tolerance_override(monkeypatch):
