@@ -20,6 +20,7 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +60,7 @@ ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
+JACOBI_SWEEPS = 30      # a 4x4 Jacobi SVD converges in well under 10
 # Each RK4 step stores 20 floats of 8 bytes, so 10**7 steps is 1.6 GB: a
 # longer synthesis is refused before its first step.
 MAX_SYNTH_STEPS = 10 ** 7
@@ -242,10 +244,37 @@ def _sqrt_recip(g):
 
 
 def _derivative_rank(a) -> int:
-    """Euclidean rank of alpha' .. alpha'''' from position coefficients."""
-    rows = np.array([[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
+    """Euclidean rank of alpha' .. alpha'''' from position coefficients: the
+    singular values above RANK_REL_TOL times the largest.
+
+    One-sided Jacobi: plane rotations make the four rows (scaled to entries
+    of at most 1) orthogonal to roundoff, and their norms are then the
+    singular values, to eps times the largest (Demmel & Veselic, 1992)."""
+    rows = [[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)]
+    top = max(abs(x) for row in rows for x in row)
+    if not top:
+        return 0
+    rows = [[x / top for x in row] for row in rows]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            u, v = rows[i], rows[j]
+            p = sum(map(mul, u, v))
+            uu, vv = sum(map(mul, u, u)), sum(map(mul, v, v))
+            if abs(p) <= 2.2e-16 * math.sqrt(uu) * math.sqrt(vv):
+                continue
+            rotated = True
+            zeta = (vv - uu) / (2.0 * p)
+            tan = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)),
+                                zeta)
+            cos = 1.0 / math.hypot(1.0, tan)
+            sin = cos * tan
+            rows[i] = [cos * x - sin * y for x, y in zip(u, v)]
+            rows[j] = [sin * x + cos * y for x, y in zip(u, v)]
+        if not rotated:
+            break
+    sv = [math.hypot(*row) for row in rows]
+    return sum(x > RANK_REL_TOL * max(sv) for x in sv)
 
 
 def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import curves, frenet, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
@@ -31,12 +31,14 @@ REPORT_TOL = rectifying.ReportTolerances()
 # Order-4 central-difference stencils, one per derivative order; the step
 # sizes are tuned so truncation stays below FD_TOL on every catalog curve
 # while roundoff stays negligible.
+# Each maps k to its weights and its half-width.
 _FD_STENCILS = {
-    1: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 2),
-    2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 2),
-    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3),
-    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 3),
-}
+    k: ([c / d for c in weights], len(weights) // 2)
+    for k, weights, d in ((1, (1.0, -8.0, 0.0, 8.0, -1.0), 12.0),
+                          (2, (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
+                          (3, (1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0), 8.0),
+                          (4, (-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0),
+                           6.0))}
 _FD_STEPS = {1: 1e-2, 2: 1e-2, 3: 8e-3, 4: 1e-2}
 
 NONDEGENERATE_IDS = ("hyperbolic_clelia", "lorentz_helix")
@@ -192,9 +194,9 @@ def criterion_6(ws: Workspace) -> CriterionResult:
     """Non-rectifying witness: no c and no origin fit the flat helix."""
     src = ws.source("lorentz_helix")
     samples = src.grid_samples(60)
-    frames = [src.frame(s) for s in samples]
-    kappas = np.array([(f.kappa1, f.kappa2, f.kappa3) for f in frames])
-    k_dev = float(np.max(np.abs(kappas - kappas[0])))
+    kappas = [(f.kappa1, f.kappa2, f.kappa3)
+              for f in map(src.frame, samples)]
+    k_dev = max(abs(k - k0) for ks in kappas for k, k0 in zip(ks, kappas[0]))
     _, best_rms = rectifying.thm31_min_rms_over_c(src, samples)
     _, origin_rms = rectifying.least_squares_origin(src, samples)
     ok = (k_dev < 1e-8 and best_rms > HELIX_FIT_FLOOR
@@ -227,13 +229,13 @@ def criterion_7(ws: Workspace) -> CriterionResult:
 
 
 def fd_derivative(position: Callable[[float], tuple[float, ...]], t: float,
-                  k: int, h: float) -> np.ndarray:
+                  k: int, h: float) -> list[float]:
     """Order-4 central difference of the k-th derivative of
     ``position(x)``, at ``t`` with step ``h``."""
     w, half = _FD_STENCILS[k]
-    offsets = np.arange(-half, half + 1)
-    vals = np.array([position(float(t + o * h)) for o in offsets])
-    return (w[:, None] * vals).sum(axis=0) / h ** k
+    vals = [position(t + o * h) for o in range(-half, half + 1)]
+    return [math.fsum(map(operator.mul, w, coord)) / h ** k
+            for coord in zip(*vals)]
 
 
 def fd_oracle_error() -> float:
@@ -244,23 +246,24 @@ def fd_oracle_error() -> float:
     stencils at one point share their nodes, and the point itself is a
     node, so each point reads the position at every node once.
     """
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     worst = 0.0
     margin = 3 * max(_FD_STEPS.values())
     static_ids = [cid for cid in curves.catalog_ids() if ":" not in cid]
     for cid in static_ids:
         spec = curves.make_spec(cid)
         lo, hi = spec.domain
-        for t in rng.uniform(lo + margin, hi - margin, 50).tolist():
+        for _ in range(50):
+            t = rng.uniform(lo + margin, hi - margin)
             cj = curves.eval_curve(spec, t)
             at = functools.cache(functools.partial(curves.point, spec))
             for k, h in _FD_STEPS.items():
-                exact = np.array(cj.derivative(k))
+                exact = cj.derivative(k)
                 approx = fd_derivative(lambda x: at(x)[0], t, k, h)
-                rel = (np.linalg.norm(approx - exact)
-                       / max(np.linalg.norm(exact), 1e-12))
+                rel = (math.hypot(*map(operator.sub, approx, exact))
+                       / max(math.hypot(*exact), 1e-12))
                 worst = max(worst, rel)
-    return float(worst)
+    return worst
 
 
 def criterion_8(ws: Workspace) -> CriterionResult:

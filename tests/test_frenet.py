@@ -476,3 +476,48 @@ def test_float_kernel_builds_no_jet(helix, monkeypatch):
     assert built == []
     assert _outcome(lambda aj, s: f, aj, 1.0) == _outcome(reference_frame,
                                                            aj, 1.0)
+
+
+# -- the Jacobi rank against numpy's SVD --------------------------------------
+
+def _matrix_with_singular_values(rng, sv):
+    """A 4x4 matrix U diag(sv) V^T with random orthogonal U and V."""
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return u @ np.diag(sv) @ v.T
+
+
+def _position_coefficients(rows):
+    """Coefficient tuples whose derivatives 1..4 are the matrix rows."""
+    return [(0.0, *(rows[k - 1][i] / jets._FACT[k] for k in (1, 2, 3, 4)))
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivative_rank_matches_the_svd_rank(seed):
+    # singular values on either side of RANK_REL_TOL, half a decade clear
+    # of it, and exact zeros, at scales 1e-100 .. 1e100; a fixed number of
+    # seeded draws, so no search and no shrinking
+    rng = np.random.default_rng(seed)
+    ranks = set()
+    for _ in range(500):
+        sv = [1.0] + [rng.choice([0.0,
+                                  10.0 ** -rng.uniform(0.0, 7.5),
+                                  10.0 ** -rng.uniform(8.5, 17.0)])
+                      for _ in range(3)]
+        m = _matrix_with_singular_values(rng, sv) * 10.0 ** rng.uniform(-100,
+                                                                        100)
+        a = _position_coefficients(m.tolist())
+        want = _derivative_rank([jets.Jet(c) for c in a])
+        assert frenet._derivative_rank(a) == want
+        ranks.add(want)
+    assert ranks == {1, 2, 3, 4}
+
+
+def test_derivative_rank_of_zero_and_planar_rows():
+    assert frenet._derivative_rank([(0.0,) * 5] * 4) == 0
+    # alpha(t) = (cosh t, sinh t, 0, 0) near t = 0.3: a planar curve
+    ch, sh = math.cosh(0.3), math.sinh(0.3)
+    a = [(ch, sh, ch / 2, sh / 6, ch / 24), (sh, ch, sh / 2, ch / 6, sh / 24),
+         (0.0,) * 5, (0.0,) * 5]
+    assert frenet._derivative_rank(a) == 2
