@@ -12,8 +12,7 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from array import array
 
 from . import curves, frenet, rectifying, verify
 from .errors import (
@@ -129,18 +128,15 @@ def _check_config_fields(cfg: dict, path: str) -> None:
                                                   params.values()))):
         raise UsageError(f'{path}: "params" must map names to finite '
                          f'numbers, got {params!r}')
-    _check_domain(cfg, "domain", path)
-    if isinstance(cfg.get("construct"), dict):
-        _check_domain(cfg["construct"], "construct.domain", path)
-
-
-def _check_domain(block: dict, name: str, path: str) -> None:
-    """Reject a "domain" in ``block`` that is not two finite numbers."""
-    dom = block.get("domain", [0, 0])
-    if not (isinstance(dom, list) and len(dom) == 2
-            and all(map(_is_number, dom))):
-        raise UsageError(f'{path}: "{name}" must be two finite numbers, '
-                         f'got {dom!r}')
+    block = cfg.get("construct")
+    for name, owner in (("domain", cfg), ("construct.domain",
+                                          block if isinstance(block, dict)
+                                          else {})):
+        dom = owner.get("domain", [0, 0])
+        if not (isinstance(dom, list) and len(dom) == 2
+                and all(map(_is_number, dom))):
+            raise UsageError(f'{path}: "{name}" must be two finite numbers, '
+                             f'got {dom!r}')
 
 
 def spec_from_config(cfg: dict) -> curves.CurveSpec:
@@ -183,7 +179,7 @@ class CsvFrameSource(frenet.SynthesizedCurve):
     """
 
     def __init__(self, path: str):
-        rows = []
+        s, rows, stored = array("d"), array("d"), array("d")
         n_fields = SYNTH_HEADER.count(",") + 1
         with open(path) as fh:
             header = fh.readline().strip()
@@ -202,7 +198,7 @@ class CsvFrameSource(frenet.SynthesizedCurve):
                     row = [float(v) for v in cells]
                 except ValueError as exc:
                     raise UsageError(f"{where}: {exc}") from None
-                if not all(math.isfinite(v) for v in row):
+                if not all(map(math.isfinite, row)):
                     raise UsageError(f"{where}: non-finite value")
                 if not min(row[21:24]) > 0.0:
                     raise UsageError(f"{where}: curvatures must be positive, "
@@ -210,23 +206,23 @@ class CsvFrameSource(frenet.SynthesizedCurve):
                 if row[24] not in (1.0, -1.0):
                     raise UsageError(f"{where}: eps must be 1 or -1, "
                                      f"got {cells[24]}")
-                if rows and not row[0] > rows[-1][0]:
+                if s and not row[0] > s[-1]:
                     raise UsageError(f"{where}: s does not increase")
-                rows.append(row)
-        if len(rows) < 2:
+                s.append(row[0])
+                rows.extend(row[1:21])
+                stored.extend(row[21:])
+        if len(s) < 2:
             raise UsageError(f"{path} holds fewer than 2 samples")
-        data = np.array(rows)
-        super().__init__(profile=None, s=data[:, 0], rows=data[:, 1:21],
-                         max_drift=math.nan)
-        self._data = data
+        super().__init__(None, s, rows, math.nan)     # no profile, no drift
+        self._stored = stored       # kappa1, kappa2, kappa3, eps, t_int
 
     def frame(self, s: float) -> frenet.FrenetData:
         i = self._index(s)
-        k1, k2, k3, eps = self._data[i, 21:25].tolist()
-        return self._row_frame(i, k1, k2, k3, int(eps))
+        *kappas, eps, _ = self._stored[5 * i:5 * i + 5]
+        return self._row_frame(i, *kappas, int(eps))
 
     def kappa3_integral(self, s: float) -> float:
-        return self._data[self._index(s), 25].item()
+        return self._stored[5 * self._index(s) + 4]
 
 
 # -- command bodies -----------------------------------------------------------
@@ -328,8 +324,6 @@ def cmd_construct(args, out) -> int:
 
 
 def cmd_synthesize(args, out) -> int:
-    if args.ds <= 0.0:
-        raise UsageError("--ds must be positive")
     if not args.drift_tol > 0.0:
         raise UsageError("--drift-tol must be positive")
     if args.samples < 2:
@@ -344,9 +338,7 @@ def cmd_synthesize(args, out) -> int:
         profile = frenet.profile_from_name(args.profile,
                                            cfg.get("params", {}),
                                            args.eps, s_range)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(str(exc))
 
     def emit(curve: frenet.SynthesizedCurve) -> None:
@@ -360,7 +352,7 @@ def cmd_synthesize(args, out) -> int:
     try:
         curve = frenet.synthesize_curve(profile, ds=args.ds,
                                         synth_tol=args.drift_tol)
-    except ValueError as exc:           # too many steps
+    except ValueError as exc:           # ds <= 0, or too many steps
         raise UsageError(str(exc))
     except FrameDriftExceeded as exc:
         if exc.partial is not None:

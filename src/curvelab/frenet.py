@@ -17,13 +17,13 @@ right, as numpy's reduction of a 4-element array does, so it matches the
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import jets
 from .curves import (ArclengthPair, CurveSpec, _check_names, _lookup,
@@ -60,7 +60,6 @@ ODE_H = 1e-4        # step of the printed Frenet ODE residuals
 SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
-JACOBI_SWEEPS = 30      # a 4x4 Jacobi SVD converges in well under 10
 # Each RK4 step stores 20 floats of 8 bytes, so 10**7 steps is 1.6 GB: a
 # longer synthesis is refused before its first step.
 MAX_SYNTH_STEPS = 10 ** 7
@@ -247,30 +246,22 @@ def _derivative_rank(a) -> int:
     """Euclidean rank of alpha' .. alpha'''' from position coefficients: the
     singular values above RANK_REL_TOL times the largest.
 
-    One-sided Jacobi: plane rotations make the four rows (scaled to entries
-    of at most 1) orthogonal to roundoff, and their norms are then the
-    singular values, to eps times the largest (Demmel & Veselic, 1992)."""
+    One-sided Jacobi: rotations make the four rows orthogonal to roundoff;
+    their norms are then the singular values to eps times the largest
+    (Demmel & Veselic, 1992)."""
     rows = [[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)]
-    top = max(abs(x) for row in rows for x in row)
-    if not top:
-        return 0
-    rows = [[x / top for x in row] for row in rows]
-    for _ in range(JACOBI_SWEEPS):
+    for _ in range(30):         # a 4x4 matrix takes under 10 sweeps
         rotated = False
-        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        for i, j in itertools.combinations(range(4), 2):
             u, v = rows[i], rows[j]
-            p = sum(map(mul, u, v))
-            uu, vv = sum(map(mul, u, u)), sum(map(mul, v, v))
-            if abs(p) <= 2.2e-16 * math.sqrt(uu) * math.sqrt(vv):
-                continue
-            rotated = True
-            zeta = (vv - uu) / (2.0 * p)
-            tan = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)),
-                                zeta)
-            cos = 1.0 / math.hypot(1.0, tan)
-            sin = cos * tan
-            rows[i] = [cos * x - sin * y for x, y in zip(u, v)]
-            rows[j] = [sin * x + cos * y for x, y in zip(u, v)]
+            p, uu, vv = (sum(map(mul, u, v)), sum(map(mul, u, u)),
+                         sum(map(mul, v, v)))
+            if abs(p) > 2.2e-16 * math.sqrt(uu) * math.sqrt(vv):
+                rotated = True
+                angle = 0.5 * math.atan2(2.0 * p, uu - vv)
+                c, s = math.cos(angle), math.sin(angle)
+                rows[i] = [c * x + s * y for x, y in zip(u, v)]
+                rows[j] = [c * y - s * x for x, y in zip(u, v)]
         if not rotated:
             break
     sv = [math.hypot(*row) for row in rows]
@@ -405,7 +396,7 @@ def gram_errors(T: Sequence[float], N: Sequence[float],
                 B1: Sequence[float], B2: Sequence[float], eps: int) -> float:
     """Max deviation of the ten Gram conditions from their target values.
 
-    The frame vectors are 4-sequences of floats, numpy arrays included.
+    The frame vectors are 4-sequences of floats.
 
     Each entry g(a, b) is summed left to right in plain floats,
     ``(((-a0)*b0 + a1*b1) + a2*b2) + a3*b3``, the order numpy's reduction
@@ -416,11 +407,10 @@ def gram_errors(T: Sequence[float], N: Sequence[float],
     """
     # the ten sums are written out, not minkowski_dot calls: each RK4 step
     # runs them
-    t0, t1, t2, t3 = map(float, T)
-    n0, n1, n2, n3 = map(float, N)
-    p0, p1, p2, p3 = map(float, B1)
-    q0, q1, q2, q3 = map(float, B2)
-    e = float(eps)
+    t0, t1, t2, t3 = T
+    n0, n1, n2, n3 = N
+    p0, p1, p2, p3 = B1
+    q0, q1, q2, q3 = B2
     devs = (
         abs((((-t0) * t0 + t1 * t1) + t2 * t2) + t3 * t3 - 1.0),
         abs((((-t0) * n0 + t1 * n1) + t2 * n2) + t3 * n3),
@@ -429,9 +419,9 @@ def gram_errors(T: Sequence[float], N: Sequence[float],
         abs((((-n0) * n0 + n1 * n1) + n2 * n2) + n3 * n3 - 1.0),
         abs((((-n0) * p0 + n1 * p1) + n2 * p2) + n3 * p3),
         abs((((-n0) * q0 + n1 * q1) + n2 * q2) + n3 * q3),
-        abs((((-p0) * p0 + p1 * p1) + p2 * p2) + p3 * p3 - e),
+        abs((((-p0) * p0 + p1 * p1) + p2 * p2) + p3 * p3 - eps),
         abs((((-p0) * q0 + p1 * q1) + p2 * q2) + p3 * q3),
-        abs((((-q0) * q0 + q1 * q1) + q2 * q2) + q3 * q3 + e),
+        abs((((-q0) * q0 + q1 * q1) + q2 * q2) + q3 * q3 + eps),
     )
     # every deviation is >= 0 or NaN, so the sum is NaN exactly when one is
     return math.nan if math.isnan(sum(devs)) else max(devs)
@@ -500,47 +490,51 @@ def standard_init_frame(eps: int = 1) -> FrenetData:
 @dataclass
 class SynthesizedCurve:
     """Sampled-frame table: the dense RK4 output of a frame synthesis and a
-    frame source on its grid points.  ``rows[i]`` holds the position, T, N,
-    B1 and B2 at ``s[i]``, 20 floats.  ``cli.CsvFrameSource`` is the same
-    table read back from a synthesis CSV, with no profile."""
+    frame source on its grid points.  ``s`` and ``rows`` are flat
+    ``array('d')``s; ``rows[20 * i:20 * i + 20]`` holds the position, T, N,
+    B1 and B2 at ``s[i]``.  ``cli.CsvFrameSource`` is the same table read
+    back from a synthesis CSV, with no profile."""
 
     profile: CurvatureProfile | None
-    s: np.ndarray
-    rows: np.ndarray         # (n, 20)
+    s: array
+    rows: array
     max_drift: float
 
     @property
     def s_range(self) -> tuple[float, float]:
-        return (float(self.s[0]), float(self.s[-1]))
+        return (self.s[0], self.s[-1])
 
     def _index(self, s: float) -> int:
-        i = int(np.argmin(np.abs(self.s - s)))
-        if abs(self.s[i] - s) > 1e-9 * max(1.0, abs(s)):
+        """The index of the grid point nearest ``s``, the lower of a tie."""
+        ss = self.s
+        i = bisect_left(ss, s)
+        if i == len(ss) or i and s - ss[i - 1] <= ss[i] - s:
+            i -= 1
+        if abs(ss[i] - s) > 1e-9 * max(1.0, abs(s)):
             raise OutOfDomain(f"s={s} is not a synthesis grid point")
         return i
 
     def grid_samples(self, count: int) -> list[float]:
         # row indices rounded half to even; rows that coincide count once
         idx = sorted({round(x) for x in grid(0, len(self.s) - 1, count)})
-        return self.s[idx].tolist()
+        return [self.s[i] for i in idx]
 
     def _row_frame(self, i: int, kappa1: float, kappa2: float,
                    kappa3: float, eps: int) -> FrenetData:
         """Row ``i`` of the table with the given curvatures."""
-        r = self.rows[i].tolist()
-        return FrenetData(
-            s=self.s[i].item(), position=Vec4(*r[0:4]), T=Vec4(*r[4:8]),
-            N=Vec4(*r[8:12]), B1=Vec4(*r[12:16]), B2=Vec4(*r[16:20]),
-            kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, eps=eps)
+        # the position, T, N, B1 and B2, in FrenetData's field order
+        return FrenetData(self.s[i], *[Vec4(*self.rows[k:k + 4]) for k
+                                       in range(20 * i, 20 * i + 20, 4)],
+                          kappa1, kappa2, kappa3, eps)
 
     def frame(self, s: float) -> FrenetData:
         i = self._index(s)
-        return self._row_frame(i, *self.profile.values(self.s[i].item()),
+        return self._row_frame(i, *self.profile.values(self.s[i]),
                                self.profile.eps)
 
     def kappa3_integral(self, s: float) -> float:
         k3 = lambda u: self.profile.values(u)[2]
-        return adaptive_simpson(k3, self.s[0].item(), s, REPARAM_TOL)
+        return adaptive_simpson(k3, self.s[0], s, REPARAM_TOL)
 
 
 def synthesize_curve(profile: CurvatureProfile,
@@ -569,9 +563,7 @@ def synthesize_curve(profile: CurvatureProfile,
         raise ValueError(f"{s_hi - s_lo} / ds = {steps:.3g} RK4 steps, more "
                          f"than {MAX_SYNTH_STEPS}; use a larger ds")
     n = max(1, int(round(steps))) if s_hi > s_lo else 0
-    ss = np.empty(n + 1)
-    rows = np.empty((n + 1, 20))
-    ss[0], rows[0] = s_lo, y
+    ss, rows = array("d", [s_lo]), array("d", y)
     if n == 0:
         return SynthesizedCurve(profile, ss, rows, 0.0)
     ds = (s_hi - s_lo) / n
@@ -591,7 +583,7 @@ def synthesize_curve(profile: CurvatureProfile,
     # Each component is computed as numpy computes ``y + 0.5 * ds * a`` and
     # ``y + (ds / 6.0) * (a + 2.0 * b + 2.0 * c + d)`` on arrays.  An
     # overflowing float goes non-finite quietly; the drift check aborts.
-    for i in range(1, n + 1):
+    for _ in range(n):
         k_mid = kvals(s + half)
         k_hi = kvals(s + ds)
         a = rhs(k_lo, y)
@@ -602,18 +594,17 @@ def synthesize_curve(profile: CurvatureProfile,
              for u, p, q, r, w in zip(y, a, b, c, d)]
         s += ds
         k_lo = k_hi
-        ss[i], rows[i] = s, y
+        ss.append(s)
+        rows.extend(y)
         g = gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps)
         if not g <= drift:           # max() that keeps a NaN
             drift = g
         if not drift <= synth_tol:
-            while not np.isfinite(rows[i]).all():
-                i -= 1
-            partial = SynthesizedCurve(profile, ss[:i + 1], rows[:i + 1],
-                                       drift)
+            while not all(map(math.isfinite, rows[-20:])):
+                del ss[-1], rows[-20:]
             raise FrameDriftExceeded(
                 f"Gram drift {drift:.3e} > {synth_tol:.3e} at s={s}",
-                partial=partial)
+                partial=SynthesizedCurve(profile, ss, rows, drift))
     return SynthesizedCurve(profile, ss, rows, drift)
 
 

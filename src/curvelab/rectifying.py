@@ -29,6 +29,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from . import jets
@@ -56,69 +57,57 @@ __all__ = [
 ]
 
 FIT_CONDITION_LIMIT = 1e8
-_EPS = 2.220446049250313e-16        # unit roundoff of a double, times 2
 SPHERE_TOL = 1e-10
 # rho^2 counts as varying when its span exceeds this share of max(1, |rho^2|);
 # a fixed floor, so loosening a tolerance can never fail a curve
 RHO_SPAN_FLOOR = 1e-4
 
 
-def _lstsq(columns: Sequence[Sequence[float]], target: Sequence[float]
-           ) -> tuple[list[float], float, list[list[float]]]:
-    """Least-squares coefficients, the rms of the residual and R.
+def _lstsq(columns, target):
+    """Least-squares coefficients, the rms of the residual and R's columns.
 
     Householder QR, dot products by ``math.fsum``.  The rms is the norm of
     the transformed target's tail: backward stably the least residual,
     even where R is near singular and the coefficients ill-determined.  A
     column whose part below the diagonal is at roundoff level of its norm
-    lies in the span of those before it: it is not reflected, and its
-    coefficient is 0.  ``r[j]`` is column j of R down to its diagonal.
+    lies in the span of those before it: it stays as it is, coefficient 0.
     """
-    cols = [list(c) for c in columns]
-    b = list(target)
-    m = len(b)
-    r, pivots = [], []
+    *cols, b = [list(c) for c in (*columns, target)]
+    m, pivots = len(b), []
     for j, col in enumerate(cols):
         k = len(pivots)
         x = col[k:]
         norm = math.hypot(*x)
-        r.append(col[:k] + [norm])
-        if norm <= m * _EPS * math.hypot(*col):
-            continue
-        alpha = -math.copysign(norm, x[0])
-        scale = norm * (norm + abs(x[0]))       # v.v / 2
-        x[0] -= alpha                           # v
-        for y in cols[j + 1:] + [b]:
-            f = math.fsum(p * q for p, q in zip(x, y[k:])) / scale
-            y[k:] = [q - f * p for p, q in zip(x, y[k:])]
-        r[j][k] = alpha
-        pivots.append(j)
+        if norm > m * 2.2e-16 * math.hypot(*col):
+            alpha = -math.copysign(norm, x[0])
+            scale = norm * (norm + abs(x[0]))       # v.v / 2
+            x[0] -= alpha                           # v
+            for y in cols[j + 1:] + [b]:
+                f = math.fsum(map(mul, x, y[k:])) / scale
+                y[k:] = [q - f * p for p, q in zip(x, y[k:])]
+            col[k:] = [alpha]
+            pivots.append(j)
     coef = [0.0] * len(cols)
     for i, j in reversed(list(enumerate(pivots))):
-        coef[j] = (b[i] - math.fsum(r[q][i] * coef[q]
-                                    for q in range(j + 1, len(cols)))) / r[j][i]
-    return coef, math.hypot(*b[len(pivots):]) / math.sqrt(m), r
+        coef[j] = (b[i] - math.fsum(map(mul, [c[i] for c in cols[j + 1:]],
+                                        coef[j + 1:]))) / cols[j][i]
+    return coef, math.hypot(*b[len(pivots):]) / math.sqrt(m), cols
 
 
-def _cond2(r: list[list[float]]) -> float:
-    """2-norm condition number of the 2x2 triangle [[a, b], [0, d]]: its
-    singular values have squares (f +- sqrt(f^2 - 4p^2)) / 2 with
-    f = a^2 + b^2 + d^2 and p = |a d|."""
-    (a,), (b, d) = r
-    a, d = abs(a), abs(d)
-    p = a * d
-    f = a * a + b * b + d * d
-    root = math.sqrt(((a - d) ** 2 + b * b) * ((a + d) ** 2 + b * b))
-    return (f + root) / (2.0 * p) if p else math.inf
+def _cond2(a, b, d):
+    """2-norm condition number k of R = [[a, b], [0, d]]: k + 1/k = q + 2
+    with q = ((|a| - |d|)^2 + b^2) / |a d|, from the singular values'
+    product |a d| and their squares' sum a^2 + b^2 + d^2."""
+    q = ((abs(a) - abs(d)) ** 2 + b * b) / abs(a * d) if a * d else math.inf
+    return 1.0 + 0.5 * (q + math.sqrt(q * (q + 4.0)))
 
 
-def _cosh_sinh(ts: Sequence[float]) -> tuple[list[float], list[float]]:
+def _cosh_sinh(ts):
     """The columns cosh t and sinh t of the Theorem 3.1 design."""
     try:
         return [math.cosh(t) for t in ts], [math.sinh(t) for t in ts]
     except OverflowError:
-        raise IllConditionedFit(f"cosh/sinh of a torsion angle up to "
-                                f"{max(map(abs, ts))} overflows") from None
+        raise IllConditionedFit("cosh/sinh of the torsion angle overflows")
 
 
 def rectifying_residual(source, s: float) -> float:
@@ -174,16 +163,15 @@ def fit_theorem31(source, samples: Sequence[float],
 def _fit_gathered(frames: list[FrenetData], ts: list[float],
                   c: float | None) -> Theorem31Fit:
     """``fit_theorem31`` on frames and torsion angles already gathered."""
-    eps = frames[0].eps
     if c is None:
         c = math.fsum(minkowski_dot(f.position, f.T) - f.s
                       for f in frames) / len(frames)
     target = [f.eps * f.kappa1 * (f.s + c) / f.kappa2 for f in frames]
-    (A, B), rms, r = _lstsq(_cosh_sinh(ts), target)
-    if not _cond2(r) <= FIT_CONDITION_LIMIT:
+    (A, B), rms, (ch, sh) = _lstsq(_cosh_sinh(ts), target)
+    if not _cond2(ch[0], sh[0], sh[1]) <= FIT_CONDITION_LIMIT:
         raise IllConditionedFit("cosh/sinh design matrix is near singular "
                                 "(t-range too small)")
-    return Theorem31Fit(c=c, A=A, B=B, eps=eps, rms_residual=rms,
+    return Theorem31Fit(c=c, A=A, B=B, eps=frames[0].eps, rms_residual=rms,
                         frames=frames, t_samples=ts)
 
 
@@ -242,8 +230,8 @@ def least_squares_origin(source, samples: Sequence[float]
     """
     frames = [source.frame(float(s)) for s in samples]
     n0, *rest = zip(*[f.N for f in frames])
-    target = [minkowski_dot(f.position, f.N) for f in frames]
-    d, rms, _ = _lstsq([[-x for x in n0], *rest], target)
+    d, rms, _ = _lstsq([[-x for x in n0], *rest],
+                       [minkowski_dot(f.position, f.N) for f in frames])
     return Vec4(*d), rms
 
 
@@ -337,7 +325,6 @@ def theorem33_report(source, samples: Sequence[float],
     ss = [f.s for f in frames]
     ones = [1.0] * len(ss)
     eps = fit.eps
-    warnings: list[str] = []
 
     # (i) distance function rho^2 = g(alpha, alpha) against s^2 + c1 s + c2
     rho_sq = [minkowski_dot(f.position, f.position) for f in frames]
@@ -354,14 +341,10 @@ def theorem33_report(source, samples: Sequence[float],
     norm_sq = [q - g * g for q, g in zip(rho_sq, tang)]
     a_const = math.fsum(norm_sq) / len(norm_sq)
     dev = max(abs(q - a_const) for q in norm_sq)
-    rho_span = max(rho_sq) - min(rho_sq)
-    rho_nonconstant = rho_span > RHO_SPAN_FLOOR * max(1.0,
-                                                      *map(abs, rho_sq))
-    normal = {
-        "a": a_const,
-        "max_deviation": dev,
-        "rho_nonconstant": rho_nonconstant,
-    }
+    rho_nonconstant = max(rho_sq) - min(rho_sq) > RHO_SPAN_FLOOR * max(
+        1.0, *map(abs, rho_sq))
+    normal = {"a": a_const, "max_deviation": dev,
+              "rho_nonconstant": rho_nonconstant}
 
     # (iv) binormal components against the model implied by the fit
     A, B = fit.A, fit.B
@@ -373,21 +356,18 @@ def theorem33_report(source, samples: Sequence[float],
         res_b2 = max(res_b2, abs(gb2 - eps * (A * sh + B * ch)))
         # alternative closed form with the B term negated
         res_b2_alt = max(res_b2_alt, abs(gb2 - eps * (A * sh - B * ch)))
-    binormal = {
-        "residual_b1": res_b1,
-        "residual_b2": res_b2,
-        "residual_b2_alt_form": res_b2_alt,
-    }
-    if res_b2 <= tol.binormal_residual < res_b2_alt:
-        warnings.append(
-            "second-binormal component matches the first-order-system form "
-            "eps*(A sinh t + B cosh t); the alternative closed form with the "
-            "B term negated does not fit (known sign discrepancy)")
+    binormal = {"residual_b1": res_b1, "residual_b2": res_b2,
+                "residual_b2_alt_form": res_b2_alt}
+    warnings = ((
+        "second-binormal component matches the first-order-system form "
+        "eps*(A sinh t + B cosh t); the alternative closed form with the "
+        "B term negated does not fit (known sign discrepancy)",)
+        if res_b2 <= tol.binormal_residual < res_b2_alt else ())
 
     drift = constant_vector_drift(fit)
 
-    verdict = (abs(distance["lead"] - 1.0) <= tol.distance_lead
-               and abs(tangential["slope"] - 1.0) <= tol.tangential_slope
+    verdict = (abs(lead - 1.0) <= tol.distance_lead
+               and abs(slope - 1.0) <= tol.tangential_slope
                and dev <= tol.normal_constancy
                and rho_nonconstant
                and res_b1 <= tol.binormal_residual
@@ -400,7 +380,7 @@ def theorem33_report(source, samples: Sequence[float],
         distance_quadratic=distance, tangential_linear=tangential,
         normal_constancy=normal, binormal_components=binormal,
         constant_vector_drift=drift, verdict=verdict,
-        tolerances=tol, warnings=tuple(warnings))
+        tolerances=tol, warnings=warnings)
 
 
 # -- the spherical construction -----------------------------------------------

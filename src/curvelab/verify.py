@@ -13,7 +13,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from . import curves, frenet, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
@@ -28,10 +27,9 @@ FD_TOL = 1e-6
 # criteria 4 and 5 judge by the report defaults, whatever CURVELAB_TOL says
 REPORT_TOL = rectifying.ReportTolerances()
 
-# Order-4 central-difference stencils, one per derivative order; the step
+# Order-4 central-difference stencils, k to weights and half-width; the step
 # sizes are tuned so truncation stays below FD_TOL on every catalog curve
 # while roundoff stays negligible.
-# Each maps k to its weights and its half-width.
 _FD_STENCILS = {
     k: ([c / d for c in weights], len(weights) // 2)
     for k, weights, d in ((1, (1.0, -8.0, 0.0, 8.0, -1.0), 12.0),
@@ -228,16 +226,6 @@ def criterion_7(ws: Workspace) -> CriterionResult:
         f"{len(rows)}, degenerate_samples={n_deg}")
 
 
-def fd_derivative(position: Callable[[float], tuple[float, ...]], t: float,
-                  k: int, h: float) -> list[float]:
-    """Order-4 central difference of the k-th derivative of
-    ``position(x)``, at ``t`` with step ``h``."""
-    w, half = _FD_STENCILS[k]
-    vals = [position(t + o * h) for o in range(-half, half + 1)]
-    return [math.fsum(map(operator.mul, w, coord)) / h ** k
-            for coord in zip(*vals)]
-
-
 def fd_oracle_error() -> float:
     """Largest relative error of the k = 1..4 finite differences against
     the jet derivatives, at 50 random points on each static curve.
@@ -249,8 +237,9 @@ def fd_oracle_error() -> float:
     rng = random.Random(0)
     worst = 0.0
     margin = 3 * max(_FD_STEPS.values())
-    static_ids = [cid for cid in curves.catalog_ids() if ":" not in cid]
-    for cid in static_ids:
+    for cid in curves.catalog_ids():
+        if ":" in cid:                  # a constructed curve
+            continue
         spec = curves.make_spec(cid)
         lo, hi = spec.domain
         for _ in range(50):
@@ -258,11 +247,13 @@ def fd_oracle_error() -> float:
             cj = curves.eval_curve(spec, t)
             at = functools.cache(functools.partial(curves.point, spec))
             for k, h in _FD_STEPS.items():
+                w, half = _FD_STENCILS[k]
+                nodes = [at(t + o * h)[0] for o in range(-half, half + 1)]
                 exact = cj.derivative(k)
-                approx = fd_derivative(lambda x: at(x)[0], t, k, h)
-                rel = (math.hypot(*map(operator.sub, approx, exact))
-                       / max(math.hypot(*exact), 1e-12))
-                worst = max(worst, rel)
+                err = [math.fsum(map(operator.mul, w, coord)) / h ** k - e
+                       for coord, e in zip(zip(*nodes), exact)]
+                worst = max(worst, math.hypot(*err)
+                            / max(math.hypot(*exact), 1e-12))
     return worst
 
 

@@ -421,13 +421,13 @@ def test_fit_condition_number_matches_numpy():
             ts = sorted(lo + width * rng.random()
                         for _ in range(rng.randint(8, 60)))
             columns = rectifying._cosh_sinh(ts)
-            _, _, r = rectifying._lstsq(columns, ts)
-            got = rectifying._cond2(r)
+            _, _, (ch, sh) = rectifying._lstsq(columns, ts)
+            got = rectifying._cond2(ch[0], sh[0], sh[1])
             want = float(np.linalg.cond(np.array(columns).T))
             # both carry the backward error eps * cond relative to cond
             assert math.isclose(got, want, rel_tol=max(1e-13, 1e-14 * want))
-    assert rectifying._cond2([[2.0], [1.0, 0.0]]) == math.inf
-    assert rectifying._cond2([[-3.0], [0.0, 3.0]]) == 1.0
+    assert rectifying._cond2(2.0, 1.0, 0.0) == math.inf
+    assert rectifying._cond2(-3.0, 0.0, 3.0) == 1.0
 
 
 def test_env_tolerance_override(monkeypatch):
