@@ -334,12 +334,6 @@ def cmd_synthesize(args, out) -> int:
     if "id" in cfg or "construct" in cfg:       # --curve sets "id"
         raise UsageError("synthesize takes a --profile, not a curve")
     s_range = tuple(cfg.get("domain", (0.5, 2.5)))
-    try:
-        profile = frenet.profile_from_name(args.profile,
-                                           cfg.get("params", {}),
-                                           args.eps, s_range)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc))
 
     def emit(curve: frenet.SynthesizedCurve) -> None:
         lines = [SYNTH_HEADER]
@@ -350,9 +344,12 @@ def cmd_synthesize(args, out) -> int:
         out.write(f"max_gram_drift={_fmt(curve.max_drift)}\n")
 
     try:
+        profile = frenet.profile_from_name(args.profile,
+                                           cfg.get("params", {}),
+                                           args.eps, s_range)
         curve = frenet.synthesize_curve(profile, ds=args.ds,
                                         synth_tol=args.drift_tol)
-    except ValueError as exc:           # ds <= 0, or too many steps
+    except (KeyError, ValueError) as exc:   # a bad profile, ds or step count
         raise UsageError(str(exc))
     except FrameDriftExceeded as exc:
         if exc.partial is not None:

@@ -17,11 +17,11 @@ right, as numpy's reduction of a 4-element array does, so it matches the
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
@@ -248,15 +248,20 @@ def _derivative_rank(a) -> int:
 
     One-sided Jacobi: rotations make the four rows orthogonal to roundoff;
     their norms are then the singular values to eps times the largest
-    (Demmel & Veselic, 1992)."""
+    (Demmel & Veselic, 1992).  A row under 1e-12 of the matrix norm is not
+    rotated: it moves no singular value across RANK_REL_TOL, and rotating
+    roundoff would take up to the 30 sweeps (a planar curve's two null
+    rows), where the rest converge in under 10."""
     rows = [[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)]
-    for _ in range(30):         # a 4x4 matrix takes under 10 sweeps
+    floor = 1e-24 * sum(x * x for row in rows for x in row)
+    for _ in range(30):
         rotated = False
-        for i, j in itertools.combinations(range(4), 2):
+        for i, j in combinations(range(4), 2):
             u, v = rows[i], rows[j]
             p, uu, vv = (sum(map(mul, u, v)), sum(map(mul, u, u)),
                          sum(map(mul, v, v)))
-            if abs(p) > 2.2e-16 * math.sqrt(uu) * math.sqrt(vv):
+            if (min(uu, vv) > floor
+                    and abs(p) > 2.2e-16 * math.sqrt(uu) * math.sqrt(vv)):
                 rotated = True
                 angle = 0.5 * math.atan2(2.0 * p, uu - vv)
                 c, s = math.cos(angle), math.sin(angle)
@@ -560,8 +565,8 @@ def synthesize_curve(profile: CurvatureProfile,
     s_lo, s_hi = profile.s_range
     steps = (s_hi - s_lo) / ds
     if steps > MAX_SYNTH_STEPS:
-        raise ValueError(f"{s_hi - s_lo} / ds = {steps:.3g} RK4 steps, more "
-                         f"than {MAX_SYNTH_STEPS}; use a larger ds")
+        raise ValueError(f"{steps:.3g} RK4 steps, more than "
+                         f"{MAX_SYNTH_STEPS}; use a larger ds")
     n = max(1, int(round(steps))) if s_hi > s_lo else 0
     ss, rows = array("d", [s_lo]), array("d", y)
     if n == 0:

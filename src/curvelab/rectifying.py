@@ -105,7 +105,7 @@ def _cond2(a, b, d):
 def _cosh_sinh(ts):
     """The columns cosh t and sinh t of the Theorem 3.1 design."""
     try:
-        return [math.cosh(t) for t in ts], [math.sinh(t) for t in ts]
+        return list(map(math.cosh, ts)), list(map(math.sinh, ts))
     except OverflowError:
         raise IllConditionedFit("cosh/sinh of the torsion angle overflows")
 
@@ -166,13 +166,12 @@ def _fit_gathered(frames: list[FrenetData], ts: list[float],
     if c is None:
         c = math.fsum(minkowski_dot(f.position, f.T) - f.s
                       for f in frames) / len(frames)
-    target = [f.eps * f.kappa1 * (f.s + c) / f.kappa2 for f in frames]
-    (A, B), rms, (ch, sh) = _lstsq(_cosh_sinh(ts), target)
+    (A, B), rms, (ch, sh) = _lstsq(_cosh_sinh(ts), [
+        f.eps * f.kappa1 * (f.s + c) / f.kappa2 for f in frames])
     if not _cond2(ch[0], sh[0], sh[1]) <= FIT_CONDITION_LIMIT:
         raise IllConditionedFit("cosh/sinh design matrix is near singular "
                                 "(t-range too small)")
-    return Theorem31Fit(c=c, A=A, B=B, eps=frames[0].eps, rms_residual=rms,
-                        frames=frames, t_samples=ts)
+    return Theorem31Fit(c, A, B, frames[0].eps, rms, frames, ts)
 
 
 def thm31_min_rms_over_c(source, samples: Sequence[float]

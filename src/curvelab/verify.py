@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from . import curves, frenet, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
@@ -250,7 +250,7 @@ def fd_oracle_error() -> float:
                 w, half = _FD_STENCILS[k]
                 nodes = [at(t + o * h)[0] for o in range(-half, half + 1)]
                 exact = cj.derivative(k)
-                err = [math.fsum(map(operator.mul, w, coord)) / h ** k - e
+                err = [math.fsum(map(mul, w, coord)) / h ** k - e
                        for coord, e in zip(zip(*nodes), exact)]
                 worst = max(worst, math.hypot(*err)
                             / max(math.hypot(*exact), 1e-12))
