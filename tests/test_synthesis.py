@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelab import curves, frenet, jets, verify
-from curvelab.errors import FrameDriftExceeded
+from curvelab.errors import FrameDriftExceeded, OutOfDomain
 from curvelab.lorentz import Vec4
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -164,6 +164,19 @@ def test_synthesized_frames_stay_orthonormal():
         assert frenet.gram_errors(f.T.components, f.N.components,
                                   f.B1.components, f.B2.components,
                                   f.eps) < 1e-10
+
+
+def test_frame_lookup_takes_the_nearest_grid_point():
+    # a sample within the 1e-9 tolerance of a grid point reads that row,
+    # from either side and past either end
+    curve = frenet.synthesize_curve(frenet.rectifying_profile((0.5, 1.0)),
+                                    ds=1e-2)
+    ss = list(curve.s)
+    for k in (0, 1, 25, len(ss) - 1):
+        for offset in (-1e-12, 1e-12):
+            assert curve.frame(ss[k] + offset).s == ss[k]
+    with pytest.raises(OutOfDomain):
+        curve.frame(0.5 * (ss[0] + ss[1]))
 
 
 def test_kappa3_integral_linear_for_unit_torsion():
