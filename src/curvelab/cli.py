@@ -19,6 +19,7 @@ from .errors import (
     CurveLabError,
     DegenerateFrame,
     FrameDriftExceeded,
+    PoleEncountered,
     UsageError,
 )
 from .lorentz import causal_character
@@ -316,7 +317,10 @@ def cmd_construct(args, out) -> int:
                                               domain=domain))
     lines = [POSITION_HEADER]
     for u in frenet.grid(*spec.domain, args.samples):
-        pos = curves.eval_curve(spec, u).position()
+        pos = curves.point(spec, u)[0]
+        if not all(map(math.isfinite, pos)):
+            raise PoleEncountered(f"{spec.catalog_id} overflows floating "
+                                  f"point at u={u}")
         lines.append(",".join(_fmt(v) for v in (u, *pos)))
     _write_lines(args.output, lines, out)
     out.write(f"registered: {spec.catalog_id}\n")

@@ -20,15 +20,13 @@ from . import jets
 from .errors import (DivisionNearZero, NonSpacelikeVelocity, OutOfDomain,
                      PoleEncountered, SqrtNonPositive)
 from .jets import Jet
-from .lorentz import Vec4, minkowski_dot
+from .lorentz import minkowski_dot
 
 __all__ = [
     "CurveSpec",
-    "CurveJet",
     "eval_curve",
     "point",
     "speed",
-    "speed_jet",
     "arclength_jets",
     "register_curve",
     "catalog_ids",
@@ -73,21 +71,6 @@ def _check_names(owner: str, params, accepted) -> None:
     if unknown:
         raise ValueError(f"{owner} has no parameter {', '.join(unknown)} "
                          f"(accepted: {', '.join(accepted) or 'none'})")
-
-
-@dataclass(frozen=True)
-class CurveJet:
-    """Four coordinate jets of a curve at one parameter value."""
-
-    t: float
-    jets: tuple[Jet, Jet, Jet, Jet]
-
-    def position(self) -> Vec4:
-        return Vec4(*(j.value for j in self.jets))
-
-    def derivative(self, k: int) -> Vec4:
-        """k-th parameter derivative vector, k in 0..4."""
-        return Vec4(*(j.derivative(k) for j in self.jets))
 
 
 # (s_between(params, lo, t), t_from(params, lo, s)), the exact arclength of
@@ -315,14 +298,13 @@ def _pole(spec: CurveSpec, t: float, exc: Exception) -> PoleEncountered:
     return PoleEncountered(f"{spec.catalog_id} {what} at t={t}: {exc}")
 
 
-def eval_curve(spec: CurveSpec, t: float) -> CurveJet:
-    """Position and exact derivatives up to order 4 of the curve at ``t``."""
+def eval_curve(spec: CurveSpec, t: float) -> tuple[Jet, Jet, Jet, Jet]:
+    """The four coordinate jets of the curve at ``t``, exact to order 4."""
     entry = _entry_at(spec, t)
     try:
-        coords = entry.build(jets.variable(t), spec.params)
+        return tuple(entry.build(jets.variable(t), spec.params))
     except _POLES as exc:
         raise _pole(spec, t, exc) from exc
-    return CurveJet(t=t, jets=tuple(coords))
 
 
 def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
@@ -333,7 +315,7 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
     """
     entry = _entry_at(spec, t)
     if entry.closed_form is None:
-        cj = eval_curve(spec, t).jets
+        cj = eval_curve(spec, t)
         return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
     try:
         return entry.closed_form(spec.params, float(t))
@@ -341,46 +323,40 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
         raise _pole(spec, t, exc) from exc
 
 
-def speed_jet(spec: CurveSpec, t: float) -> Jet:
-    """Jet of the speed v(t) = ||alpha'(t)||; requires a spacelike velocity.
-
-    Valid to order 3 (one differentiation of the coordinate jets).
-    """
-    return _speed_jet(spec, eval_curve(spec, t))
-
-
-def _speed_jet(spec: CurveSpec, cj: CurveJet) -> Jet:
+def _speed_jet(spec: CurveSpec, t: float, cj: tuple[Jet, ...]) -> Jet:
+    """Jet of the speed ||alpha'(t)|| from the coordinate jets ``cj`` at
+    ``t``, valid to order 3; requires a spacelike velocity."""
     # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first
     d = [(c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4], 0.0)
-         for c in (j.coeffs for j in cj.jets)]
+         for c in (j.coeffs for j in cj)]
     p = [jets._cauchy(u, v) for u, v in zip([[-x for x in d[0]], *d[1:]], d)]
     g = [((x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
     if not g[0] > 0.0:
         raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g[0]} at t={cj.t} on {spec.catalog_id}")
+            f"g(alpha', alpha') = {g[0]} at t={t} on {spec.catalog_id}")
     return Jet(jets._sqrt(g))
 
 
-def arclength_jets(spec: CurveSpec, t: float, s: float
-                   ) -> tuple[Jet, Jet, Jet, Jet]:
-    """Order-4 coordinate jets of the curve as functions of arclength.
+def arclength_jets(spec: CurveSpec, t: float) -> tuple[Jet, Jet, Jet, Jet]:
+    """Order-4 coordinate jets of the curve at ``t`` as functions of
+    arclength.
 
-    ``t`` is the parameter at which the arclength is ``s``.  Chain rule
-    through t(s): the jet of s(t) comes from the speed jet, is reverted at
-    ``t``, and composed into the coordinate jets.
+    Chain rule through t(s): the jet of s(t) comes from the speed jet, is
+    reverted at ``t``, and composed into the coordinate jets.  Neither step
+    reads the arclength's own value, so the s-jet's constant term is 0.
     """
     cj = eval_curve(spec, t)
-    vc = _speed_jet(spec, cj).coeffs
-    s_jet = Jet((s, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
+    vc = _speed_jet(spec, t, cj).coeffs
+    s_jet = Jet((0.0, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
     t_jet = jets.reverse(s_jet, at=t)
-    return tuple(jets.compose(j, t_jet) for j in cj.jets)
+    return tuple(jets.compose(j, t_jet) for j in cj)
 
 
 def speed(spec: CurveSpec, t: float) -> float:
     """||alpha'(t)||; requires a spacelike velocity.
 
-    Bit for bit ``speed_jet(spec, t).value``: the same products and sums,
-    on the velocity that ``point`` reads.
+    Bit for bit ``_speed_jet(spec, t, eval_curve(spec, t)).value``: the
+    same products and sums, on the velocity that ``point`` reads.
     """
     vel = point(spec, t)[1]
     g = minkowski_dot(vel, vel)

@@ -281,7 +281,7 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
     and NonSpacelikePrincipalNormal when g(T', T') < 0.
     """
-    aj = arclength_jets(spec, amap.t_of_s(s), s)
+    aj = arclength_jets(spec, amap.t_of_s(s))
     return _frame_from_position_jets(aj, s)
 
 

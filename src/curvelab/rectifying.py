@@ -168,9 +168,12 @@ def _fit_gathered(frames: list[FrenetData], ts: list[float],
                       for f in frames) / len(frames)
     (A, B), rms, (ch, sh) = _lstsq(_cosh_sinh(ts), [
         f.eps * f.kappa1 * (f.s + c) / f.kappa2 for f in frames])
-    if not _cond2(ch[0], sh[0], sh[1]) <= FIT_CONDITION_LIMIT:
-        raise IllConditionedFit("cosh/sinh design matrix is near singular "
-                                "(t-range too small)")
+    cond = _cond2(ch[0], sh[0], sh[1])
+    if not cond <= FIT_CONDITION_LIMIT:
+        raise IllConditionedFit(
+            f"cosh/sinh design matrix has condition number {cond:.3e} "
+            f"(limit {FIT_CONDITION_LIMIT:.0e}) on torsion angles t from "
+            f"{min(ts)} to {max(ts)}")
     return Theorem31Fit(c, A, B, frames[0].eps, rms, frames, ts)
 
 
@@ -415,8 +418,7 @@ def construct_rectifying(sphere_spec: CurveSpec,
     """
     ymap = arclength_map(sphere_spec)
     total = ymap.total
-    for u in grid(0.0, total, 33):
-        tau = ymap.t_of_s(u)
+    for tau in grid(*sphere_spec.domain, 33):
         pos = point(sphere_spec, tau)[0]
         if not on_hyperbolic_sphere(pos, SPHERE_TOL):
             raise NotOnHyperbolicSphere(
@@ -426,8 +428,7 @@ def construct_rectifying(sphere_spec: CurveSpec,
     a, t0 = params.a, params.t0
 
     def build(tj: Jet, _params) -> tuple[Jet, Jet, Jet, Jet]:
-        u = tj.value
-        yj = arclength_jets(sphere_spec, ymap.t_of_s(u), u)
+        yj = arclength_jets(sphere_spec, ymap.t_of_s(tj.value))
         rho = a / jets.cosh(tj + t0)
         return tuple(rho * j for j in yj)
 

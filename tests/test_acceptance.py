@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from curvelab import curves, rectifying, verify
+from curvelab import curves, frenet, rectifying, verify
 
 _workspace = verify.Workspace()
 
@@ -35,6 +35,31 @@ def test_all_suites_cover_every_criterion():
     assert covered == set(verify.SUITES["all"])
 
 
+def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
+    ws = verify.Workspace()
+    sources = [ws.source("lorentz_helix"), ws.constructed(3.0)]
+    steps = (frenet.ODE_H, 2e-2, 1e-2, 5e-3)
+    # reference: frenet_ode_residual, every frame built afresh
+    want = []
+    for src in sources:
+        s = 0.5 * sum(src.s_range)
+        r = [max(frenet.frenet_ode_residual(src.spec, src.map, s, h))
+             for h in steps]
+        want.append((r[0], [r[1] / r[2], r[2] / r[3]]))
+    calls = []
+    real = frenet.frenet_apparatus
+    monkeypatch.setattr(frenet, "frenet_apparatus",
+                        lambda spec, amap, s: calls.append(s)
+                        or real(spec, amap, s))
+    assert [verify._ode_numbers(src.spec, src.map, 0.5 * sum(src.s_range))
+            for src in sources] == want
+    # per curve: the centre frame once, and its two neighbours at each step
+    assert len(calls) == len(sources) * (1 + 2 * len(steps))
+    calls.clear()
+    verify.criterion_2(ws)
+    assert len(calls) == len(sources) * (1 + 2 * len(steps))
+
+
 def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
     # reference: the same points, every stencil node evaluated afresh
     rng = random.Random(0)
@@ -49,11 +74,11 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
             cj = curves.eval_curve(spec, t)
             for k, h in verify._FD_STEPS.items():
                 w, half = verify._FD_STENCILS[k]
-                vals = [curves.eval_curve(spec, t + o * h).position()
+                vals = [[j.value for j in curves.eval_curve(spec, t + o * h)]
                         for o in range(-half, half + 1)]
                 approx = [math.fsum(c * v[i] for c, v in zip(w, vals))
                           / h ** k for i in range(4)]
-                exact = cj.derivative(k)
+                exact = [j.derivative(k) for j in cj]
                 want = max(want, math.hypot(*(a - e for a, e
                                               in zip(approx, exact)))
                            / max(math.hypot(*exact), 1e-12))

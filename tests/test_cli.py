@@ -67,11 +67,14 @@ def test_classify_pole_exits_2(capsys):
      "--param", "q=2000", "--samples", "5"],
     ["classify", "--curve", "lorentz_helix", "--param", "A=1e308",
      "--param", "B=1e308", "--at", "2"],
-], ids=["classify", "frenet", "classify_product"])
+    ["construct", "--curve", "hyperbolic_geodesic", "--a", "1e308",
+     "--t0", "-1.5", "--samples", "3"],
+], ids=["classify", "frenet", "classify_product", "construct_product"])
 def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     # sinh past ~710.5 overflows floating point, and so does A * cosh(pt)
-    # with A near the largest float: a typed error, not a traceback with
-    # the "property failed" code
+    # with A near the largest float, or a / cosh(u + t0) * cosh(u) with t0
+    # < 0: a typed error, not a traceback with the "property failed" code
+    # or an inf in the CSV
     code, _ = run(argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -264,7 +267,8 @@ def test_construct_reproduces_example_coordinates(tmp_path):
     # the grid does not hit pi/2 exactly; evaluate the registered id directly
     reg_id = text.split("registered: ")[1].strip()
     from curvelab import curves
-    p = curves.eval_curve(curves.make_spec(reg_id), u).position()
+    cj = curves.eval_curve(curves.make_spec(reg_id), u)
+    p = Vec4(*(j.value for j in cj))
     assert math.isclose(p.components[0], math.cosh(u), rel_tol=1e-12)
     assert abs(p.components[1]) < 1e-12
     assert math.isclose(p.components[2], math.sinh(u), rel_tol=1e-12)
@@ -549,6 +553,28 @@ def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
     assert got == code
     if message:
         assert f"{path} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c_flag", [[], ["--c", "0"]], ids=["free_c", "c0"])
+def test_ill_conditioned_fit_states_its_condition_and_range(
+        tmp_path, capsys, synthesis_lines, c_flag):
+    # torsion angles 280, 282, ..., 320 span 40 radians, yet cosh t and
+    # sinh t agree to roundoff there: the message reports the condition
+    # number and the range, not a range that is too small
+    lines = list(synthesis_lines)
+    rows = [i for i, line in enumerate(lines)
+            if line and line[0] not in "s#"]
+    for k, i in enumerate(rows):
+        lines[i] = f"{lines[i].rsplit(',', 1)[0]},{280.0 + 2.0 * k!r}"
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, _ = run(["rectify-check", "--from-synthesis", str(path),
+                   "--samples", str(len(rows)), *c_flag])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "IllConditionedFit" in err and "condition number" in err
+    assert "t from 280.0 to 320.0" in err
+    assert "too small" not in err
 
 
 def test_tol_flag_takes_precedence_over_env(tmp_path, monkeypatch):

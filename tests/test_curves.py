@@ -9,7 +9,22 @@ from hypothesis import given, settings, strategies as st
 from curvelab import curves, frenet, jets
 from curvelab.errors import (CurveLabError, NonSpacelikeVelocity, OutOfDomain,
                              PoleEncountered)
-from curvelab.lorentz import minkowski_dot, on_hyperbolic_sphere
+from curvelab.lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
+
+
+def position(cj):
+    """The position the coordinate jets ``cj`` carry."""
+    return Vec4(*(j.value for j in cj))
+
+
+def derivative(cj, k):
+    """The k-th parameter derivative the coordinate jets ``cj`` carry."""
+    return Vec4(*(j.derivative(k) for j in cj))
+
+
+def jet_speed(spec, t):
+    """The speed jet's value at ``t``, the oracle for ``curves.speed``."""
+    return curves._speed_jet(spec, t, curves.eval_curve(spec, t)).value
 
 
 def test_catalog_lists_static_curves():
@@ -21,7 +36,7 @@ def test_catalog_lists_static_curves():
 
 def test_geodesic_coordinates():
     spec = curves.make_spec("hyperbolic_geodesic")
-    p = curves.eval_curve(spec, 0.8).position()
+    p = position(curves.eval_curve(spec, 0.8))
     assert math.isclose(p.components[0], math.cosh(0.8))
     assert p.components[1] == 0.0
     assert math.isclose(p.components[2], math.sinh(0.8))
@@ -32,7 +47,7 @@ def test_geodesic_is_unit_speed_on_the_sphere():
     spec = curves.make_spec("hyperbolic_geodesic")
     for t in np.linspace(*spec.domain, 17):
         cj = curves.eval_curve(spec, float(t))
-        assert on_hyperbolic_sphere(cj.position(), 1e-12)
+        assert on_hyperbolic_sphere(position(cj), 1e-12)
         assert math.isclose(curves.speed(spec, float(t)), 1.0,
                             rel_tol=1e-14)
 
@@ -43,7 +58,7 @@ def test_example_curve_at_right_angle():
     spec = curves.make_spec("paper_example", params={"a": 1.0, "s0": 0.0},
                             domain=(0.9, 2.2))
     t = math.pi / 2
-    p = curves.eval_curve(spec, t).position()
+    p = position(curves.eval_curve(spec, t))
     assert math.isclose(p.components[0], math.cosh(t), rel_tol=1e-14)
     assert abs(p.components[1]) < 1e-15
     assert math.isclose(p.components[2], math.sinh(t), rel_tol=1e-14)
@@ -75,14 +90,14 @@ def test_runtime_pole_surfaces_as_pole_error():
 def test_clelia_on_hyperbolic_sphere():
     spec = curves.make_spec("hyperbolic_clelia")
     for t in np.linspace(*spec.domain, 33):
-        assert on_hyperbolic_sphere(curves.eval_curve(spec, float(t)).position(),
-                                    1e-12)
+        assert on_hyperbolic_sphere(
+            position(curves.eval_curve(spec, float(t))), 1e-12)
 
 
 def test_helix_unit_speed_spacelike():
     spec = curves.make_spec("lorentz_helix")
     for t in np.linspace(*spec.domain, 17):
-        v = curves.eval_curve(spec, float(t)).derivative(1)
+        v = derivative(curves.eval_curve(spec, float(t)), 1)
         assert math.isclose(minkowski_dot(v, v), 1.0, rel_tol=1e-13)
 
 
@@ -117,7 +132,7 @@ def test_non_finite_parameter_rejected():
 
 
 def test_nan_velocity_is_not_spacelike():
-    # a runtime curve whose velocity is NaN: speed, speed_jet and the
+    # a runtime curve whose velocity is NaN: speed, the speed jet and the
     # arclength map raise instead of integrating NaN
     from curvelab import frenet, jets
     from curvelab.curves import CatalogEntry
@@ -132,7 +147,7 @@ def test_nan_velocity_is_not_spacelike():
     with pytest.raises(NonSpacelikeVelocity):
         curves.speed(spec, 0.5)
     with pytest.raises(NonSpacelikeVelocity):
-        curves.speed_jet(spec, 0.5)
+        jet_speed(spec, 0.5)
     with pytest.raises(NonSpacelikeVelocity):
         frenet.arclength_map(spec)
 
@@ -148,7 +163,7 @@ def test_registered_ids_are_sequential_and_usable():
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(0.0, 2.0)))
     assert ":" in cid
-    p = curves.eval_curve(curves.make_spec(cid), 1.0).position()
+    p = position(curves.eval_curve(curves.make_spec(cid), 1.0))
     assert p.components == (0.0, 1.0, 1.0, 0.0)
 
 
@@ -158,10 +173,10 @@ def test_jet_derivatives_match_finite_differences():
     t = 1.1
     cj = curves.eval_curve(spec, t)
     for comp in range(4):
-        vals = [curves.eval_curve(spec, t + k * h).position().components[comp]
+        vals = [position(curves.eval_curve(spec, t + k * h)).components[comp]
                 for k in (-2, -1, 0, 1, 2)]
         d1 = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
-        assert math.isclose(cj.derivative(1).components[comp], d1,
+        assert math.isclose(derivative(cj, 1).components[comp], d1,
                             rel_tol=1e-7, abs_tol=1e-9)
 
 
@@ -182,11 +197,10 @@ def test_speed_is_the_speed_jet_value_bit_for_bit():
     specs.append(rectifying.construct_rectifying(
         curves.make_spec("hyperbolic_clelia"),
         rectifying.ConstructionParams(a=2.0, t0=0.4, domain=(0.35, 1.2))))
-    jet_value = lambda spec, t: curves.speed_jet(spec, t).value
     for spec in specs:
         for t in np.linspace(*spec.domain, 23):
             assert (_outcome(curves.speed, spec, float(t))
-                    == _outcome(jet_value, spec, float(t))), spec.catalog_id
+                    == _outcome(jet_speed, spec, float(t))), spec.catalog_id
 
 
 def test_speed_and_speed_jet_reject_a_timelike_helix():
@@ -197,7 +211,7 @@ def test_speed_and_speed_jet_reject_a_timelike_helix():
         with pytest.raises(NonSpacelikeVelocity):
             curves.speed(spec, t)
         with pytest.raises(NonSpacelikeVelocity):
-            curves.speed_jet(spec, t)
+            jet_speed(spec, t)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -258,7 +272,7 @@ def _result(fn, *args):
 
 
 def _jet_point(spec, t):
-    cj = curves.eval_curve(spec, t).jets
+    cj = curves.eval_curve(spec, t)
     return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
 
 
@@ -268,18 +282,17 @@ def _jet_point(spec, t):
 def test_closed_form_is_the_jet_bit_for_bit(cid, data):
     spec, t = data.draw(_static_case(cid))
     assert _result(curves.point, spec, t) == _result(_jet_point, spec, t)
-    jet_value = lambda spec, t: curves.speed_jet(spec, t).value
     assert (_result(curves.speed, spec, t)
-            == _result(jet_value, spec, t))
+            == _result(jet_speed, spec, t))
 
 
-def _jet_speed_jet(spec, cj):
+def _jet_speed_jet(spec, t, cj):
     """The speed jet in jet arithmetic, as ``curves._speed_jet`` once was."""
-    d = [j.d() for j in cj.jets]
+    d = [j.d() for j in cj]
     g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
     if not g.value > 0.0:
         raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g.value} at t={cj.t} on {spec.catalog_id}")
+            f"g(alpha', alpha') = {g.value} at t={t} on {spec.catalog_id}")
     return jets.sqrt(g)
 
 
@@ -288,7 +301,8 @@ def _jet_speed_jet(spec, cj):
 @given(st.data())
 def test_speed_jet_is_the_jet_form_bit_for_bit(cid, data):
     spec, t = data.draw(_static_case(cid))
-    on_curve = lambda fn: lambda spec, t: fn(spec, curves.eval_curve(spec, t))
+    on_curve = lambda fn: lambda spec, t: fn(spec, t,
+                                             curves.eval_curve(spec, t))
     assert (_result(on_curve(curves._speed_jet), spec, t)
             == _result(on_curve(_jet_speed_jet), spec, t))
 
@@ -300,5 +314,5 @@ def test_speed_jet_builds_one_jet(monkeypatch):
     post_init = jets.Jet.__post_init__
     monkeypatch.setattr(jets.Jet, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
-    v = curves._speed_jet(spec, cj)
+    v = curves._speed_jet(spec, 1.1, cj)
     assert built == [v]

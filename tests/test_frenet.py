@@ -401,7 +401,7 @@ def _arclength(data, amap):
 
 
 def _kernel_matches_reference(spec, amap, s):
-    aj = curves.arclength_jets(spec, amap.t_of_s(s), s)
+    aj = curves.arclength_jets(spec, amap.t_of_s(s))
     want = _outcome(reference_frame, aj, s)
     assert _outcome(frenet._frame_from_position_jets, aj, s) == want
     return want
@@ -464,7 +464,7 @@ def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
 
 def test_float_kernel_builds_no_jet(helix, monkeypatch):
     spec, amap = helix
-    aj = curves.arclength_jets(spec, amap.t_of_s(1.0), 1.0)
+    aj = curves.arclength_jets(spec, amap.t_of_s(1.0))
     built = []
     post_init = jets.Jet.__post_init__
     monkeypatch.setattr(jets.Jet, "__post_init__",

@@ -53,6 +53,19 @@ def test_construction_rejects_non_sphere_input():
             rectifying.ConstructionParams(a=1.0))
 
 
+def test_sphere_check_inverts_no_arclength(monkeypatch):
+    # the 33 points of the H_0^3(1) check lie on the parameter grid, so
+    # choosing them takes no Newton inversion of the arclength
+    calls = []
+    real = frenet.ArclengthMap.t_of_s
+    monkeypatch.setattr(frenet.ArclengthMap, "t_of_s",
+                        lambda self, s: calls.append(s) or real(self, s))
+    rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=A_PARAM, t0=T0_PARAM, domain=WINDOW))
+    assert calls == []
+
+
 @pytest.mark.parametrize("t0", [800.0, -711.0])
 def test_construction_rejects_a_radius_law_that_overflows(t0):
     # cosh(u + t0) overflows past |u + t0| ~ 710.48: a typed error, not a
