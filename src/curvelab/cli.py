@@ -338,6 +338,7 @@ def cmd_synthesize(args, out) -> int:
     if "id" in cfg or "construct" in cfg:       # --curve sets "id"
         raise UsageError("synthesize takes a --profile, not a curve")
     s_range = tuple(cfg.get("domain", (0.5, 2.5)))
+    curves._check_domain(s_range)
 
     def emit(curve: frenet.SynthesizedCurve) -> None:
         lines = [SYNTH_HEADER]

@@ -37,6 +37,12 @@ DOMAIN_SLACK = 1e-9
 POLE_GUARD = 1e-6
 
 
+def _check_domain(domain: tuple[float, float]) -> None:
+    lo, hi = domain
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+        raise OutOfDomain(f"domain must be a nonempty interval, got {domain}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """A named curve with parameter values and a closed domain interval."""
@@ -46,9 +52,7 @@ class CurveSpec:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise OutOfDomain(f"domain must be a nonempty interval, got {self.domain}")
+        _check_domain(self.domain)
         entry = _lookup(self.catalog_id)
         _check_names(self.catalog_id, self.params, entry.default_params)
         merged = {**entry.default_params, **self.params}

@@ -8,11 +8,12 @@ point, bit for bit as jet arithmetic would, with no finite differencing.
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
 re-orthonormalizing, so sign errors in the system cannot be masked.  It runs
-in plain Python floats, a state of 20 of them, with every operation in the
-order numpy's elementwise form of the same loop takes, so the trajectory
-matches that form bit for bit.  The monitor sums each Gram entry left to
-right, as numpy's reduction of a 4-element array does, so it matches the
-``np.sum`` form bit for bit; a non-finite deviation aborts the synthesis.
+in plain Python floats, one coordinate's column of five at a time, with
+every operation in the order numpy's elementwise form of the same loop
+takes on the 20-float state, so the trajectory matches that form bit for
+bit.  The monitor sums each Gram entry left to right, as numpy's reduction
+of a 4-element array does, so it matches the ``np.sum`` form bit for bit;
+a non-finite deviation aborts the synthesis.
 """
 from __future__ import annotations
 
@@ -546,62 +547,100 @@ def synthesize_curve(profile: CurvatureProfile,
                      init_frame: FrenetData | None = None,
                      ds: float = 1e-3,
                      synth_tol: float = SYNTH_TOL,
-                     frame_rhs: Callable = frenet_rhs) -> SynthesizedCurve:
-    """Integrate ``frame_rhs`` plus alpha' = T by classical RK4 from the origin.
+                     coupling_eps: int | None = None) -> SynthesizedCurve:
+    """Integrate the moving-frame system plus alpha' = T by classical RK4
+    from the origin.
+
+    The system couples the frame vectors only within a coordinate, so each
+    step advances the four columns (x_i, T_i, N_i, B1_i, B2_i) one at a
+    time through the four stages, with -kappa1 and (-eps) * kappa2 computed
+    once per stage node.  Every float operation is the one ``frenet_rhs``
+    and numpy's ``y + 0.5 * ds * a``, ``y + ds * c`` and
+    ``y + (ds / 6.0) * (a + 2.0 * b + 2.0 * c + d)`` perform on the
+    20-float state, in the same order, so the trajectory matches that form
+    bit for bit.  ``coupling_eps`` is the eps the (B1)' equation reads,
+    ``profile.eps`` when None; the Gram monitor always reads
+    ``profile.eps``, so criterion 9's mutant passes ``-profile.eps``.
 
     No re-orthonormalization is applied; the max Gram drift is monitored
     every step and FrameDriftExceeded is raised when it crosses
     ``synth_tol`` or is NaN.  It carries the partial trajectory without
-    its non-finite states.
+    its non-finite states.  A reversed range raises OutOfDomain; a
+    zero-length one gives the initial sample alone.
     """
     if ds <= 0.0:
         raise ValueError("ds must be positive")
+    s_lo, s_hi = profile.s_range
+    if not s_lo <= s_hi:
+        raise OutOfDomain(f"synthesis range must have lo <= hi, got "
+                          f"{profile.s_range}")
     frame = init_frame or standard_init_frame(profile.eps)
     eps = profile.eps
-    y = [0.0] * 4 + [*frame.T, *frame.N, *frame.B1, *frame.B2]
-    if not gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps) <= 1e-12:
+    minus_eps = -(eps if coupling_eps is None else coupling_eps)
+    X = [0.0] * 4
+    T, N, B1, B2 = (list(v) for v in (frame.T, frame.N, frame.B1, frame.B2))
+    if not gram_errors(T, N, B1, B2, eps) <= 1e-12:
         raise ValueError("init_frame violates the Gram conditions")
 
-    s_lo, s_hi = profile.s_range
     steps = (s_hi - s_lo) / ds
     if steps > MAX_SYNTH_STEPS:
         raise ValueError(f"{steps:.3g} RK4 steps, more than "
                          f"{MAX_SYNTH_STEPS}; use a larger ds")
     n = max(1, int(round(steps))) if s_hi > s_lo else 0
-    ss, rows = array("d", [s_lo]), array("d", y)
+    ss, rows = array("d", [s_lo]), array("d", [*X, *T, *N, *B1, *B2])
     if n == 0:
         return SynthesizedCurve(profile, ss, rows, 0.0)
     ds = (s_hi - s_lo) / n
     half, sixth = 0.5 * ds, ds / 6.0
     kvals = profile.values
 
-    def rhs(kv, y):
-        T = y[4:8]
-        dT, dN, dB1, dB2 = frame_rhs(T, y[8:12], y[12:16], y[16:20], *kv, eps)
-        return (*T, *dT, *dN, *dB1, *dB2)
-
     drift = 0.0
     s = s_lo
     # s + ds here and the next step's s come from the same addition, so the
     # curvatures at the end of one step are those at the start of the next
-    k_lo = kvals(s)
-    # Each component is computed as numpy computes ``y + 0.5 * ds * a`` and
-    # ``y + (ds / 6.0) * (a + 2.0 * b + 2.0 * c + d)`` on arrays.  An
-    # overflowing float goes non-finite quietly; the drift check aborts.
+    k1a, k2a, k3a = kvals(s)
+    m1a, e2a = -k1a, minus_eps * k2a
+    # Stage a reads the curvatures at s, b and c at s + ds/2, d at s + ds.
+    # The stage inputs' x components are never read, so they are not
+    # formed.  An overflowing float goes non-finite quietly; the drift
+    # check aborts.
     for _ in range(n):
-        k_mid = kvals(s + half)
-        k_hi = kvals(s + ds)
-        a = rhs(k_lo, y)
-        b = rhs(k_mid, [u + half * v for u, v in zip(y, a)])
-        c = rhs(k_mid, [u + half * v for u, v in zip(y, b)])
-        d = rhs(k_hi, [u + ds * v for u, v in zip(y, c)])
-        y = [u + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
-             for u, p, q, r, w in zip(y, a, b, c, d)]
+        k1b, k2b, k3b = kvals(s + half)
+        k1d, k2d, k3d = kvals(s + ds)
+        m1b, e2b = -k1b, minus_eps * k2b
+        m1d, e2d = -k1d, minus_eps * k2d
+        for i in (0, 1, 2, 3):
+            t, v, p, q = T[i], N[i], B1[i], B2[i]     # column i of the frame
+            aT = k1a * v
+            aN = m1a * t + k2a * p
+            aP = e2a * v + k3a * q
+            aQ = k3a * p
+            tb, vb = t + half * aT, v + half * aN
+            pb, qb = p + half * aP, q + half * aQ
+            bT = k1b * vb
+            bN = m1b * tb + k2b * pb
+            bP = e2b * vb + k3b * qb
+            bQ = k3b * pb
+            tc, vc = t + half * bT, v + half * bN
+            pc, qc = p + half * bP, q + half * bQ
+            cT = k1b * vc
+            cN = m1b * tc + k2b * pc
+            cP = e2b * vc + k3b * qc
+            cQ = k3b * pc
+            td, vd = t + ds * cT, v + ds * cN
+            pd, qd = p + ds * cP, q + ds * cQ
+            X[i] += sixth * (((t + 2.0 * tb) + 2.0 * tc) + td)
+            T[i] = t + sixth * (((aT + 2.0 * bT) + 2.0 * cT) + k1d * vd)
+            N[i] = v + sixth * (((aN + 2.0 * bN) + 2.0 * cN)
+                                + (m1d * td + k2d * pd))
+            B1[i] = p + sixth * (((aP + 2.0 * bP) + 2.0 * cP)
+                                 + (e2d * vd + k3d * qd))
+            B2[i] = q + sixth * (((aQ + 2.0 * bQ) + 2.0 * cQ) + k3d * pd)
         s += ds
-        k_lo = k_hi
+        k1a, k2a, k3a, m1a, e2a = k1d, k2d, k3d, m1d, e2d
         ss.append(s)
-        rows.extend(y)
-        g = gram_errors(y[4:8], y[8:12], y[12:16], y[16:20], eps)
+        rows.fromlist([*X, *T, *N, *B1, *B2])
+        g = gram_errors(T, N, B1, B2, eps)
         if not g <= drift:           # max() that keeps a NaN
             drift = g
         if not drift <= synth_tol:

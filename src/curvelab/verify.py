@@ -85,13 +85,13 @@ class Workspace:
             return frenet.JetFrameSource(spec)
         return self._get(("constructed", a), build)
 
-    def synthesized(self, frame_rhs=frenet.frenet_rhs
+    def synthesized(self, coupling_eps: int | None = None
                     ) -> frenet.SynthesizedCurve:
         def build():
             profile = frenet.rectifying_profile()
             return frenet.synthesize_curve(profile, ds=1e-3,
-                                           frame_rhs=frame_rhs)
-        return self._get(("synth", frame_rhs), build)
+                                           coupling_eps=coupling_eps)
+        return self._get(("synth", coupling_eps), build)
 
 
 def criterion_1(ws: Workspace) -> CriterionResult:
@@ -265,8 +265,10 @@ def criterion_8(ws: Workspace) -> CriterionResult:
 def flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
     """``frenet.frenet_rhs`` with the sign of the (B1)' coupling to N flipped.
 
-    The mutant that criterion 9 feeds to suites 2 and 5.  eps enters the
-    system only through that coupling, so negating it flips just that sign.
+    The mutant that criterion 9 feeds to suite 2's ODE residual; suite 5's
+    synthesis runs it as ``synthesize_curve(..., coupling_eps=-eps)``.  eps
+    enters the system only through that coupling, so negating it flips just
+    that sign.
     """
     return frenet.frenet_rhs(T, N, B1, B2, k1, k2, k3, -eps)
 
@@ -280,7 +282,8 @@ def criterion_9(ws: Workspace) -> CriterionResult:
         src.spec, src.map, s, frenet.ODE_H, frame_rhs=flipped_b1_rhs))
     suite2_fails = mutated > ODE_TOL
     try:
-        synth = ws.synthesized(flipped_b1_rhs)
+        # flipped_b1_rhs's mutant: the (B1)' equation reads -eps
+        synth = ws.synthesized(-frenet.rectifying_profile().eps)
         suite5_fails = synth.max_drift > 1e-6
         note = f"mutated drift {synth.max_drift:.2e}"
     except FrameDriftExceeded as exc:

@@ -314,6 +314,21 @@ def test_synthesize_refuses_too_many_steps(capsys, ds):
     assert "RK4 steps, more than 10000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", [("2.5", "0.5"), ("0.5", "0.5")],
+                         ids=["reversed", "empty"])
+def test_synthesize_reversed_or_empty_domain_exits_2(tmp_path, capsys,
+                                                     domain):
+    # rejected as a curve's domain is, before a one-row file is written
+    path = tmp_path / "x.csv"
+    code, text = run(["synthesize", "--profile", "cosh_over_s", "--domain",
+                      *domain, "--samples", "5", "-o", str(path)])
+    assert code == 2
+    assert text == "" and not path.exists()
+    assert (f"OutOfDomain: domain must be a nonempty interval, got "
+            f"({float(domain[0])}, {float(domain[1])})"
+            in capsys.readouterr().err)
+
+
 _NAN_CONFIG = "<nan config>"
 
 

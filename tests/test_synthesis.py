@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvelab import curves, frenet, jets, verify
+from curvelab import curves, frenet, jets
 from curvelab.errors import FrameDriftExceeded, OutOfDomain
 from curvelab.lorentz import Vec4
 
@@ -39,9 +39,10 @@ def reference_frenet_rhs(T, N, B1, B2, k1, k2, k3, eps):
 
 
 def reference_synthesis(profile, ds, synth_tol=frenet.SYNTH_TOL,
-                        frame_rhs=reference_frenet_rhs):
-    """(s list, state list, max drift, aborted) from the standard frame."""
-    frame = frenet.standard_init_frame(profile.eps)
+                        frame_rhs=reference_frenet_rhs, init_frame=None):
+    """(s list, state list, max drift, aborted) from ``init_frame``, by
+    default the standard frame."""
+    frame = init_frame or frenet.standard_init_frame(profile.eps)
     s_lo, s_hi = profile.s_range
     state = np.concatenate([np.zeros(4), frame.T.components,
                             frame.N.components, frame.B1.components,
@@ -105,6 +106,12 @@ def test_zero_length_range_returns_single_sample():
     assert curve.max_drift == 0.0
 
 
+def test_reversed_range_rejected():
+    profile = frenet.constant_profile(1.0, 1.0, 1.0, 1, (1.0, 0.5))
+    with pytest.raises(OutOfDomain, match="lo <= hi"):
+        frenet.synthesize_curve(profile, ds=1e-3)
+
+
 def test_negative_ds_rejected():
     profile = frenet.constant_profile(1.0, 1.0, 1.0, 1, (0.0, 1.0))
     with pytest.raises(ValueError):
@@ -138,7 +145,7 @@ def test_drift_abort_carries_partial_trajectory():
     profile = frenet.rectifying_profile()
     with pytest.raises(FrameDriftExceeded) as exc:
         frenet.synthesize_curve(profile, ds=1e-3,
-                                frame_rhs=verify.flipped_b1_rhs)
+                                coupling_eps=-profile.eps)
     partial = exc.value.partial
     assert partial is not None
     assert partial.s[-1] < profile.s_range[1]
@@ -186,9 +193,10 @@ def test_kappa3_integral_linear_for_unit_torsion():
     assert math.isclose(curve.kappa3_integral(s), s - 0.5, rel_tol=1e-9)
 
 
-def round_trip_error(ds, frame_rhs=frenet.frenet_rhs):
+def round_trip_error(ds, flipped=False):
     """Max |difference| of position and T between the helix past s0 = 0.2
-    and a synthesis from its frame and curvatures there.
+    and a synthesis from its frame and curvatures there, with the (B1)'
+    coupling sign flipped if ``flipped``.
 
     The drift monitor is off, so only the comparison can reject a wrong
     frame system.
@@ -199,8 +207,9 @@ def round_trip_error(ds, frame_rhs=frenet.frenet_rhs):
     assert f0.eps == -1
     profile = frenet.constant_profile(f0.kappa1, f0.kappa2, f0.kappa3,
                                       f0.eps, (0.0, 1.5))
-    synth = frenet.synthesize_curve(profile, init_frame=f0, ds=ds,
-                                    synth_tol=math.inf, frame_rhs=frame_rhs)
+    synth = frenet.synthesize_curve(
+        profile, init_frame=f0, ds=ds, synth_tol=math.inf,
+        coupling_eps=-profile.eps if flipped else None)
     worst = 0.0
     for sigma in synth.grid_samples(16):
         got = synth.frame(float(sigma))
@@ -218,7 +227,7 @@ def test_extraction_and_synthesis_round_trip():
     coarse, fine = round_trip_error(4e-3), round_trip_error(2e-3)
     assert coarse < 2e-11
     assert 10.0 < coarse / fine < 22.0
-    assert round_trip_error(4e-3, verify.flipped_b1_rhs) > 1e-3
+    assert round_trip_error(4e-3, flipped=True) > 1e-3
 
 
 def test_translated_source_shifts_positions_only():
@@ -294,35 +303,67 @@ JET_ONLY = frenet.CurvatureProfile(
     eps=-1, s_range=(0.5, 1.5))
 
 
-@pytest.mark.parametrize("profile, ds", [
-    (frenet.rectifying_profile(eps=1), 2e-3),
-    (frenet.rectifying_profile(eps=-1), 2e-3),
-    (frenet.constant_profile(2.0, 0.5, 1.5, -1, (0.5, 2.5)), 1e-2),
-    (JET_ONLY, 2e-3),
+def moved_frame(eps):
+    """The standard frame under a rotation about a generic axis and then a
+    boost along a generic direction, so none of its 16 components is 0."""
+    def axis(*v):
+        return np.array(v) / math.sqrt(sum(x * x for x in v))
+
+    n, k = axis(1.0, -2.0, 0.5), axis(0.3, 1.0, -0.7)
+    boost = np.eye(4)
+    boost[0, 0] = math.cosh(0.6)
+    boost[0, 1:] = boost[1:, 0] = math.sinh(0.6) * n
+    boost[1:, 1:] += (math.cosh(0.6) - 1.0) * np.outer(n, n)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]],
+                      [-k[1], k[0], 0.0]])
+    rotation = np.eye(4)
+    rotation[1:, 1:] += math.sin(0.9) * cross + (1.0 - math.cos(0.9)) * (
+        cross @ cross)
+    lorentz = boost @ rotation
+    f = frenet.standard_init_frame(eps)
+    T, N, B1, B2 = (Vec4(*(lorentz @ np.array(v)).tolist())
+                    for v in (f.T, f.N, f.B1, f.B2))
+    return frenet.FrenetData(s=0.0, position=f.position, T=T, N=N, B1=B1,
+                             B2=B2, kappa1=1.0, kappa2=1.0, kappa3=1.0,
+                             eps=eps)
+
+
+@pytest.mark.parametrize("profile, ds, init_frame", [
+    (frenet.rectifying_profile(eps=1), 2e-3, None),
+    (frenet.rectifying_profile(eps=-1), 2e-3, None),
+    (frenet.constant_profile(2.0, 0.5, 1.5, -1, (0.5, 2.5)), 1e-2, None),
+    (JET_ONLY, 2e-3, None),
+    (frenet.rectifying_profile(eps=1), 2e-3, moved_frame(1)),
+    (frenet.rectifying_profile(eps=-1), 2e-3, moved_frame(-1)),
 ], ids=["cosh_over_s_eps+1", "cosh_over_s_eps-1", "constant_eps-1",
-        "jet_only_eps-1"])
-def test_synthesis_matches_reference_loop(profile, ds):
-    ref = reference_synthesis(profile, ds)
+        "jet_only_eps-1", "cosh_over_s_eps+1_moved_frame",
+        "cosh_over_s_eps-1_moved_frame"])
+def test_synthesis_matches_reference_loop(profile, ds, init_frame):
+    if init_frame is not None:
+        frame = (init_frame.T, init_frame.N, init_frame.B1, init_frame.B2)
+        assert all(x != 0.0 for v in frame for x in v)
+        assert frenet.gram_errors(*frame, profile.eps) <= 1e-12
+    ref = reference_synthesis(profile, ds, init_frame=init_frame)
     assert not ref[3]
-    assert_same_trajectory(frenet.synthesize_curve(profile, ds=ds), ref)
+    assert_same_trajectory(frenet.synthesize_curve(
+        profile, init_frame=init_frame, ds=ds), ref)
 
 
 def reference_flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
     return reference_frenet_rhs(T, N, B1, B2, k1, k2, k3, -eps)
 
 
-@pytest.mark.parametrize("ds, synth_tol, frame_rhs, ref_rhs", [
-    (1e-3, frenet.SYNTH_TOL, verify.flipped_b1_rhs, reference_flipped_b1_rhs),
-    (0.05, 1e-9, frenet.frenet_rhs, reference_frenet_rhs),
+@pytest.mark.parametrize("ds, synth_tol, flipped, ref_rhs", [
+    (1e-3, frenet.SYNTH_TOL, True, reference_flipped_b1_rhs),
+    (0.05, 1e-9, False, reference_frenet_rhs),
 ], ids=["flipped_b1_rhs", "coarse_step"])
-def test_drift_abort_matches_reference_loop(ds, synth_tol, frame_rhs,
-                                            ref_rhs):
+def test_drift_abort_matches_reference_loop(ds, synth_tol, flipped, ref_rhs):
     profile = frenet.rectifying_profile()
     ref = reference_synthesis(profile, ds, synth_tol, ref_rhs)
     assert ref[3]
     with pytest.raises(FrameDriftExceeded) as exc:
         frenet.synthesize_curve(profile, ds=ds, synth_tol=synth_tol,
-                                frame_rhs=frame_rhs)
+                                coupling_eps=-profile.eps if flipped else None)
     assert_same_trajectory(exc.value.partial, ref)
 
 
