@@ -55,6 +55,19 @@ def _finite(raw: str) -> float:
     return val
 
 
+def _sample_count(raw: str) -> int:
+    """argparse type for --samples: an int of at most frenet.MAX_SAMPLES."""
+    try:
+        val = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {raw!r}") from None
+    if val > frenet.MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"{raw} is more than {frenet.MAX_SAMPLES} samples")
+    return val
+
+
 def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
@@ -116,12 +129,14 @@ def load_config(args) -> dict:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
+    """A finite JSON number; true and false are not numbers here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _check_config_fields(cfg: dict, path: str) -> None:
     """Reject a config file's id, params, domain or construct.domain of the
-    wrong shape."""
+    wrong shape, and a construct.a or construct.t0 that is not a number."""
     if "id" in cfg and not isinstance(cfg["id"], str):
         raise UsageError(f'{path}: "id" must be a string')
     params = cfg.get("params", {})
@@ -130,14 +145,17 @@ def _check_config_fields(cfg: dict, path: str) -> None:
         raise UsageError(f'{path}: "params" must map names to finite '
                          f'numbers, got {params!r}')
     block = cfg.get("construct")
-    for name, owner in (("domain", cfg), ("construct.domain",
-                                          block if isinstance(block, dict)
-                                          else {})):
+    block = block if isinstance(block, dict) else {}
+    for name, owner in (("domain", cfg), ("construct.domain", block)):
         dom = owner.get("domain", [0, 0])
         if not (isinstance(dom, list) and len(dom) == 2
                 and all(map(_is_number, dom))):
             raise UsageError(f'{path}: "{name}" must be two finite numbers, '
                              f'got {dom!r}')
+    for key in ("a", "t0"):
+        if not _is_number(block.get(key, 0)):
+            raise UsageError(f'{path}: "construct.{key}" must be a finite '
+                             f'number, got {block[key]!r}')
 
 
 def spec_from_config(cfg: dict) -> curves.CurveSpec:
@@ -178,6 +196,8 @@ class CsvFrameSource(frenet.SynthesizedCurve):
     one finite value per header field, a curvature that is not positive, an
     eps other than 1 or -1, and an s that does not strictly increase.
     """
+
+    __slots__ = ("_stored",)
 
     def __init__(self, path: str):
         s, rows, stored = array("d"), array("d"), array("d")
@@ -405,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frenet", help="frame/curvature CSV over arclength")
     _add_config_flags(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_sample_count, default=100)
     p.add_argument("--output", "-o", help="CSV path (default stdout)")
     p.set_defaults(run=cmd_frenet)
 
@@ -415,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-synthesis", metavar="CSV",
                    help="read the curve from a synthesize CSV instead of "
                         "the catalog")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_sample_count, default=50)
     p.add_argument("--c", type=_finite, default=None,
                    help="known arclength offset (skips estimating it)")
     p.add_argument("--tol", type=float, default=None,
@@ -431,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construct-domain", nargs=2, type=_finite,
                    metavar=("LO", "HI"),
                    help="arclength window on the sphere curve")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_sample_count, default=50)
     p.add_argument("--output", "-o", help="CSV path (default stdout)")
     p.set_defaults(run=cmd_construct)
 
@@ -444,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ds", type=_finite, default=1e-3)
     p.add_argument("--drift-tol", type=_finite, default=frenet.SYNTH_TOL,
                    help="abort threshold for the Gram drift monitor")
-    p.add_argument("--samples", type=int, default=101,
+    p.add_argument("--samples", type=_sample_count, default=101,
                    help="rows written (grid subsample)")
     p.add_argument("--output", "-o", help="CSV path (default stdout)")
     p.set_defaults(run=cmd_synthesize)

@@ -8,13 +8,19 @@ roundoff.
 Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
 addressed exactly like static catalog entries.
+
+``arclength_jets`` carries a curve's jets to arclength on coefficient
+tuples: the speed series, its reversion and four Horner compositions go
+through the tuple helpers that ``_speed_jet``, ``jets.reverse`` and
+``jets.compose`` wrap, with the same float operations in the same order,
+so the result is the Jet chain's bit for bit on every input.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import jets
 from .errors import (DivisionNearZero, NonSpacelikeVelocity, OutOfDomain,
@@ -43,25 +49,34 @@ def _check_domain(domain: tuple[float, float]) -> None:
         raise OutOfDomain(f"domain must be a nonempty interval, got {domain}")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """A named curve with parameter values and a closed domain interval."""
-
+class _CurveSpecFields(NamedTuple):
     catalog_id: str
     params: Mapping[str, float]
     domain: tuple[float, float]
 
-    def __post_init__(self):
-        _check_domain(self.domain)
-        entry = _lookup(self.catalog_id)
-        _check_names(self.catalog_id, self.params, entry.default_params)
-        merged = {**entry.default_params, **self.params}
+
+class CurveSpec(_CurveSpecFields):
+    """A named curve with parameter values and a closed domain interval.
+
+    Construction checks the domain and the parameters and fills in the
+    catalog defaults of the parameters not given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, catalog_id: str, params: Mapping[str, float],
+                domain: tuple[float, float]):
+        _check_domain(domain)
+        entry = _lookup(catalog_id)
+        _check_names(catalog_id, params, entry.default_params)
+        merged = {**entry.default_params, **params}
         for name, value in merged.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not (isinstance(value, (int, float))
+                    and not isinstance(value, bool) and math.isfinite(value)):
                 raise ValueError(f"parameter {name} must be a finite number, "
                                  f"got {value!r}")
-        object.__setattr__(self, "params", merged)
-        entry.validate(merged, self.domain)
+        entry.validate(merged, domain)
+        return super().__new__(cls, catalog_id, merged, domain)
 
     def contains(self, t: float) -> bool:
         lo, hi = self.domain
@@ -83,8 +98,7 @@ ArclengthPair = tuple[Callable[[Mapping[str, float], float, float], float],
                       Callable[[Mapping[str, float], float, float], float]]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """How to build a curve's coordinate jets, with its defaults.
 
     ``arclength``, when given, is the exact arclength as a pair of
@@ -102,7 +116,7 @@ class CatalogEntry:
     """
 
     build: Callable[[Jet, Mapping[str, float]], tuple[Jet, Jet, Jet, Jet]]
-    default_params: Mapping[str, float] = field(default_factory=dict)
+    default_params: Mapping[str, float] = MappingProxyType({})
     default_domain: tuple[float, float] = (0.0, 1.0)
     # raises on invalid parameter values / domains (poles inside the range)
     validate: Callable[[Mapping[str, float], tuple[float, float]], None] = \
@@ -330,30 +344,42 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
 def _speed_jet(spec: CurveSpec, t: float, cj: tuple[Jet, ...]) -> Jet:
     """Jet of the speed ||alpha'(t)|| from the coordinate jets ``cj`` at
     ``t``, valid to order 3; requires a spacelike velocity."""
-    # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first
-    d = [(c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4], 0.0)
-         for c in (j.coeffs for j in cj)]
-    p = [jets._cauchy(u, v) for u, v in zip([[-x for x in d[0]], *d[1:]], d)]
-    g = [((x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
+    return Jet(_speed_series(spec, t, [j.coeffs for j in cj]))
+
+
+def _speed_series(spec: CurveSpec, t: float, cs) -> tuple:
+    """``_speed_jet`` on the coordinate jets' coefficient tuples ``cs``."""
+    # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first; each
+    # coefficient sums the four products left to right
+    g = None
+    for _, x1, x2, x3, x4 in cs:
+        d = (x1, 2.0 * x2, 3.0 * x3, 4.0 * x4, 0.0)
+        if g is None:
+            g = jets._cauchy([-x for x in d], d)
+        else:
+            p = jets._cauchy(d, d)
+            g = (g[0] + p[0], g[1] + p[1], g[2] + p[2], g[3] + p[3],
+                 g[4] + p[4])
     if not g[0] > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g[0]} at t={t} on {spec.catalog_id}")
-    return Jet(jets._sqrt(g))
+    return jets._sqrt(g)
 
 
-def arclength_jets(spec: CurveSpec, t: float) -> tuple[Jet, Jet, Jet, Jet]:
-    """Order-4 coordinate jets of the curve at ``t`` as functions of
-    arclength.
+def arclength_jets(spec: CurveSpec, t: float) -> tuple[tuple, ...]:
+    """Coefficient tuples of the curve's four order-4 coordinate jets at
+    ``t`` as functions of arclength.
 
-    Chain rule through t(s): the jet of s(t) comes from the speed jet, is
-    reverted at ``t``, and composed into the coordinate jets.  Neither step
-    reads the arclength's own value, so the s-jet's constant term is 0.
+    Chain rule through t(s): the jet of s(t) comes from the speed series,
+    is reverted at ``t``, and composed into the coordinate jets.  Neither
+    step reads the arclength's own value, so the s-jet's constant term is
+    0.  Bit for bit the chain through ``_speed_jet``, ``jets.reverse``
+    and ``jets.compose``, whose tuple helpers it calls.
     """
-    cj = eval_curve(spec, t)
-    vc = _speed_jet(spec, t, cj).coeffs
-    s_jet = Jet((0.0, vc[0], vc[1] / 2.0, vc[2] / 3.0, vc[3] / 4.0))
-    t_jet = jets.reverse(s_jet, at=t)
-    return tuple(jets.compose(j, t_jet) for j in cj)
+    cs = [j.coeffs for j in eval_curve(spec, t)]
+    v0, v1, v2, v3, _ = _speed_series(spec, t, cs)
+    t_jet = jets._reverse((0.0, v0, v1 / 2.0, v2 / 3.0, v3 / 4.0), t)
+    return tuple([jets._compose(c, t_jet) for c in cs])
 
 
 def speed(spec: CurveSpec, t: float) -> float:

@@ -21,10 +21,9 @@ import functools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import jets
 from .curves import (ArclengthPair, CurveSpec, _check_names, _lookup,
@@ -64,6 +63,10 @@ RANK_REL_TOL = 1e-8
 # Each RK4 step stores 20 floats of 8 bytes, so 10**7 steps is 1.6 GB: a
 # longer synthesis is refused before its first step.
 MAX_SYNTH_STEPS = 10 ** 7
+# Each requested sample is a grid float, then a frame or an output row held
+# until the output is written (about 1.5 kB a frenet row), so the command
+# line refuses more than 10**5 of them before building the grid.
+MAX_SAMPLES = 10 ** 5
 
 
 def grid(lo: float, hi: float, n: int) -> list[float]:
@@ -116,8 +119,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 # -- arclength map ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArclengthMap:
+class ArclengthMap(NamedTuple):
     """Monotone map s(t) from the low end of the domain, and its inverse t(s).
 
     ``arclength`` is the curve's ``CatalogEntry.arclength`` pair: when it
@@ -204,8 +206,7 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
 
 # -- Frenet apparatus ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrenetData:
+class FrenetData(NamedTuple):
     """Frame {T, N, B1, B2}, position, curvatures and sign at arclength s.
 
     ``eps`` is the sign of g(B1, B1), 1 or -1.
@@ -282,19 +283,18 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
     and NonSpacelikePrincipalNormal when g(T', T') < 0.
     """
-    aj = arclength_jets(spec, amap.t_of_s(s))
-    return _frame_from_position_jets(aj, s)
+    return _frame_from_position_jets(arclength_jets(spec, amap.t_of_s(s)), s)
 
 
-def _frame_from_position_jets(aj, s: float) -> FrenetData:
-    """The Gram-Schmidt chain in floats on the coefficients of ``aj``.
+def _frame_from_position_jets(a, s: float) -> FrenetData:
+    """The Gram-Schmidt chain in floats on ``a``, the coefficient tuples of
+    the four position jets in arclength.
 
     Coefficient k of a series product, root or quotient reads coefficients
     up to k only, so each series goes as far as a later step reads it: T to
     coefficient 1; T', kappa1, N to 2; R1 = N' + kappa1 T, kappa2, B1 to 1;
     R2, B2 as values.  Each coefficient takes the jets' float operations in
     their order, so the frame is the jet chain's bit for bit."""
-    a = [j.coeffs for j in aj]
     T = [(c[1], 2.0 * c[2]) for c in a]
     Tp = [(2.0 * c[2], 2.0 * (3.0 * c[3]), 3.0 * (4.0 * c[4])) for c in a]
 
@@ -435,8 +435,7 @@ def gram_errors(T: Sequence[float], N: Sequence[float],
 
 # -- curvature profiles -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvatureProfile:
+class CurvatureProfile(NamedTuple):
     """Curvature functions of arclength: ``values(s)`` is (kappa1, kappa2,
     kappa3) at a float s."""
 
@@ -493,7 +492,6 @@ def standard_init_frame(eps: int = 1) -> FrenetData:
                       B1=b1, B2=b2, kappa1=1.0, kappa2=1.0, kappa3=1.0, eps=eps)
 
 
-@dataclass
 class SynthesizedCurve:
     """Sampled-frame table: the dense RK4 output of a frame synthesis and a
     frame source on its grid points.  ``s`` and ``rows`` are flat
@@ -501,10 +499,14 @@ class SynthesizedCurve:
     B1 and B2 at ``s[i]``.  ``cli.CsvFrameSource`` is the same table read
     back from a synthesis CSV, with no profile."""
 
-    profile: CurvatureProfile | None
-    s: array
-    rows: array
-    max_drift: float
+    __slots__ = ("profile", "s", "rows", "max_drift")
+
+    def __init__(self, profile: CurvatureProfile | None, s: array,
+                 rows: array, max_drift: float):
+        self.profile = profile
+        self.s = s
+        self.rows = rows
+        self.max_drift = max_drift
 
     @property
     def s_range(self) -> tuple[float, float]:
@@ -712,7 +714,7 @@ class TranslatedSource:
 
     def frame(self, s: float) -> FrenetData:
         f = self.base.frame(s)
-        return replace(f, position=f.position + self.shift)
+        return f._replace(position=f.position + self.shift)
 
     def kappa3_integral(self, s: float) -> float:
         return self.base.kappa3_integral(s)

@@ -17,6 +17,12 @@ figure derives from these bits, so they must not depend on the Python
 version; ``sum()`` itself does, since Python 3.12 compensates its rounding.
 ``tests/test_jets.py`` holds the loop formulas as the reference and checks
 every operation against them bit for bit, sign of zero included.
+
+``compose`` and ``reverse`` wrap ``_compose`` and ``_reverse``, which take
+and return coefficient tuples.  ``curves.arclength_jets`` calls those
+helpers directly, so the arclength chain rule builds no Jet, yet takes the
+same float operations in the same order as the Jet functions, and gives
+the same bits on every input, non-finite ones included.
 """
 from __future__ import annotations
 
@@ -237,14 +243,23 @@ def compose(outer: Jet, inner: Jet) -> Jet:
 
     Horner evaluation in the nilpotent part of ``inner``; exact to order 4.
     """
-    a = outer.coeffs
-    i0, i1, i2, i3, i4 = inner.coeffs
-    delta = (i0 - i0, i1, i2, i3, i4)
-    out = (float(a[ORDER]), 0.0, 0.0, 0.0, 0.0)
-    for k in range(ORDER - 1, -1, -1):
-        p0, p1, p2, p3, p4 = _cauchy(out, delta)
-        out = (p0 + a[k], p1, p2, p3, p4)
-    return Jet(out)
+    return Jet(_compose(outer.coeffs, inner.coeffs))
+
+
+def _compose(a, inner):
+    """``compose`` on coefficient tuples.  The products of the zeros that
+    start the running tuple stay: a non-finite ``inner`` makes them NaNs."""
+    i0, d1, d2, d3, d4 = inner
+    d0 = i0 - i0
+    o0, o1, o2, o3, o4 = float(a[ORDER]), 0.0, 0.0, 0.0, 0.0
+    for ak in (a[3], a[2], a[1], a[0]):
+        o0, o1, o2, o3, o4 = (
+            0.0 + o0 * d0 + ak,
+            0.0 + o0 * d1 + o1 * d0,
+            0.0 + o0 * d2 + o1 * d1 + o2 * d0,
+            0.0 + o0 * d3 + o1 * d2 + o2 * d1 + o3 * d0,
+            0.0 + o0 * d4 + o1 * d3 + o2 * d2 + o3 * d1 + o4 * d0)
+    return (o0, o1, o2, o3, o4)
 
 
 def reverse(j: Jet, at: float) -> Jet:
@@ -254,7 +269,12 @@ def reverse(j: Jet, at: float) -> Jet:
     the result has constant term t0.  Raises DivisionNearZero when the
     linear coefficient b1 is ~0, or b1 ** 7 (or b2 ** 3) under- or overflows.
     """
-    _, b1, b2, b3, b4 = j.coeffs
+    return Jet(_reverse(j.coeffs, at))
+
+
+def _reverse(b, at):
+    """``reverse`` on a coefficient tuple."""
+    _, b1, b2, b3, b4 = b
     if abs(b1) <= DIV_FLOOR:
         raise DivisionNearZero("series reversion with ~zero linear coefficient")
     try:
@@ -264,4 +284,4 @@ def reverse(j: Jet, at: float) -> Jet:
     except ArithmeticError as exc:      # a power under- or overflows
         raise DivisionNearZero(f"series reversion with linear coefficient "
                                f"{b1!r}: {exc}") from None
-    return Jet((float(at), 1.0 / b1, c2, c3, c4))
+    return (float(at), 1.0 / b1, c2, c3, c4)

@@ -25,12 +25,10 @@ uses.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import jets
 from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
@@ -118,8 +116,7 @@ def rectifying_residual(source, s: float) -> float:
 
 # -- Theorem 3.1 fit ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Theorem31Fit:
+class Theorem31Fit(NamedTuple):
     """Hyperbolic curvature-ratio fit eps*k1*(s+c)/k2 ~ A*cosh t + B*sinh t.
 
     ``frames`` and ``t_samples`` (t, the integral of k3) are what it read.
@@ -130,8 +127,8 @@ class Theorem31Fit:
     B: float
     eps: int
     rms_residual: float
-    frames: list[FrenetData] = field(repr=False)
-    t_samples: list[float] = field(repr=False)
+    frames: list[FrenetData]
+    t_samples: list[float]
 
 
 def _gather(source, samples: Sequence[float]):
@@ -252,8 +249,7 @@ def _env_tol() -> float | None:
     return val
 
 
-@dataclass(frozen=True)
-class ReportTolerances:
+class ReportTolerances(NamedTuple):
     """Per-check tolerances of the report battery; all configurable."""
 
     distance_lead: float = 1e-6
@@ -273,11 +269,10 @@ class ReportTolerances:
         every = every if every is not None else env
         if every is None:
             return cls()
-        return cls(**{f.name: every for f in dataclasses.fields(cls)})
+        return cls(**{name: every for name in cls._fields})
 
 
-@dataclass(frozen=True)
-class RectifyingReport:
+class RectifyingReport(NamedTuple):
     """Aggregated residuals for the characterization battery."""
 
     curve: str
@@ -311,7 +306,7 @@ class RectifyingReport:
             },
             "constant_vector_drift": self.constant_vector_drift,
             "verdict": self.verdict,
-            "tolerances": dataclasses.asdict(self.tolerances),
+            "tolerances": self.tolerances._asdict(),
             "warnings": list(self.warnings),
         }
 
@@ -387,20 +382,24 @@ def theorem33_report(source, samples: Sequence[float],
 
 # -- the spherical construction -----------------------------------------------
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class _ConstructionFields(NamedTuple):
+    a: float
+    t0: float
+    domain: tuple[float, float] | None
+
+
+class ConstructionParams(_ConstructionFields):
     """Radius-law parameters for the spherical construction."""
 
-    a: float
-    t0: float = 0.0
-    domain: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0.0:
+    def __new__(cls, a: float, t0: float = 0.0,
+                domain: tuple[float, float] | None = None):
+        if a == 0.0:
             raise ValueError("construction requires a != 0")
-        if not all(math.isfinite(v) for v in (self.a, self.t0,
-                                              *(self.domain or ()))):
+        if not all(math.isfinite(v) for v in (a, t0, *(domain or ()))):
             raise ValueError("construction a, t0 and domain must be finite")
+        return super().__new__(cls, a, t0, domain)
 
 
 def construct_rectifying(sphere_spec: CurveSpec,
@@ -428,9 +427,9 @@ def construct_rectifying(sphere_spec: CurveSpec,
     a, t0 = params.a, params.t0
 
     def build(tj: Jet, _params) -> tuple[Jet, Jet, Jet, Jet]:
-        yj = arclength_jets(sphere_spec, ymap.t_of_s(tj.value))
+        yc = arclength_jets(sphere_spec, ymap.t_of_s(tj.value))
         rho = a / jets.cosh(tj + t0)
-        return tuple(rho * j for j in yj)
+        return tuple(rho * Jet(c) for c in yc)
 
     pad = 0.02 * total
     domain = params.domain if params.domain is not None else (pad, total - pad)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from . import curves, frenet, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
@@ -48,8 +48,7 @@ DEGENERATE_ID = "paper_example"
 CONSTRUCT_DOMAIN = (0.35, 1.2)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -5,7 +5,6 @@ they are produced; each test asserts its criterion at the stated
 tolerance.
 """
 
-import dataclasses
 import math
 import random
 
@@ -107,7 +106,7 @@ class NormalShifted:
 
     def frame(self, s):
         f = self.base.frame(s)
-        return dataclasses.replace(f, position=f.position + self.k * f.N)
+        return f._replace(position=f.position + self.k * f.N)
 
 
 def test_criterion_3_fails_on_a_negative_residual():

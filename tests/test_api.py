@@ -4,7 +4,6 @@ where it looks for them; no module of the library imports numpy, and the
 command line runs without it."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -83,7 +82,7 @@ def test_tracer_hooks_name_public_functions():
                    for mod in spanned), name
     # the fit hook reads the torsion angles the fit carries
     from curvelab.rectifying import Theorem31Fit
-    assert "t_samples" in {f.name for f in dataclasses.fields(Theorem31Fit)}
+    assert "t_samples" in Theorem31Fit._fields
 
 
 def _workloads_module():
@@ -185,3 +184,18 @@ def test_the_cli_runs_with_numpy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the helix is not rectifying (1); the synthesis and its check pass
     assert proc.stdout.split() == ["1", "0", "0", "0"]
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_numpy():
+    # the records are NamedTuples and slotted classes: no dataclass code is
+    # generated and compiled at import; -S keeps site's own imports out
+    src = Path(curvelab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, curvelab.cli; print(sorted({'dataclasses', "
+            "'inspect', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -1,6 +1,5 @@
 """Command-line contract: exit codes, CSV/JSON shapes, round trips."""
 
-import dataclasses
 import io
 import json
 import math
@@ -485,15 +484,15 @@ def test_synthesis_csv_reads_back_as_the_same_table(tmp_path):
 
 
 def _assert_plain_frame(f: frenet.FrenetData) -> None:
-    for field in dataclasses.fields(f):
-        value = getattr(f, field.name)
-        if field.name == "eps":
+    for name in f._fields:
+        value = getattr(f, name)
+        if name == "eps":
             assert type(value) is int
         elif isinstance(value, tuple):
-            assert type(value) is Vec4, field.name
-            assert [type(x) for x in value] == [float] * 4, field.name
+            assert type(value) is Vec4, name
+            assert [type(x) for x in value] == [float] * 4, name
         else:
-            assert type(value) is float, field.name
+            assert type(value) is float, name
 
 
 def test_every_frame_source_gives_plain_floats(tmp_path):
@@ -650,3 +649,39 @@ def test_verify_lorentz_suite_passes():
     assert code == 0
     assert "criterion 1" in text and "criterion 8" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["frenet", "--curve", "lorentz_helix"],
+    ["rectify-check", "--curve", "lorentz_helix"],
+    ["construct", "--curve", "hyperbolic_clelia", "--a", "1"],
+    ["synthesize"],
+], ids=["frenet", "rectify-check", "construct", "synthesize"])
+def test_samples_above_the_limit_exit_64(tmp_path, capsys, argv):
+    # refused before a sample grid is built: a larger count once ran until
+    # killed, building its grid
+    out = tmp_path / "out.csv"
+    code, text = run([*argv, "--samples", str(frenet.MAX_SAMPLES + 1),
+                      "-o", str(out)])
+    assert code == 64 and text == "" and not out.exists()
+    assert (f"more than {frenet.MAX_SAMPLES} samples"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"id": "lorentz_helix", "params": {"p": true}}', "params"),
+    ('{"id": "lorentz_helix", "domain": [false, true]}', "domain"),
+    ('{"id": "hyperbolic_clelia", "construct": {"a": true}}',
+     "construct.a"),
+    ('{"id": "hyperbolic_clelia", "construct": {"a": 1, "t0": false}}',
+     "construct.t0"),
+    ('{"id": "hyperbolic_clelia", '
+     '"construct": {"a": 1, "domain": [0.35, true]}}', "construct.domain"),
+], ids=["params", "domain", "construct_a", "construct_t0",
+        "construct_domain"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, text, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _ = run(["classify", "--config", str(cfg), "--at", "0.5"])
+    assert code == 64
+    assert f'"{field}" must ' in capsys.readouterr().err

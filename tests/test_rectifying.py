@@ -1,6 +1,5 @@
 """Rectifying-curve characterizations: construction, fits, controls."""
 
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -111,7 +110,7 @@ def constructed_maps(request):
     """
     spec = construct(*request.param)
     entry = curves._lookup(spec.catalog_id)
-    quad_id = curves.register_curve(dataclasses.replace(entry, arclength=None))
+    quad_id = curves.register_curve(entry._replace(arclength=None))
     quad = frenet.arclength_map(curves.CurveSpec(quad_id, {}, spec.domain))
     return spec, frenet.arclength_map(spec), quad
 
