@@ -128,19 +128,13 @@ def load_config(args) -> dict:
     return cfg
 
 
-def _is_number(v) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def _check_config_fields(cfg: dict, path: str) -> None:
     """Reject a config file's id, params, domain or construct.domain of the
     wrong shape, and a construct.a or construct.t0 that is not a number."""
     if "id" in cfg and not isinstance(cfg["id"], str):
         raise UsageError(f'{path}: "id" must be a string')
     params = cfg.get("params", {})
-    if not (isinstance(params, dict) and all(map(_is_number,
+    if not (isinstance(params, dict) and all(map(curves._is_number,
                                                   params.values()))):
         raise UsageError(f'{path}: "params" must map names to finite '
                          f'numbers, got {params!r}')
@@ -149,11 +143,11 @@ def _check_config_fields(cfg: dict, path: str) -> None:
     for name, owner in (("domain", cfg), ("construct.domain", block)):
         dom = owner.get("domain", [0, 0])
         if not (isinstance(dom, list) and len(dom) == 2
-                and all(map(_is_number, dom))):
+                and all(map(curves._is_number, dom))):
             raise UsageError(f'{path}: "{name}" must be two finite numbers, '
                              f'got {dom!r}')
     for key in ("a", "t0"):
-        if not _is_number(block.get(key, 0)):
+        if not curves._is_number(block.get(key, 0)):
             raise UsageError(f'{path}: "construct.{key}" must be a finite '
                              f'number, got {block[key]!r}')
 

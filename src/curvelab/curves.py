@@ -9,11 +9,9 @@ Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
 addressed exactly like static catalog entries.
 
-``arclength_jets`` carries a curve's jets to arclength on coefficient
-tuples: the speed series, its reversion and four Horner compositions go
-through the tuple helpers that ``_speed_jet``, ``jets.reverse`` and
-``jets.compose`` wrap, with the same float operations in the same order,
-so the result is the Jet chain's bit for bit on every input.
+Jets stay in the curve's own parameter t: ``frenet`` takes arclength
+derivatives from them by the chain rule d/ds = (1/v) d/dt, with v the
+speed, so no curve is reparameterized to get its frame.
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ __all__ = [
     "eval_curve",
     "point",
     "speed",
-    "arclength_jets",
     "register_curve",
     "catalog_ids",
     "make_spec",
@@ -43,9 +40,15 @@ DOMAIN_SLACK = 1e-9
 POLE_GUARD = 1e-6
 
 
+def _is_number(v) -> bool:
+    """A finite int or float; True and False are not numbers here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _check_domain(domain: tuple[float, float]) -> None:
     lo, hi = domain
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    if not (_is_number(lo) and _is_number(hi) and lo < hi):
         raise OutOfDomain(f"domain must be a nonempty interval, got {domain}")
 
 
@@ -71,8 +74,7 @@ class CurveSpec(_CurveSpecFields):
         _check_names(catalog_id, params, entry.default_params)
         merged = {**entry.default_params, **params}
         for name, value in merged.items():
-            if not (isinstance(value, (int, float))
-                    and not isinstance(value, bool) and math.isfinite(value)):
+            if not _is_number(value):
                 raise ValueError(f"parameter {name} must be a finite number, "
                                  f"got {value!r}")
         entry.validate(merged, domain)
@@ -344,42 +346,16 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
 def _speed_jet(spec: CurveSpec, t: float, cj: tuple[Jet, ...]) -> Jet:
     """Jet of the speed ||alpha'(t)|| from the coordinate jets ``cj`` at
     ``t``, valid to order 3; requires a spacelike velocity."""
-    return Jet(_speed_series(spec, t, [j.coeffs for j in cj]))
-
-
-def _speed_series(spec: CurveSpec, t: float, cs) -> tuple:
-    """``_speed_jet`` on the coordinate jets' coefficient tuples ``cs``."""
-    # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first; each
-    # coefficient sums the four products left to right
-    g = None
-    for _, x1, x2, x3, x4 in cs:
-        d = (x1, 2.0 * x2, 3.0 * x3, 4.0 * x4, 0.0)
-        if g is None:
-            g = jets._cauchy([-x for x in d], d)
-        else:
-            p = jets._cauchy(d, d)
-            g = (g[0] + p[0], g[1] + p[1], g[2] + p[2], g[3] + p[3],
-                 g[4] + p[4])
+    # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first
+    d = [(x1, 2.0 * x2, 3.0 * x3, 4.0 * x4, 0.0)
+         for _, x1, x2, x3, x4 in (j.coeffs for j in cj)]
+    p = [jets._cauchy([-x for x in d[0]], d[0]),
+         *[jets._cauchy(x, x) for x in d[1:]]]
+    g = [((p0 + p1) + p2) + p3 for p0, p1, p2, p3 in zip(*p)]
     if not g[0] > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g[0]} at t={t} on {spec.catalog_id}")
-    return jets._sqrt(g)
-
-
-def arclength_jets(spec: CurveSpec, t: float) -> tuple[tuple, ...]:
-    """Coefficient tuples of the curve's four order-4 coordinate jets at
-    ``t`` as functions of arclength.
-
-    Chain rule through t(s): the jet of s(t) comes from the speed series,
-    is reverted at ``t``, and composed into the coordinate jets.  Neither
-    step reads the arclength's own value, so the s-jet's constant term is
-    0.  Bit for bit the chain through ``_speed_jet``, ``jets.reverse``
-    and ``jets.compose``, whose tuple helpers it calls.
-    """
-    cs = [j.coeffs for j in eval_curve(spec, t)]
-    v0, v1, v2, v3, _ = _speed_series(spec, t, cs)
-    t_jet = jets._reverse((0.0, v0, v1 / 2.0, v2 / 3.0, v3 / 4.0), t)
-    return tuple([jets._compose(c, t_jet) for c in cs])
+    return Jet(jets._sqrt(g))
 
 
 def speed(spec: CurveSpec, t: float) -> float:

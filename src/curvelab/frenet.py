@@ -1,9 +1,12 @@
-"""Arclength reparameterization, Frenet apparatus and frame synthesis.
+"""Arclength maps, Frenet apparatus and frame synthesis.
 
 Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain in plain
-floats on the coefficients of the order-4 position jets in arclength, which
-are exactly enough to produce T, N, B1, B2 and the three curvatures at a
-point, bit for bit as jet arithmetic would, with no finite differencing.
+floats on the coefficients of the curve's order-4 position jets in its own
+parameter t, which are exactly enough to produce T, N, B1, B2 and the three
+curvatures at a point, bit for bit as jet arithmetic would, with no finite
+differencing.  Arclength derivatives come from the chain rule
+d/ds = (1/v) d/dt, so the arclength map serves only to find the parameter
+of a requested arclength.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -25,11 +28,11 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from . import jets
-from .curves import (ArclengthPair, CurveSpec, _check_names, _lookup,
-                     arclength_jets, speed)
-from .errors import (ConvergenceFailure, DegenerateFrame, FrameDriftExceeded,
-                     NonSpacelikePrincipalNormal, OutOfDomain)
+from . import curves, jets
+from .curves import ArclengthPair, CurveSpec, _check_names, _lookup, speed
+from .errors import (ConvergenceFailure, DegenerateFrame, DivisionNearZero,
+                     FrameDriftExceeded, NonSpacelikePrincipalNormal,
+                     NonSpacelikeVelocity, OutOfDomain)
 from .lorentz import Vec4, minkowski_dot
 
 __all__ = [
@@ -224,24 +227,31 @@ class FrenetData(NamedTuple):
     eps: int
 
 
-def _gram(p):
+def _gram(p, s: float):
     """g(v, v), summed as the jets ``-(v0*v0) + v1*v1 + ...`` are, and the
-    Euclidean square of v's values, from ``p``, the squares of v's series."""
+    Euclidean square of v's values, from ``p``, the squares of v's series.
+
+    Raises DivisionNearZero when the Euclidean square is not finite: v is
+    too large to square, as a speed near 0 makes the arclength
+    derivatives."""
     g = [((-x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
-    return g, (((0.0 + p[0][0]) + p[1][0]) + p[2][0]) + p[3][0]
+    e = (((0.0 + p[0][0]) + p[1][0]) + p[2][0]) + p[3][0]
+    if not e < math.inf:
+        raise DivisionNearZero(f"Euclidean square {e} of a frame series "
+                               f"leaves floating point at s={s}")
+    return g, e
 
 
 def _sqrt_recip(g):
-    """k = sqrt(g) and 1/k to len(g), 2 or 3, as jets.sqrt and _divide do."""
-    r0 = math.sqrt(g[0])
-    r1 = g[1] / (2.0 * r0)
+    """r = sqrt(g) and q = 1/r to len(g) coefficients, 2 to 4, as jets.sqrt
+    and _divide compute them; zeros stand for g's missing coefficients."""
+    r0, r1, r2, r3, _ = jets._sqrt((*g, 0.0, 0.0, 0.0)[:5])
     jets.check_divisor(r0)
     q0 = 1.0 / r0
     q1 = (0.0 - q0 * r1) / r0
-    if len(g) == 2:
-        return (r0, r1), (q0, q1)
-    r2 = (g[2] - r1 * r1) / (2.0 * r0)
-    return (r0, r1, r2), (q0, q1, (0.0 - q0 * r2 - q1 * r1) / r0)
+    q2 = (0.0 - q0 * r2 - q1 * r1) / r0
+    q3 = (0.0 - q0 * r3 - q1 * r2 - q2 * r1) / r0
+    return (r0, r1, r2, r3)[:len(g)], (q0, q1, q2, q3)[:len(g)]
 
 
 def _derivative_rank(a) -> int:
@@ -281,27 +291,51 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
 
     Raises DegenerateFrame(level) when a Gram-Schmidt residual vanishes or
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
-    and NonSpacelikePrincipalNormal when g(T', T') < 0.
+    NonSpacelikePrincipalNormal when g(T', T') < 0, and NonSpacelikeVelocity
+    or DivisionNearZero when the speed leaves floating point.
     """
-    return _frame_from_position_jets(arclength_jets(spec, amap.t_of_s(s)), s)
+    cj = curves.eval_curve(spec, amap.t_of_s(s))
+    return _frame_from_position_jets([j.coeffs for j in cj], s)
 
 
 def _frame_from_position_jets(a, s: float) -> FrenetData:
     """The Gram-Schmidt chain in floats on ``a``, the coefficient tuples of
-    the four position jets in arclength.
+    the four position jets in the curve's own parameter t.
 
-    Coefficient k of a series product, root or quotient reads coefficients
-    up to k only, so each series goes as far as a later step reads it: T to
-    coefficient 1; T', kappa1, N to 2; R1 = N' + kappa1 T, kappa2, B1 to 1;
-    R2, B2 as values.  Each coefficient takes the jets' float operations in
-    their order, so the frame is the jet chain's bit for bit."""
-    T = [(c[1], 2.0 * c[2]) for c in a]
-    Tp = [(2.0 * c[2], 2.0 * (3.0 * c[3]), 3.0 * (4.0 * c[4])) for c in a]
+    Arclength derivatives come from the chain rule d/ds = w d/dt with
+    w = 1/v, v the speed.  Coefficient k of a series product, root or
+    quotient reads coefficients up to k only, so each series goes as far
+    as a later step reads it: V = alpha', g(V, V) and w to coefficient 3;
+    T = w V to 3; T_s = w T', kappa1, N to 2; R1 = w N' + kappa1 T,
+    kappa2, B1 to 1; R2 = w B1' + eps kappa2 N, B2 as values.  Each
+    coefficient takes the jets' float operations in their order, so the
+    frame is the jet chain's bit for bit."""
+    V = [(c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4]) for c in a]
+    gv, _ = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0,
+                    0.0 + x0 * x2 + x1 * x1 + x2 * x0,
+                    0.0 + x0 * x3 + x1 * x2 + x2 * x1 + x3 * x0)
+                   for x0, x1, x2, x3 in V], s)
+    if not 0.0 < gv[0] < math.inf:
+        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {gv[0]} at s={s}")
+    _, w = _sqrt_recip(gv)
+    if not all(map(math.isfinite, w)):
+        raise DivisionNearZero(f"1/speed series {w} leaves floating point "
+                               f"at s={s}")
+    w0, w1, w2, w3 = w
+
+    T = [(0.0 + w0 * x0, 0.0 + w0 * x1 + w1 * x0,
+          0.0 + w0 * x2 + w1 * x1 + w2 * x0,
+          0.0 + w0 * x3 + w1 * x2 + w2 * x1 + w3 * x0)
+         for x0, x1, x2, x3 in V]
+    Tp = [(0.0 + w0 * x1, 0.0 + w0 * (2.0 * x2) + w1 * x1,
+           0.0 + w0 * (3.0 * x3) + w1 * (2.0 * x2) + w2 * x1)
+          for _, x1, x2, x3 in T]
 
     g1, e1 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0,
-                     0.0 + x0 * x2 + x1 * x1 + x2 * x0) for x0, x1, x2 in Tp])
-    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _gram([(0.0 + t * t,)
-                                                   for t, _ in T])[1]):
+                     0.0 + x0 * x2 + x1 * x1 + x2 * x0) for x0, x1, x2 in Tp],
+                   s)
+    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _gram([(0.0 + t[0] * t[0],)
+                                                   for t in T], s)[1]):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
     if g1[0] < CURVATURE_FLOOR * max(e1, 1e-300):
         # Planar (or 3-flat) curves never reach the kappa2 / kappa3 residual
@@ -319,10 +353,11 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     N = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0,
           0.0 + q0 * x2 + q1 * x1 + q2 * x0) for x0, x1, x2 in Tp]
 
-    R1 = [(n1 + (0.0 + r0 * t0), 2.0 * n2 + (0.0 + r0 * t1 + r1 * t0))
-          for (_, n1, n2), (t0, t1) in zip(N, T)]
+    R1 = [((0.0 + w0 * n1) + (0.0 + r0 * t0),
+           (0.0 + w0 * (2.0 * n2) + w1 * n1) + (0.0 + r0 * t1 + r1 * t0))
+          for (_, n1, n2), (t0, t1, _, _) in zip(N, T)]
     g2, e2 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0)
-                    for x0, x1 in R1])
+                    for x0, x1 in R1], s)
     if e2 < CURVATURE_FLOOR ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
     if abs(g2[0]) < CURVATURE_FLOOR * e2:
@@ -332,8 +367,9 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     (k2, _), (q0, q1) = _sqrt_recip([g * eps for g in g2])
     B1 = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0) for x0, x1 in R1]
 
-    R2 = [b1 + (0.0 + k2 * eps * n[0]) for (_, b1), n in zip(B1, N)]
-    g3, e3 = _gram([(0.0 + x * x,) for x in R2])
+    R2 = [(0.0 + w0 * b1) + (0.0 + k2 * eps * n[0])
+          for (_, b1), n in zip(B1, N)]
+    g3, e3 = _gram([(0.0 + x * x,) for x in R2], s)
     if e3 < CURVATURE_FLOOR ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
     if abs(g3[0]) < CURVATURE_FLOOR * e3:

@@ -18,15 +18,15 @@ version; ``sum()`` itself does, since Python 3.12 compensates its rounding.
 ``tests/test_jets.py`` holds the loop formulas as the reference and checks
 every operation against them bit for bit, sign of zero included.
 
-``compose`` and ``reverse`` wrap ``_compose`` and ``_reverse``, which take
-and return coefficient tuples.  ``curves.arclength_jets`` calls those
-helpers directly, so the arclength chain rule builds no Jet, yet takes the
-same float operations in the same order as the Jet functions, and gives
-the same bits on every input, non-finite ones included.
+``compose`` and ``reverse`` carry a jet from one parameter to another.
+The frame kernel needs neither (it applies the chain rule d/ds = (1/v)
+d/dt to the curve's own jets); the spherical construction reparameterizes
+its input by arclength with them.
 """
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DivisionNearZero, SqrtNonPositive
 
@@ -194,24 +194,29 @@ def _sqrt(a):
     return (r0, r1, r2, r3, r4)
 
 
-# sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k;
-# a1..a4 below stand for i * a_i, and the division by k = 1 is exact.
+# sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k,
+# the cosine's sums negated (``sign``) for sin and cos; a1..a4 below stand
+# for i * a_i, and the division by k = 1 is exact.
+
+def _coupled(j: Jet, sin, cos, sign) -> tuple[Jet, Jet]:
+    a0, a1, a2, a3, a4 = j.coeffs
+    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
+    s0 = sin(a0)
+    c0 = cos(a0)
+    s1 = 0.0 + a1 * c0
+    c1 = sign(0.0 + a1 * s0)
+    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
+    c2 = sign(0.0 + a1 * s1 + a2 * s0) / 2.0
+    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
+    c3 = sign(0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
+    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
+    c4 = sign(0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
+    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
+
 
 def sincos(j: Jet) -> tuple[Jet, Jet]:
     """sin and cos of a jet, computed jointly via their coupled recurrence."""
-    a0, a1, a2, a3, a4 = j.coeffs
-    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
-    s0 = math.sin(a0)
-    c0 = math.cos(a0)
-    s1 = 0.0 + a1 * c0
-    c1 = -(0.0 + a1 * s0)
-    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
-    c2 = -(0.0 + a1 * s1 + a2 * s0) / 2.0
-    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
-    c3 = -(0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
-    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
-    c4 = -(0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
-    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
+    return _coupled(j, math.sin, math.cos, operator.neg)
 
 
 def sin(j: Jet) -> Jet:
@@ -219,19 +224,7 @@ def sin(j: Jet) -> Jet:
 
 
 def sinhcosh(j: Jet) -> tuple[Jet, Jet]:
-    a0, a1, a2, a3, a4 = j.coeffs
-    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
-    s0 = math.sinh(a0)
-    c0 = math.cosh(a0)
-    s1 = 0.0 + a1 * c0
-    c1 = 0.0 + a1 * s0
-    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
-    c2 = (0.0 + a1 * s1 + a2 * s0) / 2.0
-    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
-    c3 = (0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
-    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
-    c4 = (0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
-    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
+    return _coupled(j, math.sinh, math.cosh, operator.pos)
 
 
 def cosh(j: Jet) -> Jet:
@@ -242,24 +235,16 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of f(g(s)) where ``outer`` expands f at the point ``inner.value``.
 
     Horner evaluation in the nilpotent part of ``inner``; exact to order 4.
+    The zeros that start the running tuple are multiplied too: a
+    non-finite ``inner`` makes those products NaNs.
     """
-    return Jet(_compose(outer.coeffs, inner.coeffs))
-
-
-def _compose(a, inner):
-    """``compose`` on coefficient tuples.  The products of the zeros that
-    start the running tuple stay: a non-finite ``inner`` makes them NaNs."""
-    i0, d1, d2, d3, d4 = inner
-    d0 = i0 - i0
-    o0, o1, o2, o3, o4 = float(a[ORDER]), 0.0, 0.0, 0.0, 0.0
-    for ak in (a[3], a[2], a[1], a[0]):
-        o0, o1, o2, o3, o4 = (
-            0.0 + o0 * d0 + ak,
-            0.0 + o0 * d1 + o1 * d0,
-            0.0 + o0 * d2 + o1 * d1 + o2 * d0,
-            0.0 + o0 * d3 + o1 * d2 + o2 * d1 + o3 * d0,
-            0.0 + o0 * d4 + o1 * d3 + o2 * d2 + o3 * d1 + o4 * d0)
-    return (o0, o1, o2, o3, o4)
+    i0, d1, d2, d3, d4 = inner.coeffs
+    delta = (i0 - i0, d1, d2, d3, d4)
+    out = (float(outer.coeffs[ORDER]), 0.0, 0.0, 0.0, 0.0)
+    for ak in reversed(outer.coeffs[:ORDER]):
+        p = _cauchy(out, delta)
+        out = (p[0] + ak, p[1], p[2], p[3], p[4])
+    return Jet(out)
 
 
 def reverse(j: Jet, at: float) -> Jet:
@@ -269,12 +254,7 @@ def reverse(j: Jet, at: float) -> Jet:
     the result has constant term t0.  Raises DivisionNearZero when the
     linear coefficient b1 is ~0, or b1 ** 7 (or b2 ** 3) under- or overflows.
     """
-    return Jet(_reverse(j.coeffs, at))
-
-
-def _reverse(b, at):
-    """``reverse`` on a coefficient tuple."""
-    _, b1, b2, b3, b4 = b
+    _, b1, b2, b3, b4 = j.coeffs
     if abs(b1) <= DIV_FLOOR:
         raise DivisionNearZero("series reversion with ~zero linear coefficient")
     try:
@@ -284,4 +264,4 @@ def _reverse(b, at):
     except ArithmeticError as exc:      # a power under- or overflows
         raise DivisionNearZero(f"series reversion with linear coefficient "
                                f"{b1!r}: {exc}") from None
-    return (float(at), 1.0 / b1, c2, c3, c4)
+    return Jet((float(at), 1.0 / b1, c2, c3, c4))

@@ -31,8 +31,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import jets
-from .curves import (ArclengthPair, CatalogEntry, CurveSpec, arclength_jets,
-                     point, register_curve)
+from .curves import (ArclengthPair, CatalogEntry, CurveSpec, _is_number,
+                     _speed_jet, eval_curve, point, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import FrenetData, arclength_map, grid
@@ -397,8 +397,9 @@ class ConstructionParams(_ConstructionFields):
                 domain: tuple[float, float] | None = None):
         if a == 0.0:
             raise ValueError("construction requires a != 0")
-        if not all(math.isfinite(v) for v in (a, t0, *(domain or ()))):
-            raise ValueError("construction a, t0 and domain must be finite")
+        if not all(map(_is_number, (a, t0, *(domain or ())))):
+            raise ValueError("construction a, t0 and domain must be finite "
+                             "numbers")
         return super().__new__(cls, a, t0, domain)
 
 
@@ -427,9 +428,15 @@ def construct_rectifying(sphere_spec: CurveSpec,
     a, t0 = params.a, params.t0
 
     def build(tj: Jet, _params) -> tuple[Jet, Jet, Jet, Jet]:
-        yc = arclength_jets(sphere_spec, ymap.t_of_s(tj.value))
+        # y's jets carried to its arclength u: the speed series, reverted
+        # at t, gives the jet of t(u)
+        t = ymap.t_of_s(tj.value)
+        yc = eval_curve(sphere_spec, t)
+        v = _speed_jet(sphere_spec, t, yc).coeffs
+        t_jet = jets.reverse(Jet((0.0, v[0], v[1] / 2.0, v[2] / 3.0,
+                                  v[3] / 4.0)), t)
         rho = a / jets.cosh(tj + t0)
-        return tuple(rho * Jet(c) for c in yc)
+        return tuple(rho * jets.compose(c, t_jet) for c in yc)
 
     pad = 0.02 * total
     domain = params.domain if params.domain is not None else (pad, total - pad)

@@ -80,18 +80,34 @@ def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     assert "PoleEncountered" in err and "overflows floating point" in err
 
 
-@pytest.mark.parametrize("params", [["A=1e-50", "B=2e-50"],
-                                    ["A=1e45", "B=2e45"]],
-                         ids=["underflow", "overflow"])
-def test_arclength_reversion_out_of_float_range_exits_2(params, capsys):
-    # the seventh power of the speed (about 1.7e-50 or 1.7e45) leaves
-    # floating point while the arclength jet is reverted
-    argv = ["frenet", "--curve", "lorentz_helix", "--samples", "3"]
-    for p in params:
-        argv += ["--param", p]
-    code, _ = run(argv)
+def _kappas(text):
+    """kappa1, kappa2, kappa3 and eps of each row of a frenet CSV."""
+    return [[float(x) for x in line.split(",")[21:25]]
+            for line in text.splitlines()[1:-1]]
+
+
+def test_a_fast_helix_gives_the_unit_helix_curvatures():
+    # the default helix with t scaled by 1e-45, at speed about 1.7e45:
+    # reverting its arclength jet took the seventh power of the speed,
+    # which overflows; the chain rule in t squares it only
+    code, text = run(["frenet", "--curve", "lorentz_helix", "--samples", "3",
+                      "--param", "p=1e45", "--param", "q=1e45",
+                      "--domain", "0", "3e-45"])
+    _, unit = run(["frenet", "--curve", "lorentz_helix", "--samples", "3"])
+    assert code == 0 and text.endswith("# degenerate_samples=0\n")
+    for got, want in zip(_kappas(text), _kappas(unit), strict=True):
+        assert all(math.isclose(x, y, rel_tol=1e-13)
+                   for x, y in zip(got, want)), (got, want)
+
+
+def test_a_speed_too_small_to_square_exits_2(capsys):
+    # kappa1 of a helix of scale 1e-160 is about 1e160, whose square leaves
+    # floating point: a typed error, not a NaN in a Vec4
+    code, _ = run(["frenet", "--curve", "lorentz_helix", "--samples", "3",
+                   "--param", "A=1e-160", "--param", "B=2e-160"])
     assert code == 2
-    assert "DivisionNearZero" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "DivisionNearZero" in err and "leaves floating point" in err
 
 
 @pytest.mark.parametrize("argv, accepted", [

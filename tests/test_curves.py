@@ -1,6 +1,5 @@
 """Catalog curves: coordinates, speeds, domains and pole handling."""
 
-import functools
 import math
 
 import numpy as np
@@ -319,21 +318,6 @@ def test_speed_jet_builds_one_jet(monkeypatch):
     assert built == [v]
 
 
-# -- the arclength chain rule on float tuples ---------------------------------
-# ``curves.arclength_jets`` runs the speed series, the reversion and the four
-# Horner compositions on coefficient tuples; the oracle is the same chain
-# through the Jet-level ``_speed_jet``, ``jets.reverse`` and ``jets.compose``.
-# Those three are pinned on their own against jet arithmetic
-# (``_jet_speed_jet`` here, the loop formulas in tests/test_jets.py).
-
-def _jet_chain(spec, t):
-    cj = curves.eval_curve(spec, t)
-    v = curves._speed_jet(spec, t, cj).coeffs
-    s_jet = jets.Jet((0.0, v[0], v[1] / 2.0, v[2] / 3.0, v[3] / 4.0))
-    t_jet = jets.reverse(s_jet, at=t)
-    return tuple(jets.compose(j, t_jet).coeffs for j in cj)
-
-
 # coefficients whose operations show their order: signed zeros, subnormals
 # (products underflow to a signed zero), full 53-bit significands, and
 # infinities and NaN, which turn the products of zeros into NaNs
@@ -346,17 +330,6 @@ _RAW_JETS = st.lists(st.tuples(*[_RAW] * 5), min_size=4, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_RAW_JETS, _RAW)
-def test_arclength_chain_is_the_jet_chain_on_raw_coefficients(coeffs, t):
-    spec = curves.make_spec("lorentz_helix")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curves, "eval_curve",
-                   lambda spec, t: tuple(map(jets.Jet, coeffs)))
-        assert (_result(curves.arclength_jets, spec, t)
-                == _result(_jet_chain, spec, t))
-
-
-@settings(max_examples=300, deadline=None)
 @given(_RAW_JETS)
 def test_speed_jet_is_the_jet_form_on_raw_coefficients(coeffs):
     spec = curves.make_spec("lorentz_helix")
@@ -365,31 +338,11 @@ def test_speed_jet_is_the_jet_form_on_raw_coefficients(coeffs):
             == _result(_jet_speed_jet, spec, 0.5, cj))
 
 
-@pytest.mark.parametrize("cid", STATIC)
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_arclength_chain_is_the_jet_chain_on_catalog_curves(cid, data):
-    spec, t = data.draw(_static_case(cid))
-    assert (_result(curves.arclength_jets, spec, t)
-            == _result(_jet_chain, spec, t))
-
-
-@functools.cache
-def _constructed(a, t0):
-    from curvelab import rectifying
-    return rectifying.construct_rectifying(
-        curves.make_spec("hyperbolic_clelia"),
-        rectifying.ConstructionParams(a=a, t0=t0, domain=(0.35, 1.2)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(2.0, 0.48), (-1.5, 0.1)]), st.floats(0.35, 1.2))
-def test_arclength_chain_is_the_jet_chain_on_a_constructed_curve(at, u):
-    spec = _constructed(*at)
-    assert (_result(curves.arclength_jets, spec, u)
-            == _result(_jet_chain, spec, u))
-
-
 def test_a_boolean_parameter_is_not_a_number():
     with pytest.raises(ValueError, match="parameter p must be a finite"):
         curves.make_spec("lorentz_helix", {"p": True})
+
+
+def test_a_boolean_domain_is_not_a_number():
+    with pytest.raises(OutOfDomain, match="nonempty interval"):
+        curves.make_spec("lorentz_helix", domain=(False, True))

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from curvelab import curves, frenet, jets, rectifying
 from curvelab.curves import CatalogEntry
 from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
-                             NonSpacelikePrincipalNormal, NonSpacelikeVelocity)
+                             DivisionNearZero, NonSpacelikePrincipalNormal,
+                             NonSpacelikeVelocity)
 from curvelab.lorentz import Vec4
 
 SQ3 = math.sqrt(3.0)
@@ -275,8 +276,9 @@ def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
 
 
 # -- reference: the Gram-Schmidt chain in jet arithmetic ----------------------
-# The frame kernel once ran this chain on whole jets; it stays here as the
-# oracle that ``frenet._frame_from_position_jets`` must match bit for bit.
+# The chain on whole jets in the curve's parameter t, arclength derivatives
+# by d/ds = w d/dt with w = 1/v: the oracle that
+# ``frenet._frame_from_position_jets`` must match bit for bit.
 
 
 def _jvec_d(v):
@@ -299,11 +301,14 @@ def _jvec_value(v):
     return Vec4(*(j.value for j in v))
 
 
-def _euclid_sq(v):
+def _euclid_sq(v, s):
     # builtin sum() as Python 3.11 runs it: from 0.0, left to right
     out = 0.0
     for j in v:
         out += j.value * j.value
+    if not out < math.inf:
+        raise DivisionNearZero(f"Euclidean square {out} of a frame series "
+                               f"leaves floating point at s={s}")
     return out
 
 
@@ -315,13 +320,23 @@ def _derivative_rank(aj):
 
 def reference_frame(aj, s):
     floor = frenet.CURVATURE_FLOOR
-    T = _jvec_d(aj)
-    Tp = _jvec_d(T)
+    V = _jvec_d(aj)
+    gv = _jvec_dot(V, V)
+    _euclid_sq(V, s)
+    if not 0.0 < gv.value < math.inf:
+        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {gv.value} at s={s}")
+    w = 1.0 / jets.sqrt(gv)
+    if not all(map(math.isfinite, w.coeffs[:4])):
+        raise DivisionNearZero(f"1/speed series {w.coeffs[:4]} leaves "
+                               f"floating point at s={s}")
+
+    T = _jvec_scale(w, V)
+    Tp = _jvec_scale(w, _jvec_d(T))
 
     g1 = _jvec_dot(Tp, Tp)
-    e1 = _euclid_sq(Tp)
+    e1 = _euclid_sq(Tp, s)
     scale1 = max(e1, 1e-300)
-    if e1 < floor ** 2 * max(1.0, _euclid_sq(T)):
+    if e1 < floor ** 2 * max(1.0, _euclid_sq(T, s)):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
     if g1.value < floor * scale1:
         rank = _derivative_rank(aj)
@@ -335,9 +350,9 @@ def reference_frame(aj, s):
     k1 = jets.sqrt(g1)
     N = _jvec_scale(1.0 / k1, Tp)
 
-    R1 = _jvec_add(_jvec_d(N), _jvec_scale(k1, T))
+    R1 = _jvec_add(_jvec_scale(w, _jvec_d(N)), _jvec_scale(k1, T))
     g2 = _jvec_dot(R1, R1)
-    e2 = _euclid_sq(R1)
+    e2 = _euclid_sq(R1, s)
     if e2 < floor ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
     if abs(g2.value) < floor * e2:
@@ -347,9 +362,10 @@ def reference_frame(aj, s):
     k2 = jets.sqrt(float(eps) * g2)
     B1 = _jvec_scale(1.0 / k2, R1)
 
-    R2 = _jvec_add(_jvec_d(B1), _jvec_scale(float(eps) * k2, N))
+    R2 = _jvec_add(_jvec_scale(w, _jvec_d(B1)),
+                   _jvec_scale(float(eps) * k2, N))
     g3 = _jvec_dot(R2, R2)
-    e3 = _euclid_sq(R2)
+    e3 = _euclid_sq(R2, s)
     if e3 < floor ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
     if abs(g3.value) < floor * e3:
@@ -399,9 +415,10 @@ def _arclength(data, amap):
 
 
 def _kernel_matches_reference(spec, amap, s):
-    a = curves.arclength_jets(spec, amap.t_of_s(s))
-    want = _outcome(reference_frame, tuple(map(jets.Jet, a)), s)
-    assert _outcome(frenet._frame_from_position_jets, a, s) == want
+    cj = curves.eval_curve(spec, amap.t_of_s(s))
+    want = _outcome(reference_frame, cj, s)
+    assert _outcome(frenet._frame_from_position_jets,
+                    [j.coeffs for j in cj], s) == want
     return want
 
 
@@ -439,9 +456,8 @@ def test_float_kernel_is_the_jet_chain_on_constructed_curves(data):
     _kernel_matches_reference(spec, amap, _arclength(data, amap))
 
 
-# Position jets of a curve pass through jets.compose, whose sums start from
-# 0.0, so they never hold a -0.0; raw coefficients reach the sign of zero,
-# and the smallest subnormals make products underflow to a signed zero.
+# Raw coefficients reach the sign of zero, and the smallest subnormals make
+# products underflow to a signed zero.
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
                                     5e-324, -5e-324]),
                    st.floats(-10.0, 10.0))
@@ -450,10 +466,17 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
 @settings(max_examples=200, deadline=None)
 @given(coeffs=st.lists(st.tuples(*[_COEFF] * 5), min_size=4, max_size=4))
 @example(coeffs=[      # (1/kappa3) * R2 underflows to a zero in B2
-    (8.81628506420465, -5e-324, -2.0, 2.098675705733692, -1.0),
-    (-2.0, 0.5, -0.0, -0.37007070900485495, -5e-324),
-    (-4.035330302704853, -0.0, -5e-324, 0.0, -5e-324),
-    (-2.0, -1.0, -3.4283980221060943, 5e-324, -2.0)])
+    (5e-324, -5e-324, -5e-324, 5e-324, 1.0),
+    (-2.0, -1.0, 5e-324, 3.9720257229913454, -9.509433452266629),
+    (5e-324, -0.0, -1.9371727652242026, -0.1269571994461156, 0.0),
+    (0.0, -0.0, 5e-324, 0.5, -9.181035195924164)])
+@example(coeffs=[     # 1/v overflows in its first coefficient
+    (0.0,) * 5, (0.0, 1e-150, 1e150, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
+@example(coeffs=[     # |alpha'|^2 overflows
+    (0.0,) * 5, (0.0, 1e160, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
+@example(coeffs=[     # a timelike velocity
+    (0.0, 2.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0, 0.0), (0.0,) * 5,
+    (0.0,) * 5])
 def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
     aj = tuple(jets.Jet(c) for c in coeffs)
     assert (_outcome(frenet._frame_from_position_jets, coeffs, 0.5)
@@ -462,7 +485,7 @@ def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
 
 def test_float_kernel_builds_no_jet(helix, monkeypatch):
     spec, amap = helix
-    a = curves.arclength_jets(spec, amap.t_of_s(1.0))
+    a = [j.coeffs for j in curves.eval_curve(spec, amap.t_of_s(1.0))]
     built = []
     post_init = jets.Jet.__post_init__
     monkeypatch.setattr(jets.Jet, "__post_init__",
@@ -475,6 +498,89 @@ def test_float_kernel_builds_no_jet(helix, monkeypatch):
     aj = tuple(map(jets.Jet, a))
     assert _outcome(lambda aj, s: f, aj, 1.0) == _outcome(reference_frame,
                                                            aj, 1.0)
+
+
+# -- the t-chain against the arclength chain and under scaling ----------------
+
+def _arclength_frame(spec, amap, s):
+    """The frame from the curve's jets carried to arclength by series
+    reversion and composition, the route frames once took.  On those jets
+    the chain's w = 1/v is 1 to roundoff: this is the arclength chain."""
+    t = amap.t_of_s(s)
+    cj = curves.eval_curve(spec, t)
+    v = curves._speed_jet(spec, t, cj).coeffs
+    t_jet = jets.reverse(jets.Jet((0.0, v[0], v[1] / 2.0, v[2] / 3.0,
+                                   v[3] / 4.0)), t)
+    return reference_frame(tuple(jets.compose(j, t_jet) for j in cj), s)
+
+
+def _assert_curvatures_close(got, want, tol, scale=1.0):
+    """Curvatures times ``scale`` within ``tol`` relative; the same eps."""
+    assert got.eps == want.eps
+    for name in ("kappa1", "kappa2", "kappa3"):
+        assert math.isclose(getattr(got, name) * scale, getattr(want, name),
+                            rel_tol=tol), name
+
+
+def _assert_frames_close(got, want, tol, scale=1.0):
+    """Vectors within ``tol`` of their largest component, and curvatures
+    as ``_assert_curvatures_close`` has them."""
+    _assert_curvatures_close(got, want, tol, scale)
+    for name in ("T", "N", "B1", "B2"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert max(abs(x - y) for x, y in zip(g, w)) <= tol * max(map(abs, w))
+
+
+@pytest.mark.parametrize("source", ["hyperbolic_clelia", "lorentz_helix",
+                                    *CONSTRUCTED],
+                         ids=lambda p: p if isinstance(p, str)
+                         else "a={},t0={}".format(*p))
+def test_frames_agree_with_the_arclength_chain(source):
+    spec, amap = (_static_source(source) if isinstance(source, str)
+                  else _constructed_source(*source))
+    for s in frenet.grid(0.0, amap.total, 25):
+        got = frenet.frenet_apparatus(spec, amap, s)
+        want = _arclength_frame(spec, amap, s)
+        _assert_frames_close(got, want, 1e-12)
+        assert max(abs(x - y) for x, y in zip(got.position, want.position)
+                   ) <= 1e-12 * max(map(abs, want.position))
+
+
+def _helix_frames(params, domain=None):
+    """Frames of a helix at 1/8 .. 7/8 of its arclength."""
+    spec = curves.make_spec("lorentz_helix", params, domain)
+    amap = frenet.arclength_map(spec)
+    return [frenet.frenet_apparatus(spec, amap, k / 8.0 * amap.total)
+            for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("A", [1e-50, 1e-150])
+def test_helix_curvatures_scale_as_one_over_A(A):
+    # alpha scaled by A: the same frames, curvatures times 1/A; A ** 7 is
+    # below floating point, where reverting an arclength jet failed
+    unit = _helix_frames({})
+    for got, want in zip(_helix_frames({"A": A, "B": math.sqrt(2.0) * A}),
+                         unit):
+        _assert_frames_close(got, want, 1e-13, scale=A)
+
+
+@pytest.mark.parametrize("rate", [1e-50, 1e45])
+def test_helix_curvatures_do_not_depend_on_its_speed(rate):
+    # t scaled by 1/rate: the same curve at speed rate * sqrt(3), whose
+    # seventh power leaves floating point.  The samples' parameters round
+    # differently, so only the helix's constant curvatures are compared.
+    unit = _helix_frames({})
+    for got, want in zip(_helix_frames({"p": rate, "q": rate},
+                                       (0.0, 3.0 / rate)), unit):
+        _assert_curvatures_close(got, want, 1e-13)
+
+
+def test_a_helix_too_small_for_its_curvatures_squares_raises():
+    # kappa1 ~ 1e160 is a float, but its square is not
+    spec = curves.make_spec("lorentz_helix", {"A": 1e-160, "B": 2e-160})
+    amap = frenet.arclength_map(spec)
+    want = _kernel_matches_reference(spec, amap, 0.5 * amap.total)
+    assert want.startswith("DivisionNearZero: Euclidean square inf")
 
 
 # -- the Jacobi rank against numpy's SVD --------------------------------------

@@ -80,6 +80,14 @@ def test_construction_rejects_zero_scale():
         rectifying.ConstructionParams(a=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"a": True, "t0": False},
+                                    {"a": 1.0, "domain": (False, True)}],
+                         ids=["a_t0", "domain"])
+def test_construction_rejects_booleans(kwargs):
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        rectifying.ConstructionParams(**kwargs)
+
+
 def test_constructed_speed_matches_radius_law(constructed):
     a, t0 = A_PARAM, T0_PARAM
     for u in (0.4, 0.8, 1.1):
