@@ -260,7 +260,7 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
     for s in amap.grid_samples(count):
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
-            resid = max(frenet._ode_residual(
+            resid = max(frenet.frenet_ode_residual(
                 frenet.frenet_apparatus(spec, amap, s - frenet.ODE_H), f,
                 frenet.frenet_apparatus(spec, amap, s + frenet.ODE_H),
                 frenet.ODE_H))

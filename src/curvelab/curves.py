@@ -1,16 +1,19 @@
 """The analytic curve catalog and jet evaluation of curves.
 
 Curves are named closed forms with parameters, not a parsed expression
-language: each catalog entry builds its four coordinate jets from the
-elementary jet operations, so every derivative up to order 4 is exact up to
-roundoff.
+language.  Each catalog entry is written once, as ``build(t, params, n)``:
+the four coordinate series truncated to n coefficients, from the
+operations ``jets.SERIES[n]`` holds for that length.  ``eval_curve`` takes
+n = 5, so every derivative up to order 4 is exact up to roundoff; ``point``
+and ``speed`` take n = 2, a position and a velocity at the cost of two
+terms.
 
 Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
 addressed exactly like static catalog entries.
 
-Jets stay in the curve's own parameter t: ``frenet`` takes arclength
-derivatives from them by the chain rule d/ds = (1/v) d/dt, with v the
+The series stay in the curve's own parameter t: ``frenet`` takes
+arclength derivatives from them by the chain rule d/ds = (1/v) d/dt, with v the
 speed, so no curve is reparameterized to get its frame.
 """
 from __future__ import annotations
@@ -23,8 +26,6 @@ from typing import Callable, Mapping, NamedTuple
 from . import jets
 from .errors import (DivisionNearZero, NonSpacelikeVelocity, OutOfDomain,
                      PoleEncountered, SqrtNonPositive)
-from .jets import Jet
-from .lorentz import minkowski_dot
 
 __all__ = [
     "CurveSpec",
@@ -101,7 +102,11 @@ ArclengthPair = tuple[Callable[[Mapping[str, float], float, float], float],
 
 
 class CatalogEntry(NamedTuple):
-    """How to build a curve's coordinate jets, with its defaults.
+    """How to build a curve's coordinate series, with its defaults.
+
+    ``build(t, params, n)`` returns the four coordinate series at the
+    float ``t``, each a tuple of its first n Taylor coefficients, n being
+    2 or 5; coefficients 0 and 1 do not depend on n.
 
     ``arclength``, when given, is the exact arclength as a pair of
     functions ``(s_between, t_from)``: ``s_between(params, lo, t)`` is the
@@ -110,43 +115,31 @@ class CatalogEntry(NamedTuple):
     and the domain's low end, because an entry does not depend on the
     domain.  ``frenet.arclength_map`` uses the pair in place of quadrature
     and Newton inversion; ``None`` selects those.
-
-    ``closed_form``, when given, is ``closed_form(params, t) -> (position,
-    velocity)`` in plain floats: bit for bit coefficients 0 and 1 of the
-    jets ``build`` returns, by the same operations in the same order.
-    ``point`` uses it in place of ``build``.
     """
 
-    build: Callable[[Jet, Mapping[str, float]], tuple[Jet, Jet, Jet, Jet]]
+    build: Callable[[float, Mapping[str, float], int], tuple]
     default_params: Mapping[str, float] = MappingProxyType({})
     default_domain: tuple[float, float] = (0.0, 1.0)
     # raises on invalid parameter values / domains (poles inside the range)
     validate: Callable[[Mapping[str, float], tuple[float, float]], None] = \
         lambda params, domain: None
     arclength: ArclengthPair | None = None
-    closed_form: Callable[[Mapping[str, float], float],
-                          tuple[tuple, tuple]] | None = None
 
 
 # -- static catalog -----------------------------------------------------------
 
-def _paper_example(tj: Jet, p) -> tuple[Jet, ...]:
-    sh, ch = jets.sinhcosh(tj)
-    rho = p["a"] / jets.sin(tj + p["s0"])
-    zero = jets.constant(0.0)
-    return (rho * ch, zero, rho * sh, zero)
+def _variable(t: float, n: int) -> tuple[float, ...]:
+    """The series of the identity at ``t``, to n coefficients."""
+    return (t, 1.0, 0.0, 0.0, 0.0)[:n]
 
 
-def _paper_example_point(p, t):
-    sh, ch = math.sinh(t), math.cosh(t)
-    u = t + p["s0"]
-    sn0, sn1 = math.sin(u), 0.0 + math.cos(u)
-    jets.check_divisor(sn0)
-    r0 = float(p["a"]) / sn0
-    r1 = (0.0 - r0 * sn1) / sn0
-    return ((0.0 + r0 * ch, 0.0, 0.0 + r0 * sh, 0.0),
-            (0.0 + r0 * (0.0 + sh) + r1 * ch, 0.0,
-             0.0 + r0 * (0.0 + ch) + r1 * sh, 0.0))
+def _paper_example(t: float, p, n: int) -> tuple:
+    ops = jets.SERIES[n]
+    sh, ch = ops.sinhcosh(_variable(t, n))
+    sn, _ = ops.sincos(_variable(t + p["s0"], n))
+    rho = ops.div((float(p["a"]), 0.0, 0.0, 0.0, 0.0)[:n], sn)
+    zero = (0.0,) * n
+    return (ops.mul(rho, ch), zero, ops.mul(rho, sh), zero)
 
 
 def _paper_example_validate(p, domain):
@@ -167,48 +160,29 @@ def _require_no_sin_zero(domain, shift):
             f"sin(t + {shift}) vanishes inside the requested domain")
 
 
-def _hyperbolic_geodesic(tj: Jet, p) -> tuple[Jet, ...]:
-    sh, ch = jets.sinhcosh(tj)
-    zero = jets.constant(0.0)
+def _hyperbolic_geodesic(t: float, p, n: int) -> tuple:
+    sh, ch = jets.SERIES[n].sinhcosh(_variable(t, n))
+    zero = (0.0,) * n
     return (ch, zero, sh, zero)
 
 
-def _hyperbolic_geodesic_point(p, t):
-    sh, ch = math.sinh(t), math.cosh(t)
-    return (ch, 0.0, sh, 0.0), (0.0 + sh, 0.0, 0.0 + ch, 0.0)
+def _hyperbolic_clelia(t: float, p, n: int) -> tuple:
+    ops = jets.SERIES[n]
+    x = _variable(t, n)
+    sh, ch = ops.sinhcosh(x)
+    sn, cn = ops.sincos(x)
+    q = ops.mul(sh, sn)
+    return (ch, ops.mul(sh, cn), ops.mul(q, cn), ops.mul(q, sn))
 
 
-def _hyperbolic_clelia(tj: Jet, p) -> tuple[Jet, ...]:
-    sh, ch = jets.sinhcosh(tj)
-    sn, cn = jets.sincos(tj)
-    return (ch, sh * cn, sh * sn * cn, sh * sn * sn)
-
-
-def _hyperbolic_clelia_point(p, t):
-    sh, ch = math.sinh(t), math.cosh(t)
-    sn, cn = math.sin(t), math.cos(t)
-    sh1, sn1, cn1 = 0.0 + ch, 0.0 + cn, -(0.0 + sn)
-    q0, q1 = 0.0 + sh * sn, 0.0 + sh * sn1 + sh1 * sn      # sh * sn
-    return ((ch, 0.0 + sh * cn, 0.0 + q0 * cn, 0.0 + q0 * sn),
-            (0.0 + sh, 0.0 + sh * cn1 + sh1 * cn, 0.0 + q0 * cn1 + q1 * cn,
-             0.0 + q0 * sn1 + q1 * sn))
-
-
-def _lorentz_helix(tj: Jet, p) -> tuple[Jet, ...]:
-    sh, ch = jets.sinhcosh(p["p"] * tj)
-    sn, cn = jets.sincos(p["q"] * tj)
-    return (p["A"] * sh, p["A"] * ch, p["B"] * cn, p["B"] * sn)
-
-
-def _lorentz_helix_point(p, t):
-    a, b, hp, hq = p["A"], p["B"], p["p"], p["q"]
-    u = t * hp
-    sh, ch = math.sinh(u), math.cosh(u)
-    v = t * hq
-    sn, cn = math.sin(v), math.cos(v)
-    return ((sh * a, ch * a, cn * b, sn * b),
-            ((0.0 + hp * ch) * a, (0.0 + hp * sh) * a,
-             -(0.0 + hq * sn) * b, (0.0 + hq * cn) * b))
+def _lorentz_helix(t: float, p, n: int) -> tuple:
+    ops = jets.SERIES[n]
+    x = _variable(t, n)
+    sh, ch = ops.sinhcosh(ops.scale(x, p["p"]))
+    sn, cn = ops.sincos(ops.scale(x, p["q"]))
+    a, b = p["A"], p["B"]
+    return (ops.scale(sh, a), ops.scale(ch, a), ops.scale(cn, b),
+            ops.scale(sn, b))
 
 
 def _lorentz_helix_speed(p) -> float:
@@ -247,25 +221,21 @@ _CATALOG: dict[str, CatalogEntry] = {
         default_params={"a": 1.0, "s0": 0.0},
         default_domain=(0.9, 2.2),
         validate=_paper_example_validate,
-        closed_form=_paper_example_point,
     ),
     "hyperbolic_geodesic": CatalogEntry(
         build=_hyperbolic_geodesic,
         default_domain=(0.0, 2.0),
         arclength=_constant_speed_arclength(lambda p: 1.0),
-        closed_form=_hyperbolic_geodesic_point,
     ),
     "hyperbolic_clelia": CatalogEntry(
         build=_hyperbolic_clelia,
         default_domain=(0.25, 2.4),
-        closed_form=_hyperbolic_clelia_point,
     ),
     "lorentz_helix": CatalogEntry(
         build=_lorentz_helix,
         default_params={"A": 1.0, "p": 1.0, "B": math.sqrt(2.0), "q": 1.0},
         default_domain=(0.0, 3.0),
         arclength=_constant_speed_arclength(_lorentz_helix_speed),
-        closed_form=_lorentz_helix_point,
     ),
 }
 
@@ -306,66 +276,58 @@ def make_spec(catalog_id: str, params: Mapping[str, float] | None = None,
 _POLES = (DivisionNearZero, SqrtNonPositive, OverflowError)
 
 
-def _entry_at(spec: CurveSpec, t: float) -> CatalogEntry:
-    if not spec.contains(t):
-        raise OutOfDomain(f"t={t} outside domain {spec.domain} of {spec.catalog_id}")
-    return _lookup(spec.catalog_id)
-
-
 def _pole(spec: CurveSpec, t: float, exc: Exception) -> PoleEncountered:
     what = ("overflows floating point" if isinstance(exc, OverflowError)
             else "hit a pole")
     return PoleEncountered(f"{spec.catalog_id} {what} at t={t}: {exc}")
 
 
-def eval_curve(spec: CurveSpec, t: float) -> tuple[Jet, Jet, Jet, Jet]:
-    """The four coordinate jets of the curve at ``t``, exact to order 4."""
-    entry = _entry_at(spec, t)
+def _series(spec: CurveSpec, t: float, n: int) -> tuple:
+    if not spec.contains(t):
+        raise OutOfDomain(f"t={t} outside domain {spec.domain} of {spec.catalog_id}")
+    entry = _lookup(spec.catalog_id)
     try:
-        return tuple(entry.build(jets.variable(t), spec.params))
+        return entry.build(float(t), spec.params, n)
     except _POLES as exc:
         raise _pole(spec, t, exc) from exc
+
+
+def eval_curve(spec: CurveSpec, t: float) -> tuple:
+    """The four coordinate series of the curve at ``t``, exact to order 4:
+    tuples (c0, ..., c4) with c_k the k-th derivative over k!."""
+    return _series(spec, t, 5)
 
 
 def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
-    """Position and velocity of the curve at ``t``, two 4-tuples of floats.
-
-    Bit for bit coefficients 0 and 1 of ``eval_curve(spec, t)``'s jets,
-    with its errors; the entry's ``closed_form`` builds no jet.
-    """
-    entry = _entry_at(spec, t)
-    if entry.closed_form is None:
-        cj = eval_curve(spec, t)
-        return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
-    try:
-        return entry.closed_form(spec.params, float(t))
-    except _POLES as exc:
-        raise _pole(spec, t, exc) from exc
+    """Position and velocity of the curve at ``t``, two 4-tuples of floats:
+    coefficients 0 and 1 of ``eval_curve(spec, t)``, bit for bit, with its
+    errors."""
+    return tuple(zip(*_series(spec, t, 2)))
 
 
-def _speed_jet(spec: CurveSpec, t: float, cj: tuple[Jet, ...]) -> Jet:
-    """Jet of the speed ||alpha'(t)|| from the coordinate jets ``cj`` at
-    ``t``, valid to order 3; requires a spacelike velocity."""
+def _speed_jet(spec: CurveSpec, t: float, cj) -> tuple:
+    """Coefficients of the speed ||alpha'(t)|| from the coordinate series
+    ``cj`` at ``t``, valid to order 3; requires a spacelike velocity."""
     # the jets' -d0 * d0 + d1 * d1 + ... on tuples, d0 negated first
     d = [(x1, 2.0 * x2, 3.0 * x3, 4.0 * x4, 0.0)
-         for _, x1, x2, x3, x4 in (j.coeffs for j in cj)]
+         for _, x1, x2, x3, x4 in cj]
     p = [jets._cauchy([-x for x in d[0]], d[0]),
          *[jets._cauchy(x, x) for x in d[1:]]]
     g = [((p0 + p1) + p2) + p3 for p0, p1, p2, p3 in zip(*p)]
     if not g[0] > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g[0]} at t={t} on {spec.catalog_id}")
-    return Jet(jets._sqrt(g))
+    return jets._sqrt(g)
 
 
 def speed(spec: CurveSpec, t: float) -> float:
     """||alpha'(t)||; requires a spacelike velocity.
 
-    Bit for bit ``_speed_jet(spec, t, eval_curve(spec, t)).value``: the
-    same products and sums, on the velocity that ``point`` reads.
+    Bit for bit ``_speed_jet(spec, t, eval_curve(spec, t))[0]``: the same
+    products and sums, on coefficient 1 of the length-2 series.
     """
-    vel = point(spec, t)[1]
-    g = minkowski_dot(vel, vel)
+    (_, v0), (_, v1), (_, v2), (_, v3) = _series(spec, t, 2)
+    g = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
     if not g > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")

@@ -243,15 +243,11 @@ def _gram(p, s: float):
 
 
 def _sqrt_recip(g):
-    """r = sqrt(g) and q = 1/r to len(g) coefficients, 2 to 4, as jets.sqrt
-    and _divide compute them; zeros stand for g's missing coefficients."""
-    r0, r1, r2, r3, _ = jets._sqrt((*g, 0.0, 0.0, 0.0)[:5])
-    jets.check_divisor(r0)
-    q0 = 1.0 / r0
-    q1 = (0.0 - q0 * r1) / r0
-    q2 = (0.0 - q0 * r2 - q1 * r1) / r0
-    q3 = (0.0 - q0 * r3 - q1 * r2 - q2 * r1) / r0
-    return (r0, r1, r2, r3)[:len(g)], (q0, q1, q2, q3)[:len(g)]
+    """r = sqrt(g) and q = 1/r to len(g) coefficients, 2 to 4, by the jets'
+    tuple helpers; zeros stand for g's missing coefficients."""
+    r = jets._sqrt((*g, 0.0, 0.0, 0.0)[:5])
+    q = jets._divide((1.0, 0.0, 0.0, 0.0, 0.0), r)
+    return r[:len(g)], q[:len(g)]
 
 
 def _derivative_rank(a) -> int:
@@ -294,8 +290,8 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
     NonSpacelikePrincipalNormal when g(T', T') < 0, and NonSpacelikeVelocity
     or DivisionNearZero when the speed leaves floating point.
     """
-    cj = curves.eval_curve(spec, amap.t_of_s(s))
-    return _frame_from_position_jets([j.coeffs for j in cj], s)
+    return _frame_from_position_jets(
+        curves.eval_curve(spec, amap.t_of_s(s)), s)
 
 
 def _frame_from_position_jets(a, s: float) -> FrenetData:
@@ -409,24 +405,13 @@ def frenet_rhs(T: Sequence[float], N: Sequence[float], B1: Sequence[float],
             (k3 * p0, k3 * p1, k3 * p2, k3 * p3))
 
 
-def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, s: float, h: float,
-                        frame_rhs: Callable = frenet_rhs
-                        ) -> tuple[float, float, float, float]:
-    """Pseudo-norms of central-difference frame derivatives minus ``frame_rhs``.
-
-    Converges at order 2 in h on smooth samples.
-    """
-    return _ode_residual(frenet_apparatus(spec, amap, s - h),
-                         frenet_apparatus(spec, amap, s),
-                         frenet_apparatus(spec, amap, s + h), h, frame_rhs)
-
-
-def _ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData, h: float,
-                  frame_rhs: Callable = frenet_rhs
-                  ) -> tuple[float, float, float, float]:
-    """``frenet_ode_residual`` from the frames at s - h, s and s + h."""
-    rhs = frame_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
-                    f0.kappa3, f0.eps)
+def frenet_ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData,
+                        h: float) -> tuple[float, float, float, float]:
+    """Pseudo-norms of the central differences of the frames ``fm`` and
+    ``fp`` at s - h and s + h minus ``frenet_rhs`` of ``f0`` at s; they
+    converge at order 2 in h on smooth samples."""
+    rhs = frenet_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
+                     f0.kappa3, f0.eps)
     out = []
     for lo, hi, r in zip(*[(f.T, f.N, f.B1, f.B2) for f in (fm, fp)], rhs):
         d = [(b - a) / (2.0 * h) - c for a, b, c in zip(lo, hi, r)]

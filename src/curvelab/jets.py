@@ -8,15 +8,18 @@ discretization error, only roundoff.
 Order 4 is the smallest order that feeds the full Frenet apparatus in a
 4-space (four derivatives of the position).
 
-Every operation is written out as straight-line arithmetic on the
-coefficient tuple.  Its floating-point operations, and their order, are
-fixed: each Cauchy sum runs left to right and starts from ``0.0 +``, which
-is what builtin ``sum()`` does on Python 3.11 and older (the ``0.0 +``
-turns a leading -0.0 into 0.0).  Every printed frame, curvature and report
-figure derives from these bits, so they must not depend on the Python
-version; ``sum()`` itself does, since Python 3.12 compensates its rounding.
-``tests/test_jets.py`` holds the loop formulas as the reference and checks
-every operation against them bit for bit, sign of zero included.
+Every operation is written out as straight-line arithmetic on coefficient
+tuples, once per length in ``SERIES``: whole jets (5), or a value and a
+first derivative (2) that equal the first two of 5 bit for bit; ``Jet``
+wraps the length-5 helpers.  The floating-point operations, and their
+order, are fixed: each Cauchy sum runs left to right and starts from
+``0.0 +``, which is what builtin ``sum()`` does on Python 3.11 and older
+(the ``0.0 +`` turns a leading -0.0 into 0.0).  Every printed frame,
+curvature and report figure derives from these bits, so they must not
+depend on the Python version; ``sum()`` itself does, since Python 3.12
+compensates its rounding.  ``tests/test_jets.py`` holds the loop formulas
+as the reference and checks every operation against them bit for bit,
+sign of zero included.
 
 ``compose`` and ``reverse`` carry a jet from one parameter to another.
 The frame kernel needs neither (it applies the chain rule d/ds = (1/v)
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import Callable, NamedTuple
 
 from .errors import DivisionNearZero, SqrtNonPositive
 
@@ -46,6 +50,101 @@ def _cauchy(a, b):
             0.0 + a0 * b2 + a1 * b1 + a2 * b0,
             0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
             0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0)
+
+
+def _scale(a, k):
+    a0, a1, a2, a3, a4 = a
+    return (a0 * k, a1 * k, a2 * k, a3 * k, a4 * k)
+
+
+def _divide(a, b):
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    check_divisor(b0)
+    q0 = a0 / b0
+    q1 = (a1 - q0 * b1) / b0
+    q2 = (a2 - q0 * b2 - q1 * b1) / b0
+    q3 = (a3 - q0 * b3 - q1 * b2 - q2 * b1) / b0
+    q4 = (a4 - q0 * b4 - q1 * b3 - q2 * b2 - q3 * b1) / b0
+    return (q0, q1, q2, q3, q4)
+
+
+# sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k,
+# the cosine's sums negated (``sign``) for sin and cos; a1..a4 below stand
+# for i * a_i, and the division by k = 1 is exact.
+
+def _coupled(a, sin, cos, sign):
+    a0, a1, a2, a3, a4 = a
+    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
+    s0 = sin(a0)
+    c0 = cos(a0)
+    s1 = 0.0 + a1 * c0
+    c1 = sign(0.0 + a1 * s0)
+    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
+    c2 = sign(0.0 + a1 * s1 + a2 * s0) / 2.0
+    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
+    c3 = sign(0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
+    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
+    c4 = sign(0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
+    return (s0, s1, s2, s3, s4), (c0, c1, c2, c3, c4)
+
+
+def _sincos(a):
+    return _coupled(a, math.sin, math.cos, operator.neg)
+
+
+def _sinhcosh(a):
+    return _coupled(a, math.sinh, math.cosh, operator.pos)
+
+
+# The length-2 forms: coefficients 0 and 1 of the helpers above, by the
+# same float operations, so a position and velocity cost no higher terms.
+
+def _cauchy2(a, b):
+    a0, a1 = a
+    b0, b1 = b
+    return (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0)
+
+
+def _scale2(a, k):
+    a0, a1 = a
+    return (a0 * k, a1 * k)
+
+
+def _divide2(a, b):
+    a0, a1 = a
+    b0, b1 = b
+    check_divisor(b0)
+    q0 = a0 / b0
+    return (q0, (a1 - q0 * b1) / b0)
+
+
+def _sincos2(a):
+    a0, a1 = a
+    s0 = math.sin(a0)
+    c0 = math.cos(a0)
+    return (s0, 0.0 + a1 * c0), (c0, -(0.0 + a1 * s0))
+
+
+def _sinhcosh2(a):
+    a0, a1 = a
+    s0 = math.sinh(a0)
+    c0 = math.cosh(a0)
+    return (s0, 0.0 + a1 * c0), (c0, 0.0 + a1 * s0)
+
+
+class Series(NamedTuple):
+    """The operations of one truncation length on coefficient tuples."""
+
+    mul: Callable
+    div: Callable
+    scale: Callable
+    sinhcosh: Callable
+    sincos: Callable
+
+
+SERIES = {2: Series(_cauchy2, _divide2, _scale2, _sinhcosh2, _sincos2),
+          5: Series(_cauchy, _divide, _scale, _sinhcosh, _sincos)}
 
 
 class Jet:
@@ -130,16 +229,14 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             return Jet(_cauchy(self.coeffs, other.coeffs))
-        a0, a1, a2, a3, a4 = self.coeffs
-        return Jet((a0 * other, a1 * other, a2 * other, a3 * other,
-                    a4 * other))
+        return Jet(_scale(self.coeffs, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return self * (1.0 / other)
-        return _divide(self, other)
+        return Jet(_divide(self.coeffs, other.coeffs))
 
     def __rtruediv__(self, other):
         return constant(other) / self
@@ -165,18 +262,6 @@ def check_divisor(b0: float) -> None:
         raise DivisionNearZero("jet division by a series with ~zero constant term")
 
 
-def _divide(num: Jet, den: Jet) -> Jet:
-    a0, a1, a2, a3, a4 = num.coeffs
-    b0, b1, b2, b3, b4 = den.coeffs
-    check_divisor(b0)
-    q0 = a0 / b0
-    q1 = (a1 - q0 * b1) / b0
-    q2 = (a2 - q0 * b2 - q1 * b1) / b0
-    q3 = (a3 - q0 * b3 - q1 * b2 - q2 * b1) / b0
-    q4 = (a4 - q0 * b4 - q1 * b3 - q2 * b2 - q3 * b1) / b0
-    return Jet((q0, q1, q2, q3, q4))
-
-
 def sqrt(j: Jet) -> Jet:
     return Jet(_sqrt(j.coeffs))
 
@@ -194,41 +279,15 @@ def _sqrt(a):
     return (r0, r1, r2, r3, r4)
 
 
-# sincos and sinhcosh share the recurrence f_k = (sum_i i a_i g_{k-i}) / k,
-# the cosine's sums negated (``sign``) for sin and cos; a1..a4 below stand
-# for i * a_i, and the division by k = 1 is exact.
-
-def _coupled(j: Jet, sin, cos, sign) -> tuple[Jet, Jet]:
-    a0, a1, a2, a3, a4 = j.coeffs
-    a2, a3, a4 = 2.0 * a2, 3.0 * a3, 4.0 * a4
-    s0 = sin(a0)
-    c0 = cos(a0)
-    s1 = 0.0 + a1 * c0
-    c1 = sign(0.0 + a1 * s0)
-    s2 = (0.0 + a1 * c1 + a2 * c0) / 2.0
-    c2 = sign(0.0 + a1 * s1 + a2 * s0) / 2.0
-    s3 = (0.0 + a1 * c2 + a2 * c1 + a3 * c0) / 3.0
-    c3 = sign(0.0 + a1 * s2 + a2 * s1 + a3 * s0) / 3.0
-    s4 = (0.0 + a1 * c3 + a2 * c2 + a3 * c1 + a4 * c0) / 4.0
-    c4 = sign(0.0 + a1 * s3 + a2 * s2 + a3 * s1 + a4 * s0) / 4.0
-    return Jet((s0, s1, s2, s3, s4)), Jet((c0, c1, c2, c3, c4))
-
-
 def sincos(j: Jet) -> tuple[Jet, Jet]:
     """sin and cos of a jet, computed jointly via their coupled recurrence."""
-    return _coupled(j, math.sin, math.cos, operator.neg)
-
-
-def sin(j: Jet) -> Jet:
-    return sincos(j)[0]
+    s, c = _sincos(j.coeffs)
+    return Jet(s), Jet(c)
 
 
 def sinhcosh(j: Jet) -> tuple[Jet, Jet]:
-    return _coupled(j, math.sinh, math.cosh, operator.pos)
-
-
-def cosh(j: Jet) -> Jet:
-    return sinhcosh(j)[1]
+    s, c = _sinhcosh(j.coeffs)
+    return Jet(s), Jet(c)
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:

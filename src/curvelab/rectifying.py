@@ -427,16 +427,17 @@ def construct_rectifying(sphere_spec: CurveSpec,
 
     a, t0 = params.a, params.t0
 
-    def build(tj: Jet, _params) -> tuple[Jet, Jet, Jet, Jet]:
+    def build(u: float, _params, n: int) -> tuple:
         # y's jets carried to its arclength u: the speed series, reverted
         # at t, gives the jet of t(u)
-        t = ymap.t_of_s(tj.value)
+        t = ymap.t_of_s(u)
         yc = eval_curve(sphere_spec, t)
-        v = _speed_jet(sphere_spec, t, yc).coeffs
+        v = _speed_jet(sphere_spec, t, yc)
         t_jet = jets.reverse(Jet((0.0, v[0], v[1] / 2.0, v[2] / 3.0,
                                   v[3] / 4.0)), t)
-        rho = a / jets.cosh(tj + t0)
-        return tuple(rho * jets.compose(c, t_jet) for c in yc)
+        rho = a / jets.sinhcosh(jets.variable(u) + t0)[1]
+        return tuple((rho * jets.compose(Jet(c), t_jet)).coeffs[:n]
+                     for c in yc)
 
     pad = 0.02 * total
     domain = params.domain if params.domain is not None else (pad, total - pad)

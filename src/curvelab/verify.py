@@ -14,7 +14,7 @@ import random
 from operator import mul
 from typing import NamedTuple
 
-from . import curves, frenet, rectifying
+from . import curves, frenet, jets, rectifying
 from .errors import DegenerateFrame, FrameDriftExceeded
 from .lorentz import minkowski_dot
 
@@ -116,7 +116,7 @@ def _ode_numbers(spec, amap, s):
     halving steps 2e-2, 1e-2 and 5e-3; one centre frame serves every step."""
     frame = functools.partial(frenet.frenet_apparatus, spec, amap)
     f0 = frame(s)
-    r = [max(frenet._ode_residual(frame(s - h), f0, frame(s + h), h))
+    r = [max(frenet.frenet_ode_residual(frame(s - h), f0, frame(s + h), h))
          for h in (frenet.ODE_H, 2e-2, 1e-2, 5e-3)]
     return r[0], [r[1] / r[2], r[2] / r[3]]
 
@@ -246,7 +246,7 @@ def fd_oracle_error() -> float:
             for k, h in _FD_STEPS.items():
                 w, half = _FD_STENCILS[k]
                 nodes = [at(t + o * h)[0] for o in range(-half, half + 1)]
-                exact = [j.derivative(k) for j in cj]
+                exact = [c[k] * jets._FACT[k] for c in cj]
                 err = [math.fsum(map(mul, w, coord)) / h ** k - e
                        for coord, e in zip(zip(*nodes), exact)]
                 worst = max(worst, math.hypot(*err)
@@ -261,27 +261,19 @@ def criterion_8(ws: Workspace) -> CriterionResult:
                            f"max relative FD error {worst:.3e} (< {FD_TOL:.0e})")
 
 
-def flipped_b1_rhs(T, N, B1, B2, k1, k2, k3, eps):
-    """``frenet.frenet_rhs`` with the sign of the (B1)' coupling to N flipped.
-
-    The mutant that criterion 9 feeds to suite 2's ODE residual; suite 5's
-    synthesis runs it as ``synthesize_curve(..., coupling_eps=-eps)``.  eps
-    enters the system only through that coupling, so negating it flips just
-    that sign.
-    """
-    return frenet.frenet_rhs(T, N, B1, B2, k1, k2, k3, -eps)
-
-
 def criterion_9(ws: Workspace) -> CriterionResult:
     """Mutation sensitivity: a flipped coupling sign must break suites 2 and 5."""
     src = ws.source("lorentz_helix")
     lo, hi = src.s_range
-    s = 0.5 * (lo + hi)
-    mutated = max(frenet.frenet_ode_residual(
-        src.spec, src.map, s, frenet.ODE_H, frame_rhs=flipped_b1_rhs))
+    s, h = 0.5 * (lo + hi), frenet.ODE_H
+    frame = functools.partial(frenet.frenet_apparatus, src.spec, src.map)
+    fm, f0, fp = frame(s - h), frame(s), frame(s + h)
+    # the mutant flips the (B1)' coupling to N, the one place eps enters:
+    # the centre frame carries -eps, as the synthesis runs coupling_eps=-eps
+    mutated = max(frenet.frenet_ode_residual(fm, f0._replace(eps=-f0.eps),
+                                             fp, h))
     suite2_fails = mutated > ODE_TOL
     try:
-        # flipped_b1_rhs's mutant: the (B1)' equation reads -eps
         synth = ws.synthesized(-frenet.rectifying_profile().eps)
         suite5_fails = synth.max_drift > 1e-6
         note = f"mutated drift {synth.max_drift:.2e}"

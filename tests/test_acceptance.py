@@ -5,12 +5,13 @@ they are produced; each test asserts its criterion at the stated
 tolerance.
 """
 
+import functools
 import math
 import random
 
 import pytest
 
-from curvelab import curves, frenet, rectifying, verify
+from curvelab import curves, frenet, jets, rectifying, verify
 
 _workspace = verify.Workspace()
 
@@ -38,11 +39,13 @@ def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
     ws = verify.Workspace()
     sources = [ws.source("lorentz_helix"), ws.constructed(3.0)]
     steps = (frenet.ODE_H, 2e-2, 1e-2, 5e-3)
-    # reference: frenet_ode_residual, every frame built afresh
+    # reference: every frame built afresh
     want = []
     for src in sources:
         s = 0.5 * sum(src.s_range)
-        r = [max(frenet.frenet_ode_residual(src.spec, src.map, s, h))
+        frame = functools.partial(frenet.frenet_apparatus, src.spec, src.map)
+        r = [max(frenet.frenet_ode_residual(frame(s - h), frame(s),
+                                            frame(s + h), h))
              for h in steps]
         want.append((r[0], [r[1] / r[2], r[2] / r[3]]))
     calls = []
@@ -73,11 +76,11 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
             cj = curves.eval_curve(spec, t)
             for k, h in verify._FD_STEPS.items():
                 w, half = verify._FD_STENCILS[k]
-                vals = [[j.value for j in curves.eval_curve(spec, t + o * h)]
+                vals = [[c[0] for c in curves.eval_curve(spec, t + o * h)]
                         for o in range(-half, half + 1)]
                 approx = [math.fsum(c * v[i] for c, v in zip(w, vals))
                           / h ** k for i in range(4)]
-                exact = [j.derivative(k) for j in cj]
+                exact = [c[k] * jets._FACT[k] for c in cj]
                 want = max(want, math.hypot(*(a - e for a, e
                                               in zip(approx, exact)))
                            / max(math.hypot(*exact), 1e-12))

@@ -283,7 +283,7 @@ def test_construct_reproduces_example_coordinates(tmp_path):
     reg_id = text.split("registered: ")[1].strip()
     from curvelab import curves
     cj = curves.eval_curve(curves.make_spec(reg_id), u)
-    p = Vec4(*(j.value for j in cj))
+    p = Vec4(*(c[0] for c in cj))
     assert math.isclose(p.components[0], math.cosh(u), rel_tol=1e-12)
     assert abs(p.components[1]) < 1e-12
     assert math.isclose(p.components[2], math.sinh(u), rel_tol=1e-12)

@@ -7,24 +7,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelab import curves, frenet, jets
-from curvelab.errors import (CurveLabError, NonSpacelikeVelocity, OutOfDomain,
+from curvelab.errors import (CurveLabError, DegenerateFrame,
+                             NonSpacelikeVelocity, OutOfDomain,
                              PoleEncountered)
 from curvelab.lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
 
 def position(cj):
-    """The position the coordinate jets ``cj`` carry."""
-    return Vec4(*(j.value for j in cj))
+    """The position the coordinate series ``cj`` carry."""
+    return Vec4(*(c[0] for c in cj))
 
 
 def derivative(cj, k):
-    """The k-th parameter derivative the coordinate jets ``cj`` carry."""
-    return Vec4(*(j.derivative(k) for j in cj))
+    """The k-th parameter derivative the coordinate series ``cj`` carry."""
+    return Vec4(*(c[k] * jets._FACT[k] for c in cj))
 
 
 def jet_speed(spec, t):
-    """The speed jet's value at ``t``, the oracle for ``curves.speed``."""
-    return curves._speed_jet(spec, t, curves.eval_curve(spec, t)).value
+    """The speed series' value at ``t``, the oracle for ``curves.speed``."""
+    return curves._speed_jet(spec, t, curves.eval_curve(spec, t))[0]
+
+
+def identity(t, n):
+    """The series of the identity at ``t``, to n coefficients."""
+    return (t, 1.0, 0.0, 0.0, 0.0)[:n]
+
+
+def constant(c, n):
+    return (c, 0.0, 0.0, 0.0, 0.0)[:n]
 
 
 def test_catalog_lists_static_curves():
@@ -73,12 +83,13 @@ def test_example_curve_domain_with_pole_rejected():
 
 def test_runtime_pole_surfaces_as_pole_error():
     # an unvalidated registered curve dividing by sin(t) hits the pole lattice
-    from curvelab import jets
     from curvelab.curves import CatalogEntry
 
-    def build(tj, _params):
-        r = jets.constant(1.0) / jets.sin(tj)
-        return (r, jets.constant(0.0), jets.constant(0.0), jets.constant(0.0))
+    def build(t, _params, n):
+        ops = jets.SERIES[n]
+        r = ops.div(constant(1.0, n), ops.sincos(identity(t, n))[0])
+        zero = constant(0.0, n)
+        return (r, zero, zero, zero)
 
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(-0.1, 0.1)),
@@ -111,11 +122,12 @@ def test_out_of_domain():
 
 def test_speed_requires_spacelike_velocity():
     # a steep timelike line registered on the fly
-    from curvelab import jets
     from curvelab.curves import CatalogEntry
 
-    def build(tj, _params):
-        return (2.0 * tj, tj, jets.constant(0.0), jets.constant(0.0))
+    def build(t, _params, n):
+        x = identity(t, n)
+        return (jets.SERIES[n].scale(x, 2.0), x, constant(0.0, n),
+                constant(0.0, n))
 
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(0.0, 1.0)),
@@ -134,11 +146,12 @@ def test_non_finite_parameter_rejected():
 def test_nan_velocity_is_not_spacelike():
     # a runtime curve whose velocity is NaN: speed, the speed jet and the
     # arclength map raise instead of integrating NaN
-    from curvelab import frenet, jets
     from curvelab.curves import CatalogEntry
 
-    def build(tj, _params):
-        return (math.nan * tj, tj, jets.constant(0.0), jets.constant(0.0))
+    def build(t, _params, n):
+        x = identity(t, n)
+        return (jets.SERIES[n].scale(x, math.nan), x, constant(0.0, n),
+                constant(0.0, n))
 
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(0.0, 1.0)),
@@ -153,12 +166,11 @@ def test_nan_velocity_is_not_spacelike():
 
 
 def test_registered_ids_are_sequential_and_usable():
-    from curvelab import jets
     from curvelab.curves import CatalogEntry
 
-    def build(tj, _params):
-        return (jets.constant(0.0), tj, jets.constant(1.0),
-                jets.constant(0.0))
+    def build(t, _params, n):
+        return (constant(0.0, n), identity(t, n), constant(1.0, n),
+                constant(0.0, n))
 
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(0.0, 2.0)))
@@ -214,14 +226,80 @@ def test_speed_and_speed_jet_reject_a_timelike_helix():
             jet_speed(spec, t)
 
 
-# -- closed forms -------------------------------------------------------------
+# -- the catalog written once, against its Jet form -------------------------
 
 STATIC = [cid for cid in curves.catalog_ids() if ":" not in cid]
 
+# The static curves as Jet expressions: the reference that ``eval_curve``
+# must match bit for bit, errors included.
 
-def test_every_static_entry_has_a_closed_form():
-    assert [cid for cid in STATIC
-            if curves._lookup(cid).closed_form is None] == []
+
+def _paper_example(tj, p):
+    sh, ch = jets.sinhcosh(tj)
+    rho = p["a"] / jets.sincos(tj + p["s0"])[0]
+    zero = jets.constant(0.0)
+    return (rho * ch, zero, rho * sh, zero)
+
+
+def _hyperbolic_geodesic(tj, p):
+    sh, ch = jets.sinhcosh(tj)
+    zero = jets.constant(0.0)
+    return (ch, zero, sh, zero)
+
+
+def _hyperbolic_clelia(tj, p):
+    sh, ch = jets.sinhcosh(tj)
+    sn, cn = jets.sincos(tj)
+    return (ch, sh * cn, sh * sn * cn, sh * sn * sn)
+
+
+def _lorentz_helix(tj, p):
+    sh, ch = jets.sinhcosh(p["p"] * tj)
+    sn, cn = jets.sincos(p["q"] * tj)
+    return (p["A"] * sh, p["A"] * ch, p["B"] * cn, p["B"] * sn)
+
+
+REFERENCE = {"paper_example": _paper_example,
+             "hyperbolic_geodesic": _hyperbolic_geodesic,
+             "hyperbolic_clelia": _hyperbolic_clelia,
+             "lorentz_helix": _lorentz_helix}
+
+
+def _reference_series(spec, t):
+    """``eval_curve`` with the entry's build replaced by its Jet form."""
+    try:
+        cj = REFERENCE[spec.catalog_id](jets.variable(t), spec.params)
+    except curves._POLES as exc:
+        raise curves._pole(spec, t, exc) from exc
+    return tuple(j.coeffs for j in cj)
+
+
+def test_static_curves_build_no_jet(monkeypatch):
+    # the frame kernel, point, speed and the speed series run on
+    # coefficient tuples from end to end
+    sources = []
+    for cid in STATIC:
+        spec = curves.make_spec(cid)
+        sources.append((spec, frenet.arclength_map(spec)))
+    built = []
+    post_init = jets.Jet.__post_init__
+    monkeypatch.setattr(jets.Jet, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    jets.variable(0.5)
+    assert built == [1]          # the counter sees a jet being built
+    built.clear()
+    for spec, amap in sources:
+        for s in np.linspace(0.0, amap.total, 5):
+            try:
+                frenet.frenet_apparatus(spec, amap, float(s))
+            except DegenerateFrame:         # the two planar curves
+                pass
+        for t in np.linspace(*spec.domain, 5):
+            curves.point(spec, float(t))
+            curves.speed(spec, float(t))
+            curves._speed_jet(spec, float(t),
+                              curves.eval_curve(spec, float(t)))
+    assert built == []
 
 
 def test_quadrature_map_builds_no_jet(monkeypatch):
@@ -271,29 +349,41 @@ def _result(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _jet_point(spec, t):
+@pytest.mark.parametrize("cid", STATIC)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_curve_is_the_jet_reference_bit_for_bit(cid, data):
+    spec, t = data.draw(_static_case(cid))
+    assert (_result(curves.eval_curve, spec, t)
+            == _result(_reference_series, spec, t))
+
+
+def _series_point(spec, t):
     cj = curves.eval_curve(spec, t)
-    return (tuple(j.coeffs[0] for j in cj), tuple(j.coeffs[1] for j in cj))
+    return (tuple(c[0] for c in cj), tuple(c[1] for c in cj))
 
 
+# point and speed take the length-2 series: coefficients 0 and 1 of
+# eval_curve's, bit for bit, with its errors
 @pytest.mark.parametrize("cid", STATIC)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_closed_form_is_the_jet_bit_for_bit(cid, data):
     spec, t = data.draw(_static_case(cid))
-    assert _result(curves.point, spec, t) == _result(_jet_point, spec, t)
+    assert _result(curves.point, spec, t) == _result(_series_point, spec, t)
     assert (_result(curves.speed, spec, t)
             == _result(jet_speed, spec, t))
 
 
 def _jet_speed_jet(spec, t, cj):
-    """The speed jet in jet arithmetic, as ``curves._speed_jet`` once was."""
-    d = [j.d() for j in cj]
+    """The speed series in jet arithmetic, as ``curves._speed_jet`` once
+    computed it, from the coefficient tuples ``cj``."""
+    d = [jets.Jet(c).d() for c in cj]
     g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
     if not g.value > 0.0:
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = {g.value} at t={t} on {spec.catalog_id}")
-    return jets.sqrt(g)
+    return jets.sqrt(g).coeffs
 
 
 @pytest.mark.parametrize("cid", STATIC)
@@ -305,17 +395,6 @@ def test_speed_jet_is_the_jet_form_bit_for_bit(cid, data):
                                              curves.eval_curve(spec, t))
     assert (_result(on_curve(curves._speed_jet), spec, t)
             == _result(on_curve(_jet_speed_jet), spec, t))
-
-
-def test_speed_jet_builds_one_jet(monkeypatch):
-    spec = curves.make_spec("hyperbolic_clelia")
-    cj = curves.eval_curve(spec, 1.1)
-    built = []
-    post_init = jets.Jet.__post_init__
-    monkeypatch.setattr(jets.Jet, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
-    v = curves._speed_jet(spec, 1.1, cj)
-    assert built == [v]
 
 
 # coefficients whose operations show their order: signed zeros, subnormals
@@ -333,9 +412,8 @@ _RAW_JETS = st.lists(st.tuples(*[_RAW] * 5), min_size=4, max_size=4)
 @given(_RAW_JETS)
 def test_speed_jet_is_the_jet_form_on_raw_coefficients(coeffs):
     spec = curves.make_spec("lorentz_helix")
-    cj = tuple(map(jets.Jet, coeffs))
-    assert (_result(curves._speed_jet, spec, 0.5, cj)
-            == _result(_jet_speed_jet, spec, 0.5, cj))
+    assert (_result(curves._speed_jet, spec, 0.5, coeffs)
+            == _result(_jet_speed_jet, spec, 0.5, coeffs))
 
 
 def test_a_boolean_parameter_is_not_a_number():

@@ -155,11 +155,13 @@ def test_eps_matches_first_binormal_sign(clelia):
 def test_ode_residual_order_two(helix):
     spec, amap = helix
     s = 0.5 * amap.total
-    r = [max(frenet.frenet_ode_residual(spec, amap, s, h))
-         for h in (2e-2, 1e-2, 5e-3)]
+    frame = functools.partial(frenet.frenet_apparatus, spec, amap)
+    r = [max(frenet.frenet_ode_residual(frame(s - h), frame(s), frame(s + h),
+                                        h))
+         for h in (2e-2, 1e-2, 5e-3, 1e-4)]
     assert 3.5 < r[0] / r[1] < 4.5
     assert 3.5 < r[1] / r[2] < 4.5
-    assert max(frenet.frenet_ode_residual(spec, amap, s, 1e-4)) < 1e-7
+    assert r[3] < 1e-7
 
 
 def test_planar_curves_degenerate_at_level_two():
@@ -173,10 +175,12 @@ def test_planar_curves_degenerate_at_level_two():
 
 def test_timelike_principal_normal_detected():
     # spacelike velocity, timelike acceleration, full-rank derivatives
-    def build(tj, _params):
-        sh, ch = jets.sinhcosh(tj)
-        sn, cn = jets.sincos(tj)
-        return (ch, tj, 0.1 * sn, 0.1 * cn)
+    def build(t, _params, n):
+        ops = jets.SERIES[n]
+        x = (t, 1.0, 0.0, 0.0, 0.0)[:n]
+        _, ch = ops.sinhcosh(x)
+        sn, cn = ops.sincos(x)
+        return (ch, x, ops.scale(sn, 0.1), ops.scale(cn, 0.1))
 
     cid = curves.register_curve(CatalogEntry(build=build,
                                              default_domain=(0.1, 0.7)),
@@ -237,10 +241,10 @@ def test_grid_is_linspace_bit_for_bit(span, n):
 
 def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
     # adjacent Simpson intervals share their end node, and the speed there
-    # is read once: 127 fewer position reads than one per interval end
+    # is read once: 127 fewer speed reads than one per interval end
     calls = []
-    real = curves.point
-    monkeypatch.setattr(curves, "point",
+    real = frenet.speed
+    monkeypatch.setattr(frenet, "speed",
                         lambda spec, t: calls.append(t) or real(spec, t))
     for cid in ("hyperbolic_clelia", "paper_example"):
         spec = curves.make_spec(cid)
@@ -271,7 +275,7 @@ def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
                 hi = np.array(getattr(fp, name).components)
                 diff = (hi - lo) / (2.0 * h) - rhs[k]
                 want.append(math.sqrt(abs(float(np.sum(msign * diff * diff)))))
-            got = frenet._ode_residual(fm, f0, fp, h)
+            got = frenet.frenet_ode_residual(fm, f0, fp, h)
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -416,9 +420,8 @@ def _arclength(data, amap):
 
 def _kernel_matches_reference(spec, amap, s):
     cj = curves.eval_curve(spec, amap.t_of_s(s))
-    want = _outcome(reference_frame, cj, s)
-    assert _outcome(frenet._frame_from_position_jets,
-                    [j.coeffs for j in cj], s) == want
+    want = _outcome(reference_frame, tuple(map(jets.Jet, cj)), s)
+    assert _outcome(frenet._frame_from_position_jets, cj, s) == want
     return want
 
 
@@ -485,7 +488,7 @@ def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
 
 def test_float_kernel_builds_no_jet(helix, monkeypatch):
     spec, amap = helix
-    a = [j.coeffs for j in curves.eval_curve(spec, amap.t_of_s(1.0))]
+    a = curves.eval_curve(spec, amap.t_of_s(1.0))
     built = []
     post_init = jets.Jet.__post_init__
     monkeypatch.setattr(jets.Jet, "__post_init__",
@@ -508,10 +511,11 @@ def _arclength_frame(spec, amap, s):
     the chain's w = 1/v is 1 to roundoff: this is the arclength chain."""
     t = amap.t_of_s(s)
     cj = curves.eval_curve(spec, t)
-    v = curves._speed_jet(spec, t, cj).coeffs
+    v = curves._speed_jet(spec, t, cj)
     t_jet = jets.reverse(jets.Jet((0.0, v[0], v[1] / 2.0, v[2] / 3.0,
                                    v[3] / 4.0)), t)
-    return reference_frame(tuple(jets.compose(j, t_jet) for j in cj), s)
+    return reference_frame(tuple(jets.compose(jets.Jet(c), t_jet)
+                                 for c in cj), s)
 
 
 def _assert_curvatures_close(got, want, tol, scale=1.0):

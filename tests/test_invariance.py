@@ -56,9 +56,10 @@ def moved(lam: np.ndarray, b) -> frenet.JetFrameSource:
     helix = curves._lookup(HELIX.catalog_id).build
     rows = lam.tolist()
 
-    def build(tj, params):
-        xs = helix(tj, params)
-        return tuple(sum((row[k] * xs[k] for k in range(4)), b[i])
+    def build(t, params, n):
+        xs = helix(t, params, n)
+        return tuple(tuple(sum(r * x[j] for r, x in zip(row, xs))
+                           + (b[i] if j == 0 else 0.0) for j in range(n))
                      for i, row in enumerate(rows))
 
     cid = curves.register_curve(

@@ -297,6 +297,32 @@ def test_kernel_compose_reverse_bit_exact(a, b, at):
     assert bits(jets.reverse(Jet(b), at=at).coeffs) == bits(want)
 
 
+def _head(out):
+    """Coefficients 0 and 1 of a series, or of each series of a pair."""
+    return tuple(c[:2] for c in out) if isinstance(out[0], tuple) else out[:2]
+
+
+def _series_outcome(fn, *args):
+    """repr of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(any_coeffs, any_coeffs, any_coeff)
+def test_length_two_series_are_coefficients_0_and_1(a, b, x):
+    # a curve's position and velocity come from the length-2 helpers: the
+    # length-5 helpers' first two coefficients, bit for bit, errors included
+    two, five = jets.SERIES[2], jets.SERIES[5]
+    for name, args in (("mul", (a, b)), ("div", (a, b)), ("scale", (a, x)),
+                       ("sinhcosh", (a,)), ("sincos", (a,))):
+        short = [c[:2] if isinstance(c, tuple) else c for c in args]
+        whole = lambda *p: _head(getattr(five, name)(*p))
+        assert (_series_outcome(getattr(two, name), *short)
+                == _series_outcome(whole, *args)), name
+
+
 # -- the value-type contract --------------------------------------------------
 
 def test_jet_is_immutable():

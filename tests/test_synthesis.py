@@ -378,7 +378,7 @@ BUILT_IN = {
 }
 
 # the same curvatures as jet functions, the form profiles once carried
-_COSH_OVER_S = (lambda sj: jets.cosh(sj) / sj,
+_COSH_OVER_S = (lambda sj: jets.sinhcosh(sj)[1] / sj,
                 lambda sj: jets.constant(1.0), lambda sj: jets.constant(1.0))
 JET_FORMS = {
     "cosh_over_s_eps+1": _COSH_OVER_S,
