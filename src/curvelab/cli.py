@@ -68,15 +68,11 @@ def _sample_count(raw: str) -> int:
     return val
 
 
-def _fmt(x) -> str:
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def _frame_row(f: frenet.FrenetData, last: float) -> str:
     """One frame CSV data row; ``last`` is ode_residual_max or t_int."""
     vals = [f.s, *f.position, *f.T, *f.N, *f.B1, *f.B2,
             f.kappa1, f.kappa2, f.kappa3, f.eps, last]
-    return ",".join(_fmt(v) for v in vals)
+    return ",".join(map(repr, vals))
 
 
 def _report_tolerances(every: float | None) -> rectifying.ReportTolerances:
@@ -248,7 +244,7 @@ def cmd_classify(args, out) -> int:
         vel = curves.point(spec, t)[1]
         if not all(map(math.isfinite, vel)):
             raise curves._pole(spec, t, OverflowError(f"velocity {vel}"))
-        out.write(f"t={_fmt(t)}: {causal_character(vel).value}\n")
+        out.write(f"t={t!r}: {causal_character(vel).value}\n")
     return EXIT_OK
 
 
@@ -335,7 +331,7 @@ def cmd_construct(args, out) -> int:
         if not all(map(math.isfinite, pos)):
             raise PoleEncountered(f"{spec.catalog_id} overflows floating "
                                   f"point at u={u}")
-        lines.append(",".join(_fmt(v) for v in (u, *pos)))
+        lines.append(",".join(map(repr, (u, *pos))))
     _write_lines(args.output, lines, out)
     out.write(f"registered: {spec.catalog_id}\n")
     return EXIT_OK
@@ -358,9 +354,9 @@ def cmd_synthesize(args, out) -> int:
         lines = [SYNTH_HEADER]
         for s in curve.grid_samples(args.samples):
             lines.append(_frame_row(curve.frame(s), curve.kappa3_integral(s)))
-        lines.append(f"# max_gram_drift={_fmt(curve.max_drift)}")
+        lines.append(f"# max_gram_drift={curve.max_drift!r}")
         _write_lines(args.output, lines, out)
-        out.write(f"max_gram_drift={_fmt(curve.max_drift)}\n")
+        out.write(f"max_gram_drift={curve.max_drift!r}\n")
 
     try:
         profile = frenet.profile_from_name(args.profile,

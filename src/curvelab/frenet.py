@@ -2,11 +2,11 @@
 
 Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain in plain
 floats on the coefficients of the curve's order-4 position jets in its own
-parameter t, which are exactly enough to produce T, N, B1, B2 and the three
-curvatures at a point, bit for bit as jet arithmetic would, with no finite
-differencing.  Arclength derivatives come from the chain rule
-d/ds = (1/v) d/dt, so the arclength map serves only to find the parameter
-of a requested arclength.
+parameter t, exactly enough for T, N, B1, B2 and the three curvatures, in
+four passes over the coordinates, one per Minkowski square, bit for bit
+as jet arithmetic would, with no finite differencing.  Arclength
+derivatives come from the chain rule d/ds = (1/v) d/dt, so the arclength
+map serves only to find the parameter of a requested arclength.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -227,27 +227,9 @@ class FrenetData(NamedTuple):
     eps: int
 
 
-def _gram(p, s: float):
-    """g(v, v), summed as the jets ``-(v0*v0) + v1*v1 + ...`` are, and the
-    Euclidean square of v's values, from ``p``, the squares of v's series.
-
-    Raises DivisionNearZero when the Euclidean square is not finite: v is
-    too large to square, as a speed near 0 makes the arclength
-    derivatives."""
-    g = [((-x0 + x1) + x2) + x3 for x0, x1, x2, x3 in zip(*p)]
-    e = (((0.0 + p[0][0]) + p[1][0]) + p[2][0]) + p[3][0]
-    if not e < math.inf:
-        raise DivisionNearZero(f"Euclidean square {e} of a frame series "
-                               f"leaves floating point at s={s}")
-    return g, e
-
-
-def _sqrt_recip(g):
-    """r = sqrt(g) and q = 1/r to len(g) coefficients, 2 to 4, by the jets'
-    tuple helpers; zeros stand for g's missing coefficients."""
-    r = jets._sqrt((*g, 0.0, 0.0, 0.0)[:5])
-    q = jets._divide((1.0, 0.0, 0.0, 0.0, 0.0), r)
-    return r[:len(g)], q[:len(g)]
+# a series too large to square, as a speed near 0 makes the s-derivatives
+_UNSQUARABLE = ("Euclidean square {} of a frame series leaves floating point "
+                "at s={}")
 
 
 def _derivative_rank(a) -> int:
@@ -296,89 +278,127 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
 
 def _frame_from_position_jets(a, s: float) -> FrenetData:
     """The Gram-Schmidt chain in floats on ``a``, the coefficient tuples of
-    the four position jets in the curve's own parameter t.
+    the four position jets in the curve's own parameter t, with d/ds =
+    w d/dt, w = 1/v and v the speed.  Coefficient k of a product, root or
+    quotient reads coefficients up to k only, so each of the four passes
+    over the coordinates, one per Minkowski square g, carries its series
+    as far as a later pass reads it (numbered below).  Each coefficient
+    takes the float operations of the jets' product, ``_sqrt`` and
+    ``_divide`` in their order, and g sums ``-(x0*x0) + x1*x1 + ...`` left
+    to right as the jets do, so the frame is the jet chain's bit for
+    bit."""
+    # 1. V = alpha' to coefficient 3; v = sqrt(g(V, V)) and w = 1/v to 3
+    V, e = [], 0.0
+    for i, (_, x0, x1, x2, x3) in enumerate(a):
+        x1, x2, x3 = 2.0 * x1, 3.0 * x2, 4.0 * x3
+        p0, p1 = 0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0
+        p2 = 0.0 + x0 * x2 + x1 * x1 + x2 * x0
+        p3 = 0.0 + x0 * x3 + x1 * x2 + x2 * x1 + x3 * x0
+        g0, g1, g2, g3 = ((g0 + p0, g1 + p1, g2 + p2, g3 + p3) if i
+                          else (-p0, -p1, -p2, -p3))
+        e += p0
+        V.append((x0, x1, x2, x3))
+    if not e < math.inf:
+        raise DivisionNearZero(_UNSQUARABLE.format(e, s))
+    if not 0.0 < g0 < math.inf:
+        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {g0} at s={s}")
+    # each check_divisor reads a positive float's root, >= 2.2e-162: none fires
+    v = math.sqrt(g0)
+    v1 = g1 / (2.0 * v)
+    v2 = (g2 - v1 * v1) / (2.0 * v)
+    v3 = (g3 - v1 * v2 - v2 * v1) / (2.0 * v)
+    jets.check_divisor(v)
+    w0 = 1.0 / v
+    w1 = (0.0 - w0 * v1) / v
+    w2 = (0.0 - w0 * v2 - w1 * v1) / v
+    w3 = (0.0 - w0 * v3 - w1 * v2 - w2 * v1) / v
+    if not all(map(math.isfinite, (w0, w1, w2, w3))):
+        raise DivisionNearZero(f"1/speed series {(w0, w1, w2, w3)} leaves "
+                               f"floating point at s={s}")
 
-    Arclength derivatives come from the chain rule d/ds = w d/dt with
-    w = 1/v, v the speed.  Coefficient k of a series product, root or
-    quotient reads coefficients up to k only, so each series goes as far
-    as a later step reads it: V = alpha', g(V, V) and w to coefficient 3;
-    T = w V to 3; T_s = w T', kappa1, N to 2; R1 = w N' + kappa1 T,
-    kappa2, B1 to 1; R2 = w B1' + eps kappa2 N, B2 as values.  Each
-    coefficient takes the jets' float operations in their order, so the
-    frame is the jet chain's bit for bit."""
-    V = [(c[1], 2.0 * c[2], 3.0 * c[3], 4.0 * c[4]) for c in a]
-    gv, _ = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0,
-                    0.0 + x0 * x2 + x1 * x1 + x2 * x0,
-                    0.0 + x0 * x3 + x1 * x2 + x2 * x1 + x3 * x0)
-                   for x0, x1, x2, x3 in V], s)
-    if not 0.0 < gv[0] < math.inf:
-        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {gv[0]} at s={s}")
-    _, w = _sqrt_recip(gv)
-    if not all(map(math.isfinite, w)):
-        raise DivisionNearZero(f"1/speed series {w} leaves floating point "
-                               f"at s={s}")
-    w0, w1, w2, w3 = w
-
-    T = [(0.0 + w0 * x0, 0.0 + w0 * x1 + w1 * x0,
-          0.0 + w0 * x2 + w1 * x1 + w2 * x0,
-          0.0 + w0 * x3 + w1 * x2 + w2 * x1 + w3 * x0)
-         for x0, x1, x2, x3 in V]
-    Tp = [(0.0 + w0 * x1, 0.0 + w0 * (2.0 * x2) + w1 * x1,
-           0.0 + w0 * (3.0 * x3) + w1 * (2.0 * x2) + w2 * x1)
-          for _, x1, x2, x3 in T]
-
-    g1, e1 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0,
-                     0.0 + x0 * x2 + x1 * x1 + x2 * x0) for x0, x1, x2 in Tp],
-                   s)
-    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, _gram([(0.0 + t[0] * t[0],)
-                                                   for t in T], s)[1]):
+    # 2. T = w V to 3, T_s = w T' to 2; kappa1 = sqrt(g(T_s, T_s)), 1/kappa1
+    T, Ts, e1, eT = [], [], 0.0, 0.0
+    for i, (x0, x1, x2, x3) in enumerate(V):
+        t0, t1 = 0.0 + w0 * x0, 0.0 + w0 * x1 + w1 * x0
+        t2 = 2.0 * (0.0 + w0 * x2 + w1 * x1 + w2 * x0)
+        t3 = 3.0 * (0.0 + w0 * x3 + w1 * x2 + w2 * x1 + w3 * x0)
+        d0, d1 = 0.0 + w0 * t1, 0.0 + w0 * t2 + w1 * t1
+        d2 = 0.0 + w0 * t3 + w1 * t2 + w2 * t1
+        p0, p1 = 0.0 + d0 * d0, 0.0 + d0 * d1 + d1 * d0
+        p2 = 0.0 + d0 * d2 + d1 * d1 + d2 * d0
+        g0, g1, g2 = (g0 + p0, g1 + p1, g2 + p2) if i else (-p0, -p1, -p2)
+        e1 += p0
+        eT += 0.0 + t0 * t0
+        T.append(t0)
+        Ts.append((t1, d0, d1, d2))
+    for e in (e1, eT):
+        if not e < math.inf:
+            raise DivisionNearZero(_UNSQUARABLE.format(e, s))
+    if e1 < CURVATURE_FLOOR ** 2 * max(1.0, eT):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
-    if g1[0] < CURVATURE_FLOOR * max(e1, 1e-300):
-        # Planar (or 3-flat) curves never reach the kappa2 / kappa3 residual
-        # checks when T' is timelike, so classify by derivative rank first:
-        # a curve confined to a Lorentzian 2-plane has an in-plane, timelike
-        # T' yet its real defect is that kappa2 is undefined.
+    if g0 < CURVATURE_FLOOR * max(e1, 1e-300):
+        # a curve in a Lorentzian 2-plane has a timelike T', yet its defect
+        # is that kappa2 is undefined: classify by derivative rank first
         if _derivative_rank(a) <= 2:
             raise DegenerateFrame(2, f"curve is planar near s={s}")
-        if g1[0] < -CURVATURE_FLOOR * max(e1, 1e-300):
-            raise NonSpacelikePrincipalNormal(
-                f"g(T',T') = {g1[0]} at s={s}")
+        if g0 < -CURVATURE_FLOOR * max(e1, 1e-300):
+            raise NonSpacelikePrincipalNormal(f"g(T',T') = {g0} at s={s}")
         raise DegenerateFrame(1, f"T' numerically null at s={s}")
+    k1 = math.sqrt(g0)
+    k11 = g1 / (2.0 * k1)
+    k12 = (g2 - k11 * k11) / (2.0 * k1)
+    jets.check_divisor(k1)
+    q0 = 1.0 / k1
+    q1 = (0.0 - q0 * k11) / k1
+    q2 = (0.0 - q0 * k12 - q1 * k11) / k1
 
-    (r0, r1, _), (q0, q1, q2) = _sqrt_recip(g1)
-    N = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0,
-          0.0 + q0 * x2 + q1 * x1 + q2 * x0) for x0, x1, x2 in Tp]
-
-    R1 = [((0.0 + w0 * n1) + (0.0 + r0 * t0),
-           (0.0 + w0 * (2.0 * n2) + w1 * n1) + (0.0 + r0 * t1 + r1 * t0))
-          for (_, n1, n2), (t0, t1, _, _) in zip(N, T)]
-    g2, e2 = _gram([(0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0)
-                    for x0, x1 in R1], s)
+    # 3. N = T_s / kappa1 to 2, R1 = w N' + kappa1 T to 1; eps, kappa2 to 1
+    N, R1, e2 = [], [], 0.0
+    for i, (t0, (t1, x0, x1, x2)) in enumerate(zip(T, Ts)):
+        n0, n1 = 0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0
+        n2 = 2.0 * (0.0 + q0 * x2 + q1 * x1 + q2 * x0)
+        y0 = (0.0 + w0 * n1) + (0.0 + k1 * t0)
+        y1 = (0.0 + w0 * n2 + w1 * n1) + (0.0 + k1 * t1 + k11 * t0)
+        p0, p1 = 0.0 + y0 * y0, 0.0 + y0 * y1 + y1 * y0
+        g0, g1 = (g0 + p0, g1 + p1) if i else (-p0, -p1)
+        e2 += p0
+        N.append(n0)
+        R1.append((y0, y1))
+    if not e2 < math.inf:
+        raise DivisionNearZero(_UNSQUARABLE.format(e2, s))
     if e2 < CURVATURE_FLOOR ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
-    if abs(g2[0]) < CURVATURE_FLOOR * e2:
+    if abs(g0) < CURVATURE_FLOOR * e2:
         raise DegenerateFrame(2, f"second Frenet residual null at s={s}")
-    eps = 1 if g2[0] > 0.0 else -1
+    eps = 1 if g0 > 0.0 else -1
+    k2 = math.sqrt(g0 * eps)
+    k21 = g1 * eps / (2.0 * k2)
+    jets.check_divisor(k2)
+    q0 = 1.0 / k2
+    q1 = (0.0 - q0 * k21) / k2
 
-    (k2, _), (q0, q1) = _sqrt_recip([g * eps for g in g2])
-    B1 = [(0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0) for x0, x1 in R1]
-
-    R2 = [(0.0 + w0 * b1) + (0.0 + k2 * eps * n[0])
-          for (_, b1), n in zip(B1, N)]
-    g3, e3 = _gram([(0.0 + x * x,) for x in R2], s)
+    # 4. B1 = R1 / kappa2 to 1, R2 = w B1' + eps kappa2 N as values; kappa3
+    B1, R2, e3 = [], [], 0.0
+    for i, (n0, (y0, y1)) in enumerate(zip(N, R1)):
+        z = (0.0 + w0 * (0.0 + q0 * y1 + q1 * y0)) + (0.0 + k2 * eps * n0)
+        p0 = 0.0 + z * z
+        g0 = g0 + p0 if i else -p0
+        e3 += p0
+        B1.append(0.0 + q0 * y0)
+        R2.append(z)
+    if not e3 < math.inf:
+        raise DivisionNearZero(_UNSQUARABLE.format(e3, s))
     if e3 < CURVATURE_FLOOR ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
-    if abs(g3[0]) < CURVATURE_FLOOR * e3:
+    if abs(g0) < CURVATURE_FLOOR * e3:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
-
-    k3 = math.sqrt(abs(g3[0]))
+    k3 = math.sqrt(abs(g0))
     jets.check_divisor(k3)
-
+    q0 = 1.0 / k3
     return FrenetData(
-        s=s, position=Vec4(*[c[0] for c in a]), T=Vec4(*[t[0] for t in T]),
-        N=Vec4(*[n[0] for n in N]), B1=Vec4(*[b[0] for b in B1]),
-        B2=Vec4(*[0.0 + 1.0 / k3 * x for x in R2]),
-        kappa1=r0, kappa2=k2, kappa3=k3, eps=eps)
+        s=s, position=Vec4(*[c[0] for c in a]), T=Vec4(*T), N=Vec4(*N),
+        B1=Vec4(*B1), B2=Vec4(*[0.0 + q0 * z for z in R2]),
+        kappa1=k1, kappa2=k2, kappa3=k3, eps=eps)
 
 
 def frenet_rhs(T: Sequence[float], N: Sequence[float], B1: Sequence[float],

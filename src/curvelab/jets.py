@@ -90,6 +90,8 @@ def _coupled(a, sin, cos, sign):
 
 
 def _sincos(a):
+    if math.isinf(a[0]):            # math.sin would raise ValueError
+        raise OverflowError(f"sin and cos of {a[0]}")
     return _coupled(a, math.sin, math.cos, operator.neg)
 
 
@@ -121,6 +123,8 @@ def _divide2(a, b):
 
 def _sincos2(a):
     a0, a1 = a
+    if math.isinf(a0):
+        raise OverflowError(f"sin and cos of {a0}")
     s0 = math.sin(a0)
     c0 = math.cos(a0)
     return (s0, 0.0 + a1 * c0), (c0, -(0.0 + a1 * s0))

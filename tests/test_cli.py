@@ -68,12 +68,16 @@ def test_classify_pole_exits_2(capsys):
      "--param", "B=1e308", "--at", "2"],
     ["construct", "--curve", "hyperbolic_geodesic", "--a", "1e308",
      "--t0", "-1.5", "--samples", "3"],
-], ids=["classify", "frenet", "classify_product", "construct_product"])
+    ["classify", "--curve", "lorentz_helix", "--param", "p=0",
+     "--param", "q=1e300", "--param", "A=0", "--domain", "0", "1e10",
+     "--at", "1e10"],
+], ids=["classify", "frenet", "classify_product", "construct_product",
+        "classify_sine_argument"])
 def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     # sinh past ~710.5 overflows floating point, and so does A * cosh(pt)
     # with A near the largest float, or a / cosh(u + t0) * cosh(u) with t0
-    # < 0: a typed error, not a traceback with the "property failed" code
-    # or an inf in the CSV
+    # < 0, or the argument q t of the helix's sine: a typed error, not a
+    # traceback with the "property failed" code or an inf in the CSV
     code, _ = run(argv)
     assert code == 2
     err = capsys.readouterr().err

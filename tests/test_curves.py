@@ -98,6 +98,15 @@ def test_runtime_pole_surfaces_as_pole_error():
         curves.eval_curve(curves.make_spec(cid), 0.0)
 
 
+@pytest.mark.parametrize("evaluate", [curves.point, curves.eval_curve])
+def test_an_infinite_sine_argument_is_a_pole_error(evaluate):
+    # q t = 1e310 is inf, whose sine math.sin refuses with a ValueError
+    spec = curves.make_spec("lorentz_helix", {"p": 0.0, "q": 1e300, "A": 0.0},
+                            (0.0, 1e10))
+    with pytest.raises(PoleEncountered, match="overflows floating point"):
+        evaluate(spec, 1e10)
+
+
 def test_clelia_on_hyperbolic_sphere():
     spec = curves.make_spec("hyperbolic_clelia")
     for t in np.linspace(*spec.domain, 33):

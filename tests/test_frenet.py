@@ -2,6 +2,8 @@
 
 import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -459,10 +461,12 @@ def test_float_kernel_is_the_jet_chain_on_constructed_curves(data):
     _kernel_matches_reference(spec, amap, _arclength(data, amap))
 
 
-# Raw coefficients reach the sign of zero, and the smallest subnormals make
-# products underflow to a signed zero.
+# Raw coefficients reach the sign of zero, infinities, NaN and magnitudes
+# whose squares leave floating point; the smallest subnormals make products
+# underflow to a signed zero.
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
-                                    5e-324, -5e-324]),
+                                    5e-324, -5e-324, math.inf, -math.inf,
+                                    math.nan, 1e160, -1e160, 1e-160]),
                    st.floats(-10.0, 10.0))
 
 
@@ -475,11 +479,27 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
     (0.0, -0.0, 5e-324, 0.5, -9.181035195924164)])
 @example(coeffs=[     # 1/v overflows in its first coefficient
     (0.0,) * 5, (0.0, 1e-150, 1e150, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
-@example(coeffs=[     # |alpha'|^2 overflows
-    (0.0,) * 5, (0.0, 1e160, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
 @example(coeffs=[     # a timelike velocity
     (0.0, 2.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0, 0.0), (0.0,) * 5,
     (0.0,) * 5])
+# The five Euclidean squares that can leave floating point, in chain order.
+@example(coeffs=[     # |alpha'|^2
+    (0.0,) * 5, (0.0, 1e160, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
+@example(coeffs=[     # |T_s|^2, three terms of 1e308; g(V, V) subtracts one
+    (0.0, 0.0, 5e153, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 5e153, 0.0, 0.0), (0.0, 0.0, 5e153, 0.0, 0.0)])
+@example(coeffs=[     # |T|^2: g(V, V) = 1e-320, so w0 = 1e160
+    (0.0, 1.0, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0, 1.0, 0.0, 0.0, 0.0),
+    (0.0, 1e-160, 0.0, 0.0, 0.0)])
+@example(coeffs=[     # |R1|^2
+    (0.0, 0.0, 0.0, 1e160, 0.0), (0.0,) * 5, (0.0, 3.0, 2.0, 2.0, 0.0),
+    (0.0, 1.0, 3.0, -1.0, 3.0)])
+@example(coeffs=[     # |R2|^2
+    (0.5, 0.0, 0.0, 2.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0),
+    (0.0, 1.0, 0.0, -1.0, -1e160), (0.0, 3.0, 2.0, 0.0, 0.0)])
+@example(coeffs=[     # a NaN position: Vec4's ValueError, after the chain
+    (0.0, 0.0, 3.0, 0.0, 0.0), (-1.0, 0.0, 3.0, 0.5, 2.0),
+    (math.nan, 0.5, 1.0, 0.0, 3.0), (0.5, 0.0, 0.5, -1.0, 0.0)])
 def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
     aj = tuple(jets.Jet(c) for c in coeffs)
     assert (_outcome(frenet._frame_from_position_jets, coeffs, 0.5)
@@ -501,6 +521,34 @@ def test_float_kernel_builds_no_jet(helix, monkeypatch):
     aj = tuple(map(jets.Jet, a))
     assert _outcome(lambda aj, s: f, aj, 1.0) == _outcome(reference_frame,
                                                            aj, 1.0)
+
+
+def test_float_kernel_calls_only_the_records_and_check_divisor(helix):
+    # a frame is four passes of straight-line float arithmetic: the only
+    # curvelab functions it calls construct its records or check a divisor.
+    # Comprehensions are left out: Python 3.12 inlines them (PEP 709).
+    comprehensions = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+    spec, amap = helix
+    a = curves.eval_curve(spec, amap.t_of_s(1.0))
+    package = os.path.dirname(frenet.__file__)
+    allowed = {frenet._frame_from_position_jets.__code__,
+               Vec4.__new__.__code__, frenet.FrenetData.__new__.__code__,
+               jets.check_divisor.__code__}
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(package)
+                and code.co_name not in comprehensions):
+            called.add(code)
+
+    sys.setprofile(profile)
+    try:
+        f = frenet._frame_from_position_jets(a, 1.0)
+    finally:
+        sys.setprofile(None)
+    assert f.eps == -1 and jets.check_divisor.__code__ in called
+    assert called <= allowed, sorted(c.co_name for c in called - allowed)
 
 
 # -- the t-chain against the arclength chain and under scaling ----------------
