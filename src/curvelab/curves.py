@@ -302,7 +302,8 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
     """Position and velocity of the curve at ``t``, two 4-tuples of floats:
     coefficients 0 and 1 of ``eval_curve(spec, t)``, bit for bit, with its
     errors."""
-    return tuple(zip(*_series(spec, t, 2)))
+    (x0, v0), (x1, v1), (x2, v2), (x3, v3) = _series(spec, t, 2)
+    return (x0, x1, x2, x3), (v0, v1, v2, v3)
 
 
 def _speed_jet(spec: CurveSpec, t: float, cj) -> tuple:

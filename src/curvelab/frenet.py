@@ -20,12 +20,9 @@ a non-finite deviation aborts the synthesis.
 """
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import combinations
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import curves, jets
@@ -122,6 +119,18 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 # -- arclength map ------------------------------------------------------------
 
+def _memo_speed(spec: CurveSpec) -> Callable[[float], float]:
+    """``speed(spec, u)`` once per node u, by this module's ``speed`` name."""
+    memo = {}
+
+    def f(u):
+        v = memo.get(u)
+        if v is None:
+            v = memo[u] = speed(spec, u)
+        return v
+    return f
+
+
 class ArclengthMap(NamedTuple):
     """Monotone map s(t) from the low end of the domain, and its inverse t(s).
 
@@ -169,7 +178,7 @@ class ArclengthMap(NamedTuple):
                                                     1e-300)
         scale = max(1.0, span)
         # Simpson has just evaluated the speed at t and lo_t
-        f = functools.cache(lambda u: speed(self.spec, u))
+        f = _memo_speed(self.spec)
         for _ in range(80):
             st = lo_s + adaptive_simpson(f, lo_t, t, REPARAM_TOL * 1e-2)
             err = st - s
@@ -200,7 +209,7 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
     ts = grid(lo, hi, ARCLENGTH_GRID)
     ss = [0.0]
     # each interior node ends one interval and starts the next
-    f = functools.cache(lambda u: speed(spec, u))
+    f = _memo_speed(spec)
     for a, b in zip(ts, ts[1:]):
         ss.append(ss[-1] + adaptive_simpson(f, a, b))
     return ArclengthMap(spec=spec, total=ss[-1], grid_t=tuple(ts),
@@ -241,22 +250,31 @@ def _derivative_rank(a) -> int:
     (Demmel & Veselic, 1992).  A row under 1e-12 of the matrix norm is not
     rotated: it moves no singular value across RANK_REL_TOL, and rotating
     roundoff would take up to the 30 sweeps (a planar curve's two null
-    rows), where the rest converge in under 10."""
-    rows = [[c[k] * jets._FACT[k] for c in a] for k in (1, 2, 3, 4)]
-    floor = 1e-24 * sum(x * x for row in rows for x in row)
+    rows), where the rest converge in under 10.  Every dot product is
+    written out left to right, as the jets' sums are, so the rank does not
+    depend on the Python version."""
+    rows = [tuple(c[k] * jets._FACT[k] for c in a) for k in (1, 2, 3, 4)]
+    floor = 0.0
+    for x0, x1, x2, x3 in rows:
+        floor = floor + x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    floor *= 1e-24
     for _ in range(30):
         rotated = False
-        for i, j in combinations(range(4), 2):
-            u, v = rows[i], rows[j]
-            p, uu, vv = (sum(map(mul, u, v)), sum(map(mul, u, u)),
-                         sum(map(mul, v, v)))
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            x0, x1, x2, x3 = rows[i]
+            y0, y1, y2, y3 = rows[j]
+            p = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+            uu = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+            vv = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
             if (min(uu, vv) > floor
                     and abs(p) > 2.2e-16 * math.sqrt(uu) * math.sqrt(vv)):
                 rotated = True
                 angle = 0.5 * math.atan2(2.0 * p, uu - vv)
                 c, s = math.cos(angle), math.sin(angle)
-                rows[i] = [c * x + s * y for x, y in zip(u, v)]
-                rows[j] = [c * y - s * x for x, y in zip(u, v)]
+                rows[i] = (c * x0 + s * y0, c * x1 + s * y1,
+                           c * x2 + s * y2, c * x3 + s * y3)
+                rows[j] = (c * y0 - s * x0, c * y1 - s * x1,
+                           c * y2 - s * x2, c * y3 - s * x3)
         if not rotated:
             break
     sv = [math.hypot(*row) for row in rows]

@@ -1,7 +1,7 @@
 """Every exported name resolves: no stale entries in any ``__all__``; the
 names the benchmark calls, and the methods its tracer wraps, are defined
 where it looks for them; no module of the library imports numpy, and the
-command line runs without it."""
+command line runs without it; builtin ``sum()`` adds no floats."""
 
 import ast
 import importlib
@@ -158,6 +158,64 @@ def test_the_vector_layer_does_not_import_numpy():
             found += [f"{path.name}:{node.lineno} imports {m}"
                       for m in modules if m.partition(".")[0] == "numpy"]
     assert found == []
+
+
+# Builtin sum() compensates its rounding since Python 3.12, so a float sum
+# prints different bits on different versions.  Every reference to it in
+# the library, keyed by (file, innermost function, call source):
+_ALLOWED_SUMS = {
+    ("cli.py", "cmd_verify", "sum((r.passed for r in results))"):
+        "counts bools: the criteria that passed",
+    ("frenet.py", "_derivative_rank",
+     "sum((x > RANK_REL_TOL * max(sv) for x in sv))"):
+        "counts bools: the singular values above the rank threshold",
+    ("frenet.py", "gram_errors", "sum(devs)"):
+        "read only by math.isnan: NaN exactly when a deviation is NaN",
+}
+
+
+class _SumReferences(ast.NodeVisitor):
+    def __init__(self, filename):
+        self.filename, self.scope, self.found = filename, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "sum":
+            self.found.append((self.filename, self.scope[-1],
+                               ast.unparse(node)))
+            for child in [*node.args, *node.keywords]:
+                self.visit(child)
+        else:
+            self.generic_visit(node)
+
+    def visit_Name(self, node):
+        # sum passed on, rebound or aliased, not called in place
+        if node.id == "sum":
+            self.found.append((self.filename, self.scope[-1], "sum"))
+
+    def visit_Attribute(self, node):
+        # builtins.sum, or any other module's sum
+        if node.attr == "sum":
+            self.found.append((self.filename, self.scope[-1],
+                               ast.unparse(node)))
+        self.generic_visit(node)
+
+
+def test_builtin_sum_adds_no_floats():
+    # the jets' promise: no printed bit depends on the Python version
+    root = Path(curvelab.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        visitor = _SumReferences(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    assert sorted(found) == sorted(_ALLOWED_SUMS)
 
 
 _WITHOUT_NUMPY = """

@@ -261,6 +261,22 @@ def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
         assert np.array(amap.grid_s).tobytes() == np.array(want).tobytes(), cid
 
 
+def test_inversion_reads_each_node_once(monkeypatch):
+    # each Newton step integrates from the bracket's low end, which an
+    # earlier integral read, to the new t, whose speed the step reads
+    # again: one inversion reads the speed at each distinct node once
+    calls = []
+    real = frenet.speed
+    monkeypatch.setattr(frenet, "speed",
+                        lambda spec, t: calls.append(t) or real(spec, t))
+    for cid in ("hyperbolic_clelia", "paper_example"):
+        spec = curves.make_spec(cid)
+        amap = frenet.arclength_map(spec)
+        calls.clear()
+        amap.t_of_s(0.37 * amap.total)
+        assert calls and len(calls) == len(set(calls)), cid
+
+
 def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
     msign = np.array([-1.0, 1.0, 1.0, 1.0])
     h = frenet.ODE_H
@@ -669,6 +685,27 @@ def test_derivative_rank_matches_the_svd_rank(seed):
         assert frenet._derivative_rank(a) == want
         ranks.add(want)
     assert ranks == {1, 2, 3, 4}
+
+
+def test_derivative_rank_on_planar_and_3_flat_curves():
+    # criterion 7's planar curve at each of its 100 samples, and a helix
+    # in the spacelike 3-space x0 = 0 at as many
+    def build(t, _params, n):
+        ops = jets.SERIES[n]
+        x = (t, 1.0, 0.0, 0.0, 0.0)[:n]
+        sn, cn = ops.sincos(x)
+        return ((0.0,) * n, cn, sn, x)
+
+    flat = curves.register_curve(CatalogEntry(build=build,
+                                              default_domain=(0.1, 2.0)),
+                                 prefix="three_flat")
+    for cid, rank in (("paper_example", 2), (flat, 3)):
+        spec = curves.make_spec(cid)
+        amap = frenet.arclength_map(spec)
+        got = [frenet._derivative_rank(curves.eval_curve(spec,
+                                                         amap.t_of_s(s)))
+               for s in amap.grid_samples(100)]
+        assert got == [rank] * 100, cid
 
 
 def test_derivative_rank_of_zero_and_planar_rows():
