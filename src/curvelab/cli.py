@@ -250,16 +250,21 @@ def cmd_classify(args, out) -> int:
 
 def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
                 count: int) -> tuple[list[str], int]:
-    """Per-sample CSV data rows; degenerate samples are counted, not emitted."""
+    """Per-sample CSV data rows; degenerate samples are counted, not emitted.
+
+    ode_residual_max steps ``frenet.ODE_H`` either side of the sample, or
+    the grid's padding (the first sample's s) where that is shorter, so a
+    curve under 0.01 long keeps its steps inside the covered arclength."""
     rows = []
     degenerate = 0
-    for s in amap.grid_samples(count):
+    samples = amap.grid_samples(count)
+    h = min(frenet.ODE_H, samples[0])
+    for s in samples:
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
             resid = max(frenet.frenet_ode_residual(
-                frenet.frenet_apparatus(spec, amap, s - frenet.ODE_H), f,
-                frenet.frenet_apparatus(spec, amap, s + frenet.ODE_H),
-                frenet.ODE_H))
+                frenet.frenet_apparatus(spec, amap, s - h), f,
+                frenet.frenet_apparatus(spec, amap, s + h), h))
         except DegenerateFrame:
             degenerate += 1
             continue

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from curvelab import curves, frenet, jets, rectifying, verify
+from curvelab import cli, curves, frenet, jets, rectifying, verify
+from curvelab.errors import CurveLabError
 
 _workspace = verify.Workspace()
 
@@ -60,6 +61,48 @@ def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
     calls.clear()
     verify.criterion_2(ws)
     assert len(calls) == len(sources) * (1 + 2 * len(steps))
+
+
+def test_criterion_7_extracts_each_sample_once(monkeypatch):
+    calls = {"frame": 0, "t_of_s": 0, "rank": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(frenet, "frenet_apparatus",
+                        counted("frame", frenet.frenet_apparatus))
+    monkeypatch.setattr(frenet.ArclengthMap, "t_of_s",
+                        counted("t_of_s", frenet.ArclengthMap.t_of_s))
+    monkeypatch.setattr(frenet, "_derivative_rank",
+                        counted("rank", frenet._derivative_rank))
+    result = verify.criterion_7(verify.Workspace())
+    assert result.passed, result.line()
+    assert calls == {"frame": 100, "t_of_s": 100, "rank": 100}
+
+
+def test_criterion_7_fails_when_the_planar_curve_gets_full_rank(
+        monkeypatch):
+    # full rank sends the planar frame past the planar check, into an
+    # error of its own or a frame
+    monkeypatch.setattr(frenet, "_derivative_rank", lambda a: 4)
+    try:
+        result = verify.criterion_7(verify.Workspace())
+    except CurveLabError:
+        return
+    assert not result.passed
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda rows, n: (rows + ["0.5,row"], n),
+    lambda rows, n: (rows, n - 1),
+], ids=["emits_a_row", "counts_one_sample_fewer"])
+def test_criterion_7_fails_on_a_wrong_csv_path(monkeypatch, mutant):
+    real = cli.frenet_rows
+    monkeypatch.setattr(cli, "frenet_rows",
+                        lambda spec, amap, n: mutant(*real(spec, amap, n)))
+    assert not verify.criterion_7(verify.Workspace()).passed
 
 
 def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):

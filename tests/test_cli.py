@@ -201,6 +201,21 @@ def test_frenet_degenerate_curve(tmp_path):
     assert lines == [cli.FRENET_HEADER, "# degenerate_samples=12"]
 
 
+def test_frenet_on_a_curve_shorter_than_two_ode_steps(tmp_path):
+    # covered arclength 5.2e-3: the residual steps shrink to the samples'
+    # 1% padding, so s - h of the first sample is 0, not below it
+    path = tmp_path / "short.csv"
+    code, _ = run(["frenet", "--curve", "lorentz_helix", "--param", "A=1e-3",
+                   "--param", "B=2e-3", "--samples", "3", "-o", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == cli.FRENET_HEADER
+    assert lines[-1] == "# degenerate_samples=0"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(r[-1])) for r in rows)
+
+
 def test_frenet_one_sample_exits_64():
     code, _ = run(["frenet", "--curve", "lorentz_helix", "--samples", "1"])
     assert code == 64
