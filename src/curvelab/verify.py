@@ -12,7 +12,8 @@ import functools
 import math
 import random
 from operator import mul
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import curves, frenet, jets, rectifying
 from .errors import FrameDriftExceeded
@@ -49,10 +50,15 @@ CONSTRUCT_DOMAIN = (0.35, 1.2)
 
 
 class CriterionResult(NamedTuple):
+    """One criterion's verdict and its printed line.  ``figures`` holds the
+    residuals behind the line as unrounded floats, by name, for the
+    residual ledger in the tests; it is not printed."""
+
     number: int
     name: str
     passed: bool
     detail: str
+    figures: Mapping[str, float] = MappingProxyType({})
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -108,7 +114,7 @@ def criterion_1(ws: Workspace) -> CriterionResult:
     ok = worst < GRAM_TOL and eps_ok
     return CriterionResult(1, "metric/frame suite", ok,
                            f"max Gram error {worst:.3e} (< {GRAM_TOL:.0e}), "
-                           f"eps sign exact: {eps_ok}")
+                           f"eps sign exact: {eps_ok}", {"gram": worst})
 
 
 def _ode_numbers(spec, amap, s):
@@ -123,7 +129,7 @@ def _ode_numbers(spec, amap, s):
 
 def criterion_2(ws: Workspace) -> CriterionResult:
     """Frenet ODE residuals on the helix and a constructed rectifying curve."""
-    details = []
+    details, figures = [], {}
     ok = True
     for label, src in (("lorentz_helix", ws.source("lorentz_helix")),
                        ("constructed(a=3)", ws.constructed(3.0))):
@@ -132,9 +138,11 @@ def criterion_2(ws: Workspace) -> CriterionResult:
         r0, ratios = _ode_numbers(src.spec, src.map, s)
         order2 = all(3.0 < r < 5.0 for r in ratios)
         ok = ok and r0 < ODE_TOL and order2
+        figures[label] = r0
         details.append(f"{label}: residual {r0:.2e} at h={frenet.ODE_H:.0e}, "
                        f"halving ratios {[f'{r:.2f}' for r in ratios]}")
-    return CriterionResult(2, "Frenet ODE suite", ok, "; ".join(details))
+    return CriterionResult(2, "Frenet ODE suite", ok, "; ".join(details),
+                           figures)
 
 
 def criterion_3(ws: Workspace) -> CriterionResult:
@@ -144,7 +152,8 @@ def criterion_3(ws: Workspace) -> CriterionResult:
                 for s in src.grid_samples(50))
     return CriterionResult(3, "spherical construction", worst < CONSTRUCT_TOL,
                            f"max |g(alpha,N)| {worst:.3e} "
-                           f"(< {CONSTRUCT_TOL:.0e}) at 50 samples")
+                           f"(< {CONSTRUCT_TOL:.0e}) at 50 samples",
+                           {"g(alpha,N)": worst})
 
 
 def criterion_4(ws: Workspace) -> CriterionResult:
@@ -161,7 +170,9 @@ def criterion_4(ws: Workspace) -> CriterionResult:
     return CriterionResult(
         4, "component battery", rep.verdict,
         f"lead-1 {lead - 1.0:.2e}, slope-1 {slope - 1.0:.2e}, "
-        f"normal dev {dev:.2e}, binormal residuals {rb1:.2e}/{rb2:.2e}")
+        f"normal dev {dev:.2e}, binormal residuals {rb1:.2e}/{rb2:.2e}",
+        {"lead-1": lead - 1.0, "slope-1": slope - 1.0, "normal dev": dev,
+         "residual_b1": rb1, "residual_b2": rb2})
 
 
 def criterion_5(ws: Workspace) -> CriterionResult:
@@ -182,7 +193,9 @@ def criterion_5(ws: Workspace) -> CriterionResult:
         5, "curvature-ratio law", ok,
         f"forward rms {fwd.rms_residual:.2e}; synthesis: X drift "
         f"{drift:.2e}, shifted |g(alpha,N)| {resid:.2e}, "
-        f"A={fit.A:.6f} B={fit.B:.6f}")
+        f"A={fit.A:.6f} B={fit.B:.6f}",
+        {"forward rms": fwd.rms_residual, "X drift": drift,
+         "shifted g(alpha,N)": resid})
 
 
 def criterion_6(ws: Workspace) -> CriterionResult:
@@ -200,7 +213,7 @@ def criterion_6(ws: Workspace) -> CriterionResult:
         6, "non-rectifying witness", ok,
         f"kappa dev {k_dev:.2e}; min rms over every c {best_rms:.3f} "
         f"(> {HELIX_FIT_FLOOR}); min rms over every origin {origin_rms:.4f} "
-        f"(> {ORIGIN_FLOOR})")
+        f"(> {ORIGIN_FLOOR})", {"kappa dev": k_dev})
 
 
 def criterion_7(ws: Workspace) -> CriterionResult:
@@ -256,7 +269,8 @@ def criterion_8(ws: Workspace) -> CriterionResult:
     """Jet derivatives against order-4 central finite differences."""
     worst = fd_oracle_error()
     return CriterionResult(8, "oracle cross-check", worst < FD_TOL,
-                           f"max relative FD error {worst:.3e} (< {FD_TOL:.0e})")
+                           f"max relative FD error {worst:.3e} (< {FD_TOL:.0e})",
+                           {"FD error": worst})
 
 
 def criterion_9(ws: Workspace) -> CriterionResult:

@@ -6,7 +6,9 @@ tolerance.
 """
 
 import functools
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -26,6 +28,28 @@ def test_acceptance(criterion):
     result = criterion(_workspace)
     print(result.line())
     assert result.passed, result.line()
+
+
+LEDGER = json.loads((pathlib.Path(__file__).parent
+                     / "residual_ledger.json").read_text())
+
+
+def test_residual_ledger():
+    # every printed residual stays within a factor of its recorded figure;
+    # a figure recorded as 0.0 stays within its roundoff floor
+    floors = LEDGER["zero_floors"]
+    over = []
+    for result in verify.run_suite("all", _workspace):
+        entries = LEDGER["figures"].get(str(result.number), {})
+        assert set(result.figures) == set(entries), result.number
+        for name, got in result.figures.items():
+            want = entries[name]
+            bound = (LEDGER["factor"] * abs(want) if want
+                     else floors[str(result.number)][name])
+            if not abs(got) <= bound:
+                over.append(f"criterion {result.number} {name}: {got!r} > "
+                            f"{bound!r} (ledger {want!r})")
+    assert not over, "; ".join(over)
 
 
 def test_all_suites_cover_every_criterion():
