@@ -35,8 +35,9 @@ LEDGER = json.loads((pathlib.Path(__file__).parent
 
 
 def test_residual_ledger():
-    # every printed residual stays within a factor of its recorded figure;
-    # a figure recorded as 0.0 stays within its roundoff floor
+    # every printed residual stays within a factor of its recorded figure,
+    # and a figure recorded as 0.0 within its roundoff floor; a figure
+    # below its entry is printed (pytest -s), so the entry can be lowered
     floors = LEDGER["zero_floors"]
     over = []
     for result in verify.run_suite("all", _workspace):
@@ -49,6 +50,9 @@ def test_residual_ledger():
             if not abs(got) <= bound:
                 over.append(f"criterion {result.number} {name}: {got!r} > "
                             f"{bound!r} (ledger {want!r})")
+            elif abs(got) < abs(want):
+                print(f"criterion {result.number} {name}: {got!r} is below "
+                      f"its ledger entry {want!r}")
     assert not over, "; ".join(over)
 
 

@@ -216,6 +216,21 @@ def test_frenet_on_a_curve_shorter_than_two_ode_steps(tmp_path):
     assert all(math.isfinite(float(r[-1])) for r in rows)
 
 
+def test_frenet_on_a_wide_clelia_domain(tmp_path):
+    # arclength near 2e6: the adaptive-Simpson map this replaced met its
+    # absolute tolerance nowhere near t = 14.88 and exited 2
+    path = tmp_path / "wide.csv"
+    code, _ = run(["frenet", "--curve", "hyperbolic_clelia", "--domain",
+                   "0.25", "15", "--samples", "5", "-o", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == cli.FRENET_HEADER
+    assert lines[-1] == "# degenerate_samples=0"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(x)) for r in rows for x in r)
+
+
 def test_frenet_one_sample_exits_64():
     code, _ = run(["frenet", "--curve", "lorentz_helix", "--samples", "1"])
     assert code == 64

@@ -241,40 +241,127 @@ def test_grid_is_linspace_bit_for_bit(span, n):
             math.copysign(1.0, hi)
 
 
-def test_quadrature_map_reads_each_grid_node_once(monkeypatch):
-    # adjacent Simpson intervals share their end node, and the speed there
-    # is read once: 127 fewer speed reads than one per interval end
+def _counted_speed(monkeypatch, speed=None):
+    """Patch the speed the arclength map reads; returns the list of the
+    parameters it is read at."""
     calls = []
-    real = frenet.speed
+    real = speed or frenet.speed
     monkeypatch.setattr(frenet, "speed",
                         lambda spec, t: calls.append(t) or real(spec, t))
-    for cid in ("hyperbolic_clelia", "paper_example"):
-        spec = curves.make_spec(cid)
-        calls.clear()
-        amap = frenet.arclength_map(spec)
-        assert len(calls) == 513, cid
-        ts = np.linspace(*spec.domain, frenet.ARCLENGTH_GRID)
-        want = [0.0]
-        for lo, hi in zip(ts, ts[1:]):
-            want.append(want[-1] + frenet.adaptive_simpson(
-                lambda u: curves.speed(spec, u), float(lo), float(hi)))
-        assert np.array(amap.grid_s).tobytes() == np.array(want).tobytes(), cid
+    return calls
 
 
-def test_inversion_reads_each_node_once(monkeypatch):
-    # each Newton step integrates from the bracket's low end, which an
-    # earlier integral read, to the new t, whose speed the step reads
-    # again: one inversion reads the speed at each distinct node once
-    calls = []
-    real = frenet.speed
-    monkeypatch.setattr(frenet, "speed",
-                        lambda spec, t: calls.append(t) or real(spec, t))
-    for cid in ("hyperbolic_clelia", "paper_example"):
-        spec = curves.make_spec(cid)
-        amap = frenet.arclength_map(spec)
+@pytest.mark.parametrize("cid", ["hyperbolic_clelia", "paper_example"])
+def test_quadrature_map_reads_each_node_and_four_per_panel(monkeypatch, cid):
+    # no panel of a catalog default is split: one read per grid node (its
+    # speed is kept) and one per Gauss-Legendre node
+    calls = _counted_speed(monkeypatch)
+    amap = frenet.arclength_map(curves.make_spec(cid))
+    nodes = frenet.ARCLENGTH_GRID
+    assert len(amap.grid_t) == len(amap.grid_v) == nodes
+    assert len(calls) == nodes + 4 * (nodes - 1)
+
+
+@pytest.mark.parametrize("cid", ["hyperbolic_clelia", "paper_example"])
+def test_inversion_reads_the_speed_at_most_five_times(monkeypatch, cid):
+    # the Hermite seed reads none; the Newton correction reads the four
+    # Gauss-Legendre nodes on [t_i, t] and the speed at t
+    amap = frenet.arclength_map(curves.make_spec(cid))
+    calls = _counted_speed(monkeypatch)
+    for s in [0.0, amap.grid_s[7], amap.total] + frenet.grid(
+            1e-3 * amap.total, amap.total, 37):
         calls.clear()
-        amap.t_of_s(0.37 * amap.total)
-        assert calls and len(calls) == len(set(calls)), cid
+        amap.t_of_s(s)
+        assert len(calls) <= 5, s
+
+
+def test_a_panel_failing_its_estimate_is_split(monkeypatch):
+    # a bump of width 4 panels on the clelia's grid: only the panels near it
+    # are halved, and the map keeps its accuracy against the exact integral
+    spec = curves.make_spec("hyperbolic_clelia")
+    lo, hi = spec.domain
+    width = (hi - lo) / (frenet.ARCLENGTH_GRID - 1)
+    c, w = lo + 40.3 * width, 4.0 * width
+    calls = _counted_speed(
+        monkeypatch, lambda spec, t: 1.0 + math.exp(-((t - c) / w) ** 2))
+    amap = frenet.arclength_map(spec)
+    extra = [t for t in amap.grid_t if t not in frenet.grid(
+        lo, hi, frenet.ARCLENGTH_GRID)]
+    assert extra and all(abs(t - c) < 4.0 * w for t in extra)
+    # each halving reads the midpoint and the four nodes of both halves
+    assert len(calls) == len(amap.grid_t) + 4 * (len(amap.grid_t) - 1
+                                                 + len(extra))
+
+    def exact(t):
+        return (t - lo) + 0.5 * math.sqrt(math.pi) * w * (
+            math.erf((t - c) / w) - math.erf((lo - c) / w))
+    # measured: 1.2e-15 relative on the total, 2.9e-15 on the inversion
+    assert abs(amap.total - exact(hi)) <= 1e-14 * amap.total
+    for s in frenet.grid(0.0, amap.total, 41):
+        assert abs(exact(amap.t_of_s(s)) - s) <= 1e-14 * amap.total
+
+
+def test_a_speed_that_jumps_raises_at_the_depth_cap(monkeypatch):
+    # the jump stays inside one half at every halving, and its estimate
+    # stays a fixed share of the panel's integral
+    spec = curves.make_spec("hyperbolic_clelia")
+    jump = spec.domain[0] + 1.0 / 3.0
+    _counted_speed(monkeypatch, lambda spec, t: 1.0 if t < jump else 2.0)
+    with pytest.raises(ConvergenceFailure):
+        frenet.arclength_map(spec)
+
+
+def _mp_speed(cid, mpmath):
+    """The catalog curve's speed in mpmath arithmetic, at default params."""
+    def clelia(t):
+        sh, ch = mpmath.sinh(t), mpmath.cosh(t)
+        sn, cn = mpmath.sin(t), mpmath.cos(t)
+        q, dq = sh * sn, ch * sn + sh * cn
+        v = (sh, ch * cn - sh * sn, dq * cn - q * sn, dq * sn + q * cn)
+        return mpmath.sqrt(-v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
+
+    def paper(t):
+        # rho = 1/sin t on (cosh t, 0, sinh t, 0): |alpha'|^2 = rho^2 - rho'^2
+        sn = mpmath.sin(t)
+        return mpmath.sqrt(1 / sn ** 2 - mpmath.cos(t) ** 2 / sn ** 4)
+    return {"hyperbolic_clelia": clelia, "paper_example": paper}[cid]
+
+
+# (catalog id, domain, bound on |S_ref(t_of_s(s)) - s| / max(1, total)).
+# Measured at the 25 samples (the adaptive-Simpson map this replaced in
+# brackets): 2.5e-16 (3.4e-16) on the clelia, 1.3e-16 (1.2e-13) on
+# paper_example, 2.8e-14 on (0.25, 15) and 4.1e-14 on (0.25, 30) (both
+# raised ConvergenceFailure), where the inversion stops at 1e-13 of the
+# total.  The totals are within 1.1e-16 relative on all four (paper_example
+# was 1.0e-13 off).
+ARCLENGTH_REFERENCE = [
+    ("hyperbolic_clelia", None, 6e-16),
+    ("paper_example", None, 6e-16),
+    ("hyperbolic_clelia", (0.25, 15.0), 1e-13),
+    ("hyperbolic_clelia", (0.25, 30.0), 1e-13),
+]
+
+
+@pytest.mark.parametrize("cid, domain, bound", ARCLENGTH_REFERENCE)
+def test_quadrature_map_against_a_40_digit_reference(cid, domain, bound):
+    mpmath = pytest.importorskip("mpmath")
+    spec = curves.make_spec(cid, None, domain)
+    amap = frenet.arclength_map(spec)
+    f = _mp_speed(cid, mpmath)
+    lo, hi = spec.domain
+    ss = frenet.grid(0.0, amap.total, 25)
+    ts = [amap.t_of_s(s) for s in ss]
+    # the reference arclength at each t, integrated piece by piece between
+    # consecutive ts and the knots of a uniform 32-interval grid
+    knots = sorted(set(ts + frenet.grid(lo, hi, 33)))
+    with mpmath.workdps(40):
+        ref, acc = {lo: mpmath.mpf(0)}, mpmath.mpf(0)
+        for a, b in zip(knots, knots[1:]):
+            acc += mpmath.quad(f, [a, b])
+            ref[b] = acc
+        assert abs(amap.total - ref[hi]) <= 4e-16 * ref[hi]
+        worst = max(abs(ref[t] - s) for s, t in zip(ss, ts))
+    assert worst <= bound * max(1.0, amap.total), float(worst)
 
 
 def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
