@@ -290,16 +290,8 @@ def _source_for_check(args):
                              "--param or --domain")
         src = CsvFrameSource(args.from_synthesis)
         samples = src.grid_samples(args.samples)
-        # A synthesized curve is congruent to a rectifying one: subtract
-        # the fitted constant vector before running the position battery.
-        # Its positions are taken about the synthesis origin, so an unknown
-        # c comes from the curvatures and the torsion angle alone.
-        if args.c is None:
-            fit = rectifying._fit_min_rms_c(src, samples)
-        else:
-            fit = rectifying.fit_theorem31(src, samples, c=args.c)
-        shift = rectifying.constant_vector_X(src, samples[0], fit)
-        shifted = frenet.TranslatedSource(src, -shift)
+        # congruent to a rectifying curve: the battery runs on it recentred
+        shifted, fit = rectifying.recentred(src, samples, args.c)
         return shifted, args.from_synthesis, samples, fit.c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from operator import mul
+from operator import le, mul
 from typing import NamedTuple, Sequence
 
 from . import jets
@@ -35,7 +35,7 @@ from .curves import (ArclengthPair, CatalogEntry, CurveSpec, _is_number,
                      _speed_jet, eval_curve, point, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
-from .frenet import FrenetData, arclength_map, grid
+from .frenet import FrenetData, TranslatedSource, arclength_map, grid
 from .jets import Jet
 from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
 
@@ -46,10 +46,12 @@ __all__ = [
     "thm31_min_rms_over_c",
     "constant_vector_X",
     "constant_vector_drift",
+    "recentred",
     "least_squares_origin",
     "ReportTolerances",
     "RectifyingReport",
     "theorem33_report",
+    "theorem33_verdict",
     "ConstructionParams",
     "construct_rectifying",
 ]
@@ -194,14 +196,6 @@ def _min_rms_c_gathered(frames: list[FrenetData], ts: list[float]
     return c, rms
 
 
-def _fit_min_rms_c(source, samples: Sequence[float]) -> Theorem31Fit:
-    """``fit_theorem31`` at the c ``thm31_min_rms_over_c`` finds, from one
-    gather of the samples."""
-    frames, ts = _gather(source, samples)
-    c, _ = _min_rms_c_gathered(frames, ts)
-    return _fit_gathered(frames, ts, c)
-
-
 def _witness(f: FrenetData, t: float, fit: Theorem31Fit) -> Vec4:
     m = fit.A * math.cosh(t) + fit.B * math.sinh(t)
     n = fit.A * math.sinh(t) + fit.B * math.cosh(t)
@@ -211,6 +205,17 @@ def _witness(f: FrenetData, t: float, fit: Theorem31Fit) -> Vec4:
 def constant_vector_X(source, s: float, fit: Theorem31Fit) -> Vec4:
     """Witness vector that is constant exactly when the fit model holds."""
     return _witness(source.frame(s), source.kappa3_integral(s), fit)
+
+
+def recentred(source, samples: Sequence[float], c: float | None = None
+              ) -> tuple[TranslatedSource, Theorem31Fit]:
+    """The source translated by minus the witness at the first sample, and
+    the fit the witness is built from: at ``c``, else at the least-rms c."""
+    frames, ts = _gather(source, samples)
+    if c is None:
+        c, _ = _min_rms_c_gathered(frames, ts)
+    fit = _fit_gathered(frames, ts, c)
+    return TranslatedSource(source, -_witness(frames[0], ts[0], fit)), fit
 
 
 def constant_vector_drift(fit: Theorem31Fit) -> float:
@@ -362,15 +367,12 @@ def theorem33_report(source, samples: Sequence[float],
         if res_b2 <= tol.binormal_residual < res_b2_alt else ())
 
     drift = constant_vector_drift(fit)
-
-    verdict = (abs(lead - 1.0) <= tol.distance_lead
-               and abs(slope - 1.0) <= tol.tangential_slope
-               and dev <= tol.normal_constancy
-               and rho_nonconstant
-               and res_b1 <= tol.binormal_residual
-               and res_b2 <= tol.binormal_residual
-               and fit.rms_residual <= tol.thm31_rms
-               and drift <= tol.drift)
+    # the figures under their tolerances' names; the residuals are >= 0 or
+    # NaN, so their sum is NaN exactly when one is
+    res_b = math.nan if math.isnan(res_b1 + res_b2) else max(res_b1, res_b2)
+    verdict = theorem33_verdict(ReportTolerances(
+        abs(lead - 1.0), abs(slope - 1.0), dev, res_b, fit.rms_residual,
+        drift), tol, rho_nonconstant)
 
     return RectifyingReport(
         curve=curve_name, samples=len(samples), thm31=fit,
@@ -378,6 +380,13 @@ def theorem33_report(source, samples: Sequence[float],
         normal_constancy=normal, binormal_components=binormal,
         constant_vector_drift=drift, verdict=verdict,
         tolerances=tol, warnings=warnings)
+
+
+def theorem33_verdict(figures: ReportTolerances, tol: ReportTolerances,
+                      rho_nonconstant: bool) -> bool:
+    """Every figure at most the tolerance of its name, a NaN one failing,
+    and rho varying: one comparison per tolerance."""
+    return rho_nonconstant and all(map(le, figures, tol))
 
 
 # -- the spherical construction -----------------------------------------------

@@ -181,10 +181,8 @@ def criterion_5(ws: Workspace) -> CriterionResult:
     fwd = rectifying.fit_theorem31(src, src.grid_samples(50))
     synth = ws.synthesized()
     samples = synth.grid_samples(41)
-    fit = rectifying.fit_theorem31(synth, samples, c=0.0)
-    x0 = rectifying.constant_vector_X(synth, samples[0], fit)
+    shifted, fit = rectifying.recentred(synth, samples, c=0.0)
     drift = rectifying.constant_vector_drift(fit)
-    shifted = frenet.TranslatedSource(synth, -x0)
     resid = max(abs(rectifying.rectifying_residual(shifted, s))
                 for s in samples)
     ok = (fwd.rms_residual < REPORT_TOL.thm31_rms and drift < REPORT_TOL.drift

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from curvelab import cli, curves, frenet
+from curvelab import cli, curves, frenet, rectifying
 from curvelab.errors import OutOfDomain
 from curvelab.lorentz import Vec4
 
@@ -442,12 +442,13 @@ def test_synthesis_check_without_c_takes_c_from_the_curvatures(tmp_path):
     assert abs(rep["thm31"]["c"]) < 1e-12        # the profile's c is 0
 
 
-@pytest.mark.parametrize("c_flag, reads", [([], 803), (["--c", "0"], 803)],
+@pytest.mark.parametrize("c_flag, reads", [([], 802), (["--c", "0"], 802)],
                          ids=["free_c", "given_c"])
 def test_synthesis_check_reads_each_row_twice(tmp_path, monkeypatch,
                                               c_flag, reads):
-    # the c solve and the shift fit share one gather; the battery on the
-    # shifted table is the second, and the shift's own frame one more
+    # one gather serves the c solve, the fit and the shift, which is built
+    # from the fit's first frame; the battery on the shifted table is the
+    # second read of each row
     path = tmp_path / "syn.csv"
     run(["synthesize", "--profile", "cosh_over_s", "--samples", "401",
          "-o", str(path)])
@@ -459,6 +460,23 @@ def test_synthesis_check_reads_each_row_twice(tmp_path, monkeypatch,
                    *c_flag, "--samples", "401"])
     assert code == 0
     assert len(calls) == reads
+
+
+@pytest.mark.parametrize("c", [None, 0.0], ids=["free_c", "given_c"])
+def test_recentring_shifts_by_minus_the_witness(tmp_path, synthesis_lines, c):
+    # the shift is built from the fit's first frame and torsion angle: the
+    # same bits as the witness of a fresh read at the first sample
+    path = tmp_path / "syn.csv"
+    path.write_text("\n".join(synthesis_lines) + "\n")
+    src = cli.CsvFrameSource(str(path))
+    samples = src.grid_samples(21)
+    shifted, fit = rectifying.recentred(src, samples, c)
+    if c is None:
+        c, _ = rectifying.thm31_min_rms_over_c(src, samples)
+    assert fit == rectifying.fit_theorem31(src, samples, c=c)
+    shift = -rectifying.constant_vector_X(src, samples[0], fit)
+    assert shifted.base is src
+    assert [x.hex() for x in shifted.shift] == [x.hex() for x in shift]
 
 
 def test_synthesize_drift_ratio(tmp_path):

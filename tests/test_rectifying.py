@@ -316,6 +316,66 @@ def test_report_verdict_is_monotone_in_the_tolerances():
         assert rep.verdict, tol
 
 
+# distinct bounds, so a figure compared with another field's bound shows
+TABLE_TOL = rectifying.ReportTolerances(1e-6, 2e-8, 3e-7, 4e-6, 5e-6, 6e-6)
+
+
+def _verdict_table():
+    yield "all_at_bound", TABLE_TOL, True, True
+    yield "rho_constant", TABLE_TOL, False, False
+    for name, bound in TABLE_TOL._asdict().items():
+        for label, value in (("past", math.nextafter(bound, math.inf)),
+                             ("nan", math.nan)):
+            yield (f"{name}_{label}", TABLE_TOL._replace(**{name: value}),
+                   True, False)
+
+
+@pytest.mark.parametrize("figures, rho_nonconstant, want",
+                         [case[1:] for case in _verdict_table()],
+                         ids=[case[0] for case in _verdict_table()])
+def test_verdict_table(figures, rho_nonconstant, want):
+    # each figure crosses its own bound alone; a NaN figure fails
+    assert rectifying.theorem33_verdict(figures, TABLE_TOL,
+                                        rho_nonconstant) is want
+
+
+class ScaledB1:
+    """A frame source whose first binormal is scaled: a tampered table."""
+
+    def __init__(self, base, factor):
+        self.base, self.factor = base, factor
+        self.s_range = base.s_range
+
+    def frame(self, s):
+        f = self.base.frame(s)
+        return f._replace(B1=self.factor * f.B1)
+
+    def kappa3_integral(self, s):
+        return self.base.kappa3_integral(s)
+
+
+@pytest.mark.parametrize("b1_scale", [1.0, 1.0 + 1e-9],
+                         ids=["b2_larger", "b1_larger"])
+def test_report_bounds_each_of_its_figures(constructed, b1_scale):
+    # tolerances equal to the report's own figures pass; lowering any one
+    # of them below its figure fails, both binormal residuals included
+    src = ScaledB1(constructed, b1_scale)
+    ss = samples_of(constructed, 12)
+    rep = rectifying.theorem33_report(src, ss, rectifying.ReportTolerances())
+    b = rep.binormal_components
+    assert (b["residual_b1"] > b["residual_b2"]) == (b1_scale != 1.0)
+    figures = rectifying.ReportTolerances(
+        abs(rep.distance_quadratic["lead"] - 1.0),
+        abs(rep.tangential_linear["slope"] - 1.0),
+        rep.normal_constancy["max_deviation"],
+        max(b["residual_b1"], b["residual_b2"]), rep.thm31.rms_residual,
+        rep.constant_vector_drift)
+    assert rectifying.theorem33_report(src, ss, figures).verdict
+    for name, figure in figures._asdict().items():
+        below = figures._replace(**{name: math.nextafter(figure, 0.0)})
+        assert not rectifying.theorem33_report(src, ss, below).verdict, name
+
+
 def test_report_rejects_helix(helix):
     rep = rectifying.theorem33_report(helix, samples_of(helix, 50),
                                       curve_name="lorentz_helix")
