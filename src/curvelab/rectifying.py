@@ -71,27 +71,41 @@ def _lstsq(columns, target):
     even where R is near singular and the coefficients ill-determined.  A
     column whose part below the diagonal is at roundoff level of its norm
     lies in the span of those before it: it stays as it is, coefficient 0.
+
+    Raises IllConditionedFit where an input, an intermediate or a result
+    is not finite: a fit floating point cannot carry.
     """
     *cols, b = [list(c) for c in (*columns, target)]
-    m, pivots = len(b), []
-    for j, col in enumerate(cols):
-        k = len(pivots)
-        x = col[k:]
-        norm = math.hypot(*x)
-        if norm > m * 2.2e-16 * math.hypot(*col):
-            alpha = -math.copysign(norm, x[0])
-            scale = norm * (norm + abs(x[0]))       # v.v / 2
-            x[0] -= alpha                           # v
-            for y in cols[j + 1:] + [b]:
-                f = math.fsum(map(mul, x, y[k:])) / scale
-                y[k:] = [q - f * p for p, q in zip(x, y[k:])]
-            col[k:] = [alpha]
-            pivots.append(j)
-    coef = [0.0] * len(cols)
-    for i, j in reversed(list(enumerate(pivots))):
-        coef[j] = (b[i] - math.fsum(map(mul, [c[i] for c in cols[j + 1:]],
-                                        coef[j + 1:]))) / cols[j][i]
-    return coef, math.hypot(*b[len(pivots):]) / math.sqrt(m), cols
+    m, pivots, coef, carried = len(b), [], [], []
+    try:
+        for j, col in enumerate(cols):
+            k = len(pivots)
+            x = col[k:]
+            norm = math.hypot(*x)
+            carried.append(norm)
+            if norm > m * 2.2e-16 * math.hypot(*col):
+                alpha = -math.copysign(norm, x[0])
+                scale = norm * (norm + abs(x[0]))       # v.v / 2
+                x[0] -= alpha                           # v
+                for y in cols[j + 1:] + [b]:
+                    f = math.fsum(map(mul, x, y[k:])) / scale
+                    y[k:] = [q - f * p for p, q in zip(x, y[k:])]
+                col[k:] = [alpha]
+                pivots.append(j)
+                carried.append(scale)
+        coef = [0.0] * len(cols)
+        for i, j in reversed(list(enumerate(pivots))):
+            coef[j] = (b[i] - math.fsum(map(mul, [c[i] for c in cols[j + 1:]],
+                                            coef[j + 1:]))) / cols[j][i]
+        rms = math.hypot(*b[len(pivots):]) / math.sqrt(m)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        rms = math.nan          # fsum met inf - inf or overflowed; v.v = 0
+    # a non-finite entry shows: below the diagonal in its column's norm,
+    # above it and in b's head in the coefficients, in b's tail in the rms
+    if not all(map(math.isfinite, [rms, *coef, *carried])):
+        raise IllConditionedFit(
+            f"a least-squares fit of {m} rows leaves the floating-point range")
+    return coef, rms, cols
 
 
 def _cond2(a, b, d):

@@ -637,6 +637,29 @@ def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
         assert f"{path} {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, c_flag", [
+    (1e305, []), (1e305, ["--c", "0"]), (1e-200, []),
+], ids=["huge_free_c", "huge_c0", "tiny_free_c"])
+def test_a_fit_floating_point_cannot_carry_exits_2(tmp_path, capsys,
+                                                   synthesis_lines, scale,
+                                                   c_flag):
+    # every kappa1 scaled: the CSV is valid, but a fit's products overflow
+    # (a bare ValueError from fsum without --c, a report of NaN with it) or
+    # its Householder v.v underflows to 0 (a bare ZeroDivisionError)
+    lines = list(synthesis_lines)
+    for i, line in enumerate(lines):
+        if line and line[0] not in "s#":
+            cells = line.split(",")
+            cells[21] = repr(float(cells[21]) * scale)
+            lines[i] = ",".join(cells)
+    path = tmp_path / "scaled.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, text = run(["rectify-check", "--from-synthesis", str(path),
+                      "--samples", "21", *c_flag])
+    assert (code, text) == (2, "")
+    assert "IllConditionedFit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("c_flag", [[], ["--c", "0"]], ids=["free_c", "c0"])
 def test_ill_conditioned_fit_states_its_condition_and_range(
         tmp_path, capsys, synthesis_lines, c_flag):

@@ -129,6 +129,17 @@ def test_out_of_domain():
         curves.make_spec("lorentz_helix", domain=(1.0, 1.0))
 
 
+def test_a_parameter_past_the_domain_by_1e_6_of_its_span_is_out():
+    spec = curves.make_spec("lorentz_helix")
+    lo, hi = spec.domain
+    span = hi - lo
+    for t in (lo - 1e-6 * span, hi + 1e-6 * span):
+        with pytest.raises(OutOfDomain):
+            curves.eval_curve(spec, t)
+    # 1e-10 of the span is roundoff slack, still inside
+    curves.eval_curve(spec, hi + 1e-10 * span)
+
+
 def test_speed_requires_spacelike_velocity():
     # a steep timelike line registered on the fly
     from curvelab.curves import CatalogEntry

@@ -52,6 +52,19 @@ def test_construction_rejects_non_sphere_input():
             rectifying.ConstructionParams(a=1.0))
 
 
+def test_construction_rejects_a_sphere_curve_1e_6_off_h3():
+    # the clelia scaled by sqrt(1 + 1e-6): g(y, y) + 1 = -1e-6 everywhere
+    clelia = curves._lookup("hyperbolic_clelia")
+    r = math.sqrt(1.0 + 1e-6)
+    cid = curves.register_curve(curves.CatalogEntry(
+        build=lambda t, p, n: tuple(tuple(r * x for x in c)
+                                    for c in clelia.build(t, p, n)),
+        default_domain=clelia.default_domain), prefix="off_sphere")
+    with pytest.raises(NotOnHyperbolicSphere, match=r"g\+1 = -1\.000e-06"):
+        rectifying.construct_rectifying(curves.make_spec(cid),
+                                        rectifying.ConstructionParams(a=1.0))
+
+
 def test_sphere_check_inverts_no_arclength(monkeypatch):
     # the 33 points of the H_0^3(1) check lie on the parameter grid, so
     # choosing them takes no Newton inversion of the arclength
@@ -211,6 +224,30 @@ def test_fit_on_constructed_curve(constructed):
 def test_fit_needs_enough_samples(constructed):
     with pytest.raises(IllConditionedFit):
         rectifying.fit_theorem31(constructed, samples_of(constructed, 5))
+
+
+class SqueezedTorsion:
+    """A source's frames with the torsion angles 0.5 + width * s."""
+
+    def __init__(self, base, width):
+        self.base, self.width = base, width
+        self.s_range = base.s_range
+
+    def frame(self, s):
+        return self.base.frame(s)
+
+    def kappa3_integral(self, s):
+        return 0.5 + self.width * s
+
+
+def test_fit_refuses_a_design_at_condition_1e9(constructed):
+    # over s in [0, 0.33] the cosh/sinh design's condition is about
+    # 15 / width: 1e7 is fitted, 1e9 is refused
+    ss = samples_of(constructed, 12)
+    rectifying.fit_theorem31(SqueezedTorsion(constructed, 1.5e-6), ss)
+    with pytest.raises(IllConditionedFit,
+                       match=r"condition number 1\.\d+e\+09"):
+        rectifying.fit_theorem31(SqueezedTorsion(constructed, 1.5e-8), ss)
 
 
 def test_constant_vector_is_constant(constructed):
@@ -488,6 +525,23 @@ def test_lstsq_rms_is_the_minimum_on_rank_deficient_designs():
                       for i in range(rows)]
             assert math.isclose(_rms([b - f for b, f in zip(target, fitted)]),
                                 rms, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("columns, target", [
+    ([[1.0, math.nan, 3.0]], [1.0, 2.0, 3.0]),
+    ([[0.0, 0.0, 0.0]], [1.0, math.inf, 3.0]),
+    ([[1e308, 1e308, 1e308]], [1.0, 2.0, 3.0]),
+    ([[1e200, 1e200, 1e200]], [1.0, 2.0, 3.0]),
+    ([[1e-200, 1e-200, 1e-200]], [1.0, 2.0, 3.0]),
+    ([[1e300, -1e300, 1e300]], [1e300, 1e300, -1e300]),
+    ([[1e-150]], [1e200]),
+], ids=["nan_input", "inf_target", "norm_overflows", "v_dot_v_overflows",
+        "v_dot_v_underflows", "products_overflow", "coefficient_overflows"])
+def test_lstsq_refuses_a_fit_floating_point_cannot_carry(columns, target):
+    # each of these once returned a wrong or non-finite answer, or raised
+    # a bare ValueError from fsum or a ZeroDivisionError
+    with pytest.raises(IllConditionedFit, match="floating-point range"):
+        rectifying._lstsq(columns, target)
 
 
 def test_fit_condition_number_matches_numpy():
