@@ -644,8 +644,7 @@ def test_a_fit_floating_point_cannot_carry_exits_2(tmp_path, capsys,
                                                    synthesis_lines, scale,
                                                    c_flag):
     # every kappa1 scaled: the CSV is valid, but a fit's products overflow
-    # (a bare ValueError from fsum without --c, a report of NaN with it) or
-    # its Householder v.v underflows to 0 (a bare ZeroDivisionError)
+    # or its Householder v.v underflows to 0
     lines = list(synthesis_lines)
     for i, line in enumerate(lines):
         if line and line[0] not in "s#":

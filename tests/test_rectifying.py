@@ -538,8 +538,9 @@ def test_lstsq_rms_is_the_minimum_on_rank_deficient_designs():
 ], ids=["nan_input", "inf_target", "norm_overflows", "v_dot_v_overflows",
         "v_dot_v_underflows", "products_overflow", "coefficient_overflows"])
 def test_lstsq_refuses_a_fit_floating_point_cannot_carry(columns, target):
-    # each of these once returned a wrong or non-finite answer, or raised
-    # a bare ValueError from fsum or a ZeroDivisionError
+    # a non-finite input, or an intermediate or a result that leaves the
+    # float range: a column norm, v.v (over or under), an fsum, a
+    # coefficient
     with pytest.raises(IllConditionedFit, match="floating-point range"):
         rectifying._lstsq(columns, target)
 
