@@ -9,7 +9,9 @@ derivatives come from the chain rule d/ds = (1/v) d/dt, so the arclength
 map serves only to find the parameter of a requested arclength.  A curve
 without a closed-form arclength integrates its speed by 4-point
 Gauss-Legendre on panels, halved where an error estimate asks, and inverts
-it by one Newton correction from a cubic Hermite seed.
+it by one Newton correction from a cubic Hermite seed.  The torsion angle
+t(s), the integral of kappa3 in s, runs on the same panels, one between
+consecutive samples.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -39,7 +41,6 @@ __all__ = [
     "grid",
     "ArclengthMap",
     "arclength_map",
-    "adaptive_simpson",
     "FrenetData",
     "frenet_apparatus",
     "frenet_rhs",
@@ -57,10 +58,8 @@ __all__ = [
 ]
 
 CURVATURE_FLOOR = 1e-10
-REPARAM_TOL = 1e-10
 SYNTH_TOL = 1e-6
 ODE_H = 1e-4        # step of the printed Frenet ODE residuals
-SIMPSON_MAX_DEPTH = 40
 ARCLENGTH_GRID = 129
 RANK_REL_TOL = 1e-8
 # Each RK4 step stores 20 floats of 8 bytes, so 10**7 steps is 1.6 GB: a
@@ -83,44 +82,7 @@ def grid(lo: float, hi: float, n: int) -> list[float]:
     return ys[:-1] + [hi] if n > 1 else ys
 
 
-# -- quadrature ---------------------------------------------------------------
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = REPARAM_TOL) -> float:
-    """Adaptive Simpson quadrature with Richardson correction.
-
-    Raises ConvergenceFailure when a subinterval reaches the depth limit
-    unconverged or its error estimate is not finite.
-    """
-    if a == b:
-        return 0.0
-
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        fl = f(0.5 * (lo + mid))
-        fr = f(0.5 * (mid + hi))
-        left = simpson(lo, flo, mid, fmid, fl)
-        right = simpson(mid, fmid, hi, fhi, fr)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth <= 0 or not math.isfinite(delta):
-            raise ConvergenceFailure(
-                f"adaptive Simpson stopped on [{lo}, {hi}] with error "
-                f"estimate {delta}")
-        return (recurse(lo, flo, mid, fmid, fl, left, 0.5 * eps, depth - 1)
-                + recurse(mid, fmid, hi, fhi, fr, right, 0.5 * eps, depth - 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, SIMPSON_MAX_DEPTH)
-
-
-# -- arclength map ------------------------------------------------------------
+# -- quadrature -------------------------------------------------------------
 
 # 4-point Gauss-Legendre on [-1, 1]: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)),
 # weights (18 +- sqrt(30)) / 36, outer pair first
@@ -144,19 +106,64 @@ _Q_END = _GL_X[0] - _GL_X[1] * _Q_IN
 # stayed near est ** (9 / 5) or below, so the bound keeps it near 1e-14
 # on a speed the grid resolves.  The catalog defaults pass unsplit.
 PANEL_TOL = 2e-8
-PANEL_MAX_DEPTH = 40     # halvings of one grid interval
+PANEL_MAX_DEPTH = 40     # halvings of one initial panel
 NEWTON_MAX_ITER = 80
 
 
-def _gl(spec: CurveSpec, a: float, b: float) -> tuple[float, ...]:
-    """The speed's integral over [a, b] by 4-point Gauss-Legendre, then the
-    speed at the nodes, from -xo to xo."""
+def _gl(f: Callable[[float], float], a: float, b: float) -> tuple[float, ...]:
+    """The integral of ``f`` over [a, b] by 4-point Gauss-Legendre, then
+    ``f`` at the nodes, from -xo to xo."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     (xo, xi), (wo, wi) = _GL_X, _GL_W
-    f1, f2 = speed(spec, c - xo * h), speed(spec, c - xi * h)
-    f3, f4 = speed(spec, c + xi * h), speed(spec, c + xo * h)
+    f1, f2 = f(c - xo * h), f(c - xi * h)
+    f3, f4 = f(c + xi * h), f(c + xo * h)
     return h * (wo * (f1 + f4) + wi * (f2 + f3)), f1, f2, f3, f4
 
+
+def _panels(f: Callable[[float], float], nodes: list[tuple[float, float]],
+            what: str, curve: str) -> tuple[list[float], ...]:
+    """The running integral of a positive ``f`` by 4-point Gauss-Legendre
+    on the panels between consecutive ``nodes`` (x, f(x)), x increasing:
+    the panel ends, the integral from the first node to each, and ``f``
+    there.  A panel whose estimate exceeds ``PANEL_TOL`` of its integral
+    is halved, and one still failing after ``PANEL_MAX_DEPTH`` halvings,
+    or with a non-finite estimate, raises ConvergenceFailure, naming the
+    ``what`` integral on ``curve``."""
+    xs, ys, fs = [nodes[0][0]], [0.0], [nodes[0][1]]
+    todo = [(*nodes[k - 1], *nodes[k], 0) for k in range(len(nodes) - 1, 0, -1)]
+    while todo:
+        a, fa, b, fb, depth = todo.pop()
+        q, f1, f2, f3, f4 = _gl(f, a, b)
+        even = _P_END * (fa + fb) + _P_IN * (f2 + f3)
+        odd = _Q_END * (fb - fa) + _Q_IN * (f3 - f2)
+        est = 0.25 * _GL_W[0] * (b - a) * (abs(2.0 * f1 - even + odd)
+                                           + abs(2.0 * f4 - even - odd))
+        if est <= PANEL_TOL * q:
+            xs.append(b)
+            ys.append(ys[-1] + q)
+            fs.append(fb)
+        elif depth < PANEL_MAX_DEPTH and est < math.inf:
+            c = 0.5 * (a + b)
+            fc = f(c)
+            todo += [(c, fc, b, fb, depth + 1), (a, fa, c, fc, depth + 1)]
+        else:
+            raise ConvergenceFailure(
+                f"{what} quadrature on [{a}, {b}] has error estimate "
+                f"{est} for the integral {q} on {curve}")
+    return xs, ys, fs
+
+
+def _torsion_angle(k3: Callable[[float], float], a: float, b: float,
+                   curve: str) -> float:
+    """The integral of kappa3 > 0 from a to b by ``_panels`` on the one
+    panel between them, its ends swapped and the result negated when b < a.
+    """
+    lo, hi = min(a, b), max(a, b)
+    q = _panels(k3, [(lo, k3(lo)), (hi, k3(hi))], "kappa3", curve)[1][-1]
+    return q if a <= b else -q
+
+
+# -- arclength map ------------------------------------------------------------
 
 class ArclengthMap(NamedTuple):
     """Monotone map s(t) from the low end of the domain, and its inverse t(s).
@@ -185,6 +192,9 @@ class ArclengthMap(NamedTuple):
         pad = 0.01 * self.total
         return grid(pad, self.total - pad, count)
 
+    def _speed(self, t: float) -> float:
+        return speed(self.spec, t)
+
     def s_of_t(self, t: float) -> float:
         if not self.spec.contains(t):
             raise OutOfDomain(f"t={t} outside {self.spec.domain}")
@@ -192,7 +202,7 @@ class ArclengthMap(NamedTuple):
             return self.arclength[0](self.spec.params, self.spec.domain[0], t)
         i = min(bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
-        return self.grid_s[i] + _gl(self.spec, self.grid_t[i], t)[0]
+        return self.grid_s[i] + _gl(self._speed, self.grid_t[i], t)[0]
 
     def t_of_s(self, s: float) -> float:
         """t with s_of_t(t) = s.  The Newton correction is accepted when
@@ -216,8 +226,8 @@ class ArclengthMap(NamedTuple):
         t = min(max(t, t0), t1)
         tol = 1e-13 * max(1.0, span)
         for _ in range(NEWTON_MAX_ITER):
-            err = s0 + _gl(self.spec, t0, t)[0] - s
-            v = speed(self.spec, t)
+            err = s0 + _gl(self._speed, t0, t)[0] - s
+            v = self._speed(t)
             step = err / v
             if (abs(v - v0) + abs(v1 - v)) / dt * step * step < tol:
                 return min(max(t - step, t0), t1)
@@ -235,39 +245,16 @@ class ArclengthMap(NamedTuple):
 
 def arclength_map(spec: CurveSpec) -> ArclengthMap:
     """s(t) from the low end of the domain: exact when the curve's catalog
-    entry gives its arclength, else by Gauss-Legendre on panels.
-
-    The ``ARCLENGTH_GRID`` nodes make the first panels.  A panel whose
-    estimate exceeds ``PANEL_TOL`` of its integral is halved, and one
-    still failing after ``PANEL_MAX_DEPTH`` halvings, or with a
-    non-finite estimate, raises ConvergenceFailure."""
+    entry gives its arclength, else by ``_panels`` on the speed, with the
+    ``ARCLENGTH_GRID`` nodes as the first panels' ends."""
     lo, hi = spec.domain
     exact = _lookup(spec.catalog_id).arclength
     if exact is not None:
         return ArclengthMap(spec=spec, total=exact[0](spec.params, lo, hi),
                             arclength=exact)
-    nodes = [(t, speed(spec, t)) for t in grid(lo, hi, ARCLENGTH_GRID)]
-    ts, ss, vs = [lo], [0.0], [nodes[0][1]]
-    todo = [(*nodes[k - 1], *nodes[k], 0) for k in range(len(nodes) - 1, 0, -1)]
-    while todo:
-        a, fa, b, fb, depth = todo.pop()
-        q, f1, f2, f3, f4 = _gl(spec, a, b)
-        even = _P_END * (fa + fb) + _P_IN * (f2 + f3)
-        odd = _Q_END * (fb - fa) + _Q_IN * (f3 - f2)
-        est = 0.25 * _GL_W[0] * (b - a) * (abs(2.0 * f1 - even + odd)
-                                           + abs(2.0 * f4 - even - odd))
-        if est <= PANEL_TOL * q:
-            ts.append(b)
-            ss.append(ss[-1] + q)
-            vs.append(fb)
-        elif depth < PANEL_MAX_DEPTH and est < math.inf:
-            c = 0.5 * (a + b)
-            fc = speed(spec, c)
-            todo += [(c, fc, b, fb, depth + 1), (a, fa, c, fc, depth + 1)]
-        else:
-            raise ConvergenceFailure(
-                f"arclength quadrature on [{a}, {b}] has error estimate "
-                f"{est} for the integral {q} on {spec.catalog_id}")
+    v = lambda t: speed(spec, t)
+    ts, ss, vs = _panels(v, [(t, v(t)) for t in grid(lo, hi, ARCLENGTH_GRID)],
+                         "arclength", spec.catalog_id)
     return ArclengthMap(spec=spec, total=ss[-1], grid_t=tuple(ts),
                         grid_s=tuple(ss), grid_v=tuple(vs))
 
@@ -656,8 +643,10 @@ class SynthesizedCurve:
                                self.profile.eps)
 
     def kappa3_integral(self, s: float) -> float:
-        k3 = lambda u: self.profile.values(u)[2]
-        return adaptive_simpson(k3, self.s[0], s, REPARAM_TOL)
+        """The torsion angle: the profile's kappa3 integrated from ``s[0]``
+        to s by ``_torsion_angle``."""
+        return _torsion_angle(lambda u: self.profile.values(u)[2], self.s[0],
+                              s, "the synthesis profile")
 
 
 def synthesize_curve(profile: CurvatureProfile,
@@ -795,15 +784,17 @@ class JetFrameSource:
         return f
 
     def kappa3_integral(self, s: float) -> float:
-        """Adaptive-quadrature integral of kappa3 from the low arclength end.
+        """The torsion angle: kappa3 integrated from arclength 0 to s.
 
-        Integrated from the nearest sample already integrated, so batches
-        of monotone samples stay cheap; a repeated sample is a lookup.
+        A new s is integrated by ``_torsion_angle`` from the sample already
+        integrated that is nearest s, so on monotone samples each panel lies
+        between consecutive samples, whose frames are cached, and reads 4
+        new frames unless halved.  A repeated sample is a lookup.
         """
         if s not in self._k3:
             s0 = min(self._k3, key=lambda a: abs(a - s))
-            self._k3[s] = self._k3[s0] + adaptive_simpson(
-                self._node_kappa3, s0, s, REPARAM_TOL)
+            self._k3[s] = self._k3[s0] + _torsion_angle(
+                self._node_kappa3, s0, s, self.spec.catalog_id)
         return self._k3[s]
 
     def _node_kappa3(self, s: float) -> float:

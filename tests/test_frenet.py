@@ -1,15 +1,17 @@
 """Arclength maps, frame extraction and the moving-frame system."""
 
 import functools
+import io
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvelab import curves, frenet, jets, rectifying
+from curvelab import cli, curves, frenet, jets, rectifying
 from curvelab.curves import CatalogEntry
 from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
                              DivisionNearZero, NonSpacelikePrincipalNormal,
@@ -31,25 +33,39 @@ def clelia():
     return spec, frenet.arclength_map(spec)
 
 
-def test_adaptive_simpson_exact_on_cubic():
-    val = frenet.adaptive_simpson(lambda x: x ** 3 - 2 * x, 0.0, 2.0, 1e-12)
-    assert math.isclose(val, 0.0, abs_tol=1e-12)
-    val = frenet.adaptive_simpson(math.exp, 0.0, 1.0, 1e-12)
-    assert math.isclose(val, math.e - 1.0, rel_tol=1e-11)
+# kappa3 with a NaN at the anchor s = 0, and one that jumps at 1/3: the jump
+# stays inside one half at every halving, and its estimate stays a fixed
+# share of the panel's integral
+BAD_KAPPA3 = {"nan": lambda s: math.nan if s == 0.0 else 1.0,
+              "jump": lambda s: 1.0 if s < 1.0 / 3.0 else 2.0}
 
 
-def test_adaptive_simpson_raises_on_a_nan_estimate():
-    # NaN at the left end only: the first error estimate is already NaN
-    nan_at_zero = lambda x: math.nan if x == 0.0 else 1.0
-    with pytest.raises(ConvergenceFailure):
-        frenet.adaptive_simpson(nan_at_zero, 0.0, 1.0)
+@pytest.mark.parametrize("kind", BAD_KAPPA3)
+def test_torsion_angle_raises_on_a_nan_or_a_jump(helix, kind, monkeypatch):
+    k3 = BAD_KAPPA3[kind]
+    src = frenet.JetFrameSource(helix[0])
+    monkeypatch.setattr(src, "_node_kappa3", k3)
+    with pytest.raises(ConvergenceFailure, match="kappa3 quadrature"):
+        src.kappa3_integral(1.0)
+    profile = frenet.CurvatureProfile(lambda s: (1.0, 1.0, k3(s)), 1,
+                                      (0.0, 1.0))
+    curve = frenet.SynthesizedCurve(profile, array("d", [0.0, 1.0]),
+                                    array("d", [0.0] * 40), 0.0)
+    with pytest.raises(ConvergenceFailure, match="kappa3 quadrature"):
+        curve.kappa3_integral(1.0)
 
 
-def test_adaptive_simpson_raises_at_the_depth_limit():
-    # the jump at 1/3 is never a node, so its subinterval never converges
-    step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
-    with pytest.raises(ConvergenceFailure):
-        frenet.adaptive_simpson(step, 0.0, 1.0, 1e-12)
+def test_helix_rectify_check_reads_four_frames_per_torsion_panel(
+        monkeypatch):
+    # the 50 sample frames, the frame at s = 0 where the first panel starts,
+    # and the 4 Gauss-Legendre nodes of each of the 50 panels between them
+    built = []
+    kernel = frenet._frame_from_position_jets
+    monkeypatch.setattr(frenet, "_frame_from_position_jets",
+                        lambda a, s: built.append(s) or kernel(a, s))
+    argv = ["rectify-check", "--curve", "lorentz_helix", "--samples", "50"]
+    assert cli.main(argv, out=io.StringIO()) == 1
+    assert len(built) == 251
 
 
 def test_t_of_s_raises_when_newton_does_not_converge(clelia, monkeypatch):
