@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, NamedTuple, Sequence
 
 from . import curves, jets
@@ -80,6 +80,15 @@ def grid(lo: float, hi: float, n: int) -> list[float]:
     step = (hi - lo) / div
     ys = [(i * step if step else i / div * (hi - lo)) + lo for i in range(n)]
     return ys[:-1] + [hi] if n > 1 else ys
+
+
+def _nearest(xs: Sequence[float], x: float) -> int:
+    """The index of the entry of the sorted ``xs`` nearest ``x``, the lower
+    of a tie."""
+    i = bisect_left(xs, x)
+    if i == len(xs) or i and x - xs[i - 1] <= xs[i] - x:
+        i -= 1
+    return i
 
 
 # -- quadrature -------------------------------------------------------------
@@ -617,9 +626,7 @@ class SynthesizedCurve:
     def _index(self, s: float) -> int:
         """The index of the grid point nearest ``s``, the lower of a tie."""
         ss = self.s
-        i = bisect_left(ss, s)
-        if i == len(ss) or i and s - ss[i - 1] <= ss[i] - s:
-            i -= 1
+        i = _nearest(ss, s)
         if abs(ss[i] - s) > 1e-9 * max(1.0, abs(s)):
             raise OutOfDomain(f"s={s} is not a synthesis grid point")
         return i
@@ -768,6 +775,7 @@ class JetFrameSource:
         self.map = arclength_map(spec)
         self._frames: dict[float, FrenetData] = {}
         self._k3: dict[float, float] = {0.0: 0.0}
+        self._anchors = [0.0]           # the keys of _k3, sorted
 
     @property
     def s_range(self) -> tuple[float, float]:
@@ -786,15 +794,17 @@ class JetFrameSource:
     def kappa3_integral(self, s: float) -> float:
         """The torsion angle: kappa3 integrated from arclength 0 to s.
 
-        A new s is integrated by ``_torsion_angle`` from the sample already
-        integrated that is nearest s, so on monotone samples each panel lies
-        between consecutive samples, whose frames are cached, and reads 4
-        new frames unless halved.  A repeated sample is a lookup.
+        A new s is integrated by ``_torsion_angle`` from its anchor, the
+        sample already integrated that is nearest s, the lower of a tie, so
+        on monotone samples each panel lies between consecutive samples,
+        whose frames are cached, and reads 4 new frames unless halved.  A
+        repeated sample is a lookup.
         """
         if s not in self._k3:
-            s0 = min(self._k3, key=lambda a: abs(a - s))
+            s0 = self._anchors[_nearest(self._anchors, s)]
             self._k3[s] = self._k3[s0] + _torsion_angle(
                 self._node_kappa3, s0, s, self.spec.catalog_id)
+            insort(self._anchors, s)
         return self._k3[s]
 
     def _node_kappa3(self, s: float) -> float:

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import os
+import random
 import sys
 from array import array
 
@@ -53,6 +54,24 @@ def test_torsion_angle_raises_on_a_nan_or_a_jump(helix, kind, monkeypatch):
                                     array("d", [0.0] * 40), 0.0)
     with pytest.raises(ConvergenceFailure, match="kappa3 quadrature"):
         curve.kappa3_integral(1.0)
+
+
+@pytest.mark.parametrize("order", ["monotone", "shuffled"])
+def test_torsion_angle_starts_from_the_nearest_integrated_sample(
+        helix, order, monkeypatch):
+    # integer samples make exact ties, which go to the lower sample
+    src = frenet.JetFrameSource(helix[0])
+    monkeypatch.setattr(src, "_node_kappa3", lambda s: 1.0)
+    starts, real = [], frenet._torsion_angle
+    monkeypatch.setattr(frenet, "_torsion_angle", lambda k3, a, b, curve:
+                        starts.append(a) or real(k3, a, b, curve))
+    ss = sorted({*map(float, range(1, 400)), *frenet.grid(0.5, 350.5, 301)})
+    if order == "shuffled":
+        random.Random(7).shuffle(ss)
+    for s in ss:
+        want = min(src._k3, key=lambda a: (abs(a - s), a))
+        assert math.isclose(src.kappa3_integral(s), s, rel_tol=1e-14)
+        assert starts[-1] == want, s
 
 
 def test_helix_rectify_check_reads_four_frames_per_torsion_panel(
