@@ -399,6 +399,25 @@ def test_quadrature_map_against_a_40_digit_reference(cid, domain, bound):
     assert worst <= bound * max(1.0, amap.total), float(worst)
 
 
+def test_torsion_angle_against_a_20_digit_reference():
+    # the float kappa3 integrated by mpmath between consecutive samples;
+    # measured 5.1e-16 relative at worst (adaptive Simpson: 9.7e-13)
+    mpmath = pytest.importorskip("mpmath")
+    spec = rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=2.0, t0=0.48, domain=(0.35, 1.2)))
+    src = frenet.JetFrameSource(spec)
+    ss = src.grid_samples(12)
+    got = [src.kappa3_integral(s) for s in ss]
+    k3 = lambda s: src._node_kappa3(float(s))
+    with mpmath.workdps(20):
+        ref, prev = mpmath.mpf(0), 0.0
+        for s, t in zip(ss, got):
+            ref += mpmath.quad(k3, [prev, s], method="gauss-legendre")
+            prev = s
+            assert abs(t - ref) <= 2e-15 * ref, (s, float((t - ref) / ref))
+
+
 def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
     msign = np.array([-1.0, 1.0, 1.0, 1.0])
     h = frenet.ODE_H
