@@ -91,7 +91,7 @@ def _nearest(xs: Sequence[float], x: float) -> int:
     return i
 
 
-# -- quadrature -------------------------------------------------------------
+# -- quadrature ---------------------------------------------------------------
 
 # 4-point Gauss-Legendre on [-1, 1]: nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)),
 # weights (18 +- sqrt(30)) / 36, outer pair first
