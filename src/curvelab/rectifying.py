@@ -26,7 +26,6 @@ uses.
 from __future__ import annotations
 
 import math
-import os
 from operator import le, mul
 from typing import NamedTuple, Sequence
 
@@ -255,19 +254,6 @@ def least_squares_origin(source, samples: Sequence[float]
 
 # -- Theorem 3.3 battery ------------------------------------------------------
 
-def _env_tol() -> float | None:
-    raw = os.environ.get("CURVELAB_TOL")
-    if raw is None:
-        return None
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ValueError(f"CURVELAB_TOL must be a float, got {raw!r}") from None
-    if not 0.0 < val < math.inf:
-        raise ValueError("CURVELAB_TOL must be positive and finite")
-    return val
-
-
 class ReportTolerances(NamedTuple):
     """Per-check tolerances of the report battery; all configurable."""
 
@@ -280,15 +266,8 @@ class ReportTolerances(NamedTuple):
 
     @classmethod
     def default(cls, every: float | None = None) -> "ReportTolerances":
-        """Field defaults, or one value for every field.
-
-        That value is ``every`` when given, else ``CURVELAB_TOL`` when set.
-        """
-        env = _env_tol()        # read first: a malformed value always raises
-        every = every if every is not None else env
-        if every is None:
-            return cls()
-        return cls(**{name: every for name in cls._fields})
+        """Field defaults, or ``every`` in every field."""
+        return cls() if every is None else cls(*[every] * len(cls._fields))
 
 
 class RectifyingReport(NamedTuple):
@@ -335,7 +314,7 @@ def theorem33_report(source, samples: Sequence[float],
                      curve_name: str = "",
                      c: float | None = None) -> RectifyingReport:
     """Run the full per-statement battery and aggregate a verdict."""
-    tol = tolerances if tolerances is not None else ReportTolerances.default()
+    tol = tolerances if tolerances is not None else ReportTolerances()
     fit = fit_theorem31(source, samples, c=c)
     frames = fit.frames
     ss = [f.s for f in frames]

@@ -25,7 +25,6 @@ CONSTRUCT_TOL = 1e-8
 HELIX_FIT_FLOOR = 1e-2
 ORIGIN_FLOOR = 1e-3
 FD_TOL = 1e-6
-# criteria 4 and 5 judge by the report defaults, whatever CURVELAB_TOL says
 REPORT_TOL = rectifying.ReportTolerances()
 
 # Order-4 central-difference stencils, k to weights and half-width; the step

@@ -563,13 +563,3 @@ def test_fit_condition_number_matches_numpy():
             assert math.isclose(got, want, rel_tol=max(1e-13, 1e-14 * want))
     assert rectifying._cond2(2.0, 1.0, 0.0) == math.inf
     assert rectifying._cond2(-3.0, 0.0, 3.0) == 1.0
-
-
-def test_env_tolerance_override(monkeypatch):
-    monkeypatch.setenv("CURVELAB_TOL", "1e-4")
-    tol = rectifying.ReportTolerances.default()
-    assert tol.thm31_rms == 1e-4
-    assert tol.tangential_slope == 1e-4
-    monkeypatch.setenv("CURVELAB_TOL", "-1")
-    with pytest.raises(ValueError):
-        rectifying.ReportTolerances.default()
