@@ -56,12 +56,14 @@ def _finite(raw: str) -> float:
 
 
 def _sample_count(raw: str) -> int:
-    """argparse type for --samples: an int of at most frenet.MAX_SAMPLES."""
+    """argparse type for --samples: an int from 2 to frenet.MAX_SAMPLES."""
     try:
         val = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {raw!r}") from None
+    if val < 2:
+        raise argparse.ArgumentTypeError(f"{raw} is fewer than 2 samples")
     if val > frenet.MAX_SAMPLES:
         raise argparse.ArgumentTypeError(
             f"{raw} is more than {frenet.MAX_SAMPLES} samples")
@@ -266,8 +268,6 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
 
 
 def cmd_frenet(args, out) -> int:
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
     spec = spec_from_config(load_config(args))
     amap = frenet.arclength_map(spec)
     rows, degenerate = frenet_rows(spec, amap, args.samples)
@@ -308,8 +308,6 @@ def cmd_rectify_check(args, out) -> int:
 def cmd_construct(args, out) -> int:
     if args.a == 0.0:
         raise UsageError("--a must be nonzero")
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
     sphere = spec_from_config(load_config(args))
     domain = tuple(args.construct_domain) if args.construct_domain else None
     spec = rectifying.construct_rectifying(
@@ -330,8 +328,6 @@ def cmd_construct(args, out) -> int:
 def cmd_synthesize(args, out) -> int:
     if not args.drift_tol > 0.0:
         raise UsageError("--drift-tol must be positive")
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
     if args.eps not in (1, -1):
         raise UsageError("--eps must be 1 or -1")
     cfg = load_config(args)
@@ -357,8 +353,7 @@ def cmd_synthesize(args, out) -> int:
     except (KeyError, ValueError) as exc:   # a bad profile, ds or step count
         raise UsageError(str(exc))
     except FrameDriftExceeded as exc:
-        if exc.partial is not None:
-            emit(exc.partial)
+        emit(exc.partial)
         out.write(f"error: {exc}\n")
         return EXIT_PROPERTY
     emit(curve)
@@ -465,9 +460,6 @@ def main(argv=None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FrameDriftExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
     except CurveLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -1,7 +1,8 @@
 """Every exported name resolves: no stale entries in any ``__all__``; the
 names the benchmark calls, and the methods its tracer wraps, are defined
-where it looks for them; no module of the library imports numpy, and the
-command line runs without it; builtin ``sum()`` adds no floats."""
+where it looks for them; no module of the library imports numpy or reads
+the environment, and the command line runs without numpy; builtin
+``sum()`` adds no floats."""
 
 import ast
 import importlib
@@ -141,22 +142,40 @@ def test_every_exported_name_has_a_caller():
     assert unused == []
 
 
+def _imports(path):
+    """(line, top-level module) of each import statement in a source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        yield from ((node.lineno, m.partition(".")[0]) for m in modules)
+
+
+LIBRARY = sorted(Path(curvelab.__file__).parent.glob("*.py"))
+
+
 def test_the_vector_layer_does_not_import_numpy():
     # numpy is a test and benchmark dependency only: no module of the
     # library imports it, the vector layer included
-    root = Path(curvelab.__file__).parent
-    found = []
-    for path in sorted(root.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} imports {m}"
-                      for m in modules if m.partition(".")[0] == "numpy"]
+    found = [f"{path.name}:{line} imports numpy" for path in LIBRARY
+             for line, m in _imports(path) if m == "numpy"]
+    assert found == []
+
+
+def test_the_library_reads_no_environment():
+    # settings come from arguments and flags alone: no module imports os,
+    # or reads the environment through environ or getenv by another path
+    found = [f"{path.name}:{line} imports os" for path in LIBRARY
+             for line, m in _imports(path) if m == "os"]
+    found += [f"{path.name}:{node.lineno} reads {ast.unparse(node)}"
+              for path in LIBRARY
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and {"environ", "getenv"} & {getattr(node, "id", None),
+                                           getattr(node, "attr", None)}]
     assert found == []
 
 
