@@ -26,7 +26,6 @@ from .lorentz import (
     Vec4,
     causal_character,
     minkowski_dot,
-    on_hyperbolic_sphere,
 )
 from .jets import Jet
 from .curves import CurveSpec, catalog_ids, eval_curve, make_spec, register_curve
@@ -89,7 +88,6 @@ __all__ = [
     "frenet_ode_residual",
     "make_spec",
     "minkowski_dot",
-    "on_hyperbolic_sphere",
     "rectifying_residual",
     "register_curve",
     "synthesize_curve",

@@ -258,9 +258,9 @@ def catalog_ids() -> list[str]:
     return list(_CATALOG) + list(_RUNTIME)
 
 
-def register_curve(entry: CatalogEntry, prefix: str = "generic_rectifying") -> str:
+def register_curve(entry: CatalogEntry) -> str:
     """Register a runtime-built curve; returns its generated id."""
-    cid = f"{prefix}:{next(_counter):04d}"
+    cid = f"generic_rectifying:{next(_counter):04d}"
     _RUNTIME[cid] = entry
     return cid
 

@@ -372,12 +372,10 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
         raise DivisionNearZero(_UNSQUARABLE.format(e, s))
     if not 0.0 < g0 < math.inf:
         raise NonSpacelikeVelocity(f"g(alpha', alpha') = {g0} at s={s}")
-    # each check_divisor reads a positive float's root, >= 2.2e-162: none fires
     v = math.sqrt(g0)
     v1 = g1 / (2.0 * v)
     v2 = (g2 - v1 * v1) / (2.0 * v)
     v3 = (g3 - v1 * v2 - v2 * v1) / (2.0 * v)
-    jets.check_divisor(v)
     w0 = 1.0 / v
     w1 = (0.0 - w0 * v1) / v
     w2 = (0.0 - w0 * v2 - w1 * v1) / v
@@ -417,7 +415,6 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     k1 = math.sqrt(g0)
     k11 = g1 / (2.0 * k1)
     k12 = (g2 - k11 * k11) / (2.0 * k1)
-    jets.check_divisor(k1)
     q0 = 1.0 / k1
     q1 = (0.0 - q0 * k11) / k1
     q2 = (0.0 - q0 * k12 - q1 * k11) / k1
@@ -443,7 +440,6 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     eps = 1 if g0 > 0.0 else -1
     k2 = math.sqrt(g0 * eps)
     k21 = g1 * eps / (2.0 * k2)
-    jets.check_divisor(k2)
     q0 = 1.0 / k2
     q1 = (0.0 - q0 * k21) / k2
 
@@ -463,7 +459,6 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     if abs(g0) < CURVATURE_FLOOR * e3:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
     k3 = math.sqrt(abs(g0))
-    jets.check_divisor(k3)
     q0 = 1.0 / k3
     return FrenetData(
         s=s, position=Vec4(*[c[0] for c in a]), T=Vec4(*T), N=Vec4(*N),

@@ -14,7 +14,6 @@ __all__ = [
     "CausalCharacter",
     "minkowski_dot",
     "causal_character",
-    "on_hyperbolic_sphere",
 ]
 
 DEFAULT_CAUSAL_TOL = 1e-12
@@ -71,27 +70,20 @@ def minkowski_dot(v, w) -> float:
     return -v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3
 
 
-def causal_character(v, tol: float = DEFAULT_CAUSAL_TOL) -> CausalCharacter:
+def causal_character(v) -> CausalCharacter:
     """Classify the 4-sequence ``v`` as spacelike, timelike or null.
 
-    The null band is relative: |g(v,v)| <= tol * ||v||_E^2, which makes the
-    classification scale invariant.  The zero vector is spacelike.
+    The null band is relative: |g(v,v)| <= DEFAULT_CAUSAL_TOL * ||v||_E^2,
+    which makes the classification scale invariant.  The zero vector is
+    spacelike.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     if not any(v):
         return CausalCharacter.SPACELIKE
     g = minkowski_dot(v, v)
-    band = tol * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+    band = DEFAULT_CAUSAL_TOL * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
     if g > band:
         return CausalCharacter.SPACELIKE
     if g < -band:
         return CausalCharacter.TIMELIKE
     return CausalCharacter.NULL
 
-
-def on_hyperbolic_sphere(p, tol: float) -> bool:
-    """True iff |g(p, p) + 1| <= tol, i.e. p lies on H_0^3(1)."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return abs(minkowski_dot(p, p) + 1.0) <= tol

@@ -36,7 +36,7 @@ from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import FrenetData, TranslatedSource, arclength_map, grid
 from .jets import Jet
-from .lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
+from .lorentz import Vec4, minkowski_dot
 
 __all__ = [
     "rectifying_residual",
@@ -422,10 +422,11 @@ def construct_rectifying(sphere_spec: CurveSpec,
     total = ymap.total
     for tau in grid(*sphere_spec.domain, 33):
         pos = point(sphere_spec, tau)[0]
-        if not on_hyperbolic_sphere(pos, SPHERE_TOL):
+        gap = minkowski_dot(pos, pos) + 1.0
+        if not abs(gap) <= SPHERE_TOL:
             raise NotOnHyperbolicSphere(
                 f"{sphere_spec.catalog_id} leaves H_0^3(1) at t={tau} "
-                f"(g+1 = {minkowski_dot(pos, pos) + 1.0:.3e})")
+                f"(g+1 = {gap:.3e})")
 
     a, t0 = params.a, params.t0
 

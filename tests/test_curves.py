@@ -10,7 +10,7 @@ from curvelab import curves, frenet, jets
 from curvelab.errors import (CurveLabError, DegenerateFrame,
                              NonSpacelikeVelocity, OutOfDomain,
                              PoleEncountered)
-from curvelab.lorentz import Vec4, minkowski_dot, on_hyperbolic_sphere
+from curvelab.lorentz import Vec4, minkowski_dot
 
 
 def position(cj):
@@ -57,7 +57,8 @@ def test_geodesic_is_unit_speed_on_the_sphere():
     spec = curves.make_spec("hyperbolic_geodesic")
     for t in np.linspace(*spec.domain, 17):
         cj = curves.eval_curve(spec, float(t))
-        assert on_hyperbolic_sphere(position(cj), 1e-12)
+        p = position(cj)
+        assert abs(minkowski_dot(p, p) + 1.0) <= 1e-12
         assert math.isclose(curves.speed(spec, float(t)), 1.0,
                             rel_tol=1e-14)
 
@@ -92,8 +93,7 @@ def test_runtime_pole_surfaces_as_pole_error():
         return (r, zero, zero, zero)
 
     cid = curves.register_curve(CatalogEntry(build=build,
-                                             default_domain=(-0.1, 0.1)),
-                                prefix="pole_probe")
+                                             default_domain=(-0.1, 0.1)))
     with pytest.raises(PoleEncountered):
         curves.eval_curve(curves.make_spec(cid), 0.0)
 
@@ -110,8 +110,8 @@ def test_an_infinite_sine_argument_is_a_pole_error(evaluate):
 def test_clelia_on_hyperbolic_sphere():
     spec = curves.make_spec("hyperbolic_clelia")
     for t in np.linspace(*spec.domain, 33):
-        assert on_hyperbolic_sphere(
-            position(curves.eval_curve(spec, float(t))), 1e-12)
+        p = position(curves.eval_curve(spec, float(t)))
+        assert abs(minkowski_dot(p, p) + 1.0) <= 1e-12
 
 
 def test_helix_unit_speed_spacelike():
@@ -150,8 +150,7 @@ def test_speed_requires_spacelike_velocity():
                 constant(0.0, n))
 
     cid = curves.register_curve(CatalogEntry(build=build,
-                                             default_domain=(0.0, 1.0)),
-                                prefix="timelike_line")
+                                             default_domain=(0.0, 1.0)))
     spec = curves.make_spec(cid)
     with pytest.raises(NonSpacelikeVelocity):
         curves.speed(spec, 0.5)
@@ -174,8 +173,7 @@ def test_nan_velocity_is_not_spacelike():
                 constant(0.0, n))
 
     cid = curves.register_curve(CatalogEntry(build=build,
-                                             default_domain=(0.0, 1.0)),
-                                prefix="nan_line")
+                                             default_domain=(0.0, 1.0)))
     spec = curves.make_spec(cid)
     with pytest.raises(NonSpacelikeVelocity):
         curves.speed(spec, 0.5)

@@ -64,7 +64,7 @@ def moved(lam: np.ndarray, b) -> frenet.JetFrameSource:
 
     cid = curves.register_curve(
         CatalogEntry(build=build, default_params=HELIX.params,
-                     default_domain=HELIX.domain), prefix="lorentz_moved")
+                     default_domain=HELIX.domain))
     return frenet.JetFrameSource(curves.make_spec(cid))
 
 

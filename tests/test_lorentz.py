@@ -13,7 +13,6 @@ from curvelab.lorentz import (
     Vec4,
     causal_character,
     minkowski_dot,
-    on_hyperbolic_sphere,
 )
 
 EPS = 2.220446049250313e-16
@@ -69,14 +68,6 @@ def test_causal_tolerance_band_is_relative():
     # a vector that is null up to roundoff classifies as null, not spacelike
     v = Vec4(1e8, 1e8 * (1 + 1e-14), 0.0, 0.0)
     assert causal_character(v) is CausalCharacter.NULL
-    assert causal_character(v, tol=1e-30) is CausalCharacter.SPACELIKE
-
-
-def test_hyperbolic_sphere_membership():
-    t = 0.83
-    p = Vec4(math.cosh(t), 0.0, math.sinh(t), 0.0)
-    assert on_hyperbolic_sphere(p, 1e-12)
-    assert not on_hyperbolic_sphere(Vec4(0, 1, 0, 0), 1e-12)
 
 
 def test_vec4_rejects_nonfinite():

@@ -59,7 +59,7 @@ def test_construction_rejects_a_sphere_curve_1e_6_off_h3():
     cid = curves.register_curve(curves.CatalogEntry(
         build=lambda t, p, n: tuple(tuple(r * x for x in c)
                                     for c in clelia.build(t, p, n)),
-        default_domain=clelia.default_domain), prefix="off_sphere")
+        default_domain=clelia.default_domain))
     with pytest.raises(NotOnHyperbolicSphere, match=r"g\+1 = -1\.000e-06"):
         rectifying.construct_rectifying(curves.make_spec(cid),
                                         rectifying.ConstructionParams(a=1.0))
