@@ -91,7 +91,7 @@ def _write_lines(path: str | None, lines: list[str], out) -> None:
 def load_config(args) -> dict:
     """Merge a JSON config file (if given) with flag overrides."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -101,9 +101,9 @@ def load_config(args) -> dict:
             raise UsageError("config file must hold a JSON object")
         _check_config_fields(loaded, args.config)
         cfg.update(loaded)
-    if getattr(args, "curve", None):
+    if args.curve:
         cfg["id"] = args.curve
-    if getattr(args, "param", None):
+    if args.param:
         params = dict(cfg.get("params", {}))
         for item in args.param:
             if "=" not in item:
@@ -114,7 +114,7 @@ def load_config(args) -> dict:
             except ValueError:
                 raise UsageError(f"--param {name}: {raw!r} is not a number")
         cfg["params"] = params
-    if getattr(args, "domain", None):
+    if args.domain:
         cfg["domain"] = list(args.domain)
     return cfg
 
@@ -257,9 +257,7 @@ def frenet_rows(spec: curves.CurveSpec, amap: frenet.ArclengthMap,
     for s in samples:
         try:
             f = frenet.frenet_apparatus(spec, amap, s)
-            resid = max(frenet.frenet_ode_residual(
-                frenet.frenet_apparatus(spec, amap, s - h), f,
-                frenet.frenet_apparatus(spec, amap, s + h), h))
+            resid = max(frenet.frenet_ode_residual(spec, amap, f, h))
         except DegenerateFrame:
             degenerate += 1
             continue
@@ -390,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "curve checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[], help="causal character of "
-                       "the velocity at given parameter values")
+    p = sub.add_parser("classify", help="causal character of the velocity "
+                       "at given parameter values")
     _add_config_flags(p)
     p.add_argument("--at", action="append", type=_finite, required=True,
                    metavar="T", help="parameter value (repeatable)")

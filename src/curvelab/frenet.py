@@ -490,11 +490,13 @@ def frenet_rhs(T: Sequence[float], N: Sequence[float], B1: Sequence[float],
             (k3 * p0, k3 * p1, k3 * p2, k3 * p3))
 
 
-def frenet_ode_residual(fm: FrenetData, f0: FrenetData, fp: FrenetData,
+def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, f0: FrenetData,
                         h: float) -> tuple[float, float, float, float]:
-    """Pseudo-norms of the central differences of the frames ``fm`` and
-    ``fp`` at s - h and s + h minus ``frenet_rhs`` of ``f0`` at s; they
+    """Pseudo-norms of the central differences of the frames at ``f0.s - h``
+    and ``f0.s + h`` minus ``frenet_rhs`` of the centre frame ``f0``; they
     converge at order 2 in h on smooth samples."""
+    fm = frenet_apparatus(spec, amap, f0.s - h)
+    fp = frenet_apparatus(spec, amap, f0.s + h)
     rhs = frenet_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
                      f0.kappa3, f0.eps)
     out = []

@@ -119,9 +119,8 @@ def criterion_1(ws: Workspace) -> CriterionResult:
 def _ode_numbers(spec, amap, s):
     """The residual at ``ODE_H`` and the ratios of the residuals at the
     halving steps 2e-2, 1e-2 and 5e-3; one centre frame serves every step."""
-    frame = functools.partial(frenet.frenet_apparatus, spec, amap)
-    f0 = frame(s)
-    r = [max(frenet.frenet_ode_residual(frame(s - h), f0, frame(s + h), h))
+    f0 = frenet.frenet_apparatus(spec, amap, s)
+    r = [max(frenet.frenet_ode_residual(spec, amap, f0, h))
          for h in (frenet.ODE_H, 2e-2, 1e-2, 5e-3)]
     return r[0], [r[1] / r[2], r[2] / r[3]]
 
@@ -274,13 +273,11 @@ def criterion_9(ws: Workspace) -> CriterionResult:
     """Mutation sensitivity: a flipped coupling sign must break suites 2 and 5."""
     src = ws.source("lorentz_helix")
     lo, hi = src.s_range
-    s, h = 0.5 * (lo + hi), frenet.ODE_H
-    frame = functools.partial(frenet.frenet_apparatus, src.spec, src.map)
-    fm, f0, fp = frame(s - h), frame(s), frame(s + h)
+    f0 = frenet.frenet_apparatus(src.spec, src.map, 0.5 * (lo + hi))
     # the mutant flips the (B1)' coupling to N, the one place eps enters:
     # the centre frame carries -eps, as the synthesis runs coupling_eps=-eps
-    mutated = max(frenet.frenet_ode_residual(fm, f0._replace(eps=-f0.eps),
-                                             fp, h))
+    mutated = max(frenet.frenet_ode_residual(
+        src.spec, src.map, f0._replace(eps=-f0.eps), frenet.ODE_H))
     suite2_fails = mutated > ODE_TOL
     try:
         synth = ws.synthesized(-frenet.rectifying_profile().eps)

@@ -73,8 +73,7 @@ def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
     for src in sources:
         s = 0.5 * sum(src.s_range)
         frame = functools.partial(frenet.frenet_apparatus, src.spec, src.map)
-        r = [max(frenet.frenet_ode_residual(frame(s - h), frame(s),
-                                            frame(s + h), h))
+        r = [max(frenet.frenet_ode_residual(src.spec, src.map, frame(s), h))
              for h in steps]
         want.append((r[0], [r[1] / r[2], r[2] / r[3]]))
     calls = []

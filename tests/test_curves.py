@@ -80,6 +80,11 @@ def test_example_curve_domain_with_pole_rejected():
     with pytest.raises(PoleEncountered):
         curves.make_spec("paper_example", params={"a": 1.0, "s0": 0.0},
                          domain=(3.0, 3.3))
+    # an end 1e-8 short of the pole grazes it; one 1e-5 short clears the
+    # guard band of 1e-6 periods
+    with pytest.raises(PoleEncountered):
+        curves.make_spec("paper_example", domain=(0.9, math.pi - 1e-8))
+    curves.make_spec("paper_example", domain=(0.9, math.pi - 1e-5))
 
 
 def test_runtime_pole_surfaces_as_pole_error():

@@ -97,6 +97,23 @@ def test_t_of_s_raises_when_newton_does_not_converge(clelia, monkeypatch):
         amap.t_of_s(s)
 
 
+def test_t_of_s_converges_after_several_newton_steps(clelia, monkeypatch):
+    spec, amap = clelia
+    # a speed rising e^6-fold across one panel of the grid built without
+    # it: the Hermite seed is far off, and Newton takes 6 steps (measured)
+    k = 40
+    t0, dt = amap.grid_t[k], amap.grid_t[k + 1] - amap.grid_t[k]
+    real = frenet.speed
+    steep = lambda spec, t: real(spec, t) * math.exp(6.0 * (t - t0) / dt)
+    calls = _counted_speed(monkeypatch, steep)
+    s = 0.5 * (amap.grid_s[k] + amap.grid_s[k + 1])
+    t = amap.t_of_s(s)
+    # each step reads the four Gauss-Legendre nodes on [t0, t] and t
+    assert len(calls) >= 5 * 4
+    err = amap.grid_s[k] + frenet._gl(lambda x: steep(spec, x), t0, t)[0] - s
+    assert abs(err) <= 1e-14 * amap.total
+
+
 def test_unit_speed_curve_has_identity_arclength(helix):
     spec, amap = helix
     assert math.isclose(amap.total, spec.domain[1] - spec.domain[0],
@@ -191,10 +208,8 @@ def test_eps_matches_first_binormal_sign(clelia):
 
 def test_ode_residual_order_two(helix):
     spec, amap = helix
-    s = 0.5 * amap.total
-    frame = functools.partial(frenet.frenet_apparatus, spec, amap)
-    r = [max(frenet.frenet_ode_residual(frame(s - h), frame(s), frame(s + h),
-                                        h))
+    f0 = frenet.frenet_apparatus(spec, amap, 0.5 * amap.total)
+    r = [max(frenet.frenet_ode_residual(spec, amap, f0, h))
          for h in (2e-2, 1e-2, 5e-3, 1e-4)]
     assert 3.5 < r[0] / r[1] < 4.5
     assert 3.5 < r[1] / r[2] < 4.5
@@ -433,7 +448,7 @@ def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
                 hi = np.array(getattr(fp, name).components)
                 diff = (hi - lo) / (2.0 * h) - rhs[k]
                 want.append(math.sqrt(abs(float(np.sum(msign * diff * diff)))))
-            got = frenet.frenet_ode_residual(fm, f0, fp, h)
+            got = frenet.frenet_ode_residual(spec, amap, f0, h)
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -853,3 +868,9 @@ def test_derivative_rank_of_zero_and_planar_rows():
     a = [(ch, sh, ch / 2, sh / 6, ch / 24), (sh, ch, sh / 2, ch / 6, sh / 24),
          (0.0,) * 5, (0.0,) * 5]
     assert frenet._derivative_rank(a) == 2
+    # orthogonal rows with singular values (1, 1, small, 0): small counts
+    # at 1e-6 of the largest and not at 1e-10
+    for small, rank in ((1e-6, 3), (1e-10, 2)):
+        rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, small, 0.0], [0.0] * 4]
+        assert frenet._derivative_rank(_position_coefficients(rows)) == rank

@@ -68,6 +68,9 @@ def test_causal_tolerance_band_is_relative():
     # a vector that is null up to roundoff classifies as null, not spacelike
     v = Vec4(1e8, 1e8 * (1 + 1e-14), 0.0, 0.0)
     assert causal_character(v) is CausalCharacter.NULL
+    # a relative gap of 1e-9, far above roundoff, is spacelike
+    assert causal_character(Vec4(1.0, 1.0 + 1e-9, 0.0, 0.0)) is \
+        CausalCharacter.SPACELIKE
 
 
 def test_vec4_rejects_nonfinite():

@@ -420,6 +420,17 @@ def test_report_rejects_helix(helix):
     assert rep.thm31.rms_residual > 1e-2
 
 
+def test_rho_varies_only_past_its_floor(helix):
+    # g(alpha, alpha) = A^2 + B^2 = 3 on the helix; moved by d along x1,
+    # rho^2 gains 2 d cosh(t), which varies by about 18 d over the samples:
+    # under the floor's 3e-4 at d = 1e-7, over it at d = 1e-2
+    ss = samples_of(helix, 50)
+    for d, varying in ((1e-7, False), (1e-2, True)):
+        moved = frenet.TranslatedSource(helix, Vec4(0.0, d, 0.0, 0.0))
+        rep = rectifying.theorem33_report(moved, ss)
+        assert rep.normal_constancy["rho_nonconstant"] is varying, d
+
+
 def test_helix_defeats_c_grid_and_origin_shift(helix):
     ss = samples_of(helix, 40)
     _, c_rms = rectifying.thm31_min_rms_over_c(helix, ss)
