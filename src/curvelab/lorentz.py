@@ -80,7 +80,8 @@ def causal_character(v) -> CausalCharacter:
     if not any(v):
         return CausalCharacter.SPACELIKE
     g = minkowski_dot(v, v)
-    band = DEFAULT_CAUSAL_TOL * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+    band = DEFAULT_CAUSAL_TOL * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+                                 + v[3] * v[3])
     if g > band:
         return CausalCharacter.SPACELIKE
     if g < -band:
