@@ -432,6 +432,58 @@ def test_torsion_angle_against_a_20_digit_reference():
             assert abs(t - ref) <= 2e-15 * ref, (s, float((t - ref) / ref))
 
 
+# (case, catalog id, params, domain, bounds on the forward error of the
+# fields in reference.FIELDS order: position, T, N, B1, B2, kappa1..3).
+# Each bound is about 4x the largest error measured over the 25 samples:
+# on the helix, T 1.4e-14, N 9.6e-15, B1 2.6e-14, B2 2.2e-13, kappa1..3
+# 3.8e-14, 5.9e-14, 4.3e-14; on the clelia, 6.0e-15 at most.  The helix
+# with B = 1 + delta nears the light cone as delta falls: its velocity
+# coordinates near 1 round, while g(V, V) = 2 delta + delta^2.
+FRAME_REFERENCE = [
+    ("helix", "lorentz_helix", {}, None,
+     (1e-15, 6e-14, 4e-14, 1e-13, 1e-12, 2e-13, 3e-13, 2e-13)),
+    ("helix p=0.8 q=1.05", "lorentz_helix", {"p": 0.8, "q": 1.05}, None,
+     (1e-15, 6e-15, 9e-15, 2e-14, 2e-13, 8e-15, 3e-14, 2e-14)),
+    ("helix p=0.8 q=1.2", "lorentz_helix", {"p": 0.8, "q": 1.2}, None,
+     (1e-15, 5e-15, 6e-15, 4e-14, 6e-14, 9e-15, 5e-14, 4e-14)),
+    ("helix p=0.95 q=1.05", "lorentz_helix", {"p": 0.95, "q": 1.05}, None,
+     (1e-15, 5e-14, 2e-14, 4e-14, 2e-13, 2e-13, 2e-13, 2e-13)),
+    ("helix p=0.95 q=1.2", "lorentz_helix", {"p": 0.95, "q": 1.2}, None,
+     (1e-15, 3e-14, 2e-14, 9e-14, 4e-13, 8e-14, 2e-13, 4e-14)),
+    ("near-null 1e-2", "lorentz_helix", {"B": 1.01},
+     None, (1e-15, 3e-12, 7e-15, 6e-12, 1e-9, 6e-12, 4e-12, 6e-12)),
+    ("near-null 1e-4", "lorentz_helix", {"B": 1.0001},
+     None, (1e-15, 3e-10, 4e-14, 3e-10, 4e-6, 6e-10, 7e-10, 5e-10)),
+    ("near-null 1e-6", "lorentz_helix", {"B": 1.000001},
+     None, (1e-15, 3e-8, 2e-14, 5e-8, 1e-1, 6e-8, 4e-8, 5e-4)),
+    ("clelia", "hyperbolic_clelia", {}, (0.8, 1.6),
+     (1e-15, 2e-15, 2e-15, 2e-14, 3e-14, 4e-15, 2e-14, 3e-14)),
+]
+
+
+@pytest.mark.parametrize("cid, params, domain, bounds",
+                         [case[1:] for case in FRAME_REFERENCE],
+                         ids=[case[0] for case in FRAME_REFERENCE])
+def test_frames_against_a_40_digit_reference(cid, params, domain, bounds):
+    pytest.importorskip("mpmath")
+    import reference
+    spec = curves.make_spec(cid, params, domain)
+    amap = frenet.arclength_map(spec)
+    derivatives = (reference.helix(spec.params) if cid == "lorentz_helix"
+                   else reference.clelia)
+    worst = dict.fromkeys(reference.FIELDS, 0.0)
+    for s in frenet.grid(0.0, amap.total, 25):
+        got = frenet.frenet_apparatus(spec, amap, s)
+        want = reference.frame(derivatives, amap.t_of_s(s))
+        assert got.eps == want["eps"], s
+        for name, err in reference.forward_errors(got, want).items():
+            worst[name] = max(worst[name], err)
+    over = {name: (worst[name], bound)
+            for name, bound in zip(reference.FIELDS, bounds)
+            if not worst[name] <= bound}
+    assert not over, over
+
+
 def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
     msign = np.array([-1.0, 1.0, 1.0, 1.0])
     h = frenet.ODE_H
