@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from curvelab import cli, curves, frenet, jets, rectifying
 from curvelab.curves import CatalogEntry
-from curvelab.errors import (ConvergenceFailure, DegenerateFrame,
-                             DivisionNearZero, NonSpacelikePrincipalNormal,
+from curvelab.errors import (ConvergenceFailure, CurveLabError,
+                             DegenerateFrame, DivisionNearZero,
+                             NonSpacelikePrincipalNormal,
                              NonSpacelikeVelocity)
 from curvelab.lorentz import Vec4
 
@@ -506,8 +507,8 @@ def test_ode_residual_is_the_numpy_form_bit_for_bit(helix, clelia):
 
 # -- reference: the Gram-Schmidt chain in jet arithmetic ----------------------
 # The chain on whole jets in the curve's parameter t, arclength derivatives
-# by d/ds = w d/dt with w = 1/v: the oracle that
-# ``frenet._frame_from_position_jets`` must match bit for bit.
+# by d/ds = w d/dt with w = 1/v: the route frames took before the float
+# kernel, kept as a second reference for ``frenet._frame_from_position_jets``.
 
 
 def _jvec_d(v):
@@ -610,13 +611,52 @@ def reference_frame(aj, s):
 
 
 def _outcome(fn, aj, s):
-    """repr of every field of the frame, or the type and message of the
-    error raised instead."""
+    """The frame, or the type and message of the error raised instead."""
     try:
-        f = fn(aj, s)
+        return fn(aj, s)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    return [(name, repr(getattr(f, name))) for name in f._fields]
+
+
+# The chain and the kernel both lose digits as g(alpha', alpha') cancels,
+# so their fields are compared within CHAIN_TOL times the velocity's
+# cancellation ratio |alpha'|^2 / g(alpha', alpha') (1 at best).  Measured
+# between the chain and the modified Gram-Schmidt kernel on draws like the
+# tests' below: at most 2.6e-13 times the ratio over 23,000 helices (B2,
+# at ratios from 5e2 to 3e6), 5e-14 over 600 constructed-curve and 3.2e-14
+# over 300 clelia samples.
+CHAIN_TOL = 1e-12
+
+
+def _cancellation(a):
+    v0, v1, v2, v3 = (c[1] for c in a)
+    return ((v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
+            / (-(v0 * v0) + v1 * v1 + v2 * v2 + v3 * v3))
+
+
+def _assert_agrees_with_the_chain(a, s, got):
+    """``got``, the kernel's outcome on the coefficient tuples ``a``, is the
+    chain's frame within CHAIN_TOL times the cancellation ratio, with the
+    same position and eps, or the chain's error class, with its message
+    where that prints no float the two compute differently.  Returns the
+    chain's outcome."""
+    want = _outcome(reference_frame, tuple(map(jets.Jet, a)), s)
+    if isinstance(want, str):
+        assert isinstance(got, str), (got, want)
+        assert got.split(":")[0] == want.split(":")[0], (got, want)
+        if want.startswith(("DegenerateFrame", "NonSpacelikeVelocity")):
+            assert got == want
+        return want
+    assert isinstance(got, frenet.FrenetData), (got, want)
+    assert got.s == want.s and got.position == want.position
+    _assert_frames_close(got, want, CHAIN_TOL * _cancellation(a))
+    return want
+
+
+def _kernel_matches_reference(spec, amap, s):
+    cj = curves.eval_curve(spec, amap.t_of_s(s))
+    return _assert_agrees_with_the_chain(
+        cj, s, _outcome(frenet._frame_from_position_jets, cj, s))
 
 
 STATIC = [cid for cid in curves.catalog_ids() if ":" not in cid]
@@ -641,13 +681,6 @@ def _arclength(data, amap):
     """An arclength of the map, its ends included."""
     return data.draw(st.one_of(st.sampled_from([0.0, amap.total]),
                                st.floats(0.0, amap.total)))
-
-
-def _kernel_matches_reference(spec, amap, s):
-    cj = curves.eval_curve(spec, amap.t_of_s(s))
-    want = _outcome(reference_frame, tuple(map(jets.Jet, cj)), s)
-    assert _outcome(frenet._frame_from_position_jets, cj, s) == want
-    return want
 
 
 @pytest.mark.parametrize("cid", STATIC)
@@ -686,7 +719,8 @@ def test_float_kernel_is_the_jet_chain_on_constructed_curves(data):
 
 # Raw coefficients reach the sign of zero, infinities, NaN and magnitudes
 # whose squares leave floating point; the smallest subnormals make products
-# underflow to a signed zero.
+# underflow to a signed zero.  The examples were edge cases of the jet
+# chain; the outcome of each is noted, with the chain's where it differs.
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
                                     5e-324, -5e-324, math.inf, -math.inf,
                                     math.nan, 1e160, -1e160, 1e-160]),
@@ -700,18 +734,19 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
     (-2.0, -1.0, 5e-324, 3.9720257229913454, -9.509433452266629),
     (5e-324, -0.0, -1.9371727652242026, -0.1269571994461156, 0.0),
     (0.0, -0.0, 5e-324, 0.5, -9.181035195924164)])
-@example(coeffs=[     # 1/v overflows in its first coefficient
+@example(coeffs=[     # alpha'' along alpha': DegenerateFrame, where the
+    # chain's 1/v series overflowed in its first coefficient
     (0.0,) * 5, (0.0, 1e-150, 1e150, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
 @example(coeffs=[     # a timelike velocity
     (0.0, 2.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0, 0.0), (0.0,) * 5,
     (0.0,) * 5])
-# The five Euclidean squares that can leave floating point, in chain order.
+# Five Euclidean squares that leave floating point: DivisionNearZero.
 @example(coeffs=[     # |alpha'|^2
     (0.0,) * 5, (0.0, 1e160, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0,) * 5])
 @example(coeffs=[     # |T_s|^2, three terms of 1e308; g(V, V) subtracts one
     (0.0, 0.0, 5e153, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 5e153, 0.0, 0.0), (0.0, 0.0, 5e153, 0.0, 0.0)])
-@example(coeffs=[     # |T|^2: g(V, V) = 1e-320, so w0 = 1e160
+@example(coeffs=[     # |T|^2: g(V, V) = 1e-320, so w = 1e160
     (0.0, 1.0, 0.0, 0.0, 0.0), (0.0,) * 5, (0.0, 1.0, 0.0, 0.0, 0.0),
     (0.0, 1e-160, 0.0, 0.0, 0.0)])
 @example(coeffs=[     # |R1|^2
@@ -720,13 +755,22 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
 @example(coeffs=[     # |R2|^2
     (0.5, 0.0, 0.0, 2.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0),
     (0.0, 1.0, 0.0, -1.0, -1e160), (0.0, 3.0, 2.0, 0.0, 0.0)])
-@example(coeffs=[     # a NaN position: Vec4's ValueError, after the chain
+@example(coeffs=[     # a NaN position: Vec4's ValueError, after the frame
     (0.0, 0.0, 3.0, 0.0, 0.0), (-1.0, 0.0, 3.0, 0.5, 2.0),
     (math.nan, 0.5, 1.0, 0.0, 3.0), (0.5, 0.0, 0.5, -1.0, 0.0)])
-def test_float_kernel_is_the_jet_chain_on_raw_coefficients(coeffs):
-    aj = tuple(jets.Jet(c) for c in coeffs)
-    assert (_outcome(frenet._frame_from_position_jets, coeffs, 0.5)
-            == _outcome(reference_frame, aj, 0.5))
+def test_float_kernel_gives_a_finite_frame_or_a_typed_error(coeffs):
+    # a non-finite field never leaves the kernel: each Minkowski square's
+    # Euclidean twin is checked finite, which NaN fails too
+    try:
+        f = frenet._frame_from_position_jets(coeffs, 0.5)
+    except CurveLabError:
+        return
+    except ValueError as exc:
+        assert "non-finite coordinate in Vec4" in str(exc)
+        assert not all(map(math.isfinite, (c[0] for c in coeffs)))
+        return
+    assert all(map(math.isfinite, (f.kappa1, f.kappa2, f.kappa3)))
+    assert all(math.isfinite(x) for v in f[1:6] for x in v)
 
 
 def test_float_kernel_builds_no_jet(helix, monkeypatch):
@@ -741,14 +785,13 @@ def test_float_kernel_builds_no_jet(helix, monkeypatch):
     built.clear()
     f = frenet._frame_from_position_jets(a, 1.0)
     assert built == []
-    aj = tuple(map(jets.Jet, a))
-    assert _outcome(lambda aj, s: f, aj, 1.0) == _outcome(reference_frame,
-                                                           aj, 1.0)
+    _assert_agrees_with_the_chain(a, 1.0, f)
 
 
 def test_float_kernel_calls_only_the_records(helix):
-    # a frame is four passes of straight-line float arithmetic: the only
-    # curvelab functions it calls construct its records.
+    # a frame is straight-line float arithmetic, one Gram-Schmidt step per
+    # derivative: the only curvelab functions it calls construct its
+    # records.
     # Comprehensions are left out: Python 3.12 inlines them (PEP 709).
     comprehensions = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
     spec, amap = helix
