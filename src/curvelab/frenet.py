@@ -1,12 +1,12 @@
 """Arclength maps, Frenet apparatus and frame synthesis.
 
-Frame extraction runs the pseudo-Euclidean Gram-Schmidt chain in plain
-floats on the coefficients of the curve's order-4 position jets in its own
-parameter t, exactly enough for T, N, B1, B2 and the three curvatures, in
-four passes over the coordinates, one per Minkowski square, bit for bit
-as jet arithmetic would, with no finite differencing.  Arclength
-derivatives come from the chain rule d/ds = (1/v) d/dt, so the arclength
-map serves only to find the parameter of a requested arclength.  A curve
+Frame extraction orthonormalizes the position's t-derivatives, alpha'
+to alpha'''', by modified Gram-Schmidt in the Minkowski metric, in plain
+floats on the coefficients of the curve's order-4 jets in its own
+parameter t, with no finite differencing.  The curvatures are ratios of
+the Gram-Schmidt norms, and powers of 1/v, v the speed, carry them to
+arclength, so the arclength map serves only to find the parameter of a
+requested arclength.  A curve
 without a closed-form arclength integrates its speed by 4-point
 Gauss-Legendre on panels, halved where an error estimate asks, and inverts
 it by one Newton correction from a cubic Hermite seed.  The torsion angle
@@ -288,7 +288,8 @@ class FrenetData(NamedTuple):
     eps: int
 
 
-# a series too large to square, as a speed near 0 makes the s-derivatives
+# a frame vector too large to square, as a speed near 0 makes the
+# arclength derivatives
 _UNSQUARABLE = ("Euclidean square {} of a frame series leaves floating point "
                 "at s={}")
 
@@ -339,130 +340,110 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
 
     Raises DegenerateFrame(level) when a Gram-Schmidt residual vanishes or
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
-    NonSpacelikePrincipalNormal when g(T', T') < 0, and NonSpacelikeVelocity
-    or DivisionNearZero when the speed leaves floating point.
+    NonSpacelikePrincipalNormal when g(T', T') < 0, NonSpacelikeVelocity
+    when g(alpha', alpha') is not a positive float, and DivisionNearZero
+    when the square of a derivative or a frame vector leaves floating
+    point.
     """
     return _frame_from_position_jets(
         curves.eval_curve(spec, amap.t_of_s(s)), s)
 
 
 def _frame_from_position_jets(a, s: float) -> FrenetData:
-    """The Gram-Schmidt chain in floats on ``a``, the coefficient tuples of
-    the four position jets in the curve's own parameter t, with d/ds =
-    w d/dt, w = 1/v and v the speed.  Coefficient k of a product, root or
-    quotient reads coefficients up to k only, so each of the four passes
-    over the coordinates, one per Minkowski square g, carries its series
-    as far as a later pass reads it (numbered below).  Each coefficient
-    takes the float operations of the jets' product, ``_sqrt`` and
-    ``_divide`` in their order, and g sums ``-(x0*x0) + x1*x1 + ...`` left
-    to right as the jets do, so the frame is the jet chain's bit for
-    bit."""
-    # 1. V = alpha' to coefficient 3; v = sqrt(g(V, V)) and w = 1/v to 3
-    V, e = [], 0.0
-    for i, (_, x0, x1, x2, x3) in enumerate(a):
-        x1, x2, x3 = 2.0 * x1, 3.0 * x2, 4.0 * x3
-        p0, p1 = 0.0 + x0 * x0, 0.0 + x0 * x1 + x1 * x0
-        p2 = 0.0 + x0 * x2 + x1 * x1 + x2 * x0
-        p3 = 0.0 + x0 * x3 + x1 * x2 + x2 * x1 + x3 * x0
-        g0, g1, g2, g3 = ((g0 + p0, g1 + p1, g2 + p2, g3 + p3) if i
-                          else (-p0, -p1, -p2, -p3))
-        e += p0
-        V.append((x0, x1, x2, x3))
+    """The frame by modified Gram-Schmidt in g on the position's
+    t-derivatives A_k = k! c_k, read off ``a``, the coefficient tuples of
+    its four jets in the curve's own parameter t (Gluck, Amer. Math.
+    Monthly 73, 1966).  With v the speed and w = 1/v, T = w A1.  U2, U3 and
+    U4 are A2, A3 and A4 with their parts along T, N and B1 removed one at
+    a time: the T coefficient is w g(A_k, A1), on alpha' itself rather
+    than on T's rounded components, the N coefficient g(., N) and the B1
+    coefficient eps g(., B1).  Then T_s = w^2 U2 = kappa1 N, R1 = f1 U3 w
+    = kappa2 B1 and R2 = f2 f1 U4 = kappa3 B2, with f1 = w^2 / kappa1 and
+    f2 = w^2 / kappa2 each formed as w (w / kappa), one factor at a time,
+    so no intermediate leaves floating point where the frame does not.
+    Every sum runs left to right, and the degeneracy checks read the
+    Euclidean and Minkowski squares of T_s, R1 and R2."""
+    (x0, a0, b0, c0, d0), (x1, a1, b1, c1, d1), (x2, a2, b2, c2, d2), \
+        (x3, a3, b3, c3, d3) = a
+    e = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     if not e < math.inf:
         raise DivisionNearZero(_UNSQUARABLE.format(e, s))
-    if not 0.0 < g0 < math.inf:
-        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {g0} at s={s}")
-    v = math.sqrt(g0)
-    v1 = g1 / (2.0 * v)
-    v2 = (g2 - v1 * v1) / (2.0 * v)
-    v3 = (g3 - v1 * v2 - v2 * v1) / (2.0 * v)
-    w0 = 1.0 / v
-    w1 = (0.0 - w0 * v1) / v
-    w2 = (0.0 - w0 * v2 - w1 * v1) / v
-    w3 = (0.0 - w0 * v3 - w1 * v2 - w2 * v1) / v
-    if not all(map(math.isfinite, (w0, w1, w2, w3))):
-        raise DivisionNearZero(f"1/speed series {(w0, w1, w2, w3)} leaves "
-                               f"floating point at s={s}")
+    g = -(a0 * a0) + a1 * a1 + a2 * a2 + a3 * a3
+    if not 0.0 < g < math.inf:
+        raise NonSpacelikeVelocity(f"g(alpha', alpha') = {g} at s={s}")
+    w = 1.0 / math.sqrt(g)
+    t0, t1, t2, t3 = w * a0, w * a1, w * a2, w * a3
 
-    # 2. T = w V to 3, T_s = w T' to 2; kappa1 = sqrt(g(T_s, T_s)), 1/kappa1
-    T, Ts, e1, eT = [], [], 0.0, 0.0
-    for i, (x0, x1, x2, x3) in enumerate(V):
-        t0, t1 = 0.0 + w0 * x0, 0.0 + w0 * x1 + w1 * x0
-        t2 = 2.0 * (0.0 + w0 * x2 + w1 * x1 + w2 * x0)
-        t3 = 3.0 * (0.0 + w0 * x3 + w1 * x2 + w2 * x1 + w3 * x0)
-        d0, d1 = 0.0 + w0 * t1, 0.0 + w0 * t2 + w1 * t1
-        d2 = 0.0 + w0 * t3 + w1 * t2 + w2 * t1
-        p0, p1 = 0.0 + d0 * d0, 0.0 + d0 * d1 + d1 * d0
-        p2 = 0.0 + d0 * d2 + d1 * d1 + d2 * d0
-        g0, g1, g2 = (g0 + p0, g1 + p1, g2 + p2) if i else (-p0, -p1, -p2)
-        e1 += p0
-        eT += 0.0 + t0 * t0
-        T.append(t0)
-        Ts.append((t1, d0, d1, d2))
+    # T_s = w^2 U2 = kappa1 N
+    b0, b1, b2, b3 = 2.0 * b0, 2.0 * b1, 2.0 * b2, 2.0 * b3
+    h = w * (-(b0 * a0) + b1 * a1 + b2 * a2 + b3 * a3)
+    y0, y1 = w * (w * (b0 - h * t0)), w * (w * (b1 - h * t1))
+    y2, y3 = w * (w * (b2 - h * t2)), w * (w * (b3 - h * t3))
+    e1 = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
+    eT = t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3
     for e in (e1, eT):
         if not e < math.inf:
             raise DivisionNearZero(_UNSQUARABLE.format(e, s))
     if e1 < CURVATURE_FLOOR ** 2 * max(1.0, eT):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
-    if g0 < CURVATURE_FLOOR * max(e1, 1e-300):
+    g = -(y0 * y0) + y1 * y1 + y2 * y2 + y3 * y3
+    if g < CURVATURE_FLOOR * max(e1, 1e-300):
         # a curve in a Lorentzian 2-plane has a timelike T', yet its defect
         # is that kappa2 is undefined: classify by derivative rank first
         if _derivative_rank(a) <= 2:
             raise DegenerateFrame(2, f"curve is planar near s={s}")
-        if g0 < -CURVATURE_FLOOR * max(e1, 1e-300):
-            raise NonSpacelikePrincipalNormal(f"g(T',T') = {g0} at s={s}")
+        if g < -CURVATURE_FLOOR * max(e1, 1e-300):
+            raise NonSpacelikePrincipalNormal(f"g(T',T') = {g} at s={s}")
         raise DegenerateFrame(1, f"T' numerically null at s={s}")
-    k1 = math.sqrt(g0)
-    k11 = g1 / (2.0 * k1)
-    k12 = (g2 - k11 * k11) / (2.0 * k1)
-    q0 = 1.0 / k1
-    q1 = (0.0 - q0 * k11) / k1
-    q2 = (0.0 - q0 * k12 - q1 * k11) / k1
+    k1 = math.sqrt(g)
+    r = 1.0 / k1
+    n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
 
-    # 3. N = T_s / kappa1 to 2, R1 = w N' + kappa1 T to 1; eps, kappa2 to 1
-    N, R1, e2 = [], [], 0.0
-    for i, (t0, (t1, x0, x1, x2)) in enumerate(zip(T, Ts)):
-        n0, n1 = 0.0 + q0 * x0, 0.0 + q0 * x1 + q1 * x0
-        n2 = 2.0 * (0.0 + q0 * x2 + q1 * x1 + q2 * x0)
-        y0 = (0.0 + w0 * n1) + (0.0 + k1 * t0)
-        y1 = (0.0 + w0 * n2 + w1 * n1) + (0.0 + k1 * t1 + k11 * t0)
-        p0, p1 = 0.0 + y0 * y0, 0.0 + y0 * y1 + y1 * y0
-        g0, g1 = (g0 + p0, g1 + p1) if i else (-p0, -p1)
-        e2 += p0
-        N.append(n0)
-        R1.append((y0, y1))
+    # R1 = (w^3 / kappa1) U3 = kappa2 B1
+    c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
+    h = w * (-(c0 * a0) + c1 * a1 + c2 * a2 + c3 * a3)
+    c0, c1, c2, c3 = c0 - h * t0, c1 - h * t1, c2 - h * t2, c3 - h * t3
+    h = -(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3
+    f1 = w * (w * r)
+    y0, y1 = w * (f1 * (c0 - h * n0)), w * (f1 * (c1 - h * n1))
+    y2, y3 = w * (f1 * (c2 - h * n2)), w * (f1 * (c3 - h * n3))
+    e2 = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
     if not e2 < math.inf:
         raise DivisionNearZero(_UNSQUARABLE.format(e2, s))
     if e2 < CURVATURE_FLOOR ** 2 * max(1.0, e1):
         raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
-    if abs(g0) < CURVATURE_FLOOR * e2:
+    g = -(y0 * y0) + y1 * y1 + y2 * y2 + y3 * y3
+    if abs(g) < CURVATURE_FLOOR * e2:
         raise DegenerateFrame(2, f"second Frenet residual null at s={s}")
-    eps = 1 if g0 > 0.0 else -1
-    k2 = math.sqrt(g0 * eps)
-    k21 = g1 * eps / (2.0 * k2)
-    q0 = 1.0 / k2
-    q1 = (0.0 - q0 * k21) / k2
+    eps = 1 if g > 0.0 else -1
+    k2 = math.sqrt(g * eps)
+    r = 1.0 / k2
+    p0, p1, p2, p3 = r * y0, r * y1, r * y2, r * y3
 
-    # 4. B1 = R1 / kappa2 to 1, R2 = w B1' + eps kappa2 N as values; kappa3
-    B1, R2, e3 = [], [], 0.0
-    for i, (n0, (y0, y1)) in enumerate(zip(N, R1)):
-        z = (0.0 + w0 * (0.0 + q0 * y1 + q1 * y0)) + (0.0 + k2 * eps * n0)
-        p0 = 0.0 + z * z
-        g0 = g0 + p0 if i else -p0
-        e3 += p0
-        B1.append(0.0 + q0 * y0)
-        R2.append(z)
+    # R2 = (w^4 / (kappa1 kappa2)) U4 = kappa3 B2
+    d0, d1, d2, d3 = 24.0 * d0, 24.0 * d1, 24.0 * d2, 24.0 * d3
+    h = w * (-(d0 * a0) + d1 * a1 + d2 * a2 + d3 * a3)
+    d0, d1, d2, d3 = d0 - h * t0, d1 - h * t1, d2 - h * t2, d3 - h * t3
+    h = -(d0 * n0) + d1 * n1 + d2 * n2 + d3 * n3
+    d0, d1, d2, d3 = d0 - h * n0, d1 - h * n1, d2 - h * n2, d3 - h * n3
+    h = eps * (-(d0 * p0) + d1 * p1 + d2 * p2 + d3 * p3)
+    f2 = w * (w * r)
+    y0, y1 = f2 * (f1 * (d0 - h * p0)), f2 * (f1 * (d1 - h * p1))
+    y2, y3 = f2 * (f1 * (d2 - h * p2)), f2 * (f1 * (d3 - h * p3))
+    e3 = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
     if not e3 < math.inf:
         raise DivisionNearZero(_UNSQUARABLE.format(e3, s))
     if e3 < CURVATURE_FLOOR ** 2 * max(1.0, e2):
         raise DegenerateFrame(3, f"third Frenet residual ~ 0 at s={s}")
-    if abs(g0) < CURVATURE_FLOOR * e3:
+    g = -(y0 * y0) + y1 * y1 + y2 * y2 + y3 * y3
+    if abs(g) < CURVATURE_FLOOR * e3:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
-    k3 = math.sqrt(abs(g0))
-    q0 = 1.0 / k3
+    k3 = math.sqrt(abs(g))
+    r = 1.0 / k3
     return FrenetData(
-        s=s, position=Vec4(*[c[0] for c in a]), T=Vec4(*T), N=Vec4(*N),
-        B1=Vec4(*B1), B2=Vec4(*[0.0 + q0 * z for z in R2]),
+        s=s, position=Vec4(x0, x1, x2, x3), T=Vec4(t0, t1, t2, t3),
+        N=Vec4(n0, n1, n2, n3), B1=Vec4(p0, p1, p2, p3),
+        B2=Vec4(r * y0, r * y1, r * y2, r * y3),
         kappa1=k1, kappa2=k2, kappa3=k3, eps=eps)
 
 

@@ -22,9 +22,10 @@ as the reference and checks every operation against them bit for bit,
 sign of zero included.
 
 ``compose`` and ``reverse`` carry a jet from one parameter to another.
-The frame kernel needs neither (it applies the chain rule d/ds = (1/v)
-d/dt to the curve's own jets); the spherical construction reparameterizes
-its input by arclength with them.
+The frame kernel needs neither (it runs Gram-Schmidt on the derivatives
+that the curve's own jets hold, and takes them to arclength by powers of
+1/v); the spherical construction reparameterizes its input by arclength
+with them.
 """
 from __future__ import annotations
 
