@@ -6,12 +6,11 @@ floats on the coefficients of the curve's order-4 jets in its own
 parameter t, with no finite differencing.  The curvatures are ratios of
 the Gram-Schmidt norms, and powers of 1/v, v the speed, carry them to
 arclength, so the arclength map serves only to find the parameter of a
-requested arclength.  A curve
-without a closed-form arclength integrates its speed by 4-point
-Gauss-Legendre on panels, halved where an error estimate asks, and inverts
-it by one Newton correction from a cubic Hermite seed.  The torsion angle
-t(s), the integral of kappa3 in s, runs on the same panels, one between
-consecutive samples.
+requested arclength.  A curve without a closed-form arclength integrates
+its speed by 4-point Gauss-Legendre on panels, halved where an error
+estimate asks, and inverts it by one Newton correction from a cubic
+Hermite seed.  The torsion angle t(s), the integral of kappa3 in s, runs
+on the same panels, one between consecutive samples.
 
 Synthesis integrates the linear moving-frame system (plus alpha' = T) with
 classical RK4 and monitors the drift of the ten Gram conditions instead of
@@ -35,7 +34,7 @@ from .curves import ArclengthPair, CurveSpec, _check_names, _lookup, speed
 from .errors import (ConvergenceFailure, DegenerateFrame, DivisionNearZero,
                      FrameDriftExceeded, NonSpacelikePrincipalNormal,
                      NonSpacelikeVelocity, OutOfDomain)
-from .lorentz import Vec4, minkowski_dot
+from .lorentz import Vec4
 
 __all__ = [
     "grid",
@@ -480,10 +479,12 @@ def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, f0: FrenetData,
     fp = frenet_apparatus(spec, amap, f0.s + h)
     rhs = frenet_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
                      f0.kappa3, f0.eps)
-    out = []
-    for lo, hi, r in zip(*[(f.T, f.N, f.B1, f.B2) for f in (fm, fp)], rhs):
-        d = [(b - a) / (2.0 * h) - c for a, b, c in zip(lo, hi, r)]
-        out.append(math.sqrt(abs(minkowski_dot(d, d))))
+    h2, out = 2.0 * h, []
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) in zip(
+            (fm.T, fm.N, fm.B1, fm.B2), (fp.T, fp.N, fp.B1, fp.B2), rhs):
+        d0, d1 = (b0 - a0) / h2 - c0, (b1 - a1) / h2 - c1
+        d2, d3 = (b2 - a2) / h2 - c2, (b3 - a3) / h2 - c3
+        out.append(math.sqrt(abs(-d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)))
     return tuple(out)
 
 
