@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_COMPUTE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70     # a fault in curvelab itself (sysexits EX_SOFTWARE)
 
 FRENET_HEADER = ("s,x0,x1,x2,x3,T0,T1,T2,T3,N0,N1,N2,N3,"
                  "B10,B11,B12,B13,B20,B21,B22,B23,"
@@ -464,6 +465,11 @@ def main(argv=None, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except Exception:
+        # not a verdict: exit 1 would read as "not rectifying"
+        import traceback
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

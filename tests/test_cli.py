@@ -114,6 +114,18 @@ def test_a_speed_too_small_to_square_exits_2(capsys):
     assert "DivisionNearZero" in err and "leaves floating point" in err
 
 
+def test_an_unexpected_exception_exits_70(monkeypatch, capsys):
+    # an arithmetic slip in the kernel is a fault of the program, not the
+    # verdict "not rectifying" that exit 1 means
+    def kernel(a, s):
+        return 1.0 / 0.0
+    monkeypatch.setattr(frenet, "_frame_from_position_jets", kernel)
+    code, _ = run(["frenet", "--curve", "lorentz_helix", "--samples", "3"])
+    assert code == cli.EXIT_SOFTWARE == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ZeroDivisionError" in err
+
+
 @pytest.mark.parametrize("argv, accepted", [
     (["frenet", "--curve", "lorentz_helix", "--param", "Z=3"], "A, p, B, q"),
     (["classify", "--curve", "hyperbolic_geodesic", "--param", "a=1",
