@@ -12,9 +12,9 @@ Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
 addressed exactly like static catalog entries.
 
-The series stay in the curve's own parameter t: ``frenet`` takes
-arclength derivatives from them by the chain rule d/ds = (1/v) d/dt, with v the
-speed, so no curve is reparameterized to get its frame.
+The series stay in the curve's own parameter t: ``frenet`` reads the
+derivatives off them and takes the frame to arclength by powers of 1/v,
+with v the speed, so no curve is reparameterized to get its frame.
 """
 from __future__ import annotations
 
