@@ -1,9 +1,8 @@
 """The CI workflow files parse as YAML.
 
-A workflow that does not parse runs no job at all, so CI cannot report it:
-from one commit to the next the file failed to parse, unnoticed, because a
-plain scalar held ``": "``.  PyYAML is not a declared dependency, so the
-test skips where it is missing.
+A workflow file that does not parse runs no job at all, so CI itself
+cannot report it; a plain scalar holding ``": "`` is enough.  PyYAML is
+not a declared dependency, so the test skips where it is missing.
 """
 from pathlib import Path
 
