@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Callable, NamedTuple, Sequence
 
-from . import curves, jets
+from . import curves
 from .curves import ArclengthPair, CurveSpec, _check_names, _lookup, speed
 from .errors import (ConvergenceFailure, DegenerateFrame, DivisionNearZero,
                      FrameDriftExceeded, NonSpacelikePrincipalNormal,
@@ -287,50 +287,10 @@ class FrenetData(NamedTuple):
     eps: int
 
 
-# a frame vector too large to square, as a speed near 0 makes the
-# arclength derivatives
-_UNSQUARABLE = ("Euclidean square {} of a frame series leaves floating point "
+# a derivative or frame vector too large to square, as a speed near 0 makes
+# the arclength derivatives
+_UNSQUARABLE = ("Euclidean square {} of a frame vector leaves floating point "
                 "at s={}")
-
-
-def _derivative_rank(a) -> int:
-    """Euclidean rank of alpha' .. alpha'''' from position coefficients: the
-    singular values above RANK_REL_TOL times the largest.
-
-    One-sided Jacobi: rotations make the four rows orthogonal to roundoff;
-    their norms are then the singular values to eps times the largest
-    (Demmel & Veselic, 1992).  A row under 1e-12 of the matrix norm is not
-    rotated: it moves no singular value across RANK_REL_TOL, and rotating
-    roundoff would take up to the 30 sweeps (a planar curve's two null
-    rows), where the rest converge in under 10.  Every dot product is
-    written out left to right, as the jets' sums are, so the rank does not
-    depend on the Python version."""
-    rows = [tuple(c[k] * jets._FACT[k] for c in a) for k in (1, 2, 3, 4)]
-    floor = 0.0
-    for x0, x1, x2, x3 in rows:
-        floor = floor + x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    floor *= 1e-24
-    for _ in range(30):
-        rotated = False
-        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            x0, x1, x2, x3 = rows[i]
-            y0, y1, y2, y3 = rows[j]
-            p = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
-            uu = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-            vv = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
-            if (min(uu, vv) > floor
-                    and abs(p) > 2.2e-16 * math.sqrt(uu) * math.sqrt(vv)):
-                rotated = True
-                angle = 0.5 * math.atan2(2.0 * p, uu - vv)
-                c, s = math.cos(angle), math.sin(angle)
-                rows[i] = (c * x0 + s * y0, c * x1 + s * y1,
-                           c * x2 + s * y2, c * x3 + s * y3)
-                rows[j] = (c * y0 - s * x0, c * y1 - s * x1,
-                           c * y2 - s * x2, c * y3 - s * x3)
-        if not rotated:
-            break
-    sv = [math.hypot(*row) for row in rows]
-    return sum(x > RANK_REL_TOL * max(sv) for x in sv)
 
 
 def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
@@ -339,10 +299,11 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
 
     Raises DegenerateFrame(level) when a Gram-Schmidt residual vanishes or
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
-    NonSpacelikePrincipalNormal when g(T', T') < 0, NonSpacelikeVelocity
-    when g(alpha', alpha') is not a positive float, and DivisionNearZero
-    when the square of a derivative or a frame vector leaves floating
-    point.
+    NonSpacelikePrincipalNormal when g(T', T') < 0 and alpha''' leaves the
+    plane of T and N by more than ``RANK_REL_TOL`` of its size (else the
+    curve is planar there), NonSpacelikeVelocity when g(alpha', alpha') is
+    not a positive float, and DivisionNearZero when the square of a
+    derivative or a frame vector leaves floating point.
     """
     return _frame_from_position_jets(
         curves.eval_curve(spec, amap.t_of_s(s)), s)
@@ -387,13 +348,25 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
     g = -(y0 * y0) + y1 * y1 + y2 * y2 + y3 * y3
     if g < CURVATURE_FLOOR * max(e1, 1e-300):
-        # a curve in a Lorentzian 2-plane has a timelike T', yet its defect
-        # is that kappa2 is undefined: classify by derivative rank first
-        if _derivative_rank(a) <= 2:
+        if g > -CURVATURE_FLOOR * max(e1, 1e-300):
+            raise DegenerateFrame(1, f"T' numerically null at s={s}")
+        # a curve in a Lorentzian 2-plane has a timelike T' and no kappa2:
+        # planar where U3 (N coefficient -g(., N), as g(N, N) = -1) is
+        # roundoff against A3, a ratio free of the parameter's speed
+        r = 1.0 / math.sqrt(-g)
+        n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
+        c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
+        e = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+        if not e < math.inf:
+            raise DivisionNearZero(_UNSQUARABLE.format(e, s))
+        h = w * (-(c0 * a0) + c1 * a1 + c2 * a2 + c3 * a3)
+        c0, c1, c2, c3 = c0 - h * t0, c1 - h * t1, c2 - h * t2, c3 - h * t3
+        h = -(-(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3)
+        c0, c1, c2, c3 = c0 - h * n0, c1 - h * n1, c2 - h * n2, c3 - h * n3
+        if (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+                <= RANK_REL_TOL * RANK_REL_TOL * e):
             raise DegenerateFrame(2, f"curve is planar near s={s}")
-        if g < -CURVATURE_FLOOR * max(e1, 1e-300):
-            raise NonSpacelikePrincipalNormal(f"g(T',T') = {g} at s={s}")
-        raise DegenerateFrame(1, f"T' numerically null at s={s}")
+        raise NonSpacelikePrincipalNormal(f"g(T',T') = {g} at s={s}")
     k1 = math.sqrt(g)
     r = 1.0 / k1
     n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3

@@ -6,6 +6,7 @@ tolerance.
 """
 
 import functools
+import inspect
 import json
 import math
 import pathlib
@@ -91,7 +92,7 @@ def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
 
 
 def test_criterion_7_extracts_each_sample_once(monkeypatch):
-    calls = {"frame": 0, "t_of_s": 0, "rank": 0}
+    calls = {"frame": 0, "t_of_s": 0}
 
     def counted(key, real):
         def wrapper(*args):
@@ -102,18 +103,32 @@ def test_criterion_7_extracts_each_sample_once(monkeypatch):
                         counted("frame", frenet.frenet_apparatus))
     monkeypatch.setattr(frenet.ArclengthMap, "t_of_s",
                         counted("t_of_s", frenet.ArclengthMap.t_of_s))
-    monkeypatch.setattr(frenet, "_derivative_rank",
-                        counted("rank", frenet._derivative_rank))
     result = verify.criterion_7(verify.Workspace())
     assert result.passed, result.line()
-    assert calls == {"frame": 100, "t_of_s": 100, "rank": 100}
+    assert calls == {"frame": 100, "t_of_s": 100}
 
 
-def test_criterion_7_fails_when_the_planar_curve_gets_full_rank(
-        monkeypatch):
-    # full rank sends the planar frame past the planar check, into an
-    # error of its own or a frame
-    monkeypatch.setattr(frenet, "_derivative_rank", lambda a: 4)
+# Two ways to send the planar curve's frame past its planar test: project
+# U3 on the timelike N as if g(N, N) were 1, or count only an exact zero
+# as planar.  Each must make criterion 7 fail, or raise.
+_KERNEL_MUTANTS = {
+    "n_coefficient_sign": ("h = -(-(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3)",
+                           "h = -(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3"),
+    "planar_tolerance_zero": ("<= RANK_REL_TOL * RANK_REL_TOL * e",
+                              "<= 0.0 * e"),
+}
+
+
+@pytest.mark.parametrize("mutant", _KERNEL_MUTANTS)
+def test_criterion_7_fails_when_the_planar_test_is_broken(monkeypatch,
+                                                          mutant):
+    old, new = _KERNEL_MUTANTS[mutant]
+    source = inspect.getsource(frenet._frame_from_position_jets)
+    assert source.count(old) == 1
+    scope = dict(vars(frenet))
+    exec(compile(source.replace(old, new), frenet.__file__, "exec"), scope)
+    monkeypatch.setattr(frenet, "_frame_from_position_jets",
+                        scope["_frame_from_position_jets"])
     try:
         result = verify.criterion_7(verify.Workspace())
     except CurveLabError:

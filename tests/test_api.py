@@ -185,9 +185,6 @@ def test_the_library_reads_no_environment():
 _ALLOWED_SUMS = {
     ("cli.py", "cmd_verify", "sum((r.passed for r in results))"):
         "counts bools: the criteria that passed",
-    ("frenet.py", "_derivative_rank",
-     "sum((x > RANK_REL_TOL * max(sv) for x in sv))"):
-        "counts bools: the singular values above the rank threshold",
     ("frenet.py", "gram_errors", "sum(devs)"):
         "read only by math.isnan: NaN exactly when a deviation is NaN",
 }
