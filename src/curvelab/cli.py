@@ -276,6 +276,8 @@ def cmd_frenet(args, out) -> int:
 
 
 def _source_for_check(args):
+    """The source, its name, the samples and, on a synthesis, the fit the
+    recentring made, which the report reuses."""
     if args.from_synthesis:
         if args.config or args.curve or args.param or args.domain:
             raise UsageError("--from-synthesis takes no --config, --curve, "
@@ -284,10 +286,10 @@ def _source_for_check(args):
         samples = src.grid_samples(args.samples)
         # congruent to a rectifying curve: the battery runs on it recentred
         shifted, fit = rectifying.recentred(src, samples, args.c)
-        return shifted, args.from_synthesis, samples, fit.c
+        return shifted, args.from_synthesis, samples, fit
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
-    return src, spec.catalog_id, src.grid_samples(args.samples), args.c
+    return src, spec.catalog_id, src.grid_samples(args.samples), None
 
 
 def cmd_rectify_check(args, out) -> int:
@@ -296,9 +298,9 @@ def cmd_rectify_check(args, out) -> int:
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
     tols = rectifying.ReportTolerances.default(args.tol)
-    src, name, samples, c = _source_for_check(args)
+    src, name, samples, fit = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
-                                         curve_name=name, c=c)
+                                         curve_name=name, c=args.c, fit=fit)
     text = json.dumps(report.to_json_dict(), indent=2)
     _write_lines(args.output, [text], out)
     return EXIT_OK if report.verdict else EXIT_PROPERTY

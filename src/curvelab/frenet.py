@@ -301,15 +301,29 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
     goes null relative to ``CURVATURE_FLOOR`` (planar and 3-flat curves),
     NonSpacelikePrincipalNormal when g(T', T') < 0 and alpha''' leaves the
     plane of T and N by more than ``RANK_REL_TOL`` of its size (else the
-    curve is planar there), NonSpacelikeVelocity when g(alpha', alpha') is
-    not a positive float, and DivisionNearZero when the square of a
-    derivative or a frame vector leaves floating point.
+    curve is planar there, or only has kappa2 = 0 where alpha'''' leaves
+    that plane), NonSpacelikeVelocity when g(alpha', alpha') is not a
+    positive float, and DivisionNearZero when the square of a derivative
+    or a frame vector leaves floating point.
+
+    This is the one place where the kernel's floats become a FrenetData of
+    Vec4s, so every frame a caller keeps has passed Vec4's finiteness
+    check, its position's included.  ``frenet_ode_residual`` and
+    ``JetFrameSource._node_kappa3`` read their frames' floats unwrapped.
     """
+    x, t, n, b1, b2, k1, k2, k3, eps = _frame_floats(spec, amap, s)
+    return FrenetData(s, Vec4(*x), Vec4(*t), Vec4(*n), Vec4(*b1), Vec4(*b2),
+                      k1, k2, k3, eps)
+
+
+def _frame_floats(spec: CurveSpec, amap: ArclengthMap, s: float) -> tuple:
+    """The kernel's floats at arclength s, the kernel read through the
+    module global, so a patched kernel sees every frame."""
     return _frame_from_position_jets(
         curves.eval_curve(spec, amap.t_of_s(s)), s)
 
 
-def _frame_from_position_jets(a, s: float) -> FrenetData:
+def _frame_from_position_jets(a, s: float) -> tuple:
     """The frame by modified Gram-Schmidt in g on the position's
     t-derivatives A_k = k! c_k, read off ``a``, the coefficient tuples of
     its four jets in the curve's own parameter t (Gluck, Amer. Math.
@@ -322,7 +336,16 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
     f2 = w^2 / kappa2 each formed as w (w / kappa), one factor at a time,
     so no intermediate leaves floating point where the frame does not.
     Every sum runs left to right, and the degeneracy checks read the
-    Euclidean and Minkowski squares of T_s, R1 and R2."""
+    Euclidean and Minkowski squares of T_s, R1 and R2.
+
+    Returns plain floats: the position, T, N, B1 and B2 as 4-tuples, then
+    kappa1, kappa2, kappa3 and eps.  Whenever it returns, all but the
+    position are finite.  The Euclidean squares of T, T_s, R1 and R2 are
+    checked below infinity, which a NaN fails too.  Each curvature is the
+    root of a Minkowski square of at least ``CURVATURE_FLOOR`` times its
+    finite Euclidean twin, so N, B1 and B2, each a residual over its
+    curvature, stay within 1e5 in every component.  The position is read
+    off ``a`` unchecked, for ``frenet_apparatus`` to check."""
     (x0, a0, b0, c0, d0), (x1, a1, b1, c1, d1), (x2, a2, b2, c2, d2), \
         (x3, a3, b3, c3, d3) = a
     e = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -351,8 +374,9 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
         if g > -CURVATURE_FLOOR * max(e1, 1e-300):
             raise DegenerateFrame(1, f"T' numerically null at s={s}")
         # a curve in a Lorentzian 2-plane has a timelike T' and no kappa2:
-        # planar where U3 (N coefficient -g(., N), as g(N, N) = -1) is
-        # roundoff against A3, a ratio free of the parameter's speed
+        # planar where U3 and U4 (N coefficient -g(., N), as g(N, N) = -1)
+        # are roundoff against A3 and A4, ratios free of the parameter's
+        # speed
         r = 1.0 / math.sqrt(-g)
         n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
         c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
@@ -365,7 +389,20 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
         c0, c1, c2, c3 = c0 - h * n0, c1 - h * n1, c2 - h * n2, c3 - h * n3
         if (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
                 <= RANK_REL_TOL * RANK_REL_TOL * e):
-            raise DegenerateFrame(2, f"curve is planar near s={s}")
+            # alpha''' in the plane: planar only if alpha'''' is too, else
+            # kappa2 = 0 here
+            d0, d1, d2, d3 = 24.0 * d0, 24.0 * d1, 24.0 * d2, 24.0 * d3
+            q = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+            if not q < math.inf:
+                raise DivisionNearZero(_UNSQUARABLE.format(q, s))
+            h = w * (-(d0 * a0) + d1 * a1 + d2 * a2 + d3 * a3)
+            d0, d1, d2, d3 = d0 - h * t0, d1 - h * t1, d2 - h * t2, d3 - h * t3
+            h = -(-(d0 * n0) + d1 * n1 + d2 * n2 + d3 * n3)
+            d0, d1, d2, d3 = d0 - h * n0, d1 - h * n1, d2 - h * n2, d3 - h * n3
+            if (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+                    <= RANK_REL_TOL * RANK_REL_TOL * q):
+                raise DegenerateFrame(2, f"curve is planar near s={s}")
+            raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
         raise NonSpacelikePrincipalNormal(f"g(T',T') = {g} at s={s}")
     k1 = math.sqrt(g)
     r = 1.0 / k1
@@ -412,11 +449,9 @@ def _frame_from_position_jets(a, s: float) -> FrenetData:
         raise DegenerateFrame(3, f"third Frenet residual null at s={s}")
     k3 = math.sqrt(abs(g))
     r = 1.0 / k3
-    return FrenetData(
-        s=s, position=Vec4(x0, x1, x2, x3), T=Vec4(t0, t1, t2, t3),
-        N=Vec4(n0, n1, n2, n3), B1=Vec4(p0, p1, p2, p3),
-        B2=Vec4(r * y0, r * y1, r * y2, r * y3),
-        kappa1=k1, kappa2=k2, kappa3=k3, eps=eps)
+    return ((x0, x1, x2, x3), (t0, t1, t2, t3), (n0, n1, n2, n3),
+            (p0, p1, p2, p3), (r * y0, r * y1, r * y2, r * y3),
+            k1, k2, k3, eps)
 
 
 def frenet_rhs(T: Sequence[float], N: Sequence[float], B1: Sequence[float],
@@ -447,14 +482,16 @@ def frenet_ode_residual(spec: CurveSpec, amap: ArclengthMap, f0: FrenetData,
                         h: float) -> tuple[float, float, float, float]:
     """Pseudo-norms of the central differences of the frames at ``f0.s - h``
     and ``f0.s + h`` minus ``frenet_rhs`` of the centre frame ``f0``; they
-    converge at order 2 in h on smooth samples."""
-    fm = frenet_apparatus(spec, amap, f0.s - h)
-    fp = frenet_apparatus(spec, amap, f0.s + h)
+    converge at order 2 in h on smooth samples.  The neighbours are the
+    kernel's floats, unwrapped: only their T, N, B1 and B2 are read, and
+    those are finite whenever the kernel returns."""
+    fm = _frame_floats(spec, amap, f0.s - h)
+    fp = _frame_floats(spec, amap, f0.s + h)
     rhs = frenet_rhs(f0.T, f0.N, f0.B1, f0.B2, f0.kappa1, f0.kappa2,
                      f0.kappa3, f0.eps)
     h2, out = 2.0 * h, []
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) in zip(
-            (fm.T, fm.N, fm.B1, fm.B2), (fp.T, fp.N, fp.B1, fp.B2), rhs):
+            fm[1:5], fp[1:5], rhs):
         d0, d1 = (b0 - a0) / h2 - c0, (b1 - a1) / h2 - c1
         d2, d3 = (b2 - a2) / h2 - c2, (b3 - a3) / h2 - c3
         out.append(math.sqrt(abs(-d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)))
@@ -761,11 +798,12 @@ class JetFrameSource:
 
     def _node_kappa3(self, s: float) -> float:
         """kappa3 at a quadrature node: a requested sample's frame is
-        reused, and a node's own frame is not cached, so the cache holds
-        only the requested samples."""
+        reused, and a node's own frame is the kernel's floats, unwrapped
+        and not cached, so the cache holds only the requested samples.
+        That kappa3 is finite whenever the kernel returns."""
         f = self._frames.get(s)
         if f is None:
-            f = frenet_apparatus(self.spec, self.map, s)
+            return _frame_floats(self.spec, self.map, s)[7]      # kappa3
         return f.kappa3
 
 

@@ -77,18 +77,36 @@ def test_criterion_2_builds_each_centre_frame_once(monkeypatch):
         r = [max(frenet.frenet_ode_residual(src.spec, src.map, frame(s), h))
              for h in steps]
         want.append((r[0], [r[1] / r[2], r[2] / r[3]]))
-    calls = []
-    real = frenet.frenet_apparatus
+    # frames counted at the kernel, and the ones wrapped for a caller
+    built, wrapped = [], []
+    kernel, real = frenet._frame_from_position_jets, frenet.frenet_apparatus
+    monkeypatch.setattr(frenet, "_frame_from_position_jets",
+                        lambda a, s: built.append(s) or kernel(a, s))
     monkeypatch.setattr(frenet, "frenet_apparatus",
-                        lambda spec, amap, s: calls.append(s)
+                        lambda spec, amap, s: wrapped.append(s)
                         or real(spec, amap, s))
     assert [verify._ode_numbers(src.spec, src.map, 0.5 * sum(src.s_range))
             for src in sources] == want
-    # per curve: the centre frame once, and its two neighbours at each step
-    assert len(calls) == len(sources) * (1 + 2 * len(steps))
-    calls.clear()
+    # per curve: the centre frame once, and its two neighbours at each step,
+    # which are read unwrapped
+    counts = (len(sources) * (1 + 2 * len(steps)), len(sources))
+    assert (len(built), len(wrapped)) == counts
+    built.clear()
+    wrapped.clear()
     verify.criterion_2(ws)
-    assert len(calls) == len(sources) * (1 + 2 * len(steps))
+    assert (len(built), len(wrapped)) == counts
+
+
+# ODE_TOL = 1e-7 against a residual c h^2, which keeps the halving ratios
+# at 4: at h = ODE_H = 1e-4, r0 = 2e-7 fails and 5e-8 passes
+@pytest.mark.parametrize("r0, passed", [(2e-7, False), (5e-8, True)],
+                         ids=["r0_2e-7", "r0_5e-8"])
+def test_criterion_2_ode_tolerance_boundary(monkeypatch, r0, passed):
+    c = r0 / frenet.ODE_H ** 2
+    monkeypatch.setattr(frenet, "frenet_ode_residual",
+                        lambda spec, amap, f0, h: (c * h * h,) * 4)
+    result = verify.criterion_2(verify.Workspace())
+    assert result.passed is passed, result.line()
 
 
 def test_criterion_7_extracts_each_sample_once(monkeypatch):

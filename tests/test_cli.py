@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, CSV/JSON shapes, round trips."""
 
+import argparse
 import io
 import json
 import math
@@ -649,6 +650,33 @@ def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
         assert f"{path} {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", [None, 0.0], ids=["free_c", "c0"])
+def test_synthesis_check_fits_theorem_31_once(tmp_path, monkeypatch,
+                                              synthesis_lines, c):
+    # the report reuses the recentring's fit, which reads no position: one
+    # fit and one torsion angle per sample, and the report a refit gives
+    path = tmp_path / "syn.csv"
+    path.write_text("\n".join(synthesis_lines) + "\n")
+    src = cli.CsvFrameSource(str(path))
+    ss = src.grid_samples(21)
+    shifted, fit = rectifying.recentred(src, ss, c)
+    assert (rectifying.theorem33_report(shifted, ss, fit=fit).to_json_dict()
+            == rectifying.theorem33_report(shifted, ss,
+                                           c=fit.c).to_json_dict())
+    fits, angles = [], []
+    real_fit, real_angle = (rectifying._fit_gathered,
+                            cli.CsvFrameSource.kappa3_integral)
+    monkeypatch.setattr(rectifying, "_fit_gathered",
+                        lambda *args: fits.append(1) or real_fit(*args))
+    monkeypatch.setattr(cli.CsvFrameSource, "kappa3_integral",
+                        lambda self, s: angles.append(s)
+                        or real_angle(self, s))
+    c_flag = [] if c is None else ["--c", repr(c)]
+    code, _ = run(["rectify-check", "--from-synthesis", str(path),
+                   "--samples", "21", *c_flag])
+    assert (code, len(fits), len(angles)) == (0, 1, 21)
+
+
 @pytest.mark.parametrize("scale, c_flag", [
     (1e305, []), (1e305, ["--c", "0"]), (1e-200, []),
 ], ids=["huge_free_c", "huge_c0", "tiny_free_c"])
@@ -740,11 +768,17 @@ def test_samples_above_the_limit_exit_64(tmp_path, capsys, argv):
     # refused before a sample grid is built: a larger count once ran until
     # killed, building its grid
     out = tmp_path / "out.csv"
-    code, text = run([*argv, "--samples", str(frenet.MAX_SAMPLES + 1),
-                      "-o", str(out)])
+    code, text = run([*argv, "--samples", "100001", "-o", str(out)])
     assert code == 64 and text == "" and not out.exists()
-    assert (f"more than {frenet.MAX_SAMPLES} samples"
-            in capsys.readouterr().err)
+    assert "100001 is more than 100000 samples" in capsys.readouterr().err
+
+
+def test_sample_count_limit_is_one_hundred_thousand():
+    # MAX_SAMPLES at its literal value: 10**5 samples pass, one more does not
+    assert cli._sample_count("100000") == 100000
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="100001 is more than 100000 samples"):
+        cli._sample_count("100001")
 
 
 @pytest.mark.parametrize("text, field", [

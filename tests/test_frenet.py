@@ -75,17 +75,36 @@ def test_torsion_angle_starts_from_the_nearest_integrated_sample(
         assert starts[-1] == want, s
 
 
+def _count_frames(monkeypatch):
+    """Lists that collect the arclength of each frame the kernel builds,
+    and of each one ``frenet_apparatus`` wraps for a caller."""
+    built, wrapped = [], []
+    kernel, real = frenet._frame_from_position_jets, frenet.frenet_apparatus
+    monkeypatch.setattr(frenet, "_frame_from_position_jets",
+                        lambda a, s: built.append(s) or kernel(a, s))
+    monkeypatch.setattr(frenet, "frenet_apparatus",
+                        lambda spec, amap, s: wrapped.append(s)
+                        or real(spec, amap, s))
+    return built, wrapped
+
+
 def test_helix_rectify_check_reads_four_frames_per_torsion_panel(
         monkeypatch):
     # the 50 sample frames, the frame at s = 0 where the first panel starts,
-    # and the 4 Gauss-Legendre nodes of each of the 50 panels between them
-    built = []
-    kernel = frenet._frame_from_position_jets
-    monkeypatch.setattr(frenet, "_frame_from_position_jets",
-                        lambda a, s: built.append(s) or kernel(a, s))
+    # and the 4 Gauss-Legendre nodes of each of the 50 panels between them;
+    # only the samples' frames are wrapped
+    built, wrapped = _count_frames(monkeypatch)
     argv = ["rectify-check", "--curve", "lorentz_helix", "--samples", "50"]
     assert cli.main(argv, out=io.StringIO()) == 1
-    assert len(built) == 251
+    assert len(built) == 251 and len(wrapped) == 50
+
+
+def test_frenet_rows_build_three_frames_and_wrap_one(monkeypatch):
+    # each row's frame, wrapped, and its two residual neighbours, unwrapped
+    built, wrapped = _count_frames(monkeypatch)
+    argv = ["frenet", "--curve", "lorentz_helix", "--samples", "50"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    assert len(built) == 3 * 50 and len(wrapped) == 50
 
 
 def test_t_of_s_raises_when_newton_does_not_converge(clelia, monkeypatch):
@@ -287,7 +306,25 @@ def test_timelike_principal_normal_detected():
 def test_planar_tolerance_is_relative_to_alpha_third(delta, want):
     a = [(0.0, 0.0, 0.5, 0.6, 0.0), (0.0, 1.0, 0.0, 0.8, 0.0),
          (0.0, 0.0, 0.0, delta, 0.0), (0.0,) * 5]
-    got = _outcome(frenet._frame_from_position_jets, a, 0.5)
+    got = _outcome(_kernel_frame, a, 0.5)
+    assert got == want
+    _assert_agrees_with_the_chain(a, 0.5, got)
+
+
+# The same T and N with alpha''' = 0, in the plane: alpha'''' = 24 (0.6,
+# 0.8, delta, 0) decides.  Off the plane, the curve only has kappa2 = 0 at
+# the sample, and is not planar.
+@pytest.mark.parametrize("delta, want", [
+    (1e-6, "DegenerateFrame: second Frenet residual ~ 0 at s=0.5"),
+    (1e-10, "DegenerateFrame: curve is planar near s=0.5"),
+], ids=["off_by_1e-6", "off_by_1e-10"])
+def test_planar_needs_alpha_fourth_in_the_plane_too(delta, want):
+    a = [(0.0, 0.0, 0.5, 0.0, 0.6), (0.0, 1.0, 0.0, 0.0, 0.8),
+         (0.0, 0.0, 0.0, 0.0, delta), (0.0,) * 5]
+    with pytest.raises(DegenerateFrame) as info:
+        frenet._frame_from_position_jets(a, 0.5)
+    assert info.value.level == 2
+    got = _outcome(_kernel_frame, a, 0.5)
     assert got == want
     _assert_agrees_with_the_chain(a, 0.5, got)
 
@@ -302,7 +339,7 @@ def test_planar_tolerance_is_relative_to_alpha_third(delta, want):
 def test_null_principal_normal_floor(c, want):
     a = [(1.0, 0.0, 0.5, 0.0, 1.0 / 24.0), (0.0, 1.0, 0.0, 0.0, 0.0),
          (0.0, c, 0.0, -c / 6.0, 0.0), (c, 0.0, -c / 2.0, 0.0, c / 24.0)]
-    got = _outcome(frenet._frame_from_position_jets, a, 0.5)
+    got = _outcome(_kernel_frame, a, 0.5)
     assert (got if isinstance(got, str) else "frame") == want
     _assert_agrees_with_the_chain(a, 0.5, got)
 
@@ -647,13 +684,21 @@ def reference_frame(aj, s):
         if g1.value > -floor * scale1:
             raise DegenerateFrame(1, f"T' numerically null at s={s}")
         # a timelike T': planar where alpha''' less its parts along T and
-        # the timelike N is roundoff against alpha'''
+        # the timelike N is roundoff against alpha''', and alpha'''' too
         N = _jvec_scale(1.0 / jets.sqrt(-g1), Tp)
         A3 = _jvec_d(_jvec_d(V))
         U3 = _jvec_add(_jvec_add(A3, _jvec_scale(-_jvec_dot(A3, T), T)),
                        _jvec_scale(_jvec_dot(A3, N), N))
         if _euclid_sq(U3, s) <= frenet.RANK_REL_TOL ** 2 * _euclid_sq(A3, s):
-            raise DegenerateFrame(2, f"curve is planar near s={s}")
+            # and alpha'''' the same way: planar, or only kappa2 = 0
+            A4 = _jvec_d(A3)
+            U4 = _jvec_add(
+                _jvec_add(A4, _jvec_scale(-_jvec_dot(A4, T), T)),
+                _jvec_scale(_jvec_dot(A4, N), N))
+            if (_euclid_sq(U4, s)
+                    <= frenet.RANK_REL_TOL ** 2 * _euclid_sq(A4, s)):
+                raise DegenerateFrame(2, f"curve is planar near s={s}")
+            raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
         raise NonSpacelikePrincipalNormal(f"g(T',T') = {g1.value} at s={s}")
 
     k1 = jets.sqrt(g1)
@@ -695,6 +740,14 @@ def _outcome(fn, aj, s):
         return fn(aj, s)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _kernel_frame(a, s):
+    """The kernel's floats on the coefficient tuples ``a``, wrapped into a
+    FrenetData of Vec4s as ``frenet_apparatus`` wraps them."""
+    x, t, n, b1, b2, k1, k2, k3, eps = frenet._frame_from_position_jets(a, s)
+    return frenet.FrenetData(s, Vec4(*x), Vec4(*t), Vec4(*n), Vec4(*b1),
+                             Vec4(*b2), k1, k2, k3, eps)
 
 
 # The chain and the kernel both lose digits as g(alpha', alpha') cancels,
@@ -750,7 +803,7 @@ def _assert_agrees_with_the_chain(a, s, got):
 def _kernel_matches_reference(spec, amap, s):
     cj = curves.eval_curve(spec, amap.t_of_s(s))
     return _assert_agrees_with_the_chain(
-        cj, s, _outcome(frenet._frame_from_position_jets, cj, s))
+        cj, s, _outcome(_kernel_frame, cj, s))
 
 
 STATIC = [cid for cid in curves.catalog_ids() if ":" not in cid]
@@ -853,23 +906,29 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0,
 @example(coeffs=[     # |R2|^2
     (0.5, 0.0, 0.0, 2.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0),
     (0.0, 1.0, 0.0, -1.0, -1e160), (0.0, 3.0, 2.0, 0.0, 0.0)])
-@example(coeffs=[     # a NaN position: Vec4's ValueError, after the frame
+@example(coeffs=[     # a NaN position: the kernel returns, and the wrap
+    # raises Vec4's ValueError
     (0.0, 0.0, 3.0, 0.0, 0.0), (-1.0, 0.0, 3.0, 0.5, 2.0),
     (math.nan, 0.5, 1.0, 0.0, 3.0), (0.5, 0.0, 0.5, -1.0, 0.0)])
 def test_float_kernel_gives_a_finite_frame_or_a_typed_error(coeffs):
-    # a non-finite field never leaves the kernel: each Minkowski square's
-    # Euclidean twin is checked finite, which NaN fails too
+    # a non-finite float that a caller reads unwrapped (T, N, B1, B2 and
+    # the curvatures) never leaves the kernel: each Minkowski square's
+    # Euclidean twin is checked finite, which NaN fails too; the position
+    # is the coefficients' own, checked by the wrap
     try:
-        f = frenet._frame_from_position_jets(coeffs, 0.5)
+        x, *vectors, k1, k2, k3, eps = frenet._frame_from_position_jets(
+            coeffs, 0.5)
     except CurveLabError:
         return
+    assert all(map(math.isfinite, (k1, k2, k3))) and eps in (1, -1)
+    assert all(math.isfinite(c) for v in vectors for c in v)
+    try:
+        f = _kernel_frame(coeffs, 0.5)
     except ValueError as exc:
         assert "non-finite coordinate in Vec4" in str(exc)
-        assert not all(map(math.isfinite, (c[0] for c in coeffs)))
+        assert not all(map(math.isfinite, x))
         return
-    assert all(map(math.isfinite, (f.kappa1, f.kappa2, f.kappa3)))
-    assert all(math.isfinite(x) for v in (f.position, f.T, f.N, f.B1, f.B2)
-               for x in v)
+    assert all(math.isfinite(c) for c in f.position)
 
 
 def test_float_kernel_builds_no_jet(helix, monkeypatch):
@@ -882,22 +941,20 @@ def test_float_kernel_builds_no_jet(helix, monkeypatch):
     jets.variable(0.5)
     assert built == [1]          # the counter sees a jet being built
     built.clear()
-    f = frenet._frame_from_position_jets(a, 1.0)
+    f = _kernel_frame(a, 1.0)
     assert built == []
     _assert_agrees_with_the_chain(a, 1.0, f)
 
 
-def test_float_kernel_calls_only_the_records(helix):
+def test_float_kernel_calls_no_other_function(helix):
     # a frame is straight-line float arithmetic, one Gram-Schmidt step per
-    # derivative: the only curvelab functions it calls construct its
-    # records.
+    # derivative, returned as plain floats: the kernel calls no curvelab
+    # function, not even a record's constructor.
     # Comprehensions are left out: Python 3.12 inlines them (PEP 709).
     comprehensions = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
     spec, amap = helix
     a = curves.eval_curve(spec, amap.t_of_s(1.0))
     package = os.path.dirname(frenet.__file__)
-    allowed = {frenet._frame_from_position_jets.__code__,
-               Vec4.__new__.__code__, frenet.FrenetData.__new__.__code__}
     called = set()
 
     def profile(frame, event, arg):
@@ -911,8 +968,9 @@ def test_float_kernel_calls_only_the_records(helix):
         f = frenet._frame_from_position_jets(a, 1.0)
     finally:
         sys.setprofile(None)
-    assert f.eps == -1 and Vec4.__new__.__code__ in called
-    assert called <= allowed, sorted(c.co_name for c in called - allowed)
+    assert f[-1] == -1 and type(f) is tuple
+    assert called == {frenet._frame_from_position_jets.__code__}, sorted(
+        c.co_name for c in called)
 
 
 # -- the t-chain against the arclength chain and under scaling ----------------
