@@ -1,6 +1,7 @@
 """Arclength maps, frame extraction and the moving-frame system."""
 
 import functools
+import hashlib
 import io
 import math
 import os
@@ -971,6 +972,75 @@ def test_float_kernel_calls_no_other_function(helix):
     assert f[-1] == -1 and type(f) is tuple
     assert called == {frenet._frame_from_position_jets.__code__}, sorted(
         c.co_name for c in called)
+
+
+def _magnitude(rng, lo, hi):
+    """A float of log-uniform size 2^[lo, hi), built by ldexp alone: exact
+    on every platform, where 10.0 ** x rounds as the C library's pow."""
+    return math.ldexp(1.0 + rng.random(), rng.randrange(lo, hi))
+
+
+def _raw_coefficient(rng):
+    # 0 with probability 0.2, +-2^[-40, 40) (about 10^+-12) with 0.3, else
+    # U(-10, 10)
+    u = rng.random()
+    if u < 0.2:
+        return 0.0
+    if u < 0.5:
+        return rng.choice((1.0, -1.0)) * _magnitude(rng, -40, 40)
+    return rng.uniform(-10.0, 10.0)
+
+
+def _plane_curve(rng):
+    """Coefficients of a curve in the x0-x2 plane with a spacelike velocity,
+    so a timelike T', plus off-plane x1 and x3 parts of relative size
+    2^[-47, -13) (about 10^-14 to 10^-4) in alpha''', alpha'''' or both,
+    against RANK_REL_TOL = 1e-8."""
+    a0 = rng.uniform(-2.0, 2.0)
+    a2 = rng.choice((1.0, -1.0)) * (abs(a0) + rng.uniform(0.1, 2.0))
+    plane = [(rng.uniform(-1.0, 1.0), a0, *[rng.uniform(-3.0, 3.0)
+                                            for _ in range(3)]),
+             (rng.uniform(-1.0, 1.0), a2, *[rng.uniform(-3.0, 3.0)
+                                            for _ in range(3)])]
+    off = [[0.0] * 5, [0.0] * 5]
+    for k in rng.choice(((3,), (4,), (3, 4))):
+        size = _magnitude(rng, -47, -13) * max(abs(plane[0][k]),
+                                               abs(plane[1][k]))
+        off[0][k] = size * rng.uniform(-1.0, 1.0)
+        off[1][k] = size * rng.uniform(-1.0, 1.0)
+    return [plane[0], tuple(off[0]), plane[1], tuple(off[1])]
+
+
+def _kernel_outcome(coeffs):
+    try:
+        return repr(frenet._frame_from_position_jets(coeffs, 0.5))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_kernel_outcome_digest():
+    """The kernel's every bit, errors included, over 22,000 seeded draws:
+    20,000 of raw coefficients and 2,000 curves in the x0-x2 plane, which
+    reach all three outcomes of a timelike T'.  Each outcome is the repr of
+    the returned tuple or the exception's class and message; the digest is
+    the sha256 of them in order.  A refactor of the kernel keeps it.  A
+    change that moves kernel bits on purpose (ROADMAP items 6, 8 and 10)
+    updates it under the golden rule, saying which outcomes moved.  The
+    draws use only exact operations, so the digest is the same on every
+    Python version that CI runs."""
+    rng = random.Random(2026)
+    outcomes = [_kernel_outcome([tuple(_raw_coefficient(rng)
+                                       for _ in range(5))
+                                 for _ in range(4)])
+                for _ in range(20000)]
+    rng = random.Random(2027)
+    planar = [_kernel_outcome(_plane_curve(rng)) for _ in range(2000)]
+    for want in ("NonSpacelikePrincipalNormal", "DegenerateFrame: curve is "
+                 "planar", "DegenerateFrame: second Frenet residual ~ 0"):
+        assert sum(o.startswith(want) for o in planar) > 100, want
+    digest = hashlib.sha256("\n".join(outcomes + planar).encode()).hexdigest()
+    assert digest == ("40ab3f6ef5071bc6883389b602eb0dbff"
+                      "242e7f6565cdf7ba7e0bb4df6e36774"), digest
 
 
 # -- the t-chain against the arclength chain and under scaling ----------------
