@@ -302,9 +302,10 @@ def frenet_apparatus(spec: CurveSpec, amap: ArclengthMap, s: float
     NonSpacelikePrincipalNormal when g(T', T') < 0 and alpha''' leaves the
     plane of T and N by more than ``RANK_REL_TOL`` of its size (else the
     curve is planar there, or only has kappa2 = 0 where alpha'''' leaves
-    that plane), NonSpacelikeVelocity when g(alpha', alpha') is not a
-    positive float, and DivisionNearZero when the square of a derivative
-    or a frame vector leaves floating point.
+    that plane; both tests read the U3 and U4 of the projection chain that
+    builds B1 and B2, N coefficient g(N, N) g(., N)), NonSpacelikeVelocity
+    when g(alpha', alpha') is not a positive float, and DivisionNearZero
+    when the square of a derivative or a frame vector leaves floating point.
 
     This is the one place where the kernel's floats become a FrenetData of
     Vec4s, so every frame a caller keeps has passed Vec4's finiteness
@@ -330,13 +331,15 @@ def _frame_from_position_jets(a, s: float) -> tuple:
     Monthly 73, 1966).  With v the speed and w = 1/v, T = w A1.  U2, U3 and
     U4 are A2, A3 and A4 with their parts along T, N and B1 removed one at
     a time: the T coefficient is w g(A_k, A1), on alpha' itself rather
-    than on T's rounded components, the N coefficient g(., N) and the B1
-    coefficient eps g(., B1).  Then T_s = w^2 U2 = kappa1 N, R1 = f1 U3 w
-    = kappa2 B1 and R2 = f2 f1 U4 = kappa3 B2, with f1 = w^2 / kappa1 and
-    f2 = w^2 / kappa2 each formed as w (w / kappa), one factor at a time,
-    so no intermediate leaves floating point where the frame does not.
-    Every sum runs left to right, and the degeneracy checks read the
-    Euclidean and Minkowski squares of T_s, R1 and R2.
+    than on T's rounded components, the N coefficient g(N, N) g(., N) and
+    the B1 coefficient eps g(., B1).  T_s = w^2 U2 = kappa1 N, and U3 and
+    U4 less their T and N parts come from one chain for either sign of
+    g(N, N): a timelike N ends the frame with the planar test on them.
+    Else R1 = f1 U3 w = kappa2 B1 and R2 = f2 f1 U4 = kappa3 B2, with f1 =
+    w^2 / kappa1 and f2 = w^2 / kappa2 each formed as w (w / kappa), one
+    factor at a time, so no intermediate leaves floating point where the
+    frame does not.  Every sum runs left to right, and the degeneracy
+    checks read the Euclidean and Minkowski squares of T_s, R1 and R2.
 
     Returns plain floats: the position, T, N, B1 and B2 as 4-tuples, then
     kappa1, kappa2, kappa3 and eps.  Whenever it returns, all but the
@@ -370,52 +373,48 @@ def _frame_from_position_jets(a, s: float) -> tuple:
     if e1 < CURVATURE_FLOOR ** 2 * max(1.0, eT):
         raise DegenerateFrame(1, f"|T'| ~ 0 at s={s}")
     g = -(y0 * y0) + y1 * y1 + y2 * y2 + y3 * y3
-    if g < CURVATURE_FLOOR * max(e1, 1e-300):
-        if g > -CURVATURE_FLOOR * max(e1, 1e-300):
-            raise DegenerateFrame(1, f"T' numerically null at s={s}")
+    if abs(g) < CURVATURE_FLOOR * e1:
+        raise DegenerateFrame(1, f"T' numerically null at s={s}")
+    m = 1.0 if g > 0.0 else -1.0        # g(N, N)
+    k1 = math.sqrt(m * g)
+    r = 1.0 / k1
+    n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
+
+    # U3 and U4: A3 and A4 less their parts along T and N
+    c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
+    h = w * (-(c0 * a0) + c1 * a1 + c2 * a2 + c3 * a3)
+    u0, u1, u2, u3 = c0 - h * t0, c1 - h * t1, c2 - h * t2, c3 - h * t3
+    h = m * (-(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3)
+    u0, u1, u2, u3 = u0 - h * n0, u1 - h * n1, u2 - h * n2, u3 - h * n3
+    d0, d1, d2, d3 = 24.0 * d0, 24.0 * d1, 24.0 * d2, 24.0 * d3
+    h = w * (-(d0 * a0) + d1 * a1 + d2 * a2 + d3 * a3)
+    z0, z1, z2, z3 = d0 - h * t0, d1 - h * t1, d2 - h * t2, d3 - h * t3
+    h = m * (-(z0 * n0) + z1 * n1 + z2 * n2 + z3 * n3)
+    z0, z1, z2, z3 = z0 - h * n0, z1 - h * n1, z2 - h * n2, z3 - h * n3
+    if m < 0.0:
         # a curve in a Lorentzian 2-plane has a timelike T' and no kappa2:
-        # planar where U3 and U4 (N coefficient -g(., N), as g(N, N) = -1)
-        # are roundoff against A3 and A4, ratios free of the parameter's
-        # speed
-        r = 1.0 / math.sqrt(-g)
-        n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
-        c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
+        # planar where U3 and U4 are roundoff against A3 and A4, ratios
+        # free of the parameter's speed
         e = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
         if not e < math.inf:
             raise DivisionNearZero(_UNSQUARABLE.format(e, s))
-        h = w * (-(c0 * a0) + c1 * a1 + c2 * a2 + c3 * a3)
-        c0, c1, c2, c3 = c0 - h * t0, c1 - h * t1, c2 - h * t2, c3 - h * t3
-        h = -(-(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3)
-        c0, c1, c2, c3 = c0 - h * n0, c1 - h * n1, c2 - h * n2, c3 - h * n3
-        if (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+        if (u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3
                 <= RANK_REL_TOL * RANK_REL_TOL * e):
             # alpha''' in the plane: planar only if alpha'''' is too, else
             # kappa2 = 0 here
-            d0, d1, d2, d3 = 24.0 * d0, 24.0 * d1, 24.0 * d2, 24.0 * d3
             q = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
             if not q < math.inf:
                 raise DivisionNearZero(_UNSQUARABLE.format(q, s))
-            h = w * (-(d0 * a0) + d1 * a1 + d2 * a2 + d3 * a3)
-            d0, d1, d2, d3 = d0 - h * t0, d1 - h * t1, d2 - h * t2, d3 - h * t3
-            h = -(-(d0 * n0) + d1 * n1 + d2 * n2 + d3 * n3)
-            d0, d1, d2, d3 = d0 - h * n0, d1 - h * n1, d2 - h * n2, d3 - h * n3
-            if (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+            if (z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
                     <= RANK_REL_TOL * RANK_REL_TOL * q):
                 raise DegenerateFrame(2, f"curve is planar near s={s}")
             raise DegenerateFrame(2, f"second Frenet residual ~ 0 at s={s}")
         raise NonSpacelikePrincipalNormal(f"g(T',T') = {g} at s={s}")
-    k1 = math.sqrt(g)
-    r = 1.0 / k1
-    n0, n1, n2, n3 = r * y0, r * y1, r * y2, r * y3
 
     # R1 = (w^3 / kappa1) U3 = kappa2 B1
-    c0, c1, c2, c3 = 6.0 * c0, 6.0 * c1, 6.0 * c2, 6.0 * c3
-    h = w * (-(c0 * a0) + c1 * a1 + c2 * a2 + c3 * a3)
-    c0, c1, c2, c3 = c0 - h * t0, c1 - h * t1, c2 - h * t2, c3 - h * t3
-    h = -(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3
     f1 = w * (w * r)
-    y0, y1 = w * (f1 * (c0 - h * n0)), w * (f1 * (c1 - h * n1))
-    y2, y3 = w * (f1 * (c2 - h * n2)), w * (f1 * (c3 - h * n3))
+    y0, y1 = w * (f1 * u0), w * (f1 * u1)
+    y2, y3 = w * (f1 * u2), w * (f1 * u3)
     e2 = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
     if not e2 < math.inf:
         raise DivisionNearZero(_UNSQUARABLE.format(e2, s))
@@ -429,16 +428,11 @@ def _frame_from_position_jets(a, s: float) -> tuple:
     r = 1.0 / k2
     p0, p1, p2, p3 = r * y0, r * y1, r * y2, r * y3
 
-    # R2 = (w^4 / (kappa1 kappa2)) U4 = kappa3 B2
-    d0, d1, d2, d3 = 24.0 * d0, 24.0 * d1, 24.0 * d2, 24.0 * d3
-    h = w * (-(d0 * a0) + d1 * a1 + d2 * a2 + d3 * a3)
-    d0, d1, d2, d3 = d0 - h * t0, d1 - h * t1, d2 - h * t2, d3 - h * t3
-    h = -(d0 * n0) + d1 * n1 + d2 * n2 + d3 * n3
-    d0, d1, d2, d3 = d0 - h * n0, d1 - h * n1, d2 - h * n2, d3 - h * n3
-    h = eps * (-(d0 * p0) + d1 * p1 + d2 * p2 + d3 * p3)
+    # R2 = (w^4 / (kappa1 kappa2)) U4 = kappa3 B2, U4 less its B1 part
+    h = eps * (-(z0 * p0) + z1 * p1 + z2 * p2 + z3 * p3)
     f2 = w * (w * r)
-    y0, y1 = f2 * (f1 * (d0 - h * p0)), f2 * (f1 * (d1 - h * p1))
-    y2, y3 = f2 * (f1 * (d2 - h * p2)), f2 * (f1 * (d3 - h * p3))
+    y0, y1 = f2 * (f1 * (z0 - h * p0)), f2 * (f1 * (z1 - h * p1))
+    y2, y3 = f2 * (f1 * (z2 - h * p2)), f2 * (f1 * (z3 - h * p3))
     e3 = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
     if not e3 < math.inf:
         raise DivisionNearZero(_UNSQUARABLE.format(e3, s))

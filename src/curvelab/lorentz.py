@@ -6,7 +6,7 @@ sign.  Everything here is exact coordinate arithmetic, pure and immutable.
 from __future__ import annotations
 
 from enum import Enum
-from math import isfinite
+from math import frexp, isfinite, ldexp
 from operator import add, neg, sub
 
 __all__ = [
@@ -74,14 +74,16 @@ def causal_character(v) -> CausalCharacter:
     """Classify the 4-sequence ``v`` as spacelike, timelike or null.
 
     The null band is relative: |g(v,v)| <= DEFAULT_CAUSAL_TOL * ||v||_E^2,
-    which makes the classification scale invariant.  The zero vector is
-    spacelike.
+    both of v scaled by a power of two to a largest |component| in [0.5,
+    1), so the classification is scale-free over the whole float range.
+    The zero vector is spacelike.
     """
     if not any(v):
         return CausalCharacter.SPACELIKE
-    g = minkowski_dot(v, v)
-    band = DEFAULT_CAUSAL_TOL * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-                                 + v[3] * v[3])
+    k = -frexp(max(map(abs, v)))[1]
+    v0, v1, v2, v3 = (ldexp(x, k) for x in v)
+    g = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
+    band = DEFAULT_CAUSAL_TOL * (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
     if g > band:
         return CausalCharacter.SPACELIKE
     if g < -band:

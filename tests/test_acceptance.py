@@ -126,20 +126,22 @@ def test_criterion_7_extracts_each_sample_once(monkeypatch):
     assert calls == {"frame": 100, "t_of_s": 100}
 
 
-# Two ways to send the planar curve's frame past its planar test: project
-# U3 on the timelike N as if g(N, N) were 1, or count only an exact zero
-# as planar.  Each must make criterion 7 fail, or raise.
+# Three ways to send the planar curve's frame past its planar test: project
+# U3 or U4 on the timelike N as if g(N, N) were 1, or count only an exact
+# zero as planar.  The U3 projection and the zero tolerance must make
+# criterion 7 fail, or raise.
 _KERNEL_MUTANTS = {
-    "n_coefficient_sign": ("h = -(-(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3)",
-                           "h = -(c0 * n0) + c1 * n1 + c2 * n2 + c3 * n3"),
+    "n_coefficient_sign": ("h = m * (-(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3)",
+                           "h = -(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3"),
     "planar_tolerance_zero": ("<= RANK_REL_TOL * RANK_REL_TOL * e",
                               "<= 0.0 * e"),
+    "u4_n_coefficient_sign": (
+        "h = m * (-(z0 * n0) + z1 * n1 + z2 * n2 + z3 * n3)",
+        "h = -(z0 * n0) + z1 * n1 + z2 * n2 + z3 * n3"),
 }
 
 
-@pytest.mark.parametrize("mutant", _KERNEL_MUTANTS)
-def test_criterion_7_fails_when_the_planar_test_is_broken(monkeypatch,
-                                                          mutant):
+def _mutate_kernel(monkeypatch, mutant):
     old, new = _KERNEL_MUTANTS[mutant]
     source = inspect.getsource(frenet._frame_from_position_jets)
     assert source.count(old) == 1
@@ -147,11 +149,42 @@ def test_criterion_7_fails_when_the_planar_test_is_broken(monkeypatch,
     exec(compile(source.replace(old, new), frenet.__file__, "exec"), scope)
     monkeypatch.setattr(frenet, "_frame_from_position_jets",
                         scope["_frame_from_position_jets"])
+
+
+@pytest.mark.parametrize("mutant", ["n_coefficient_sign",
+                                    "planar_tolerance_zero"])
+def test_criterion_7_fails_when_the_planar_test_is_broken(monkeypatch,
+                                                          mutant):
+    _mutate_kernel(monkeypatch, mutant)
     try:
         result = verify.criterion_7(verify.Workspace())
     except CurveLabError:
         return
     assert not result.passed
+
+
+def _paper_example_at_half():
+    spec = curves.make_spec("paper_example")
+    try:
+        frenet.frenet_apparatus(spec, frenet.arclength_map(spec), 0.5)
+    except CurveLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "frame"
+
+
+def test_paper_example_is_told_planar():
+    assert _paper_example_at_half() == (
+        "DegenerateFrame: curve is planar near s=0.5")
+
+
+# Criterion 7 counts any DegenerateFrame, and with U4 projected as if g(N,
+# N) were 1 the planar curve still raises one at level 2; only the message
+# tells the two apart.
+def test_paper_example_is_not_planar_when_u4_is_projected_wrong(
+        monkeypatch):
+    _mutate_kernel(monkeypatch, "u4_n_coefficient_sign")
+    assert _paper_example_at_half() == (
+        "DegenerateFrame: second Frenet residual ~ 0 at s=0.5")
 
 
 @pytest.mark.parametrize("mutant", [

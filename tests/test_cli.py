@@ -45,6 +45,17 @@ def test_classify_spacelike():
     assert "spacelike" in text
 
 
+# helices whose velocity's squares overflow or underflow: (Bq)^2 - (Ap)^2
+# at any scale has the sign of |B| - |A|
+@pytest.mark.parametrize("A, B, want", [
+    ("1e160", "2e160", "spacelike"), ("1e160", "5e159", "timelike"),
+    ("1e-170", "2e-170", "spacelike")], ids=["huge", "huge_timelike", "tiny"])
+def test_classify_a_helix_at_any_scale(A, B, want):
+    code, text = run(["classify", "--curve", "lorentz_helix", "--param",
+                      f"A={A}", "--param", f"B={B}", "--at", "1"])
+    assert (code, text) == (0, f"t=1.0: {want}\n")
+
+
 def test_classify_out_of_domain_exits_2(capsys):
     code, _ = run(["classify", "--curve", "hyperbolic_geodesic",
                    "--at", "99"])

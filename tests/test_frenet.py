@@ -463,6 +463,15 @@ def test_a_speed_that_jumps_raises_at_the_depth_cap(monkeypatch):
         frenet.arclength_map(spec)
 
 
+def test_a_kink_is_integrated_within_the_depth_cap():
+    # the kink at 0.3 is resolved after 18 halvings (measured): a cap of 17
+    # or less raises, and 40 leaves room
+    f = lambda x: 1.0 + abs(x - 0.3)
+    xs, ys, fs = frenet._panels(f, [(0.0, 1.0 + 0.3), (1.0, 1.0 + 0.7)],
+                                "kink", "a test")
+    assert xs[-1] == 1.0 and abs(ys[-1] - 1.29) <= 1e-12
+
+
 def _mp_speed(cid, mpmath):
     """The catalog curve's speed in mpmath arithmetic, at default params."""
     def clelia(t):

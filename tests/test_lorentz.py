@@ -64,6 +64,20 @@ def test_causal_examples():
     assert causal_character(Vec4(0, 0, 0, 0)) is CausalCharacter.SPACELIKE
 
 
+def test_causal_character_at_the_ends_of_the_float_range():
+    # squared as given, 1e-170 underflows to 0 and 1e160 overflows to inf,
+    # which read as null
+    assert causal_character((0.0, 1e-170, 0.0, 0.0)) is \
+        CausalCharacter.SPACELIKE
+    assert causal_character((1e160, 0.0, 0.0, 0.0)) is \
+        CausalCharacter.TIMELIKE
+    assert causal_character((5e-324, 0.0, 0.0, 0.0)) is \
+        CausalCharacter.TIMELIKE
+    assert causal_character((1e308, 1e308, 0.0, 0.0)) is CausalCharacter.NULL
+    assert causal_character((-0.0, 0.0, -0.0, 0.0)) is \
+        CausalCharacter.SPACELIKE
+
+
 def test_causal_tolerance_band_is_relative():
     # a vector that is null up to roundoff classifies as null, not spacelike
     v = Vec4(1e8, 1e8 * (1 + 1e-14), 0.0, 0.0)

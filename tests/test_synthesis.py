@@ -130,6 +130,18 @@ def test_too_many_steps_rejected_before_the_first(ds):
     assert read == []
 
 
+# The step limit is 10^7: ds = 1e-7 over (0, 1) is accepted, and a negative
+# drift tolerance stops the run after its first step; ds = 0.99999e-7, about
+# 100 steps more, raises before the first.
+@pytest.mark.parametrize("ds, error", [
+    (1e-7, FrameDriftExceeded), (0.99999e-7, ValueError)],
+    ids=["1e7_steps", "1e7_plus_100_steps"])
+def test_step_limit_is_ten_million(ds, error):
+    profile = frenet.constant_profile(1.0, 1.0, 1.0, 1, (0.0, 1.0))
+    with pytest.raises(error):
+        frenet.synthesize_curve(profile, ds=ds, synth_tol=-1.0)
+
+
 def test_bad_init_frame_rejected():
     profile = frenet.constant_profile(1.0, 1.0, 1.0, 1, (0.0, 1.0))
     frame = frenet.standard_init_frame(1)
