@@ -131,8 +131,9 @@ def test_criterion_7_extracts_each_sample_once(monkeypatch):
 # zero as planar.  The U3 projection and the zero tolerance must make
 # criterion 7 fail, or raise.
 _KERNEL_MUTANTS = {
-    "n_coefficient_sign": ("h = m * (-(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3)",
-                           "h = -(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3"),
+    "n_coefficient_sign": (
+        "h = m * (-(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3)",
+        "h = -(u0 * n0) + u1 * n1 + u2 * n2 + u3 * n3"),
     "planar_tolerance_zero": ("<= RANK_REL_TOL * RANK_REL_TOL * e",
                               "<= 0.0 * e"),
     "u4_n_coefficient_sign": (

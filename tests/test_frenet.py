@@ -467,8 +467,8 @@ def test_a_kink_is_integrated_within_the_depth_cap():
     # the kink at 0.3 is resolved after 18 halvings (measured): a cap of 17
     # or less raises, and 40 leaves room
     f = lambda x: 1.0 + abs(x - 0.3)
-    xs, ys, fs = frenet._panels(f, [(0.0, 1.0 + 0.3), (1.0, 1.0 + 0.7)],
-                                "kink", "a test")
+    xs, ys, _ = frenet._panels(f, [(0.0, 1.0 + 0.3), (1.0, 1.0 + 0.7)],
+                               "kink", "a test")
     assert xs[-1] == 1.0 and abs(ys[-1] - 1.29) <= 1e-12
 
 
@@ -1035,7 +1035,8 @@ def test_kernel_outcome_digest():
     the sha256 of them in order.  A refactor of the kernel keeps it.  A
     change that moves kernel bits on purpose (ROADMAP items 6, 8 and 10)
     updates it under the golden rule, saying which outcomes moved.  The
-    draws use only exact operations, so the digest is the same on every
+    only math function that rounds, in the draws or the kernel, is sqrt,
+    which IEEE 754 rounds exactly, so the digest is the same on every
     Python version that CI runs."""
     rng = random.Random(2026)
     outcomes = [_kernel_outcome([tuple(_raw_coefficient(rng)
