@@ -233,6 +233,21 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
     assert len(calls["point"]) == points * 13
 
 
+def test_criterion_8_skips_runtime_registered_curves(monkeypatch):
+    # a constructed curve is registered first, so a broken skip reads it;
+    # the literal is the oracle's figure over the static catalog, and does
+    # not move with verify._FD_STEPS as a recomputed reference would
+    rectifying.construct_rectifying(
+        curves.make_spec("hyperbolic_clelia"),
+        rectifying.ConstructionParams(a=1.0, t0=0.3, domain=(0.35, 1.2)))
+    read = set()
+    for name in ("eval_curve", "point"):
+        monkeypatch.setattr(curves, name, lambda spec, t, real=getattr(
+            curves, name): read.add(spec.catalog_id) or real(spec, t))
+    assert verify.fd_oracle_error() == 5.662575469721443e-07
+    assert read and not [cid for cid in read if ":" in cid]
+
+
 class NormalShifted:
     """A frame source whose positions move by k*N(s), so g(alpha, N)
     gains k at every sample; the rest comes from ``base``."""
