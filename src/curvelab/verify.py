@@ -8,10 +8,9 @@ CLI ``verify`` command and the acceptance tests both run these.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -38,6 +37,11 @@ _FD_STENCILS = {
                           (4, (-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0),
                            6.0))}
 _FD_STEPS = {1: 1e-2, 2: 1e-2, 3: 8e-3, 4: 1e-2}
+# Where the margin sits: the worst error is paper_example's k = 4 stencil
+# near the low end of its domain (t ~ 0.9314), 5.663e-7 against FD_TOL; the
+# next are paper_example's k = 3 at 3.51e-7 and k = 4 on hyperbolic_geodesic
+# at 2.58e-7 and on lorentz_helix at 2.48e-7.  That sets verify_suites'
+# tol_margin_log10 of 0.247, the smallest margin in the benchmark.
 
 NONDEGENERATE_IDS = ("hyperbolic_clelia", "lorentz_helix")
 DEGENERATE_ID = "paper_example"
@@ -235,12 +239,20 @@ def fd_oracle_error() -> float:
     the jet derivatives, at 50 random points on each static curve.
 
     The exact derivatives take one jet evaluation per point.  The
-    stencils at one point share their nodes, and the point itself is a
-    node, so each point reads the position at every node once.
+    stencils share their node offsets ``o * h``, the point itself among
+    them, so each point reads the position at every distinct offset once,
+    into one list that every stencil indexes.
     """
     rng = random.Random(0)
     worst = 0.0
     margin = 3 * max(_FD_STEPS.values())
+    index = {}                          # node offset to its place in a row
+    plan = []
+    for k, h in _FD_STEPS.items():
+        w, half = _FD_STENCILS[k]
+        at = [index.setdefault(o * h, len(index))
+              for o in range(-half, half + 1)]
+        plan.append((k, w, h ** k, itemgetter(*at)))
     for cid in curves.catalog_ids():
         if ":" in cid:                  # a constructed curve
             continue
@@ -249,13 +261,11 @@ def fd_oracle_error() -> float:
         for _ in range(50):
             t = rng.uniform(lo + margin, hi - margin)
             cj = curves.eval_curve(spec, t)
-            at = functools.cache(functools.partial(curves.point, spec))
-            for k, h in _FD_STEPS.items():
-                w, half = _FD_STENCILS[k]
-                nodes = [at(t + o * h)[0] for o in range(-half, half + 1)]
+            row = [curves.point(spec, t + d)[0] for d in index]
+            for k, w, hk, nodes in plan:
                 exact = [c[k] * jets._FACT[k] for c in cj]
-                err = [math.fsum(map(mul, w, coord)) / h ** k - e
-                       for coord, e in zip(zip(*nodes), exact)]
+                err = [math.fsum(map(mul, w, coord)) / hk - e
+                       for coord, e in zip(zip(*nodes(row)), exact)]
                 worst = max(worst, math.hypot(*err)
                             / max(math.hypot(*exact), 1e-12))
     return worst
