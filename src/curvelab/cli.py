@@ -276,8 +276,8 @@ def cmd_frenet(args, out) -> int:
 
 
 def _source_for_check(args):
-    """The source, its name, the samples and, on a synthesis, the fit the
-    recentring made, which the report reuses."""
+    """The source, its name, the samples and the c the report fits at: on a
+    synthesis, the c the recentring fitted at."""
     if args.from_synthesis:
         if args.config or args.curve or args.param or args.domain:
             raise UsageError("--from-synthesis takes no --config, --curve, "
@@ -286,10 +286,10 @@ def _source_for_check(args):
         samples = src.grid_samples(args.samples)
         # congruent to a rectifying curve: the battery runs on it recentred
         shifted, fit = rectifying.recentred(src, samples, args.c)
-        return shifted, args.from_synthesis, samples, fit
+        return shifted, args.from_synthesis, samples, fit.c
     spec = spec_from_config(load_config(args))
     src = frenet.JetFrameSource(spec)
-    return src, spec.catalog_id, src.grid_samples(args.samples), None
+    return src, spec.catalog_id, src.grid_samples(args.samples), args.c
 
 
 def cmd_rectify_check(args, out) -> int:
@@ -298,9 +298,9 @@ def cmd_rectify_check(args, out) -> int:
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
     tols = rectifying.ReportTolerances.default(args.tol)
-    src, name, samples, fit = _source_for_check(args)
+    src, name, samples, c = _source_for_check(args)
     report = rectifying.theorem33_report(src, samples, tolerances=tols,
-                                         curve_name=name, c=args.c, fit=fit)
+                                         curve_name=name, c=c)
     text = json.dumps(report.to_json_dict(), indent=2)
     _write_lines(args.output, [text], out)
     return EXIT_OK if report.verdict else EXIT_PROPERTY
@@ -351,7 +351,7 @@ def cmd_synthesize(args, out) -> int:
                                            args.eps, s_range)
         curve = frenet.synthesize_curve(profile, ds=args.ds,
                                         synth_tol=args.drift_tol)
-    except (KeyError, ValueError) as exc:   # a bad profile, ds or step count
+    except ValueError as exc:   # a bad profile, ds or step count
         raise UsageError(str(exc))
     except FrameDriftExceeded as exc:
         emit(exc.partial)

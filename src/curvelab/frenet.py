@@ -569,7 +569,8 @@ def profile_from_name(name: str, params: dict, eps: int,
     if name == "cosh_over_s":
         _check_names("profile cosh_over_s", params, ())
         return rectifying_profile(s_range, eps)
-    raise KeyError(f"unknown profile {name!r}")
+    raise ValueError(f"unknown profile {name!r} "
+                     "(profiles: constant, cosh_over_s)")
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -807,10 +808,6 @@ class TranslatedSource:
     def __init__(self, base, shift: Vec4):
         self.base = base
         self.shift = shift
-
-    @property
-    def s_range(self):
-        return self.base.s_range
 
     def frame(self, s: float) -> FrenetData:
         f = self.base.frame(s)

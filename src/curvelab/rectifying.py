@@ -312,20 +312,10 @@ class RectifyingReport(NamedTuple):
 def theorem33_report(source, samples: Sequence[float],
                      tolerances: ReportTolerances | None = None,
                      curve_name: str = "",
-                     c: float | None = None,
-                     fit: Theorem31Fit | None = None) -> RectifyingReport:
-    """Run the full per-statement battery and aggregate a verdict.
-
-    ``fit``, a Theorem 3.1 fit over the same samples of a congruent source
-    (as ``recentred`` returns), is reused for its c, A, B, eps, rms and
-    torsion angles, none of which reads a position, and ``c`` is not
-    read; only the frames are gathered again, for their positions.
-    """
+                     c: float | None = None) -> RectifyingReport:
+    """Run the full per-statement battery and aggregate a verdict."""
     tol = tolerances if tolerances is not None else ReportTolerances()
-    if fit is None:
-        fit = fit_theorem31(source, samples, c=c)
-    else:
-        fit = fit._replace(frames=[source.frame(float(s)) for s in samples])
+    fit = fit_theorem31(source, samples, c=c)
     frames = fit.frames
     ss = [f.s for f in frames]
     ones = [1.0] * len(ss)

@@ -315,7 +315,5 @@ SUITES = {
 
 
 def run_suite(name: str, ws: Workspace | None = None) -> list[CriterionResult]:
-    if name not in SUITES:
-        raise KeyError(name)
     ws = ws or Workspace()
     return [CRITERIA[i - 1](ws) for i in SUITES[name]]

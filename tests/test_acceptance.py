@@ -248,6 +248,43 @@ def test_criterion_8_skips_runtime_registered_curves(monkeypatch):
     assert read and not [cid for cid in read if ":" in cid]
 
 
+@pytest.mark.parametrize("k, want", [
+    (1, 6.90951552854778e-08), (2, 4.574312074913891e-08),
+    (3, 3.5756713041498575e-07), (4, 5.662575469721443e-07),
+], ids=["k1", "k2", "k3", "k4"])
+def test_criterion_8_worst_error_per_order(monkeypatch, k, want):
+    """Each order's worst error alone, as a literal: the full run reports
+    only the k = 4 maximum, under which a wrong step at k = 1, 2 or 3 hides
+    (8e-3 becoming 7e-3 at k = 3 gives 2.11e-7).  The step is the module's
+    own, so a source mutant moves it.  The k = 3 figure is not the 3.51e-7
+    that order reaches in the full run: alone, its 8e-3 step narrows the
+    end margin from 3e-2 to 2.4e-2, which moves the seeded points."""
+    monkeypatch.setattr(verify, "_FD_STEPS", {k: verify._FD_STEPS[k]})
+    assert verify.fd_oracle_error() == want
+
+
+def test_criterion_9_fails_when_the_synthesis_mutant_is_undone(monkeypatch):
+    # the synthesis runs with the true coupling sign: its drift stays at
+    # roundoff (5.77e-14), and suite 5 does not fail
+    real = verify.Workspace.synthesized
+    monkeypatch.setattr(verify.Workspace, "synthesized",
+                        lambda self, coupling_eps=None: real(self))
+    line = verify.criterion_9(verify.Workspace()).line()
+    assert line.startswith("[FAIL]") and "suite 5 fails: False" in line
+
+
+def test_criterion_9_fails_when_the_ode_mutant_is_undone(monkeypatch):
+    # the right-hand side negates eps back, so the centre frame's flipped
+    # eps is undone and the ODE residual stays small (2.88e-9); the
+    # helix's eps is -1, so abs(eps) would not undo it
+    real = frenet.frenet_rhs
+    monkeypatch.setattr(frenet, "frenet_rhs",
+                        lambda T, N, B1, B2, k1, k2, k3, eps:
+                        real(T, N, B1, B2, k1, k2, k3, -eps))
+    line = verify.criterion_9(verify.Workspace()).line()
+    assert line.startswith("[FAIL]") and "suite 2 fails: False" in line
+
+
 class NormalShifted:
     """A frame source whose positions move by k*N(s), so g(alpha, N)
     gains k at every sample; the rest comes from ``base``."""

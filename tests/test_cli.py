@@ -661,31 +661,84 @@ def test_rectify_check_validates_synthesis_csv(tmp_path, capsys,
         assert f"{path} {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c", [None, 0.0], ids=["free_c", "c0"])
-def test_synthesis_check_fits_theorem_31_once(tmp_path, monkeypatch,
-                                              synthesis_lines, c):
-    # the report reuses the recentring's fit, which reads no position: one
-    # fit and one torsion angle per sample, and the report a refit gives
-    path = tmp_path / "syn.csv"
-    path.write_text("\n".join(synthesis_lines) + "\n")
-    src = cli.CsvFrameSource(str(path))
-    ss = src.grid_samples(21)
-    shifted, fit = rectifying.recentred(src, ss, c)
-    assert (rectifying.theorem33_report(shifted, ss, fit=fit).to_json_dict()
-            == rectifying.theorem33_report(shifted, ss,
-                                           c=fit.c).to_json_dict())
-    fits, angles = [], []
-    real_fit, real_angle = (rectifying._fit_gathered,
-                            cli.CsvFrameSource.kappa3_integral)
-    monkeypatch.setattr(rectifying, "_fit_gathered",
-                        lambda *args: fits.append(1) or real_fit(*args))
-    monkeypatch.setattr(cli.CsvFrameSource, "kappa3_integral",
-                        lambda self, s: angles.append(s)
-                        or real_angle(self, s))
-    c_flag = [] if c is None else ["--c", repr(c)]
-    code, _ = run(["rectify-check", "--from-synthesis", str(path),
-                   "--samples", "21", *c_flag])
-    assert (code, len(fits), len(angles)) == (0, 1, 21)
+def _t_int_plus_800(lines):
+    # cosh t of a torsion angle past 710 leaves floating point
+    out = []
+    for line in lines:
+        if line and line[0] not in "s#":
+            head, t_int = line.rsplit(",", 1)
+            line = f"{head},{float(t_int) + 800.0!r}"
+        out.append(line)
+    return out
+
+
+# the files an exit case names, each made from the synthesis CSV's lines
+_EXIT_FILES = {
+    "list.json": lambda lines: ["[1]"],
+    "no_a.json": lambda lines: [
+        '{"id": "hyperbolic_clelia", "construct": {"t0": 0.3}}'],
+    "a_zero.json": lambda lines: [
+        '{"id": "hyperbolic_clelia", "construct": {"a": 0}}'],
+    "header.csv": lambda lines: ["s,x", *lines[1:]],
+    "one_row.csv": lambda lines: lines[:2],
+    "t_int_800.csv": _t_int_plus_800,
+}
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["frenet", "--curve", "lorentz_helix", "--domain", "abc", "1"], 64,
+     "invalid float value"),
+    (["frenet", "--curve", "lorentz_helix", "--samples", "x"], 64,
+     "invalid int value"),
+    (["frenet", "--config", "list.json"], 64, "must hold a JSON object"),
+    (["frenet", "--curve", "lorentz_helix", "--param", "A"], 64,
+     "wants NAME=VALUE"),
+    (["frenet", "--curve", "lorentz_helix", "--param", "A=x"], 64,
+     "is not a number"),
+    (["frenet"], 64, "no curve id given"),
+    (["frenet", "--config", "no_a.json"], 64, 'needs at least "a"'),
+    (["frenet", "--config", "a_zero.json"], 64, "bad construct block"),
+    (["rectify-check", "--from-synthesis", "header.csv"], 64,
+     "is not a synthesis CSV"),
+    (["rectify-check", "--from-synthesis", "one_row.csv"], 64,
+     "fewer than 2 samples"),
+    (["rectify-check", "--curve", "lorentz_helix", "--samples", "5"], 64,
+     "at least 8"),
+    (["synthesize", "--eps", "2"], 64, "--eps must be 1 or -1"),
+    (["synthesize", "--profile", "nope"], 64,
+     "usage error: unknown profile 'nope' (profiles: constant, "
+     "cosh_over_s)\n"),
+    (["synthesize", "--domain", "0", "1"], 64, "needs s > 0"),
+    (["frenet", "--curve", "paper_example", "--param", "a=0"], 64,
+     "requires a != 0"),
+    (["frenet", "--curve", "paper_example", "--domain", "0.5", "4"], 2,
+     "PoleEncountered: domain spans a full period"),
+    (["construct", "--curve", "hyperbolic_clelia", "--a", "2",
+      "--construct-domain", "0.35", "99"], 2,
+     "OutOfDomain: construction domain (0.35, 99.0) outside arclength range"),
+    (["rectify-check", "--from-synthesis", "missing.csv"], 2,
+     "error: [Errno 2] No such file or directory: 'missing.csv'"),
+    (["rectify-check", "--from-synthesis", "t_int_800.csv", "--samples",
+      "21"], 2, "IllConditionedFit: cosh/sinh of the torsion angle overflows"),
+    (["rectify-check", "--from-synthesis", "t_int_800.csv", "--samples",
+      "21", "--c", "0"], 2,
+     "IllConditionedFit: cosh/sinh of the torsion angle overflows"),
+], ids=["domain_not_float", "samples_not_int", "config_not_object",
+        "param_without_value", "param_not_number", "no_curve",
+        "construct_without_a", "construct_a_zero", "synthesis_header",
+        "synthesis_one_row", "check_five_samples", "synthesize_eps_2",
+        "unknown_profile", "profile_at_s_0", "paper_example_a_0",
+        "pole_period", "construct_outside_arclength", "missing_csv",
+        "t_int_overflow_free_c", "t_int_overflow_c0"])
+def test_every_exit_states_its_cause(tmp_path, monkeypatch, capsys,
+                                     synthesis_lines, argv, code, fragment):
+    monkeypatch.chdir(tmp_path)
+    for name in set(argv) & set(_EXIT_FILES):
+        (tmp_path / name).write_text(
+            "\n".join(_EXIT_FILES[name](synthesis_lines)) + "\n")
+    got, _ = run(argv)
+    assert got == code
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale, c_flag", [

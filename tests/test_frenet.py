@@ -345,6 +345,49 @@ def test_null_principal_normal_floor(c, want):
     _assert_agrees_with_the_chain(a, 0.5, got)
 
 
+def _boosted_frame_jets(phi):
+    """Coefficients k = A_k / k! of a unit-speed curve whose frame at s is T
+    = (sinh phi, cosh phi, 0, 0), N = e2, B1 = e3, B2 = (cosh phi, sinh phi,
+    0, 0) with kappa1 = kappa2 = kappa3 = 1, the A_k from the Frenet
+    equations: A2 = N, A3 = -T + B1, A4 = -2 N + B2."""
+    ch, sh = math.cosh(phi), math.sinh(phi)
+    t, n, b1, b2 = (sh, ch, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), \
+        (0.0, 0.0, 0.0, 1.0), (ch, sh, 0.0, 0.0)
+    return [(0.0, t[i], n[i] / 2.0, (b1[i] - t[i]) / 6.0,
+             (b2[i] - 2.0 * n[i]) / 24.0) for i in range(4)]
+
+
+def test_third_frenet_residual_null_under_a_large_boost():
+    # B2 boosted by rapidity 12 has g(B2, B2) = -1 against a Euclidean
+    # square near e^24: below CURVATURE_FLOOR of it, B2 reads as null
+    with pytest.raises(DegenerateFrame,
+                       match="third Frenet residual null at s=0.5") as info:
+        frenet._frame_from_position_jets(_boosted_frame_jets(12.0), 0.5)
+    assert info.value.level == 3
+    *_, k3, eps = frenet._frame_from_position_jets(
+        _boosted_frame_jets(5.0), 0.5)
+    # at rapidity 5 the same frame is told, kappa3 = 1 to roundoff
+    assert eps == 1 and abs(k3 - 1.0) < 5e-13
+
+
+@pytest.mark.parametrize("k, square", [(3, "e"), (4, "q")],
+                         ids=["alpha_third", "alpha_fourth"])
+def test_timelike_branch_refuses_an_unsquarable_derivative(k, square):
+    # a curve in the x0-x2 plane, so a timelike T', with alpha''' = alpha'
+    # in the plane; 1e200 in x0's coefficient k leaves |A_k|^2 unsquarable,
+    # which the branch (m = g(N, N) = -1) checks before it reads A_k
+    sh, ch = math.sinh(1.0), math.cosh(1.0)
+    x0 = [0.0, sh, ch / 2.0, sh / 6.0, 0.0]
+    x0[k] = 1e200
+    a = [tuple(x0), (0.0,) * 5, (0.0, ch, sh / 2.0, ch / 6.0, 0.0),
+         (0.0,) * 5]
+    with pytest.raises(DivisionNearZero, match="square inf") as info:
+        frenet._frame_from_position_jets(a, 0.5)
+    entry = info.traceback[-1]
+    assert entry.locals["m"] == -1.0
+    assert f"format({square}, s)" in str(entry.statement)
+
+
 def test_tangent_is_arclength_derivative(clelia):
     spec, amap = clelia
     s = 0.6 * amap.total
