@@ -316,7 +316,7 @@ def cmd_construct(args, out) -> int:
                                               domain=domain))
     lines = [POSITION_HEADER]
     for u in frenet.grid(*spec.domain, args.samples):
-        pos = curves.point(spec, u)[0]
+        pos = curves.position(spec, u)
         if not all(map(math.isfinite, pos)):
             raise PoleEncountered(f"{spec.catalog_id} overflows floating "
                                   f"point at u={u}")

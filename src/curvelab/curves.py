@@ -6,7 +6,7 @@ the four coordinate series truncated to n coefficients, from the
 operations ``jets.SERIES[n]`` holds for that length.  ``eval_curve`` takes
 n = 5, so every derivative up to order 4 is exact up to roundoff; ``point``
 and ``speed`` take n = 2, a position and a velocity at the cost of two
-terms.
+terms; ``position`` takes n = 1, a position alone.
 
 Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
@@ -24,13 +24,14 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import jets
-from .errors import (DivisionNearZero, NonSpacelikeVelocity, OutOfDomain,
-                     PoleEncountered, SqrtNonPositive)
+from .errors import (CurveLabError, DivisionNearZero, NonSpacelikeVelocity,
+                     OutOfDomain, PoleEncountered, SqrtNonPositive)
 
 __all__ = [
     "CurveSpec",
     "eval_curve",
     "point",
+    "position",
     "speed",
     "register_curve",
     "catalog_ids",
@@ -79,12 +80,28 @@ class CurveSpec(_CurveSpecFields):
                 raise ValueError(f"parameter {name} must be a finite number, "
                                  f"got {value!r}")
         entry.validate(merged, domain)
-        return super().__new__(cls, catalog_id, merged, domain)
+        return super().__new__(cls, catalog_id, merged, tuple(domain))
 
     def contains(self, t: float) -> bool:
-        lo, hi = self.domain
+        lo, hi = _SLACK_BOUNDS[self.domain]
+        return lo <= t <= hi
+
+
+class _SlackBounds(dict):
+    """Each domain (lo, hi) read so far, to the bounds a parameter may reach:
+    the domain widened by ``DOMAIN_SLACK`` of its span at both ends, for
+    roundoff.  The bounds depend on the domain alone, so one entry serves
+    every spec over it."""
+
+    def __missing__(self, domain: tuple[float, float]) -> tuple[float, float]:
+        lo, hi = domain
         span = hi - lo
-        return lo - DOMAIN_SLACK * span <= t <= hi + DOMAIN_SLACK * span
+        bounds = self[domain] = (lo - DOMAIN_SLACK * span,
+                                 hi + DOMAIN_SLACK * span)
+        return bounds
+
+
+_SLACK_BOUNDS = _SlackBounds()
 
 
 def _check_names(owner: str, params, accepted) -> None:
@@ -106,7 +123,7 @@ class CatalogEntry(NamedTuple):
 
     ``build(t, params, n)`` returns the four coordinate series at the
     float ``t``, each a tuple of its first n Taylor coefficients, n being
-    2 or 5; coefficients 0 and 1 do not depend on n.
+    1, 2 or 5; coefficients 0 and 1 do not depend on n.
 
     ``arclength``, when given, is the exact arclength as a pair of
     functions ``(s_between, t_from)``: ``s_between(params, lo, t)`` is the
@@ -283,9 +300,14 @@ def _pole(spec: CurveSpec, t: float, exc: Exception) -> PoleEncountered:
 
 
 def _series(spec: CurveSpec, t: float, n: int) -> tuple:
-    if not spec.contains(t):
+    # spec.contains and _lookup inline: every curve read runs both
+    lo, hi = _SLACK_BOUNDS[spec.domain]
+    if not lo <= t <= hi:
         raise OutOfDomain(f"t={t} outside domain {spec.domain} of {spec.catalog_id}")
-    entry = _lookup(spec.catalog_id)
+    try:
+        entry = _CATALOG[spec.catalog_id]
+    except KeyError:
+        entry = _lookup(spec.catalog_id)
     try:
         return entry.build(float(t), spec.params, n)
     except _POLES as exc:
@@ -306,6 +328,29 @@ def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
     return (x0, x1, x2, x3), (v0, v1, v2, v3)
 
 
+def position(spec: CurveSpec, t: float) -> tuple:
+    """Position of the curve at ``t``, a 4-tuple of floats: coefficient 0
+    of ``eval_curve(spec, t)``, bit for bit, with its errors."""
+    (x0,), (x1,), (x2,), (x3,) = _series(spec, t, 1)
+    return (x0, x1, x2, x3)
+
+
+def _not_spacelike(spec: CurveSpec, t: float, g: float, vel: tuple
+                   ) -> CurveLabError:
+    """The error for a velocity ``vel`` whose Minkowski square ``g`` is not
+    positive and finite: an infinite velocity is an overflow, a finite one
+    whose square leaves floating point has no speed to divide by, and
+    otherwise (g <= 0, or a NaN velocity) the velocity is not spacelike."""
+    if any(map(math.isinf, vel)):
+        return _pole(spec, t, OverflowError(f"velocity {vel}"))
+    if not math.isfinite(g) and all(map(math.isfinite, vel)):
+        return DivisionNearZero(
+            f"Minkowski square g(alpha', alpha') = {g} of the velocity "
+            f"leaves floating point at t={t} on {spec.catalog_id}")
+    return NonSpacelikeVelocity(
+        f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")
+
+
 def _speed_jet(spec: CurveSpec, t: float, cj) -> tuple:
     """Coefficients of the speed ||alpha'(t)|| from the coordinate series
     ``cj`` at ``t``, valid to order 3; requires a spacelike velocity."""
@@ -315,9 +360,8 @@ def _speed_jet(spec: CurveSpec, t: float, cj) -> tuple:
     p = [jets._cauchy([-x for x in d[0]], d[0]),
          *[jets._cauchy(x, x) for x in d[1:]]]
     g = [((p0 + p1) + p2) + p3 for p0, p1, p2, p3 in zip(*p)]
-    if not g[0] > 0.0:
-        raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g[0]} at t={t} on {spec.catalog_id}")
+    if not 0.0 < g[0] < math.inf:
+        raise _not_spacelike(spec, t, g[0], tuple(x[0] for x in d))
     return jets._sqrt(g)
 
 
@@ -329,7 +373,6 @@ def speed(spec: CurveSpec, t: float) -> float:
     """
     (_, v0), (_, v1), (_, v2), (_, v3) = _series(spec, t, 2)
     g = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
-    if not g > 0.0:
-        raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g} at t={t} on {spec.catalog_id}")
+    if not 0.0 < g < math.inf:
+        raise _not_spacelike(spec, t, g, (v0, v1, v2, v3))
     return math.sqrt(g)

@@ -9,17 +9,18 @@ Order 4 is the smallest order that feeds the full Frenet apparatus in a
 4-space (four derivatives of the position).
 
 Every operation is written out as straight-line arithmetic on coefficient
-tuples, once per length in ``SERIES``: whole jets (5), or a value and a
-first derivative (2) that equal the first two of 5 bit for bit; ``Jet``
-wraps the length-5 helpers.  The floating-point operations, and their
-order, are fixed: each Cauchy sum runs left to right and starts from
-``0.0 +``, which is what builtin ``sum()`` does on Python 3.11 and older
-(the ``0.0 +`` turns a leading -0.0 into 0.0).  Every printed frame,
-curvature and report figure derives from these bits, so they must not
-depend on the Python version; ``sum()`` itself does, since Python 3.12
-compensates its rounding.  ``tests/test_jets.py`` holds the loop formulas
-as the reference and checks every operation against them bit for bit,
-sign of zero included.
+tuples, once per length in ``SERIES``: whole jets (5), a value and a
+first derivative (2) that equal the first two of 5 bit for bit, or a value
+alone (1), each length-1 operation coefficient 0 of its length-2 form in
+one expression; ``Jet`` wraps the length-5 helpers.  The floating-point
+operations, and their order, are fixed: each Cauchy sum runs left to
+right and starts from ``0.0 +``, which is what builtin ``sum()`` does on
+Python 3.11 and older (the ``0.0 +`` turns a leading -0.0 into 0.0).
+Every printed frame, curvature and report figure derives from these
+bits, so they must not depend on the Python version; ``sum()`` itself
+does, since Python 3.12 compensates its rounding.  ``tests/test_jets.py``
+holds the loop formulas as the reference and checks every operation
+against them bit for bit, sign of zero included.
 
 ``compose`` and ``reverse`` carry a jet from one parameter to another.
 The frame kernel needs neither (it runs Gram-Schmidt on the derivatives
@@ -138,6 +139,33 @@ def _sinhcosh2(a):
     return (s0, 0.0 + a1 * c0), (c0, 0.0 + a1 * s0)
 
 
+# The length-1 forms: coefficient 0 of the length-2 forms, so a position
+# costs no velocity.
+
+def _cauchy1(a, b):
+    return (0.0 + a[0] * b[0],)
+
+
+def _scale1(a, k):
+    return (a[0] * k,)
+
+
+def _divide1(a, b):
+    check_divisor(b[0])
+    return (a[0] / b[0],)
+
+
+def _sincos1(a):
+    a0, = a
+    if math.isinf(a0):
+        raise OverflowError(f"sin and cos of {a0}")
+    return (math.sin(a0),), (math.cos(a0),)
+
+
+def _sinhcosh1(a):
+    return (math.sinh(a[0]),), (math.cosh(a[0]),)
+
+
 class Series(NamedTuple):
     """The operations of one truncation length on coefficient tuples."""
 
@@ -148,7 +176,8 @@ class Series(NamedTuple):
     sincos: Callable
 
 
-SERIES = {2: Series(_cauchy2, _divide2, _scale2, _sinhcosh2, _sincos2),
+SERIES = {1: Series(_cauchy1, _divide1, _scale1, _sinhcosh1, _sincos1),
+          2: Series(_cauchy2, _divide2, _scale2, _sinhcosh2, _sincos2),
           5: Series(_cauchy, _divide, _scale, _sinhcosh, _sincos)}
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from . import jets
 from .curves import (ArclengthPair, CatalogEntry, CurveSpec, _is_number,
-                     _speed_jet, eval_curve, point, register_curve)
+                     _speed_jet, eval_curve, position, register_curve)
 from .errors import (DegenerateFrame, IllConditionedFit,
                      NonSpacelikeVelocity, NotOnHyperbolicSphere, OutOfDomain)
 from .frenet import FrenetData, TranslatedSource, arclength_map, grid
@@ -421,7 +421,7 @@ def construct_rectifying(sphere_spec: CurveSpec,
     ymap = arclength_map(sphere_spec)
     total = ymap.total
     for tau in grid(*sphere_spec.domain, 33):
-        pos = point(sphere_spec, tau)[0]
+        pos = position(sphere_spec, tau)
         gap = minkowski_dot(pos, pos) + 1.0
         if not abs(gap) <= SPHERE_TOL:
             raise NotOnHyperbolicSphere(

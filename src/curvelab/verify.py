@@ -261,7 +261,7 @@ def fd_oracle_error() -> float:
         for _ in range(50):
             t = rng.uniform(lo + margin, hi - margin)
             cj = curves.eval_curve(spec, t)
-            row = [curves.point(spec, t + d)[0] for d in index]
+            row = [curves.position(spec, t + d) for d in index]
             for k, w, hk, nodes in plan:
                 exact = [c[k] * jets._FACT[k] for c in cj]
                 err = [math.fsum(map(mul, w, coord)) / hk - e

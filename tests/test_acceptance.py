@@ -221,7 +221,7 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
                 want = max(want, math.hypot(*(a - e for a, e
                                               in zip(approx, exact)))
                            / max(math.hypot(*exact), 1e-12))
-    calls = {"eval_curve": [], "point": []}
+    calls = {"eval_curve": [], "point": [], "position": []}
     for name, log in calls.items():
         monkeypatch.setattr(curves, name, lambda spec, t, real=getattr(
             curves, name), log=log: log.append(t) or real(spec, t))
@@ -230,7 +230,8 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
     # t + o * 1e-2 and t + o * 8e-3 for o in -3..3 share o = 0
     points = len(static_ids) * 50
     assert len(calls["eval_curve"]) == points
-    assert len(calls["point"]) == points * 13
+    assert len(calls["position"]) == points * 13
+    assert calls["point"] == []
 
 
 def test_criterion_8_skips_runtime_registered_curves(monkeypatch):

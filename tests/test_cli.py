@@ -83,13 +83,17 @@ def test_classify_pole_exits_2(capsys):
     ["classify", "--curve", "lorentz_helix", "--param", "p=0",
      "--param", "q=1e300", "--param", "A=0", "--domain", "0", "1e10",
      "--at", "1e10"],
+    ["frenet", "--curve", "paper_example", "--param", "a=1e308",
+     "--samples", "3"],
 ], ids=["classify", "frenet", "classify_product", "construct_product",
-        "classify_sine_argument"])
+        "classify_sine_argument", "frenet_velocity"])
 def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     # sinh past ~710.5 overflows floating point, and so does A * cosh(pt)
     # with A near the largest float, or a / cosh(u + t0) * cosh(u) with t0
-    # < 0, or the argument q t of the helix's sine: a typed error, not a
-    # traceback with the "property failed" code or an inf in the CSV
+    # < 0, or the argument q t of the helix's sine, or the velocity of
+    # paper_example at a = 1e308: a typed error, not a traceback with the
+    # "property failed" code, an inf in the CSV or a velocity called
+    # non-spacelike
     code, _ = run(argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -121,6 +125,17 @@ def test_a_speed_too_small_to_square_exits_2(capsys):
     # floating point: a typed error, not a NaN in a Vec4
     code, _ = run(["frenet", "--curve", "lorentz_helix", "--samples", "3",
                    "--param", "A=1e-160", "--param", "B=2e-160"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DivisionNearZero" in err and "leaves floating point" in err
+
+
+def test_a_velocity_too_large_to_square_exits_2(capsys):
+    # clelia's velocity at t = 356.28 is finite and spacelike, its
+    # components near 3e154, but their squares overflow: g is NaN, which
+    # says nothing of the velocity's causal character
+    code, _ = run(["frenet", "--curve", "hyperbolic_clelia",
+                   "--domain", "0.25", "400", "--samples", "3"])
     assert code == 2
     err = capsys.readouterr().err
     assert "DivisionNearZero" in err and "leaves floating point" in err

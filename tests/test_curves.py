@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvelab import curves, frenet, jets
 from curvelab.errors import (CurveLabError, DegenerateFrame,
-                             NonSpacelikeVelocity, OutOfDomain,
-                             PoleEncountered)
+                             DivisionNearZero, NonSpacelikeVelocity,
+                             OutOfDomain, PoleEncountered)
 from curvelab.lorentz import Vec4, minkowski_dot
 
 
@@ -103,7 +103,8 @@ def test_runtime_pole_surfaces_as_pole_error():
         curves.eval_curve(curves.make_spec(cid), 0.0)
 
 
-@pytest.mark.parametrize("evaluate", [curves.point, curves.eval_curve])
+@pytest.mark.parametrize("evaluate", [curves.point, curves.position,
+                                      curves.eval_curve])
 def test_an_infinite_sine_argument_is_a_pole_error(evaluate):
     # q t = 1e310 is inf, whose sine math.sin refuses with a ValueError
     spec = curves.make_spec("lorentz_helix", {"p": 0.0, "q": 1e300, "A": 0.0},
@@ -143,6 +144,19 @@ def test_a_parameter_past_the_domain_by_1e_6_of_its_span_is_out():
             curves.eval_curve(spec, t)
     # 1e-10 of the span is roundoff slack, still inside
     curves.eval_curve(spec, hi + 1e-10 * span)
+
+
+@pytest.mark.parametrize("read", [curves.eval_curve, curves.point,
+                                  curves.position, curves.speed])
+def test_reads_reach_past_the_domain_by_domain_slack_of_its_span(read):
+    # DOMAIN_SLACK = 1e-9 of a span of 1: 5e-10 past either end is
+    # roundoff slack, 2e-9 past is out
+    spec = curves.make_spec("lorentz_helix", domain=(0.25, 1.25))
+    read(spec, 1.25 + 5e-10)
+    read(spec, 0.25 - 5e-10)
+    for t in (1.25 + 2e-9, 0.25 - 2e-9):
+        with pytest.raises(OutOfDomain):
+            read(spec, t)
 
 
 def test_speed_requires_spacelike_velocity():
@@ -238,6 +252,21 @@ def test_speed_is_the_speed_jet_value_bit_for_bit():
                     == _outcome(jet_speed, spec, float(t))), spec.catalog_id
 
 
+@pytest.mark.parametrize("cid, params, domain, t, error, text", [
+    ("hyperbolic_clelia", {}, (0.25, 400.0), 356.27734375, DivisionNearZero,
+     "leaves floating point"),
+    ("paper_example", {"a": 1e308}, (0.9, 2.2), 0.9, PoleEncountered,
+     "overflows floating point")], ids=["finite", "infinite"])
+def test_a_velocity_whose_square_overflows_is_not_called_non_spacelike(
+        cid, params, domain, t, error, text):
+    # g = NaN: a finite velocity's squares overflow, or the velocity is
+    # infinite; neither tells its causal character
+    spec = curves.make_spec(cid, params, domain)
+    for fn in (curves.speed, jet_speed):
+        with pytest.raises(error, match=text):
+            fn(spec, t)
+
+
 def test_speed_and_speed_jet_reject_a_timelike_helix():
     # Bq < Ap makes the helix velocity timelike
     spec = curves.make_spec("lorentz_helix",
@@ -298,7 +327,7 @@ def _reference_series(spec, t):
 
 
 def test_static_curves_build_no_jet(monkeypatch):
-    # the frame kernel, point, speed and the speed series run on
+    # the frame kernel, point, position, speed and the speed series run on
     # coefficient tuples from end to end
     sources = []
     for cid in STATIC:
@@ -319,6 +348,7 @@ def test_static_curves_build_no_jet(monkeypatch):
                 pass
         for t in np.linspace(*spec.domain, 5):
             curves.point(spec, float(t))
+            curves.position(spec, float(t))
             curves.speed(spec, float(t))
             curves._speed_jet(spec, float(t),
                               curves.eval_curve(spec, float(t)))
@@ -386,26 +416,34 @@ def _series_point(spec, t):
     return (tuple(c[0] for c in cj), tuple(c[1] for c in cj))
 
 
-# point and speed take the length-2 series: coefficients 0 and 1 of
-# eval_curve's, bit for bit, with its errors
+def _series_position(spec, t):
+    return tuple(c[0] for c in curves.eval_curve(spec, t))
+
+
+# point and speed take the length-2 series and position the length-1
+# series: coefficients 0 and 1, or 0, of eval_curve's, bit for bit, with
+# its errors
 @pytest.mark.parametrize("cid", STATIC)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_closed_form_is_the_jet_bit_for_bit(cid, data):
     spec, t = data.draw(_static_case(cid))
     assert _result(curves.point, spec, t) == _result(_series_point, spec, t)
+    assert (_result(curves.position, spec, t)
+            == _result(_series_position, spec, t))
     assert (_result(curves.speed, spec, t)
             == _result(jet_speed, spec, t))
 
 
 def _jet_speed_jet(spec, t, cj):
     """The speed series in jet arithmetic, as ``curves._speed_jet`` once
-    computed it, from the coefficient tuples ``cj``."""
+    computed it, from the coefficient tuples ``cj``; a square that is not
+    positive and finite raises ``curves._not_spacelike``'s error."""
     d = [jets.Jet(c).d() for c in cj]
     g = -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
-    if not g.value > 0.0:
-        raise NonSpacelikeVelocity(
-            f"g(alpha', alpha') = {g.value} at t={t} on {spec.catalog_id}")
+    if not 0.0 < g.value < math.inf:
+        raise curves._not_spacelike(spec, t, g.value,
+                                    tuple(c[1] for c in cj))
     return jets.sqrt(g).coeffs
 
 
