@@ -237,7 +237,7 @@ class CsvFrameSource(frenet.SynthesizedCurve):
 def cmd_classify(args, out) -> int:
     spec = spec_from_config(load_config(args))
     for t in args.at:
-        vel = curves.point(spec, t)[1]
+        vel = tuple(c[1] for c in curves.eval_curve(spec, t))
         if not all(map(math.isfinite, vel)):
             raise curves._pole(spec, t, OverflowError(f"velocity {vel}"))
         out.write(f"t={t!r}: {causal_character(vel).value}\n")

@@ -4,9 +4,9 @@ Curves are named closed forms with parameters, not a parsed expression
 language.  Each catalog entry is written once, as ``build(t, params, n)``:
 the four coordinate series truncated to n coefficients, from the
 operations ``jets.SERIES[n]`` holds for that length.  ``eval_curve`` takes
-n = 5, so every derivative up to order 4 is exact up to roundoff; ``point``
-and ``speed`` take n = 2, a position and a velocity at the cost of two
-terms; ``position`` takes n = 1, a position alone.
+n = 5, so every derivative up to order 4 is exact up to roundoff;
+``speed`` takes n = 2, a velocity at the cost of two terms; ``position``
+takes n = 1, a position alone.
 
 Constructed curves (Theorem-style products of a radius function with a
 spherical curve) are registered at runtime under generated ids and
@@ -30,7 +30,6 @@ from .errors import (CurveLabError, DivisionNearZero, NonSpacelikeVelocity,
 __all__ = [
     "CurveSpec",
     "eval_curve",
-    "point",
     "position",
     "speed",
     "register_curve",
@@ -58,13 +57,18 @@ class _CurveSpecFields(NamedTuple):
     catalog_id: str
     params: Mapping[str, float]
     domain: tuple[float, float]
+    entry: CatalogEntry
+    bounds: tuple[float, float]
 
 
 class CurveSpec(_CurveSpecFields):
     """A named curve with parameter values and a closed domain interval.
 
     Construction checks the domain and the parameters and fills in the
-    catalog defaults of the parameters not given.
+    catalog defaults of the parameters not given.  It derives the last two
+    fields, which are not arguments: ``entry``, the catalog entry, and
+    ``bounds``, the domain widened by ``DOMAIN_SLACK`` of its span at both
+    ends for roundoff, the reach of every read.
     """
 
     __slots__ = ()
@@ -80,28 +84,26 @@ class CurveSpec(_CurveSpecFields):
                 raise ValueError(f"parameter {name} must be a finite number, "
                                  f"got {value!r}")
         entry.validate(merged, domain)
-        return super().__new__(cls, catalog_id, merged, tuple(domain))
-
-    def contains(self, t: float) -> bool:
-        lo, hi = _SLACK_BOUNDS[self.domain]
-        return lo <= t <= hi
-
-
-class _SlackBounds(dict):
-    """Each domain (lo, hi) read so far, to the bounds a parameter may reach:
-    the domain widened by ``DOMAIN_SLACK`` of its span at both ends, for
-    roundoff.  The bounds depend on the domain alone, so one entry serves
-    every spec over it."""
-
-    def __missing__(self, domain: tuple[float, float]) -> tuple[float, float]:
         lo, hi = domain
         span = hi - lo
-        bounds = self[domain] = (lo - DOMAIN_SLACK * span,
-                                 hi + DOMAIN_SLACK * span)
-        return bounds
+        return super().__new__(cls, catalog_id, merged, (lo, hi), entry,
+                               (lo - DOMAIN_SLACK * span,
+                                hi + DOMAIN_SLACK * span))
 
+    def __getnewargs__(self):
+        # copy, deepcopy and pickle rebuild a spec from its arguments
+        return self.catalog_id, self.params, self.domain
 
-_SLACK_BOUNDS = _SlackBounds()
+    def _replace(self, **changes):
+        """A changed copy, checked and derived again as a new spec is; the
+        derived fields cannot be given."""
+        return CurveSpec(**{"catalog_id": self.catalog_id,
+                            "params": self.params, "domain": self.domain,
+                            **changes})
+
+    def contains(self, t: float) -> bool:
+        lo, hi = self.bounds
+        return lo <= t <= hi
 
 
 def _check_names(owner: str, params, accepted) -> None:
@@ -206,13 +208,22 @@ def _lorentz_helix_speed(p) -> float:
     """The helix's constant speed sqrt((Bq)^2 - (Ap)^2).
 
     The difference of squares is taken as (|Bq| - |Ap|)(|Bq| + |Ap|), which
-    does not cancel.  Raises NonSpacelikeVelocity unless it is positive and
-    finite: a timelike or null helix, or one whose speed floating point
-    cannot hold.
+    does not cancel.  Where it is not positive and finite, the error
+    follows ``_not_spacelike``: an infinite factor Bq or Ap overflows
+    floating point (PoleEncountered), a spacelike helix whose square
+    overflows has no speed to divide by (DivisionNearZero), and otherwise
+    the helix is timelike or null (NonSpacelikeVelocity).
     """
     bq, ap = abs(p["B"] * p["q"]), abs(p["A"] * p["p"])
     g = (bq - ap) * (bq + ap)
     if not 0.0 < g < math.inf:
+        if math.isinf(bq) or math.isinf(ap):
+            raise PoleEncountered(f"lorentz_helix overflows floating "
+                                  f"point: |Bq| = {bq}, |Ap| = {ap}")
+        if g == math.inf:
+            raise DivisionNearZero(
+                f"Minkowski square g(alpha', alpha') = (Bq)^2 - (Ap)^2 = {g} "
+                f"of the velocity leaves floating point on lorentz_helix")
         raise NonSpacelikeVelocity(
             f"g(alpha', alpha') = (Bq)^2 - (Ap)^2 = {g} on lorentz_helix")
     return math.sqrt(g)
@@ -300,16 +311,12 @@ def _pole(spec: CurveSpec, t: float, exc: Exception) -> PoleEncountered:
 
 
 def _series(spec: CurveSpec, t: float, n: int) -> tuple:
-    # spec.contains and _lookup inline: every curve read runs both
-    lo, hi = _SLACK_BOUNDS[spec.domain]
+    # spec.contains inline: every curve read runs it
+    lo, hi = spec.bounds
     if not lo <= t <= hi:
         raise OutOfDomain(f"t={t} outside domain {spec.domain} of {spec.catalog_id}")
     try:
-        entry = _CATALOG[spec.catalog_id]
-    except KeyError:
-        entry = _lookup(spec.catalog_id)
-    try:
-        return entry.build(float(t), spec.params, n)
+        return spec.entry.build(float(t), spec.params, n)
     except _POLES as exc:
         raise _pole(spec, t, exc) from exc
 
@@ -318,14 +325,6 @@ def eval_curve(spec: CurveSpec, t: float) -> tuple:
     """The four coordinate series of the curve at ``t``, exact to order 4:
     tuples (c0, ..., c4) with c_k the k-th derivative over k!."""
     return _series(spec, t, 5)
-
-
-def point(spec: CurveSpec, t: float) -> tuple[tuple, tuple]:
-    """Position and velocity of the curve at ``t``, two 4-tuples of floats:
-    coefficients 0 and 1 of ``eval_curve(spec, t)``, bit for bit, with its
-    errors."""
-    (x0, v0), (x1, v1), (x2, v2), (x3, v3) = _series(spec, t, 2)
-    return (x0, x1, x2, x3), (v0, v1, v2, v3)
 
 
 def position(spec: CurveSpec, t: float) -> tuple:

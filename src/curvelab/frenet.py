@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Callable, NamedTuple, Sequence
 
 from . import curves
-from .curves import ArclengthPair, CurveSpec, _check_names, _lookup, speed
+from .curves import CurveSpec, _check_names, speed
 from .errors import (ConvergenceFailure, DegenerateFrame, DivisionNearZero,
                      FrameDriftExceeded, NonSpacelikePrincipalNormal,
                      NonSpacelikeVelocity, OutOfDomain)
@@ -176,11 +176,11 @@ def _torsion_angle(k3: Callable[[float], float], a: float, b: float,
 class ArclengthMap(NamedTuple):
     """Monotone map s(t) from the low end of the domain, and its inverse t(s).
 
-    ``arclength`` is the curve's ``CatalogEntry.arclength`` pair: when it
-    is given, ``s_of_t`` and ``t_of_s`` evaluate it in closed form and the
-    map keeps only ``total``.  Otherwise ``grid_s`` holds the arclength at
-    the panel ends ``grid_t``, each panel integrated by 4-point
-    Gauss-Legendre, and ``grid_v`` the speed there.  ``s_of_t`` adds the
+    When the curve's catalog entry (``spec.entry``) gives its
+    ``arclength`` pair, ``s_of_t`` and ``t_of_s`` evaluate it in closed
+    form and the map keeps only ``total``.  Otherwise ``grid_s`` holds the
+    arclength at the panel ends ``grid_t``, each panel integrated by
+    4-point Gauss-Legendre, and ``grid_v`` the speed there.  ``s_of_t`` adds the
     same rule on [t_i, t] to the node below; ``t_of_s`` seeds t from the
     cubic Hermite interpolant of t(s) on the bracketing panel (its ends'
     s, t and dt/ds = 1/v) and applies one Newton correction, 5 speed
@@ -192,7 +192,6 @@ class ArclengthMap(NamedTuple):
     grid_t: tuple[float, ...] = ()
     grid_s: tuple[float, ...] = ()
     grid_v: tuple[float, ...] = ()
-    arclength: ArclengthPair | None = None
 
     def grid_samples(self, count: int) -> list[float]:
         """``count`` evenly spaced arclengths, 1% of the total in from
@@ -206,8 +205,9 @@ class ArclengthMap(NamedTuple):
     def s_of_t(self, t: float) -> float:
         if not self.spec.contains(t):
             raise OutOfDomain(f"t={t} outside {self.spec.domain}")
-        if self.arclength is not None:
-            return self.arclength[0](self.spec.params, self.spec.domain[0], t)
+        exact = self.spec.entry.arclength
+        if exact is not None:
+            return exact[0](self.spec.params, self.spec.domain[0], t)
         i = min(bisect_right(self.grid_t, t), len(self.grid_t) - 1) - 1
         i = max(i, 0)
         return self.grid_s[i] + _gl(self._speed, self.grid_t[i], t)[0]
@@ -222,8 +222,9 @@ class ArclengthMap(NamedTuple):
         if s < -1e-9 * max(1.0, span) or s > span * (1.0 + 1e-9) + 1e-12:
             raise OutOfDomain(f"s={s} outside covered arclength [0, {span}]")
         s = min(max(s, 0.0), span)
-        if self.arclength is not None:
-            return self.arclength[1](self.spec.params, self.spec.domain[0], s)
+        exact = self.spec.entry.arclength
+        if exact is not None:
+            return exact[1](self.spec.params, self.spec.domain[0], s)
         i = min(max(bisect_left(self.grid_s, s), 1), len(self.grid_s) - 1)
         t0, t1 = lo, hi = self.grid_t[i - 1], self.grid_t[i]
         s0, v0, v1 = self.grid_s[i - 1], self.grid_v[i - 1], self.grid_v[i]
@@ -256,10 +257,9 @@ def arclength_map(spec: CurveSpec) -> ArclengthMap:
     entry gives its arclength, else by ``_panels`` on the speed, with the
     ``ARCLENGTH_GRID`` nodes as the first panels' ends."""
     lo, hi = spec.domain
-    exact = _lookup(spec.catalog_id).arclength
+    exact = spec.entry.arclength
     if exact is not None:
-        return ArclengthMap(spec=spec, total=exact[0](spec.params, lo, hi),
-                            arclength=exact)
+        return ArclengthMap(spec=spec, total=exact[0](spec.params, lo, hi))
     v = lambda t: speed(spec, t)
     ts, ss, vs = _panels(v, [(t, v(t)) for t in grid(lo, hi, ARCLENGTH_GRID)],
                          "arclength", spec.catalog_id)

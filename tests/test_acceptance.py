@@ -221,7 +221,7 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
                 want = max(want, math.hypot(*(a - e for a, e
                                               in zip(approx, exact)))
                            / max(math.hypot(*exact), 1e-12))
-    calls = {"eval_curve": [], "point": [], "position": []}
+    calls = {"eval_curve": [], "position": []}
     for name, log in calls.items():
         monkeypatch.setattr(curves, name, lambda spec, t, real=getattr(
             curves, name), log=log: log.append(t) or real(spec, t))
@@ -231,7 +231,6 @@ def test_criterion_8_evaluates_each_stencil_node_once(monkeypatch):
     points = len(static_ids) * 50
     assert len(calls["eval_curve"]) == points
     assert len(calls["position"]) == points * 13
-    assert calls["point"] == []
 
 
 def test_criterion_8_skips_runtime_registered_curves(monkeypatch):
@@ -241,12 +240,13 @@ def test_criterion_8_skips_runtime_registered_curves(monkeypatch):
     rectifying.construct_rectifying(
         curves.make_spec("hyperbolic_clelia"),
         rectifying.ConstructionParams(a=1.0, t0=0.3, domain=(0.35, 1.2)))
-    read = set()
-    for name in ("eval_curve", "point"):
+    read = {"eval_curve": set(), "position": set()}
+    for name, ids in read.items():
         monkeypatch.setattr(curves, name, lambda spec, t, real=getattr(
-            curves, name): read.add(spec.catalog_id) or real(spec, t))
+            curves, name), ids=ids: ids.add(spec.catalog_id) or real(spec, t))
     assert verify.fd_oracle_error() == 5.662575469721443e-07
-    assert read and not [cid for cid in read if ":" in cid]
+    for ids in read.values():
+        assert ids and not [cid for cid in ids if ":" in cid]
 
 
 @pytest.mark.parametrize("k, want", [

@@ -85,15 +85,20 @@ def test_classify_pole_exits_2(capsys):
      "--at", "1e10"],
     ["frenet", "--curve", "paper_example", "--param", "a=1e308",
      "--samples", "3"],
+    ["frenet", "--curve", "lorentz_helix", "--param", "B=1e200",
+     "--param", "q=1e200", "--samples", "3"],
+    ["rectify-check", "--curve", "lorentz_helix", "--param", "B=1e200",
+     "--param", "q=1e200"],
 ], ids=["classify", "frenet", "classify_product", "construct_product",
-        "classify_sine_argument", "frenet_velocity"])
+        "classify_sine_argument", "frenet_velocity", "frenet_helix_speed",
+        "rectify_check_helix_speed"])
 def test_a_coordinate_that_overflows_exits_2(argv, capsys):
     # sinh past ~710.5 overflows floating point, and so does A * cosh(pt)
     # with A near the largest float, or a / cosh(u + t0) * cosh(u) with t0
     # < 0, or the argument q t of the helix's sine, or the velocity of
-    # paper_example at a = 1e308: a typed error, not a traceback with the
-    # "property failed" code, an inf in the CSV or a velocity called
-    # non-spacelike
+    # paper_example at a = 1e308, or the helix's factor Bq = 1e400: a typed
+    # error, not a traceback with the "property failed" code, an inf in the
+    # CSV or a velocity called non-spacelike
     code, _ = run(argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -136,6 +141,19 @@ def test_a_velocity_too_large_to_square_exits_2(capsys):
     # says nothing of the velocity's causal character
     code, _ = run(["frenet", "--curve", "hyperbolic_clelia",
                    "--domain", "0.25", "400", "--samples", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DivisionNearZero" in err and "leaves floating point" in err
+
+
+@pytest.mark.parametrize("command", ["frenet", "rectify-check"])
+def test_a_spacelike_helix_whose_speed_squares_past_floating_point_exits_2(
+        command, capsys):
+    # the speed sqrt(3) * 1e160 is a float and classify calls the helix
+    # spacelike, but (Bq)^2 - (Ap)^2 = 3e320 is not: the arclength map has
+    # no speed to divide by, and does not call the helix non-spacelike
+    code, _ = run([command, "--curve", "lorentz_helix", "--param", "A=1e160",
+                   "--param", "B=2e160"])
     assert code == 2
     err = capsys.readouterr().err
     assert "DivisionNearZero" in err and "leaves floating point" in err

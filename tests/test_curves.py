@@ -1,12 +1,14 @@
 """Catalog curves: coordinates, speeds, domains and pole handling."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvelab import curves, frenet, jets
+from curvelab import curves, frenet, jets, rectifying
 from curvelab.errors import (CurveLabError, DegenerateFrame,
                              DivisionNearZero, NonSpacelikeVelocity,
                              OutOfDomain, PoleEncountered)
@@ -103,8 +105,7 @@ def test_runtime_pole_surfaces_as_pole_error():
         curves.eval_curve(curves.make_spec(cid), 0.0)
 
 
-@pytest.mark.parametrize("evaluate", [curves.point, curves.position,
-                                      curves.eval_curve])
+@pytest.mark.parametrize("evaluate", [curves.position, curves.eval_curve])
 def test_an_infinite_sine_argument_is_a_pole_error(evaluate):
     # q t = 1e310 is inf, whose sine math.sin refuses with a ValueError
     spec = curves.make_spec("lorentz_helix", {"p": 0.0, "q": 1e300, "A": 0.0},
@@ -146,8 +147,8 @@ def test_a_parameter_past_the_domain_by_1e_6_of_its_span_is_out():
     curves.eval_curve(spec, hi + 1e-10 * span)
 
 
-@pytest.mark.parametrize("read", [curves.eval_curve, curves.point,
-                                  curves.position, curves.speed])
+@pytest.mark.parametrize("read", [curves.eval_curve, curves.position,
+                                  curves.speed])
 def test_reads_reach_past_the_domain_by_domain_slack_of_its_span(read):
     # DOMAIN_SLACK = 1e-9 of a span of 1: 5e-10 past either end is
     # roundoff slack, 2e-9 past is out
@@ -214,6 +215,49 @@ def test_registered_ids_are_sequential_and_usable():
     assert ":" in cid
     p = position(curves.eval_curve(curves.make_spec(cid), 1.0))
     assert p.components == (0.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("cid", ["lorentz_helix", "hyperbolic_clelia"])
+def test_a_runtime_curve_is_read_without_a_catalog_lookup(cid, monkeypatch):
+    # the spec carries its entry: reads and the arclength map (closed form
+    # for the helix, quadrature on the speed for the clelia) look nothing up
+    spec = curves.make_spec(curves.register_curve(curves._lookup(cid)))
+    lookups = []
+    real = curves._lookup
+    monkeypatch.setattr(curves, "_lookup",
+                        lambda name: lookups.append(name) or real(name))
+    t = sum(spec.domain) / 2
+    curves.eval_curve(spec, t)
+    curves.position(spec, t)
+    curves.speed(spec, t)
+    amap = frenet.arclength_map(spec)
+    amap.t_of_s(amap.s_of_t(t))
+    assert lookups == []
+
+
+@pytest.mark.parametrize("constructed", [False, True],
+                         ids=["static", "constructed"])
+def test_a_spec_survives_copy_deepcopy_and_pickle(constructed):
+    spec = curves.make_spec("lorentz_helix", {"B": 3.0}, (0.5, 2.0))
+    if constructed:
+        spec = rectifying.construct_rectifying(
+            curves.make_spec("hyperbolic_clelia"),
+            rectifying.ConstructionParams(a=1.0, t0=0.3, domain=(0.35, 1.2)))
+    for clone in (copy.copy(spec), copy.deepcopy(spec),
+                  pickle.loads(pickle.dumps(spec))):
+        assert type(clone) is curves.CurveSpec and clone == spec
+        assert clone.entry is spec.entry and clone.bounds == spec.bounds
+
+
+def test_a_replaced_spec_is_checked_and_derived_again():
+    spec = curves.make_spec("lorentz_helix")
+    wide = spec._replace(domain=(0.0, 10.0))
+    assert wide.bounds[1] > 10.0 and wide.contains(5.0)
+    curves.eval_curve(wide, 5.0)
+    with pytest.raises(OutOfDomain):
+        spec._replace(domain=(1.0, 1.0))
+    with pytest.raises(TypeError):
+        spec._replace(bounds=(-math.inf, math.inf))
 
 
 def test_jet_derivatives_match_finite_differences():
@@ -327,7 +371,7 @@ def _reference_series(spec, t):
 
 
 def test_static_curves_build_no_jet(monkeypatch):
-    # the frame kernel, point, position, speed and the speed series run on
+    # the frame kernel, position, speed and the speed series run on
     # coefficient tuples from end to end
     sources = []
     for cid in STATIC:
@@ -347,7 +391,6 @@ def test_static_curves_build_no_jet(monkeypatch):
             except DegenerateFrame:         # the two planar curves
                 pass
         for t in np.linspace(*spec.domain, 5):
-            curves.point(spec, float(t))
             curves.position(spec, float(t))
             curves.speed(spec, float(t))
             curves._speed_jet(spec, float(t),
@@ -411,24 +454,17 @@ def test_eval_curve_is_the_jet_reference_bit_for_bit(cid, data):
             == _result(_reference_series, spec, t))
 
 
-def _series_point(spec, t):
-    cj = curves.eval_curve(spec, t)
-    return (tuple(c[0] for c in cj), tuple(c[1] for c in cj))
-
-
 def _series_position(spec, t):
     return tuple(c[0] for c in curves.eval_curve(spec, t))
 
 
-# point and speed take the length-2 series and position the length-1
-# series: coefficients 0 and 1, or 0, of eval_curve's, bit for bit, with
-# its errors
+# speed takes the length-2 series and position the length-1 series:
+# coefficients 0 and 1, or 0, of eval_curve's, bit for bit, with its errors
 @pytest.mark.parametrize("cid", STATIC)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_closed_form_is_the_jet_bit_for_bit(cid, data):
     spec, t = data.draw(_static_case(cid))
-    assert _result(curves.point, spec, t) == _result(_series_point, spec, t)
     assert (_result(curves.position, spec, t)
             == _result(_series_position, spec, t))
     assert (_result(curves.speed, spec, t)

@@ -18,7 +18,7 @@ from curvelab.curves import CatalogEntry
 from curvelab.errors import (ConvergenceFailure, CurveLabError,
                              DegenerateFrame, DivisionNearZero,
                              NonSpacelikePrincipalNormal,
-                             NonSpacelikeVelocity)
+                             NonSpacelikeVelocity, PoleEncountered)
 from curvelab.lorentz import Vec4
 
 SQ3 = math.sqrt(3.0)
@@ -161,11 +161,11 @@ def test_constant_speed_map_matches_quadrature(cid, params, domain):
     # arclength pair, so only the map differs
     spec = curves.make_spec(cid, params, domain)
     exact = frenet.arclength_map(spec)
-    entry = curves._lookup(cid)
-    quad_id = curves.register_curve(entry._replace(arclength=None))
+    quad_id = curves.register_curve(spec.entry._replace(arclength=None))
     quad = frenet.arclength_map(curves.CurveSpec(quad_id, spec.params,
                                                  spec.domain))
-    assert exact.arclength is not None and quad.arclength is None
+    assert (exact.spec.entry.arclength is not None
+            and quad.spec.entry.arclength is None)
     assert math.isclose(exact.total, quad.total, rel_tol=1e-13)
     for t in np.linspace(*spec.domain, 7):
         assert math.isclose(exact.s_of_t(float(t)), quad.s_of_t(float(t)),
@@ -178,12 +178,28 @@ def test_constant_speed_map_matches_quadrature(cid, params, domain):
 @pytest.mark.parametrize("params", [
     {"A": 1.0, "p": 1.5, "B": 1.0, "q": 1.0},          # timelike
     {"A": 1.0, "p": 1.0, "B": 1.0, "q": 1.0},          # null
-    {"A": 1e200, "p": 1e200, "B": 1e200, "q": 1e200},  # inf - inf = NaN
-    {"A": 1.0, "p": 1.0, "B": 1e200, "q": 1e200},      # speed overflows
+    {"A": 2e160, "p": 1.0, "B": 1e160, "q": 1.0},      # timelike, g = -inf
+    {"A": 1e308, "p": 1.0, "B": 1e308, "q": 1.0},      # null, 0 * inf = NaN
 ])
 def test_arclength_map_rejects_a_helix_without_a_spacelike_speed(params):
     spec = curves.make_spec("lorentz_helix", params)
     with pytest.raises(NonSpacelikeVelocity):
+        frenet.arclength_map(spec)
+
+
+@pytest.mark.parametrize("params, error, text", [
+    ({"A": 1e200, "p": 1e200, "B": 1e200, "q": 1e200}, PoleEncountered,
+     "overflows floating point"),
+    ({"B": 1e200, "q": 1e200}, PoleEncountered, "overflows floating point"),
+    ({"A": 1e160, "B": 2e160}, DivisionNearZero, "leaves floating point"),
+], ids=["both_factors_infinite", "Bq_infinite", "square_overflows"])
+def test_arclength_map_of_a_helix_past_floating_point_names_the_overflow(
+        params, error, text):
+    # an infinite factor Bq or Ap, or a spacelike helix whose speed
+    # sqrt(3) * 1e160 is a float but whose square is not, tells nothing
+    # of its causal character: it is not called non-spacelike
+    spec = curves.make_spec("lorentz_helix", params)
+    with pytest.raises(error, match=text):
         frenet.arclength_map(spec)
 
 

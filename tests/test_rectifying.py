@@ -130,15 +130,15 @@ def constructed_maps(request):
     arclength pair, so only the map differs.
     """
     spec = construct(*request.param)
-    entry = curves._lookup(spec.catalog_id)
-    quad_id = curves.register_curve(entry._replace(arclength=None))
+    quad_id = curves.register_curve(spec.entry._replace(arclength=None))
     quad = frenet.arclength_map(curves.CurveSpec(quad_id, {}, spec.domain))
     return spec, frenet.arclength_map(spec), quad
 
 
 def test_closed_form_map_matches_quadrature(constructed_maps):
     spec, exact, quad = constructed_maps
-    assert exact.arclength is not None and quad.arclength is None
+    assert (exact.spec.entry.arclength is not None
+            and quad.spec.entry.arclength is None)
     assert math.isclose(exact.total, quad.total, abs_tol=1e-13)
     for t in np.linspace(*spec.domain, 13):
         assert math.isclose(exact.s_of_t(float(t)), quad.s_of_t(float(t)),
